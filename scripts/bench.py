@@ -21,10 +21,10 @@ Typical uses::
 
     # quick CI gate against the committed baseline
     python scripts/bench.py --smoke --label ci \
-        --baseline benchmarks/results/BENCH_fastpath.json
+        --baseline benchmarks/results/BENCH_adversary.json
 
     # measure an older source tree with the *same* harness (before/after)
-    python scripts/bench.py --src /path/to/old/src --label pre-fastpath
+    python scripts/bench.py --src /path/to/old/src --label before
 
 No third-party dependencies beyond what ``repro`` itself needs.
 """

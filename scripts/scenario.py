@@ -177,6 +177,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         write_json(telemetry_path, result.telemetry)
         trace_path = telemetry_path.with_suffix(".trace.json")
         write_json(trace_path, chrome_trace(result.telemetry))
+        for reason, count in sorted(result.telemetry["fallbacks"].items()):
+            print(f"# fallback ({count} runs): {reason}")
         print(f"# wrote telemetry {telemetry_path} + trace {trace_path}")
 
     if args.json_out:

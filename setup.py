@@ -1,9 +1,4 @@
-"""Setuptools entry point.
-
-Kept alongside ``pyproject.toml`` so that editable installs work in offline
-environments where the PEP-517 build path (which needs the ``wheel`` package)
-is unavailable.
-"""
+"""Setuptools entry point (``pip install -e .`` works offline with it)."""
 
 from setuptools import find_packages, setup
 

@@ -9,10 +9,11 @@ be guaranteed."*
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Tuple
 
 _group_counter = itertools.count()
 
@@ -68,6 +69,11 @@ class GroupManager:
         self.rng = rng or random.Random()
         self._groups: Dict[int, Group] = {}
         self._membership: Dict[Hashable, int] = {}
+        # Min-heap of (size, group_id), one entry pushed per size change and
+        # invalidated lazily: an entry is live iff the group still exists at
+        # exactly that size.  Keeps ``join`` O(log groups) instead of a scan
+        # over every group.
+        self._by_size: List[Tuple[int, int]] = []
 
     # ------------------------------------------------------------------
     # Queries
@@ -109,8 +115,7 @@ class GroupManager:
         target = self._smallest_group()
         if target is None or target.size >= 2 * self.min_size:
             target = self._create_group([])
-        target.members = sorted(target.members + [node], key=repr)
-        self._membership[node] = target.group_id
+        self._set_members(target, target.members + [node])
         if target.size >= 2 * self.min_size:
             self._split(target)
         return self.group_of(node)  # type: ignore[return-value]
@@ -125,7 +130,7 @@ class GroupManager:
         if group_id is None:
             raise ValueError(f"node {node!r} does not belong to any group")
         group = self._groups[group_id]
-        group.members = [m for m in group.members if m != node]
+        self._set_members(group, [m for m in group.members if m != node])
         if group.size == 0:
             del self._groups[group_id]
             return None
@@ -150,41 +155,52 @@ class GroupManager:
     # ------------------------------------------------------------------
     def _create_group(self, members: List[Hashable]) -> Group:
         group = Group(
-            group_id=next(_group_counter), members=members, min_size=self.min_size
+            group_id=next(_group_counter), members=[], min_size=self.min_size
         )
         self._groups[group.group_id] = group
-        for member in group.members:
-            self._membership[member] = group.group_id
+        self._set_members(group, members)
         return group
 
-    def _smallest_group(self) -> Optional[Group]:
-        candidates = [g for g in self._groups.values() if g.size < 2 * self.min_size]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda g: (g.size, g.group_id))
+    def _set_members(self, group: Group, members: List[Hashable]) -> None:
+        """Replace a group's member list; the one place group sizes change."""
+        group.members = sorted(members, key=repr)
+        for member in group.members:
+            self._membership[member] = group.group_id
+        heapq.heappush(self._by_size, (group.size, group.group_id))
+
+    def _smallest_group(self, exclude: Optional[Group] = None) -> Optional[Group]:
+        """The ``(size, group_id)``-minimal group, skipping ``exclude``."""
+        heap = self._by_size
+        skipped = None
+        smallest = None
+        while heap:
+            size, group_id = heap[0]
+            group = self._groups.get(group_id)
+            if group is None or group.size != size:
+                heapq.heappop(heap)  # stale: the group changed size or went
+            elif group is exclude:
+                skipped = heapq.heappop(heap)
+            else:
+                smallest = group
+                break
+        if skipped is not None:
+            heapq.heappush(heap, skipped)
+        return smallest
 
     def _split(self, group: Group) -> None:
         members = list(group.members)
         self.rng.shuffle(members)
         half = len(members) // 2
-        first, second = members[:half], members[half:]
-        group.members = sorted(first, key=repr)
-        for member in group.members:
-            self._membership[member] = group.group_id
-        new_group = self._create_group(sorted(second, key=repr))
-        for member in new_group.members:
-            self._membership[member] = new_group.group_id
+        self._set_members(group, members[:half])
+        self._create_group(members[half:])
 
     def _rebalance(self, group: Group) -> Group:
         """Merge an undersized group into the smallest other group."""
-        others = [g for g in self._groups.values() if g.group_id != group.group_id]
-        if not others:
+        target = self._smallest_group(exclude=group)
+        if target is None:
             return group  # nothing to merge with; privacy temporarily degraded
-        target = min(others, key=lambda g: (g.size, g.group_id))
-        target.members = sorted(target.members + group.members, key=repr)
-        for member in group.members:
-            self._membership[member] = target.group_id
         del self._groups[group.group_id]
+        self._set_members(target, target.members + group.members)
         if target.size >= 2 * self.min_size:
             self._split(target)
         return self._groups.get(target.group_id, target)

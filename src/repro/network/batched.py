@@ -26,22 +26,26 @@ deliveries that share a timestamp — a *cohort* — as numpy arrays:
   :mod:`repro.broadcast.flood`, ``GossipCohortKernel`` in
   :mod:`repro.broadcast.gossip`).
 
+Where cohorts can form.  Deliveries share a timestamp only when every
+overlay send takes the same time, so a kernel engages only under a
+constant-delay latency model with zero jitter (``Simulator._resolve_kernel``
+decides; every other latency model draws a continuous delay per message or
+per edge, and the run stays on the event loop).  Inside that regime the
+only per-send randomness left is link loss.
+
 Determinism contract.  The batched engine must be seed-for-seed identical
 to the event engine (same observation log, same drop counters).  That holds
 because every random stream is consumed in the same per-stream order: the
-latency model's RNG per forward in send order, the dedicated link RNG
-(loss, then jitter) per overlay send in send order, and ``Simulator.rng``
-(gossip peer sampling) per freshly-infected node in processing order.  The
-streams are separate ``random.Random`` instances, so reordering draws
-*across* streams — the kernel runs the delay loop and the loss/jitter loop
-separately — cannot change any individual stream's values.  Sequence
-numbers come out numerically identical too, because pushes and block
-reservations happen in the same global order as the event engine's pushes.
+dedicated link RNG (one loss draw per overlay send, in send order) and
+``Simulator.rng`` (gossip peer sampling) per freshly-infected node in
+processing order.  Sequence numbers come out numerically identical too,
+because pushes and block reservations happen in the same global order as
+the event engine's pushes.
 
 Constraints: the node set must not change while deliveries are in flight
 (blocks address nodes by CSR index; the index assignment is stable because
-it is recomputed in ``repr`` order), and latency models must be strictly
-positive (they are — enforced at construction), so a cohort's records all
+it is recomputed in ``repr`` order), and the link delay must be strictly
+positive (it is — enforced at construction), so a cohort's records all
 land before any of its fan-out deliveries.
 """
 
@@ -110,10 +114,6 @@ class CSRTopology:
         self.indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
         )
-
-    def row(self, node_index: int) -> np.ndarray:
-        """The neighbour indices of one node (a read-only view)."""
-        return self.indices[self.indptr[node_index]:self.indptr[node_index + 1]]
 
 
 def csr_topology(graph) -> CSRTopology:
@@ -389,11 +389,11 @@ class CohortKernel:
                 sizes = sizes[keep]
 
         topology = self._topology
-        ids_array = topology.ids_array
         simulator.store.record_batch(
             time,
-            ids_array[recv_idx],
-            ids_array[send_idx],
+            topology.ids_array,
+            recv_idx,
+            send_idx,
             messages,
             payload_id,
             self.kind,
@@ -440,103 +440,49 @@ class CohortKernel:
         sizes: np.ndarray,
         payload_id: Hashable,
     ) -> None:
-        """Apply latency/loss/jitter in send order and buffer the blocks.
+        """Apply link loss in send order and buffer the fan-out as one block.
 
-        Mirrors ``Simulator.send`` per message: the latency model is
-        consumed per forward in send order; the dedicated link stream draws
-        loss first, then jitter, per overlay send.  The streams are
-        independent RNGs, so running them as two separate loops keeps each
-        stream's draw sequence identical to the event engine's.
+        Mirrors ``Simulator.send`` per message under the only conditions a
+        kernel runs in (one constant link delay, see
+        ``Simulator._resolve_kernel``): the dedicated link stream draws
+        once per overlay send, and every survivor lands at ``time + delay``.
         """
         simulator = self.simulator
         total = len(tgt_idx)
         if total == 0:
             return
-        constant = self._constant_delay
         loss = simulator._loss_probability
-        jitter = simulator._jitter
-        if constant is not None and loss == 0.0 and jitter == 0.0:
-            # Hot path: one block, one reservation, zero RNG draws.
-            seq0 = simulator._queue.reserve_sequences(total)
-            simulator._blocks.push(
-                time + constant,
-                seq0,
-                DeliveryBlock(tgt_idx, send_idx, messages, sizes, payload_id),
-            )
-            return
-
-        ids = self._topology.ids
-        if constant is not None:
-            delays = np.full(total, constant, dtype=np.float64)
-        else:
-            delay = simulator._delay
-            delays = np.fromiter(
-                (
-                    delay(ids[s], ids[t])
-                    for s, t in zip(send_idx.tolist(), tgt_idx.tolist())
-                ),
-                dtype=np.float64,
+        if loss > 0.0:
+            draw = simulator._link_rng.random
+            keep = np.fromiter(
+                (draw() >= loss for _ in range(total)),
+                dtype=bool,
                 count=total,
             )
-        if loss > 0.0 or jitter > 0.0:
-            link = simulator._link_rng
-            keep = np.ones(total, dtype=bool)
-            dropped = 0
-            for i in range(total):
-                if loss > 0.0 and link.random() < loss:
-                    keep[i] = False
-                    dropped += 1
-                elif jitter > 0.0:
-                    delays[i] += link.uniform(0.0, jitter)
-            # Telemetry draw counters, bulk-updated to mirror the event
-            # engine exactly: loss draws once per overlay send, jitter
-            # only for transmissions that survived the loss filter.
-            if loss > 0.0:
-                simulator._loss_draws += total
-            if jitter > 0.0:
-                simulator._jitter_draws += total - dropped
-            if dropped:
-                simulator._dropped_total += dropped
+            simulator._loss_draws += total
+            kept = int(keep.sum())
+            if kept != total:
+                simulator._dropped_total += total - kept
                 simulator._dropped_by_payload[payload_id] = (
-                    simulator._dropped_by_payload.get(payload_id, 0) + dropped
+                    simulator._dropped_by_payload.get(payload_id, 0)
+                    + total - kept
                 )
+                if kept == 0:
+                    return
                 send_idx = send_idx[keep]
                 tgt_idx = tgt_idx[keep]
                 messages = messages[keep]
                 sizes = sizes[keep]
-                delays = delays[keep]
-                total = len(tgt_idx)
-                if total == 0:
-                    return
-
+                total = kept
         # Sequences are reserved after the loss filter — the event engine
         # never allocates a sequence for a lost transmission either, so the
         # numbering stays engine-identical.
         seq0 = simulator._queue.reserve_sequences(total)
-        times = time + delays
-        order = np.argsort(times, kind="stable")
-        times_sorted = times[order]
-        change = np.flatnonzero(np.diff(times_sorted)) + 1
-        starts = np.concatenate((np.zeros(1, dtype=np.int64), change))
-        ends = np.concatenate(
-            (change, np.asarray([total], dtype=np.int64))
+        simulator._blocks.push(
+            time + self._constant_delay,
+            seq0,
+            DeliveryBlock(tgt_idx, send_idx, messages, sizes, payload_id),
         )
-        blocks = simulator._blocks
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            # Within one delivery time, entries must sit in send (sequence)
-            # order: ascending original positions.
-            sel = np.sort(order[s:e])
-            blocks.push(
-                float(times_sorted[s]),
-                seq0 + int(sel[0]),
-                DeliveryBlock(
-                    tgt_idx[sel],
-                    send_idx[sel],
-                    messages[sel],
-                    sizes[sel],
-                    payload_id,
-                ),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -583,7 +529,7 @@ def run_batched(simulator, kernel, until, max_events) -> float:
             break
         if time > simulator._now:
             simulator._now = time
-        if store._first_hooks:
+        if store.has_pending_first_hooks:
             # A pending phase hook must fire at its exact log position and
             # may react by scheduling work; serve everything per item until
             # it has fired.
@@ -612,32 +558,29 @@ def run_batched(simulator, kernel, until, max_events) -> float:
     return simulator._now
 
 
+def _deliver(simulator, time, receiver, sender, message, direct) -> None:
+    """Deliver one message event-engine style: churn drops, record, dispatch."""
+    offline = simulator._offline
+    if offline and receiver in offline:
+        simulator._churn_dropped += 1
+        return
+    severed = simulator._severed
+    if severed and not direct and frozenset((sender, receiver)) in severed:
+        simulator._churn_dropped += 1
+        return
+    simulator._record(Observation(time, receiver, sender, message, direct))
+    simulator._nodes[receiver].on_message(sender, message)
+
+
 def _step_single(simulator) -> int:
     """Pop and process exactly one heap entry, event-engine style."""
     _, _, item = simulator._queue.pop_entry()
     if item.__class__ is tuple:
-        receiver, sender, message, direct = item
-        offline = simulator._offline
-        if offline and receiver in offline:
-            simulator._churn_dropped += 1
-            return 1
-        severed = simulator._severed
-        if (
-            severed
-            and not direct
-            and frozenset((sender, receiver)) in severed
-        ):
-            simulator._churn_dropped += 1
-            return 1
-        simulator._record(
-            Observation(simulator._now, receiver, sender, message, direct)
-        )
-        simulator._nodes[receiver].on_message(sender, message)
-        return 1
-    if item.__class__ is Event:
+        _deliver(simulator, simulator._now, *item)
+    elif item.__class__ is Event:
         item.action()
-        return 1
-    item()
+    else:
+        item()
     return 1
 
 
@@ -646,27 +589,12 @@ def _drain_block(simulator, kernel, entry) -> int:
     time, _, block = entry
     kernel.refresh()
     ids = kernel._topology.ids
-    offline = simulator._offline
-    severed = simulator._severed
-    record = simulator._record
-    nodes = simulator._nodes
-    executed = 0
     for r, s, message in zip(
         block.receivers.tolist(), block.senders.tolist(),
         block.messages.tolist(),
     ):
-        executed += 1
-        receiver = ids[r]
-        sender = ids[s]
-        if offline and receiver in offline:
-            simulator._churn_dropped += 1
-            continue
-        if severed and frozenset((sender, receiver)) in severed:
-            simulator._churn_dropped += 1
-            continue
-        record(Observation(time, receiver, sender, message, False))
-        nodes[receiver].on_message(sender, message)
-    return executed
+        _deliver(simulator, time, ids[r], ids[s], message, False)
+    return block.size
 
 
 def _process_cohort(simulator, kernel, time: float) -> int:

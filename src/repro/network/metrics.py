@@ -6,10 +6,10 @@ for a regular flood and prune broadcast") and latency.  The collector records
 every send and every payload delivery so that the benchmarks can regenerate
 those numbers without protocol code having to count anything itself.
 
-Message traffic is written through an
-:class:`~repro.network.observation_store.ObservationStore` shared with the
-simulator, so every traffic query (``message_count``, ``first_observations``)
-is answered from an index in O(result) instead of scanning the global send
+Message traffic is written by the simulator straight into an
+:class:`~repro.network.observation_store.ObservationStore` shared with this
+collector, so every traffic query (``message_count``, ``first_observations``)
+is answered from a counter or an index instead of scanning the global send
 log.  Payload deliveries (the "node X now knows the payload" events) are
 indexed here per payload, so ``delivered_nodes``, ``reach`` and
 ``completion_time`` are O(result) as well.
@@ -18,7 +18,7 @@ indexed here per payload, so ``delivered_nodes``, ``reach`` and
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.network.message import Observation
 from repro.network.observation_store import ObservationStore
@@ -28,7 +28,7 @@ class MetricsCollector:
     """Aggregates message traffic and payload delivery statistics.
 
     Args:
-        store: the observation store to write sends through.  The simulator
+        store: the observation store traffic queries read.  The simulator
             passes its own store so that metrics queries and adversary views
             share one set of indexes; a fresh private store is created when
             the collector is used standalone.
@@ -41,23 +41,6 @@ class MetricsCollector:
             Hashable, List[Tuple[float, Hashable]]
         ] = defaultdict(list)
         self._completion: Dict[Hashable, float] = {}
-
-    @property
-    def sends(self) -> List[Observation]:
-        """A copy of the chronological send log (kept for compatibility).
-
-        Prefer :meth:`iter_sends` for read-only scans — it avoids copying
-        the full log.
-        """
-        return self.store.observations
-
-    def iter_sends(self) -> Iterator[Observation]:
-        """Lazily iterate the chronological send log without copying it."""
-        return self.store.iter_observations()
-
-    def record_send(self, observation: Observation) -> None:
-        """Record one message delivery (equivalently: one link traversal)."""
-        self.store.record(observation)
 
     def record_delivery(
         self, node: Hashable, payload_id: Hashable, time: float
@@ -149,7 +132,6 @@ class MetricsCollector:
 
         This is the raw material of the first-spy adversary: for every node,
         when did it first see any message of this payload and from whom.
-        Served from the store's first-seen-per-receiver index.
         """
         return self.store.first_observations(payload_id, kinds)
 

@@ -9,30 +9,37 @@ scanning the global send log makes every query O(total traffic), which is the
 dominant cost once overlays reach thousands of nodes and a sweep runs
 hundreds of broadcasts over the same simulator.
 
-:class:`ObservationStore` is the single write path for deliveries.  The
-:class:`~repro.network.simulator.Simulator` records every
-:class:`~repro.network.message.Observation` through the
-:class:`~repro.network.metrics.MetricsCollector`, which writes into this
-store; the store maintains
+:class:`ObservationStore` is the single write path for deliveries, with two
+writers: :meth:`~ObservationStore.record` appends one delivery (the event
+loop), :meth:`~ObservationStore.record_batch` appends a same-time run of
+deliveries of one ``(payload, kind)`` pair as parallel arrays (the cohort
+kernel, in-process or sharded).  Both bump the same counters, so every
+count query is O(1) and exact at all times; everything per-object is left
+to **one lazy step** (:meth:`~ObservationStore._sync`) that runs the first
+time a reader needs log entries.  The store maintains
 
-* the append-only log (chronological, because the event queue delivers in
-  time order),
-* per-``payload_id``, per-``kind`` and per-``(payload_id, kind)`` position
-  indexes (message counts become ``len()`` lookups),
-* a per-receiver position index (the honest-but-curious adversary view),
-* a first-seen-per-receiver index per payload and per ``(payload, kind)``
-  (the raw material of the first-spy estimator), and
+* the append-only log (chronological, because deliveries arrive in time
+  order) — batches stay struct-of-arrays until the lazy step turns them
+  into :class:`~repro.network.message.Observation` entries, so a run whose
+  metrics are all counts never builds them;
+* delivery counters per ``kind`` and per ``(payload_id, kind)`` plus the
+  byte total (message counts are dictionary lookups);
+* a per-``(payload_id, kind)`` and a per-receiver position index (the
+  honest-but-curious adversary view), both built by the lazy step — first
+  observations per receiver and whole-payload views are derived from them
+  on demand; and
 * one-shot *first observation* hooks so orchestration code can react to the
   first message of a ``(payload, kind)`` pair without polling the log.
 
-All query methods cost O(size of the answer) — plus an O(log) merge factor
-when several index lists are combined — instead of O(everything ever sent).
+Index-backed queries cost O(size of the answer) — plus an O(log) merge
+factor when several index lists are combined — instead of O(everything ever
+sent).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
+from itertools import chain, repeat
 from typing import (
     Callable,
     Dict,
@@ -41,31 +48,20 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
 )
 
-from repro.network.message import Message, Observation
+from repro.network.message import Observation
 
 FirstObservationHook = Callable[[Observation], None]
 
 
-class _AdoptedCohort:
-    """One same-time delivery cohort adopted from sharded worker processes.
-
-    Chunks are per-(worker, payload) struct-of-arrays slices — integer node
-    indexes into ``ids``, plus the cohort-wide delivery ranks that define
-    the event engine's delivery order.  Kept unmerged and unmaterialised
-    until a reader needs log entries; the counting surface is served from
-    the store's delta counters instead (see
-    :meth:`ObservationStore.adopt_cohort`).
-    """
-
-    __slots__ = ("time", "chunks", "ids")
-
-    def __init__(self, time, chunks, ids) -> None:
-        self.time = time
-        self.chunks = chunks
-        self.ids = ids
+def _merged(lists: List[List[int]]) -> Sequence[int]:
+    """Disjoint sorted position lists as one sorted sequence."""
+    if len(lists) == 1:
+        return lists[0]
+    return sorted(chain.from_iterable(lists))
 
 
 class ObservationStore:
@@ -84,104 +80,78 @@ class ObservationStore:
 
     # The store is written once per simulated delivery — the single hottest
     # call in the library after the event loop itself — so its records stay
-    # slim: no instance ``__dict__``, plain tuples as compound keys, and
-    # ``record`` structured so each index costs one lookup and one append.
+    # slim: no instance ``__dict__``, and ``record`` does nothing but append
+    # and bump counters (inline: a helper call per delivery is measurable).
     __slots__ = (
         "_log",
-        "_count",
         "_pending",
-        "_by_payload",
-        "_by_kind",
-        "_by_payload_kind",
-        "_by_receiver",
-        "_first_by_receiver",
-        "_first_by_receiver_kind",
-        "_first_hooks",
+        "_indexed",
+        "_count",
         "_bytes_total",
-        "_delta_payload",
-        "_delta_kind",
-        "_delta_pair",
+        "_kind_counts",
+        "_pair_counts",
+        "_by_pair",
+        "_by_receiver",
+        "_first_hooks",
     )
 
     def __init__(self) -> None:
         self._log: List[Observation] = []
-        # Batched writes (record_batch) defer Observation materialisation:
-        # counting indexes are updated eagerly (counts stay O(1)), while the
-        # per-object work — Observation construction, the per-receiver and
-        # first-seen tables — is kept as pending struct-of-arrays segments
-        # until a reader actually needs log entries.  ``_count`` is the
-        # logical length including pending segments.
-        self._count = 0
+        # Batches not yet turned into log entries.  Invariant: everything in
+        # ``_log`` precedes everything pending (``record`` syncs first).
         self._pending: List[tuple] = []
-        self._by_payload: Dict[Hashable, List[int]] = defaultdict(list)
-        self._by_kind: Dict[str, List[int]] = defaultdict(list)
-        self._by_payload_kind: Dict[Tuple[Hashable, str], List[int]] = (
+        # Log entries below this position are in the position indexes.
+        self._indexed = 0
+        # Counters, bumped by both writers; ``_count`` is the logical length
+        # including pending batches.
+        self._count = 0
+        self._bytes_total = 0
+        self._kind_counts: Dict[str, int] = {}
+        self._pair_counts: Dict[Hashable, Dict[str, int]] = {}
+        # Position indexes, extended only by the lazy step.
+        self._by_pair: Dict[Tuple[Hashable, str], List[int]] = (
             defaultdict(list)
         )
         self._by_receiver: Dict[Hashable, List[int]] = defaultdict(list)
-        self._first_by_receiver: Dict[Hashable, Dict[Hashable, int]] = (
-            defaultdict(dict)
-        )
-        self._first_by_receiver_kind: Dict[
-            Tuple[Hashable, str], Dict[Hashable, int]
-        ] = defaultdict(dict)
         self._first_hooks: Dict[
             Tuple[Hashable, str], List[FirstObservationHook]
         ] = {}
-        self._bytes_total = 0
-        # Adopted-cohort delta counters: deliveries accepted through
-        # adopt_cohort() whose position-index entries have not been
-        # materialised yet.  Counting queries add these to the index-list
-        # lengths; _flush() converts them into real positions and clears
-        # them.  Empty (and cost-free) unless the sharded engine ran.
-        self._delta_payload: Dict[Hashable, int] = {}
-        self._delta_kind: Dict[str, int] = {}
-        self._delta_pair: Dict[Tuple[Hashable, str], int] = {}
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
     def record(self, observation: Observation) -> int:
-        """Append one delivery and update every index.
+        """Append one delivery.
 
         Returns the observation's position in the log (its global sequence
         number; positions are strictly increasing, so index lists are always
         sorted and can be merged cheaply).
         """
         if self._pending:
-            self._flush()
+            self._sync()
         log = self._log
         position = len(log)
         log.append(observation)
         message = observation.message
         payload_id = message.payload_id
         kind = message.kind
-        receiver = observation.receiver
-        pair = (payload_id, kind)
-
-        self._by_payload[payload_id].append(position)
-        self._by_kind[kind].append(position)
-        pair_positions = self._by_payload_kind[pair]
-        first_of_pair = not pair_positions
-        pair_positions.append(position)
-        self._by_receiver[receiver].append(position)
-        first_table = self._first_by_receiver[payload_id]
-        if receiver not in first_table:
-            first_table[receiver] = position
-        first_kind_table = self._first_by_receiver_kind[pair]
-        if receiver not in first_kind_table:
-            first_kind_table[receiver] = position
-        self._bytes_total += message.size_bytes
         self._count = position + 1
-
-        if first_of_pair and pair in self._first_hooks:
-            for hook in self._first_hooks.pop(pair):
-                hook(observation)
+        self._bytes_total += message.size_bytes
+        kind_counts = self._kind_counts
+        kind_counts[kind] = kind_counts.get(kind, 0) + 1
+        kinds = self._pair_counts.get(payload_id)
+        if kinds is None:
+            kinds = self._pair_counts[payload_id] = {}
+        earlier = kinds.get(kind, 0)
+        kinds[kind] = earlier + 1
+        if not earlier and self._first_hooks:
+            self._fire_first_hooks(payload_id, kind, position)
         return position
 
     def record_batch(
         self,
         time: float,
+        ids,
         receivers,
         senders,
         messages,
@@ -192,188 +162,75 @@ class ObservationStore:
     ) -> int:
         """Bulk-append same-time deliveries of one ``(payload, kind)`` pair.
 
-        The batched engine's write path.  ``receivers``/``senders``/
-        ``messages`` are parallel sequences (numpy object arrays in
-        practice) in delivery order; ``bytes_total`` is the summed message
-        size.  The counting indexes (per payload, kind and pair, plus the
-        byte total) are updated immediately, so every O(1) count query
-        stays exact; :class:`Observation` construction and the
-        per-receiver/first-seen tables are deferred until a reader needs
-        log entries (:meth:`_flush`).  A 100k-node flood whose metrics are
-        all counts therefore never materialises its ~1.5M observations.
+        The cohort kernel's write path.  ``receivers``/``senders``/
+        ``messages`` are parallel sequences in delivery order, the first
+        two as integer index arrays into ``ids``, the object array of node
+        identifiers a kernel addresses nodes by; ``bytes_total`` is the
+        summed message size.  Only the counters are updated here, so every
+        O(1) count query stays exact; resolving indexes to identifiers,
+        :class:`Observation` construction and indexing are deferred until
+        a reader needs log entries (:meth:`_sync`).  A 100k-node flood
+        whose metrics are all counts therefore never materialises its
+        ~1.5M observations.
 
         Returns the position of the first appended observation.
         """
         size = len(receivers)
-        if self._delta_pair:
-            # Unflushed adopted cohorts have no position-list entries yet;
-            # materialise them first so this batch's eagerly-extended
-            # positions stay sorted after them.
-            self._flush()
         start = self._count
         if size == 0:
             return start
-        positions = range(start, start + size)
-        self._by_payload[payload_id].extend(positions)
-        self._by_kind[kind].extend(positions)
-        pair = (payload_id, kind)
-        pair_positions = self._by_payload_kind[pair]
-        first_of_pair = not pair_positions
-        pair_positions.extend(positions)
-        self._bytes_total += bytes_total
         self._count = start + size
+        self._bytes_total += bytes_total
+        kind_counts = self._kind_counts
+        kind_counts[kind] = kind_counts.get(kind, 0) + size
+        kinds = self._pair_counts.setdefault(payload_id, {})
+        earlier = kinds.get(kind, 0)
+        kinds[kind] = earlier + size
         self._pending.append(
-            (time, receivers, senders, messages, payload_id, kind, direct)
+            (time, ids, receivers, senders, messages, payload_id, kind, direct)
         )
-        if first_of_pair and pair in self._first_hooks:
-            # Fire with a real Observation, exactly like record() would.
-            # (The simulator never takes the batched path while a hook is
+        if not earlier and self._first_hooks:
+            # (The simulator never takes the cohort path while a hook is
             # pending; this covers direct store users.)
-            self._flush()
-            for hook in self._first_hooks.pop(pair):
-                hook(self._log[start])
+            self._fire_first_hooks(payload_id, kind, start)
         return start
 
-    def adopt_cohort(self, time: float, chunks, ids) -> None:
-        """Adopt one same-time delivery cohort from sharded workers.
+    def _fire_first_hooks(
+        self, payload_id: Hashable, kind: str, position: int
+    ) -> None:
+        """Fire and drop the hooks waiting for this pair's first delivery."""
+        hooks = self._first_hooks.pop((payload_id, kind), ())
+        if hooks:
+            self._sync()
+            for hook in hooks:
+                hook(self._log[position])
 
-        The sharded engine's write path (:mod:`repro.network.sharded`).
-        ``chunks`` is a list of ``(ranks, receivers, senders, payload_id,
-        kind, sizes)`` tuples — one per (worker, payload) slice of the
-        cohort — where ``ranks`` are the cohort-wide delivery ranks (the
-        event engine's delivery order at this time), ``receivers``/
-        ``senders`` are integer positions into the ``ids`` array of node
-        identifiers, and ``sizes`` is either a per-delivery array or one
-        shared ``int``.  Cohorts must be adopted in ascending time order,
-        after everything already recorded.
-
-        Only the O(1) counting surface is updated here — the logical
-        length, byte total and the per-payload/kind/pair delta counters.
-        Merging the chunks by rank, resolving indexes to node ids and
-        building :class:`Observation` entries all wait until a reader
-        needs log entries (:meth:`_flush`), which a pure-counting
-        benchmark run never does.
-        """
-        total = 0
-        delta_payload = self._delta_payload
-        delta_kind = self._delta_kind
-        delta_pair = self._delta_pair
-        for ranks, _receivers, _senders, payload_id, kind, sizes in chunks:
-            size = len(ranks)
-            if size == 0:
-                continue
-            total += size
-            pair = (payload_id, kind)
-            delta_payload[payload_id] = delta_payload.get(payload_id, 0) + size
-            delta_kind[kind] = delta_kind.get(kind, 0) + size
-            delta_pair[pair] = delta_pair.get(pair, 0) + size
-            if isinstance(sizes, int):
-                self._bytes_total += sizes * size
-            else:
-                self._bytes_total += int(sizes.sum())
-        if total == 0:
-            return
-        self._count += total
-        self._pending.append(_AdoptedCohort(time, chunks, ids))
+    def _sync(self) -> None:
+        """The lazy step: materialise pending batches, index new entries."""
+        log = self._log
+        by_pair = self._by_pair
+        by_receiver = self._by_receiver
+        for position in range(self._indexed, len(log)):
+            observation = log[position]
+            message = observation.message
+            by_pair[(message.payload_id, message.kind)].append(position)
+            by_receiver[observation.receiver].append(position)
+        pending, self._pending = self._pending, []
+        for time, ids, receivers, senders, messages, payload_id, kind, direct in pending:
+            start = len(log)
+            receivers = ids[receivers]
+            log.extend(
+                map(Observation, repeat(time), receivers, ids[senders], messages, repeat(direct))
+            )
+            by_pair[(payload_id, kind)].extend(range(start, len(log)))
+            for position, receiver in enumerate(receivers, start):
+                by_receiver[receiver].append(position)
+        self._indexed = len(log)
 
     @property
     def has_pending_first_hooks(self) -> bool:
         """Whether any :meth:`on_first` hook is still waiting to fire."""
         return bool(self._first_hooks)
-
-    def _flush(self) -> None:
-        """Materialise pending batch segments into the log and tables."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        log = self._log
-        by_receiver = self._by_receiver
-        for entry in pending:
-            if entry.__class__ is _AdoptedCohort:
-                self._flush_adopted(entry)
-                continue
-            time, receivers, senders, messages, payload_id, kind, direct = (
-                entry
-            )
-            position = len(log)
-            first_table = self._first_by_receiver[payload_id]
-            first_kind_table = self._first_by_receiver_kind[
-                (payload_id, kind)
-            ]
-            for receiver, sender, message in zip(receivers, senders, messages):
-                log.append(
-                    Observation(time, receiver, sender, message, direct)
-                )
-                by_receiver[receiver].append(position)
-                if receiver not in first_table:
-                    first_table[receiver] = position
-                if receiver not in first_kind_table:
-                    first_kind_table[receiver] = position
-                position += 1
-        if self._delta_pair:
-            self._delta_payload.clear()
-            self._delta_kind.clear()
-            self._delta_pair.clear()
-
-    def _flush_adopted(self, cohort: _AdoptedCohort) -> None:
-        """Merge one adopted cohort's chunks by rank into the log.
-
-        Converts the delta-counted deliveries into real log entries: the
-        chunks are interleaved back into the event engine's delivery order
-        (ascending rank), indexes are resolved against the cohort's node-id
-        array, and every position index the delta counters stood in for is
-        extended.  Messages are shared per chunk — the digest surface
-        (kind, payload, size) is identical for every delivery of a chunk,
-        matching the batched engine's one-message-per-sender sharing.
-        """
-        time = cohort.time
-        ids = cohort.ids
-        chunks = cohort.chunks
-        merged: List[tuple] = []
-        for ranks, receivers, senders, payload_id, kind, sizes in chunks:
-            if len(ranks) == 0:
-                continue
-            receiver_ids = ids[receivers]
-            sender_ids = ids[senders]
-            if isinstance(sizes, int):
-                message = Message(
-                    kind=kind, payload_id=payload_id, size_bytes=sizes
-                )
-                messages = [message] * len(ranks)
-            else:
-                messages = [
-                    Message(kind=kind, payload_id=payload_id,
-                            size_bytes=int(size))
-                    for size in sizes
-                ]
-            merged.extend(
-                zip(ranks.tolist(), receiver_ids, sender_ids, messages)
-            )
-        merged.sort(key=lambda item: item[0])
-        log = self._log
-        by_receiver = self._by_receiver
-        by_payload = self._by_payload
-        by_kind = self._by_kind
-        by_pair = self._by_payload_kind
-        first_by_receiver = self._first_by_receiver
-        first_by_receiver_kind = self._first_by_receiver_kind
-        position = len(log)
-        for _rank, receiver, sender, message in merged:
-            payload_id = message.payload_id
-            kind = message.kind
-            log.append(Observation(time, receiver, sender, message, False))
-            by_payload[payload_id].append(position)
-            by_kind[kind].append(position)
-            by_pair[(payload_id, kind)].append(position)
-            by_receiver[receiver].append(position)
-            first_table = first_by_receiver[payload_id]
-            if receiver not in first_table:
-                first_table[receiver] = position
-            first_kind_table = first_by_receiver_kind[(payload_id, kind)]
-            if receiver not in first_kind_table:
-                first_kind_table[receiver] = position
-            position += 1
 
     def on_first(
         self, payload_id: Hashable, kind: str, hook: FirstObservationHook
@@ -382,7 +239,7 @@ class ObservationStore:
 
         If such an observation already exists the hook fires immediately
         (with the earliest one); otherwise it fires exactly once, from inside
-        :meth:`record`, the moment the first matching delivery happens.  This
+        the writer, the moment the first matching delivery happens.  This
         replaces polling the log for phase transitions such as "the flood
         phase has started".
 
@@ -395,11 +252,9 @@ class ObservationStore:
             stale hook.
         """
         pair = (payload_id, kind)
-        existing = self._by_payload_kind.get(pair)
-        if existing or self._delta_pair.get(pair):
-            if self._pending:
-                self._flush()
-            hook(self._log[self._by_payload_kind[pair][0]])
+        if self.count(kind, payload_id):
+            self._sync()
+            hook(self._log[self._by_pair[pair][0]])
             return lambda: None
 
         def cancel() -> None:
@@ -414,15 +269,10 @@ class ObservationStore:
         return cancel
 
     # ------------------------------------------------------------------
-    # Counting (all O(1))
+    # Counting (all O(1), never materialises anything)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._count
-
-    def __iter__(self) -> Iterator[Observation]:
-        if self._pending:
-            self._flush()
-        return iter(self._log)
 
     def count(
         self,
@@ -430,43 +280,48 @@ class ObservationStore:
         payload_id: Optional[Hashable] = None,
     ) -> int:
         """Number of recorded deliveries matching the filters."""
-        if kind is None and payload_id is None:
-            return self._count
         if payload_id is None:
-            return len(self._by_kind.get(kind, ())) + self._delta_kind.get(
-                kind, 0
-            )
+            if kind is None:
+                return self._count
+            return self._kind_counts.get(kind, 0)
+        kinds = self._pair_counts.get(payload_id)
+        if kinds is None:
+            return 0
         if kind is None:
-            return len(
-                self._by_payload.get(payload_id, ())
-            ) + self._delta_payload.get(payload_id, 0)
-        pair = (payload_id, kind)
-        return len(
-            self._by_payload_kind.get(pair, ())
-        ) + self._delta_pair.get(pair, 0)
+            return sum(kinds.values())
+        return kinds.get(kind, 0)
+
+    def count_for(
+        self,
+        payload_id: Optional[Hashable],
+        kinds: Optional[Tuple[str, ...]],
+    ) -> int:
+        """Number of deliveries matching a payload and/or multi-kind filter."""
+        if kinds is None:
+            return self.count(payload_id=payload_id)
+        return sum(
+            self.count(kind=kind, payload_id=payload_id)
+            for kind in dict.fromkeys(kinds)
+        )
 
     def kind_counts(self) -> Dict[str, int]:
         """Delivery counts broken down by message kind."""
-        counts = {
-            kind: len(positions) for kind, positions in self._by_kind.items()
-        }
-        for kind, delta in self._delta_kind.items():
-            counts[kind] = counts.get(kind, 0) + delta
-        return counts
+        return dict(self._kind_counts)
 
     def payload_count(self) -> int:
         """Number of distinct payload ids seen so far."""
-        if not self._delta_payload:
-            return len(self._by_payload)
-        return len(self._by_payload.keys() | self._delta_payload.keys())
+        return len(self._pair_counts)
 
     def bytes_total(self) -> int:
         """Total accounted traffic volume in bytes."""
         return self._bytes_total
 
     # ------------------------------------------------------------------
-    # Querying (all O(result))
+    # Querying (all O(result) once the lazy step has run)
     # ------------------------------------------------------------------
+    def __iter__(self) -> Iterator[Observation]:
+        return self.iter_observations()
+
     @property
     def observations(self) -> List[Observation]:
         """A copy of the full chronological log.
@@ -474,9 +329,7 @@ class ObservationStore:
         For read-only scans prefer :meth:`iter_observations`, which does not
         copy anything.
         """
-        if self._pending:
-            self._flush()
-        return list(self._log)
+        return list(self.iter_observations())
 
     def iter_observations(self) -> Iterator[Observation]:
         """Lazily iterate the full chronological log without copying it.
@@ -487,32 +340,24 @@ class ObservationStore:
         estimators, equivalence oracles) that previously paid a full-list
         copy via :attr:`observations` per scan.
         """
-        if self._pending:
-            self._flush()
+        self._sync()
         return iter(self._log)
 
     def _positions(
         self,
         payload_id: Optional[Hashable],
         kinds: Optional[Tuple[str, ...]],
-    ) -> Iterable[int]:
-        """Sorted log positions matching a payload and/or kind filter."""
-        if payload_id is not None and kinds is not None:
-            unique = list(dict.fromkeys(kinds))
-            lists = [
-                self._by_payload_kind.get((payload_id, kind), [])
-                for kind in unique
+    ) -> Sequence[int]:
+        """Sorted, synced log positions matching a payload/kind filter."""
+        payloads = self._pair_counts if payload_id is None else (payload_id,)
+        return _merged(
+            [
+                self._by_pair[(payload, kind)]
+                for payload in payloads
+                for kind in self._pair_counts.get(payload, ())
+                if kinds is None or kind in kinds
             ]
-        elif payload_id is not None:
-            return self._by_payload.get(payload_id, [])
-        elif kinds is not None:
-            unique = list(dict.fromkeys(kinds))
-            lists = [self._by_kind.get(kind, []) for kind in unique]
-        else:
-            return range(len(self._log))
-        if len(lists) == 1:
-            return lists[0]
-        return heapq.merge(*lists)
+        )
 
     def of_payload(
         self,
@@ -520,9 +365,9 @@ class ObservationStore:
         kinds: Optional[Tuple[str, ...]] = None,
     ) -> List[Observation]:
         """All deliveries of one payload in chronological order."""
-        if self._pending:
-            self._flush()
-        return [self._log[i] for i in self._positions(payload_id, kinds)]
+        self._sync()
+        log = self._log
+        return [log[i] for i in self._positions(payload_id, kinds)]
 
     def for_receivers(
         self,
@@ -538,55 +383,25 @@ class ObservationStore:
         payload's traffic — so the cost is bounded by the smaller of the two,
         never by the full log.
         """
-        if self._pending:
-            self._flush()
+        self._sync()
+        log = self._log
+        by_receiver = self._by_receiver
         receiver_set = set(receivers)
         receiver_lists = [
-            self._by_receiver[r] for r in receiver_set if r in self._by_receiver
+            by_receiver[r] for r in receiver_set if r in by_receiver
         ]
-        if payload_id is None and kinds is None:
-            merged = (
-                receiver_lists[0]
-                if len(receiver_lists) == 1
-                else heapq.merge(*receiver_lists)
-            )
-            return [self._log[i] for i in merged]
-
-        receiver_total = sum(len(lst) for lst in receiver_lists)
-        filter_total = self.count_for(payload_id, kinds)
-        if receiver_total <= filter_total:
-            kind_set = None if kinds is None else set(kinds)
-            merged = (
-                receiver_lists[0]
-                if len(receiver_lists) == 1
-                else heapq.merge(*receiver_lists)
-            )
+        if sum(map(len, receiver_lists)) <= self.count_for(payload_id, kinds):
             return [
                 obs
-                for obs in (self._log[i] for i in merged)
+                for obs in (log[i] for i in _merged(receiver_lists))
                 if (payload_id is None or obs.message.payload_id == payload_id)
-                and (kind_set is None or obs.message.kind in kind_set)
+                and (kinds is None or obs.message.kind in kinds)
             ]
         return [
             obs
-            for obs in (self._log[i] for i in self._positions(payload_id, kinds))
+            for obs in (log[i] for i in self._positions(payload_id, kinds))
             if obs.receiver in receiver_set
         ]
-
-    def count_for(
-        self,
-        payload_id: Optional[Hashable],
-        kinds: Optional[Tuple[str, ...]],
-    ) -> int:
-        """Number of deliveries matching a payload and/or multi-kind filter."""
-        if kinds is None:
-            return self.count(payload_id=payload_id)
-        unique = dict.fromkeys(kinds)
-        if payload_id is None:
-            return sum(self.count(kind=kind) for kind in unique)
-        return sum(
-            self.count(kind=kind, payload_id=payload_id) for kind in unique
-        )
 
     def first_observations(
         self,
@@ -595,19 +410,10 @@ class ObservationStore:
     ) -> Dict[Hashable, Observation]:
         """First delivery of the payload per receiving node.
 
-        With a ``kinds`` filter, the per-``(payload, kind)`` first-seen maps
-        are merged by log position, so the result matches a chronological
-        scan restricted to those kinds — at O(receivers) cost.
+        Derived from the payload's chronological view, so the result matches
+        a scan of the log restricted to ``kinds`` at O(payload traffic) cost.
         """
-        if self._pending:
-            self._flush()
-        if kinds is None:
-            table = self._first_by_receiver.get(payload_id, {})
-            return {r: self._log[i] for r, i in table.items()}
-        best: Dict[Hashable, int] = {}
-        for kind in dict.fromkeys(kinds):
-            table = self._first_by_receiver_kind.get((payload_id, kind), {})
-            for receiver, position in table.items():
-                if receiver not in best or position < best[receiver]:
-                    best[receiver] = position
-        return {r: self._log[i] for r, i in best.items()}
+        first: Dict[Hashable, Observation] = {}
+        for observation in self.of_payload(payload_id, kinds):
+            first.setdefault(observation.receiver, observation)
+        return first

@@ -25,9 +25,10 @@ is itself exact).  Eligibility requires:
   reordering its draws) and the ``"exclude_sender"`` fan-out shape plus
   per-node payload sizes (:meth:`CohortKernel.shard_node_sizes`), so the
   worker can run the fan-out without calling back into node objects;
-* a constant-delay latency model with zero loss and zero jitter (loss and
-  jitter consume the dedicated link RNG per send in global send order,
-  which is exactly the cross-process ordering problem again);
+* zero link loss on top of the constant, jitter-free link delay every
+  cohort kernel already requires (loss consumes the dedicated link RNG per
+  send in global send order, which is exactly the cross-process ordering
+  problem again);
 * no ``until`` bound, no pending first-observation hooks, and an event
   queue holding nothing but non-direct deliveries of the kernel's kind
   between known endpoints — timers (churn schedules, protocol phases) may
@@ -48,27 +49,23 @@ reserves sequence ranges in exactly ascending trigger order, ranks are
 order-isomorphic to the event engine's sequence numbers — within a node's
 block the forwards sit in CSR (= ``neighbours_of``) order, and merging all
 chunks of a window by rank reproduces the event engine's log order
-exactly.  The observation store adopts each window as an unmerged,
-delta-counted cohort (:meth:`ObservationStore.adopt_cohort`); the rank
-merge and ``Observation`` materialisation are deferred until a reader
-actually needs log entries, which a pure-counting benchmark never does.
-
-The per-shard RNG derivation the design reserves for future kernels that
-*do* consume randomness (derive one stream per (seed, shard, window) so a
-worker's draws are independent of every other worker's schedule) is
-provided as :func:`shard_rng`; the currently eligible kernels are
-``rng_free`` and never call it.
+exactly.  After the last window the parent does that merge once per
+window — one vectorised ``argsort`` over the workers' concatenated ranks —
+and hands the result to :meth:`ObservationStore.record_batch`, the same
+bulk writer the in-process kernel uses; ``Observation`` materialisation
+stays deferred until a reader actually needs log entries, which a
+pure-counting benchmark never does.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import multiprocessing
 import os
-import random
 import sys
 import traceback
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional
 
 import numpy as np
 
@@ -86,22 +83,6 @@ MAX_DEFAULT_SHARDS = 8
 #: cached on ``graph.graph``; popped by
 #: ``Simulator.invalidate_topology_caches`` (by the same literal).
 PARTITION_CACHE_KEY = "repro_sharded_partition"
-
-
-def shard_rng(
-    seed: Optional[int], shard: int, window: int
-) -> random.Random:
-    """A deterministic RNG stream for one (shard, window) pair.
-
-    The extension point for kernels that consume randomness: deriving the
-    stream from ``(seed, shard id, window index)`` makes a worker's draws
-    a pure function of its own schedule, independent of how the other
-    shards interleave.  The currently eligible kernels are ``rng_free``
-    and never draw, so this is documented API for future kernels rather
-    than a hot path.
-    """
-    base = 0 if seed is None else seed
-    return random.Random((base * 1_000_003 + shard) * 1_000_003 + window)
 
 
 def default_shard_count(node_count: int) -> int:
@@ -136,18 +117,6 @@ def shard_assignment(graph, topology, shards: int) -> np.ndarray:
     return assignment
 
 
-def _decline(simulator, reason: str) -> None:
-    """Record why the multi-process path declined; returns ``None``.
-
-    The reason lands on ``simulator.fallback_reason``, in the debug log,
-    and — when a recorder is attached — in the telemetry fallback
-    counters, so "why did my sharded run not shard?" has an answer
-    (historically the fallback was silent).
-    """
-    simulator._note_fallback(reason)
-    return None
-
-
 def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
     """Run the simulation across worker processes, or decline.
 
@@ -156,34 +125,32 @@ def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
     ``run_batched``, which is behaviourally identical).  All eligibility
     checks happen before any state is consumed, so declining is free of
     side effects beyond ``_start_nodes``; every decline records its
-    reason via :func:`_decline`.
+    reason (``Simulator.fallback_reason``, the debug log and the telemetry
+    fallback counters), so "why did my sharded run not shard?" has an
+    answer.
     """
+    decline = simulator._note_fallback  # returns None, i.e. "declined"
     if sys.platform != "linux":
-        return _decline(simulator, "non-linux platform")
+        return decline("non-linux platform")
     if "fork" not in multiprocessing.get_all_start_methods():
-        return _decline(simulator, "fork start method unavailable")
+        return decline("fork start method unavailable")
     if until is not None:
-        return _decline(simulator, "bounded run (until set)")
+        return decline("bounded run (until set)")
     if not kernel.rng_free or kernel.shard_fanout != "exclude_sender":
-        return _decline(
-            simulator, "kernel not rng-free or unsupported fan-out shape"
-        )
-    delay = simulator.latency.constant_delay()
-    if delay is None:
-        return _decline(simulator, "non-constant delay")
-    if simulator._loss_probability > 0.0 or simulator._jitter > 0.0:
-        return _decline(simulator, "loss or jitter enabled")
-    if simulator.store._first_hooks:
-        return _decline(simulator, "pending first-observation hooks")
+        return decline("kernel not rng-free or unsupported fan-out shape")
+    if simulator._loss_probability > 0.0:
+        return decline("link loss enabled")
+    if simulator.store.has_pending_first_hooks:
+        return decline("pending first-observation hooks")
     if simulator._blocks is not None and len(simulator._blocks):
-        return _decline(simulator, "pending delivery blocks")
+        return decline("pending delivery blocks")
     node_count = simulator.graph.number_of_nodes()
     shards = simulator._shards
     if shards is None:
         shards = default_shard_count(node_count)
     shards = min(shards, node_count)
     if shards < 2:
-        return _decline(simulator, "<2 shards")
+        return decline("<2 shards")
 
     simulator._start_nodes()
 
@@ -199,25 +166,21 @@ def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
         if item.__class__ is Event:
             if item.cancelled:
                 continue
-            return _decline(simulator, "timer in queue")
+            return decline("timer in queue")
         if item.__class__ is not tuple or item[3] or item[2].kind != kind:
-            return _decline(
-                simulator, "foreign queue entry (direct or foreign kind)"
-            )
+            return decline("foreign queue entry (direct or foreign kind)")
         if item[0] not in index or item[1] not in index:
-            return _decline(
-                simulator, "queue entry with unregistered endpoint"
-            )
+            return decline("queue entry with unregistered endpoint")
         payload_set.add(item[2].payload_id)
 
     node_sizes = kernel.shard_node_sizes()
     if node_sizes is None:
-        return _decline(simulator, "kernel lacks per-node payload sizes")
+        return decline("kernel lacks per-node payload sizes")
     priors: Dict[Hashable, np.ndarray] = {}
     for payload_id in payload_set:
         prior = kernel.prior_seen_ids(payload_id)
         if prior is None:
-            return _decline(simulator, "kernel lacks prior-seen mirror")
+            return decline("kernel lacks prior-seen mirror")
         priors[payload_id] = np.fromiter(
             (index[node_id] for node_id in prior),
             dtype=np.int64,
@@ -238,7 +201,7 @@ def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
 
     return _run_windows(
         simulator, kernel, topology, entries, priors, node_sizes,
-        shards, delay, max_events,
+        shards, kernel._constant_delay, max_events,
     )
 
 
@@ -442,31 +405,57 @@ def _recv(conn):
 
 
 def _adopt_results(simulator, kernel, topology, payload_list, results):
-    """Replay the workers' per-window records into store/metrics/nodes."""
-    records = []
-    for worker_records, _inbox, _counters in results:
-        records.extend(worker_records)
-    records.sort(key=lambda record: record[0])
+    """Replay the workers' per-window records into store/metrics/nodes.
+
+    Each window's chunks are interleaved back into the event engine's
+    delivery order (ascending rank) and written as one ``record_batch`` per
+    same-payload run, exactly like the in-process kernel writes a cohort.
+    Messages are shared per run where the size is — the digest surface
+    (kind, payload, size) matches the kernel's one-message-per-sender
+    sharing.
+    """
+    records = sorted(
+        (record for worker_records, _inbox, _counters in results
+         for record in worker_records),
+        key=lambda record: record[0],
+    )
     ids_array = topology.ids_array
     store = simulator.store
     metrics = simulator.metrics
     nodes = simulator._nodes
     kind = kernel.kind
-    position = 0
-    total = len(records)
-    while position < total:
-        time = records[position][0]
-        end = position
-        chunks = []
-        while end < total and records[end][0] == time:
-            _, pidx, ranks, receivers, senders, sizes, _fresh = records[end]
-            chunks.append(
-                (ranks, receivers, senders, payload_list[pidx], kind, sizes)
+    for time, window in itertools.groupby(records, key=lambda r: r[0]):
+        window = list(window)
+        lengths = [len(record[2]) for record in window]
+        order = np.argsort(np.concatenate([record[2] for record in window]))
+        receivers = np.concatenate([record[3] for record in window])[order]
+        senders = np.concatenate([record[4] for record in window])[order]
+        sizes = _concat_sizes([record[5] for record in window], lengths)
+        shared = isinstance(sizes, int)
+        if not shared:
+            sizes = sizes[order]
+        # One record_batch per same-payload run of the merged order; a
+        # window carrying a single payload (the common case) is one run.
+        payloads = [record[1] for record in window]
+        if len(set(payloads)) == 1:
+            runs = [(0, len(order), payloads[0])]
+        else:
+            payloads = np.repeat(payloads, lengths)[order]
+            cuts = (np.flatnonzero(np.diff(payloads)) + 1).tolist()
+            runs = [
+                (start, end, payloads[start])
+                for start, end in zip([0] + cuts, cuts + [len(order)])
+            ]
+        for start, end, pidx in runs:
+            payload_id = payload_list[pidx]
+            run_sizes = sizes if shared else sizes[start:end]
+            store.record_batch(
+                time, ids_array, receivers[start:end], senders[start:end],
+                _messages(kind, payload_id, run_sizes, end - start),
+                payload_id, kind,
+                sizes * (end - start) if shared else int(run_sizes.sum()),
             )
-            end += 1
-        store.adopt_cohort(time, chunks, ids_array)
-        for record in records[position:end]:
-            _, pidx, _, _, _, _, fresh = record
+        for _, pidx, _, _, _, _, fresh in window:
             if not len(fresh):
                 continue
             payload_id = payload_list[pidx]
@@ -480,7 +469,18 @@ def _adopt_results(simulator, kernel, topology, payload_list, results):
             mark = kernel._mark_node_seen
             for node_id in fresh_ids:
                 mark(nodes[node_id], payload_id)
-        position = end
+
+
+def _messages(kind, payload_id, sizes, count) -> List[Message]:
+    """``count`` messages of one (kind, payload), shared where the size is."""
+    if isinstance(sizes, int):
+        return [
+            Message(kind=kind, payload_id=payload_id, size_bytes=sizes)
+        ] * count
+    return [
+        Message(kind=kind, payload_id=payload_id, size_bytes=int(size))
+        for size in sizes
+    ]
 
 
 def _requeue_pending(
@@ -519,36 +519,17 @@ def _requeue_pending(
     kind = kernel.kind
     rows = []
     for time, pidx, ranks, targets, senders, sizes in leftovers:
-        payload_id = payload_list[pidx]
-        if sizes is None:
-            shared = size_const
-        elif isinstance(sizes, int):
-            shared = sizes
-        else:
-            shared = None
-        if shared is not None:
-            message = Message(
-                kind=kind, payload_id=payload_id, size_bytes=shared
-            )
-            row_sizes = [message] * len(ranks)
-        else:
-            if not isinstance(sizes, np.ndarray):
-                sizes = node_sizes[senders]
-            row_sizes = [
-                Message(kind=kind, payload_id=payload_id, size_bytes=int(s))
-                for s in sizes
-            ]
+        sizes = _resolve_sizes(sizes, senders, node_sizes, size_const)
         rows.extend(
             zip(
                 [time] * len(ranks),
                 ranks.tolist(),
                 targets.tolist(),
                 senders.tolist(),
-                row_sizes,
+                _messages(kind, payload_list[pidx], sizes, len(ranks)),
             )
         )
     rows.sort(key=lambda row: (row[0], row[1]))
-    push_item = simulator._queue.push_item
     for time, _rank, target, sender, message in rows:
         push_item(time, (ids[target], ids[sender], message, False))
 
@@ -736,8 +717,8 @@ def _merge_chunks(chunks, node_sizes, size_const):
     ``sizes`` per chunk is an ``int64`` array, a shared ``int``, or
     ``None`` (emission chunks — the size is the forwarder's payload size).
     The merged sizes collapse back to one shared ``int`` when every chunk
-    agrees, which keeps the adopted-cohort write path allocation-free for
-    the homogeneous-size presets.
+    agrees, which keeps the parent's store write allocation-free for the
+    homogeneous-size presets.
     """
     if len(chunks) == 1:
         ranks, targets, senders, sizes = chunks[0]
@@ -747,20 +728,25 @@ def _merge_chunks(chunks, node_sizes, size_const):
     ranks = np.concatenate([chunk[0] for chunk in chunks])
     targets = np.concatenate([chunk[1] for chunk in chunks])
     senders = np.concatenate([chunk[2] for chunk in chunks])
-    resolved = [
-        _resolve_sizes(chunk[3], chunk[2], node_sizes, size_const)
-        for chunk in chunks
-    ]
-    first = resolved[0]
-    if isinstance(first, int) and all(size == first for size in resolved):
-        return ranks, targets, senders, first
-    arrays = [
-        np.full(len(chunk[0]), size, dtype=np.int64)
-        if isinstance(size, int)
-        else size
-        for chunk, size in zip(chunks, resolved)
-    ]
-    return ranks, targets, senders, np.concatenate(arrays)
+    sizes = _concat_sizes(
+        [
+            _resolve_sizes(chunk[3], chunk[2], node_sizes, size_const)
+            for chunk in chunks
+        ],
+        [len(chunk[0]) for chunk in chunks],
+    )
+    return ranks, targets, senders, sizes
+
+
+def _concat_sizes(sizes, lengths):
+    """Per-chunk sizes as one: the shared ``int`` if all agree, else an array."""
+    first = sizes[0]
+    if all(isinstance(size, int) and size == first for size in sizes):
+        return first
+    return np.concatenate([
+        np.full(length, size, dtype=np.int64) if isinstance(size, int) else size
+        for size, length in zip(sizes, lengths)
+    ])
 
 
 def _resolve_sizes(sizes, senders, node_sizes, size_const):

@@ -31,16 +31,20 @@ insertion order), the loss/jitter stream still comes from the dedicated link
 RNG, and identical seeds produce identical observation logs (guarded by the
 golden tests in ``tests/network/test_fastpath_determinism.py``).
 
-Two engines.  ``Simulator(engine="event")`` (the default) is the per-message
-loop described above.  ``engine="batched"`` keeps the same interface and the
-same observable behaviour but, when every registered node is of one type
-that declares a ``COHORT_KERNEL`` (flood and gossip do), processes all
-deliveries sharing a timestamp as numpy struct-of-arrays cohorts — see
-:mod:`repro.network.batched`.  Runs without an eligible kernel (mixed node
-types, other protocols) silently use the event loop, so ``engine="batched"``
-is always safe to request.  Seed-for-seed the two engines produce identical
-observation logs and drop counters; the golden and property tests assert
-this for every preset.
+Engines.  ``Simulator(engine="event")`` (the default) is the per-message
+loop described above.  ``engine="batched"`` and ``engine="sharded"`` keep the
+same interface and the same observable behaviour and are a *cap* on the
+execution path, never a promise: the run itself decides, from what it can
+observe, how far up it goes.  A cohort kernel (:mod:`repro.network.batched`)
+processes all deliveries sharing a timestamp as numpy struct-of-arrays, so
+it engages only where cohorts can form — every registered node is of one
+type that declares a ``COHORT_KERNEL`` (flood and gossip do) *and* the
+latency model has a constant delay with zero jitter; the sharded engine
+additionally needs the split to be exact (:mod:`repro.network.sharded`).
+Every other run executes the event loop verbatim and says why in
+:attr:`Simulator.fallback_reason`.  Seed-for-seed all paths produce
+identical observation logs and drop counters; the golden and property tests
+assert this for every preset.
 """
 
 from __future__ import annotations
@@ -75,6 +79,13 @@ logger = logging.getLogger(__name__)
 #: The registered delivery engines (see the module docstring).
 ENGINES: Tuple[str, ...] = ("event", "batched", "sharded")
 
+#: Why a run capped at ``batched``/``sharded`` stayed on the event loop.
+NO_COHORTS = (
+    "per-message delays (non-constant latency or jitter > 0): "
+    "no two deliveries share a timestamp"
+)
+NO_KERNEL = "no cohort kernel (mixed or non-cohort node types)"
+
 
 class Simulator:
     """Discrete-event simulation of a peer-to-peer overlay.
@@ -93,14 +104,16 @@ class Simulator:
             applied to every overlay send; randomness for both comes from a
             dedicated stream (derived from ``seed``), so lossless conditions
             leave protocol RNG consumption untouched.
-        engine: ``"event"`` (per-message loop, the default),
-            ``"batched"`` (vectorised cohort kernel where a protocol
-            provides one; behaviourally identical) or ``"sharded"``
-            (cohort kernels partitioned over worker processes in
-            conservative time windows; behaviourally identical, falling
-            back in-process whenever the configuration cannot be split —
-            see :mod:`repro.network.sharded`).  Unknown names raise
-            ``KeyError`` listing the registered engines.
+        engine: a cap on the execution path: ``"event"`` (per-message
+            loop, the default), ``"batched"`` (vectorised cohort kernel
+            where a protocol provides one and the link delay is constant
+            without jitter) or ``"sharded"`` (cohort kernels partitioned
+            over worker processes in conservative time windows, where the
+            configuration can be split exactly — see
+            :mod:`repro.network.sharded`).  All paths are behaviourally
+            identical; a run that cannot use the requested one takes the
+            next one down and records :attr:`fallback_reason`.  Unknown
+            names raise ``KeyError`` listing the registered engines.
         shards: worker-process count for ``engine="sharded"`` (default:
             the CPU count, at least 2, capped at 8).  Ignored by the
             other engines; behaviour is shard-count independent.
@@ -202,7 +215,7 @@ class Simulator:
         # fan-outs as struct-of-arrays instead of per-message heap tuples.
         self._topology_generation = 0
         self._kernel = None
-        self._kernel_resolved = False
+        self._kernel_decline: Optional[str] = None
         if shards is not None and shards < 1:
             raise ValueError("shards must be at least 1 when given")
         self._shards = shards
@@ -236,8 +249,9 @@ class Simulator:
         ``engine="sharded"`` runs fall back to ``"batched"`` when the
         configuration cannot be split across workers, and both batched
         and sharded fall back to ``"event"`` when no cohort kernel is
-        eligible; :attr:`fallback_reason` carries the why.  Before the
-        first run this reports the requested engine.
+        eligible or link delays vary per message (no cohorts to form);
+        :attr:`fallback_reason` carries the why.  Before the first run
+        this reports the requested engine.
         """
         return self._engine_effective
 
@@ -260,7 +274,7 @@ class Simulator:
         # The cohort kernel (if any) is resolved from the full node
         # population; adding a node of another type disqualifies it.
         self._kernel = None
-        self._kernel_resolved = False
+        self._kernel_decline = None
         return node
 
     def populate(self, factory: Callable[[Hashable], Node]) -> None:
@@ -510,27 +524,33 @@ class Simulator:
             self._nodes[node_id].on_start()
 
     def _resolve_kernel(self):
-        """The cohort kernel for the current node population, or ``None``.
+        """The cohort kernel this run can use, or ``None`` (reason noted).
 
-        Eligible only when every registered node is of exactly one type
-        whose ``COHORT_KERNEL`` declares that same type as its
-        ``node_type`` — subclasses may override behaviour the kernel
-        hard-codes, so they do not inherit eligibility.  Cached until the
-        population changes.
+        Cohorts form only when every overlay send takes the same time, so
+        a kernel needs a constant-delay latency model and zero jitter —
+        every other model draws a continuous delay per message or per
+        edge and timestamps never coincide.  It also needs every
+        registered node to be of exactly one type whose ``COHORT_KERNEL``
+        declares that same type as its ``node_type`` — subclasses may
+        override behaviour the kernel hard-codes, so they do not inherit
+        eligibility.  Cached until the population changes.
         """
-        if self._kernel_resolved:
+        if self._kernel is not None or self._kernel_decline is not None:
             return self._kernel
-        self._kernel_resolved = True
+        if self.latency.constant_delay() is None or self._jitter > 0.0:
+            self._kernel_decline = NO_COHORTS
+            return None
         nodes = self._nodes
-        if nodes:
-            first_type = type(next(iter(nodes.values())))
-            kernel_cls = getattr(first_type, "COHORT_KERNEL", None)
-            if (
-                kernel_cls is not None
-                and kernel_cls.node_type is first_type
-                and all(type(node) is first_type for node in nodes.values())
-            ):
-                self._kernel = kernel_cls(self)
+        first_type = type(next(iter(nodes.values()))) if nodes else None
+        kernel_cls = getattr(first_type, "COHORT_KERNEL", None)
+        if (
+            kernel_cls is not None
+            and kernel_cls.node_type is first_type
+            and all(type(node) is first_type for node in nodes.values())
+        ):
+            self._kernel = kernel_cls(self)
+        else:
+            self._kernel_decline = NO_KERNEL
         return self._kernel
 
     def _next_pending_time(self) -> Optional[float]:
@@ -617,32 +637,25 @@ class Simulator:
         max_events: Optional[int] = None,
     ) -> float:
         """Engine dispatch + the per-message event loop (see :meth:`run`)."""
-        if self._engine == "batched":
+        if self._engine != "event":
             kernel = self._resolve_kernel()
             if kernel is not None:
                 from repro.network.batched import run_batched
 
-                self._engine_effective = "batched"
-                return run_batched(self, kernel, until, max_events)
-            self._engine_effective = "event"
-            self._note_fallback("no cohort kernel (mixed or non-cohort node types)")
-        elif self._engine == "sharded":
-            kernel = self._resolve_kernel()
-            if kernel is not None:
-                from repro.network.batched import run_batched
-                from repro.network.sharded import try_run_sharded
+                if self._engine == "sharded":
+                    from repro.network.sharded import try_run_sharded
 
-                end = try_run_sharded(self, kernel, until, max_events)
-                if end is not None:
-                    self._engine_effective = "sharded"
-                    return end
-                # Configuration not splittable (randomness, timers, ...):
-                # same cohorts, one process — still seed-for-seed identical.
-                # try_run_sharded recorded the ineligibility reason.
+                    end = try_run_sharded(self, kernel, until, max_events)
+                    if end is not None:
+                        self._engine_effective = "sharded"
+                        return end
+                    # Configuration not splittable (randomness, timers,
+                    # ...): same cohorts, one process — still seed-for-seed
+                    # identical.  try_run_sharded recorded the reason.
                 self._engine_effective = "batched"
                 return run_batched(self, kernel, until, max_events)
             self._engine_effective = "event"
-            self._note_fallback("no cohort kernel (mixed or non-cohort node types)")
+            self._note_fallback(self._kernel_decline)
         self._start_nodes()
         executed = 0
         event_cap = float("inf") if max_events is None else max_events

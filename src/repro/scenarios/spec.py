@@ -356,10 +356,12 @@ class ScenarioSpec:
         churn: optional failure/rejoin schedule.
         faults: correlated fault models applied to every session.
         privacy: which anonymity metrics the run reports.
-        engine: simulator delivery engine every session runs on
-            (``"event"``, ``"batched"`` or ``"sharded"``).  All engines are
+        engine: a cap on the execution path every session may take
+            (``"event"``, ``"batched"`` or ``"sharded"``), never a promise:
+            each run takes the highest path its conditions allow (see
+            :class:`~repro.network.simulator.Simulator`).  All paths are
             seed-for-seed identical in every observable, so the choice
-            affects wall-clock time only — run digests are
+            affects wall-clock time only — per-repetition metrics are
             engine-independent.
         shards: worker-process count for ``engine="sharded"`` (``None`` =
             the engine's default).  Behaviour is shard-count independent,

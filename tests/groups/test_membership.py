@@ -100,3 +100,26 @@ class TestGroupManager:
         a.assign_population(list(range(30)))
         b.assign_population(list(range(30)))
         assert a.all_groups_private() and b.all_groups_private()
+
+    def test_indexed_smallest_group_matches_a_full_scan(self):
+        # The heap-indexed lookup must pick the (size, group_id) minimum a
+        # scan over every group picks, through joins, splits, leaves and
+        # merges alike.
+        rng = random.Random(7)
+        manager = GroupManager(3, random.Random(1))
+        members = []
+        for step in range(400):
+            if members and rng.random() < 0.4:
+                manager.leave(members.pop(rng.randrange(len(members))))
+            else:
+                members.append(step)
+                manager.join(step)
+            scanned = min(
+                manager.groups, key=lambda g: (g.size, g.group_id), default=None
+            )
+            assert manager._smallest_group() is scanned
+            for group in manager.groups:
+                others = [g for g in manager.groups if g is not group]
+                assert manager._smallest_group(exclude=group) is min(
+                    others, key=lambda g: (g.size, g.group_id), default=None
+                )

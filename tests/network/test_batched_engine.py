@@ -12,7 +12,10 @@ engine's unit surface:
 * ``run(max_events=...)`` cohort-granularity stop and the descriptive
   ``run_until_idle`` error naming the engine in use;
 * ``on_first`` hooks firing identically on both engines (the hook path
-  forces the engine off the vectorised cohort onto per-item processing).
+  forces the engine off the vectorised cohort onto per-item processing);
+* path selection from what the run can observe: a kernel engages under a
+  constant, jitter-free link delay (with or without loss) and the event
+  loop runs, with a recorded reason, wherever delays vary per message.
 """
 
 import hashlib
@@ -22,8 +25,13 @@ import pytest
 from repro.broadcast.flood import FloodNode, run_flood
 from repro.broadcast.gossip import run_gossip
 from repro.network.conditions import NetworkConditions
-from repro.network.latency import ConstantLatency
-from repro.network.simulator import ENGINES, Simulator
+from repro.network.latency import (
+    ConstantLatency,
+    ExponentialLatency,
+    PerEdgeLatency,
+    UniformLatency,
+)
+from repro.network.simulator import ENGINES, NO_COHORTS, Simulator
 from repro.network.topology import random_regular_overlay
 
 
@@ -183,3 +191,56 @@ class TestFirstHooks:
                 obs.time, obs.receiver, obs.sender, obs.message.payload_id
             )
         assert fired["batched"] == fired["event"]
+
+
+#: Conditions under which no two deliveries share a timestamp: jitter on a
+#: constant delay, and every latency model that draws its delays.
+VARYING_DELAYS = {
+    "jitter": lambda: NetworkConditions(
+        latency=ConstantLatency(1.0), jitter=0.05
+    ),
+    "uniform": lambda: NetworkConditions(
+        latency=lambda rng: UniformLatency(rng, 0.1, 0.4)
+    ),
+    "exponential": lambda: NetworkConditions(
+        latency=lambda rng: ExponentialLatency(rng, 0.2)
+    ),
+    "per_edge": lambda: NetworkConditions(
+        latency=lambda rng: PerEdgeLatency(rng, 0.05, 0.3),
+        loss_probability=0.05,
+    ),
+}
+
+
+def _flood_outcome(engine, conditions):
+    overlay = random_regular_overlay(80, degree=4, seed=3)
+    sim = Simulator(
+        overlay, seed=5, conditions=conditions, engine=engine,
+        shards=2 if engine == "sharded" else None,
+    )
+    sim.populate(FloodNode)
+    sim.node(0).originate("tx")
+    sim.run_until_idle()
+    return sim, (observation_digest(sim), sim.dropped_messages, len(sim.store))
+
+
+@pytest.mark.parametrize("engine", ["batched", "sharded"])
+class TestPathFollowsTheRun:
+    """``engine=`` caps the path; what the run can observe picks it."""
+
+    def test_constant_delay_with_loss_engages_the_kernel(self, engine):
+        conditions = NetworkConditions(
+            latency=ConstantLatency(1.0), loss_probability=0.1
+        )
+        sim, outcome = _flood_outcome(engine, conditions)
+        assert sim.engine_effective == "batched"
+        assert sim.dropped_messages > 0
+        assert outcome == _flood_outcome("event", conditions)[1]
+
+    @pytest.mark.parametrize("delays", sorted(VARYING_DELAYS))
+    def test_varying_delays_run_the_event_loop(self, engine, delays):
+        sim, outcome = _flood_outcome(engine, VARYING_DELAYS[delays]())
+        assert sim.engine == engine
+        assert sim.engine_effective == "event"
+        assert sim.fallback_reason == NO_COHORTS
+        assert outcome == _flood_outcome("event", VARYING_DELAYS[delays]())[1]

@@ -2,13 +2,18 @@
 
 Every indexed query must return exactly what a naive scan over the full
 chronological log returns — on randomized traffic, for every filter
-combination.  The naive reference implementations in this module mirror the
-pre-index code paths (linear scans over ``sends``) that the store replaced.
+combination, and whichever of the store's two writers the traffic came
+through (``record`` per delivery, ``record_batch`` per same-time run, or
+both interleaved).  The naive reference implementations in this module
+mirror the pre-index code paths (linear scans over ``sends``) that the store
+replaced.
 """
 
+import itertools
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.network.message import Message, Observation
@@ -19,36 +24,75 @@ from repro.network.simulator import Simulator
 KINDS = ("flood", "ad_payload", "ad_token", "dc_share")
 PAYLOADS = ("tx-0", "tx-1", "tx-2", "tx-3", "tx-4")
 NODES = list(range(12))
+#: The id table ``record_batch`` resolves receiver/sender indexes against
+#: (node ``i`` sits at index ``i``, so an id doubles as its own index).
+NODE_IDS = np.empty(len(NODES), dtype=object)
+NODE_IDS[:] = NODES
 
 
 def random_log(seed, length=400):
-    """A randomized chronological traffic log."""
+    """A randomized chronological traffic log.
+
+    Deliveries come in same-time runs of one ``(payload, kind)`` pair (one
+    to four long), the shape a cohort kernel hands to ``record_batch``.
+    """
     rng = random.Random(seed)
     time = 0.0
     log = []
-    for _ in range(length):
+    while len(log) < length:
         time += rng.uniform(0.0, 0.5)
-        sender, receiver = rng.sample(NODES, 2)
-        log.append(
-            Observation(
-                time=time,
-                receiver=receiver,
-                sender=sender,
-                message=Message(
-                    kind=rng.choice(KINDS),
-                    payload_id=rng.choice(PAYLOADS),
-                    size_bytes=rng.randrange(16, 512),
-                ),
-                direct=rng.random() < 0.2,
+        kind = rng.choice(KINDS)
+        payload_id = rng.choice(PAYLOADS)
+        direct = rng.random() < 0.2
+        for _ in range(rng.randint(1, 4)):
+            sender, receiver = rng.sample(NODES, 2)
+            log.append(
+                Observation(
+                    time=time,
+                    receiver=receiver,
+                    sender=sender,
+                    message=Message(
+                        kind=kind,
+                        payload_id=payload_id,
+                        size_bytes=rng.randrange(16, 512),
+                    ),
+                    direct=direct,
+                )
             )
-        )
-    return log
+    return log[:length]
 
 
-def store_from(log):
+WRITERS = ("record", "record_batch", "interleaved")
+
+
+def write(store, log, writer="record"):
+    """Feed ``log`` to ``store`` through the chosen writer, run by run."""
+    runs = itertools.groupby(
+        log,
+        key=lambda o: (o.time, o.message.payload_id, o.message.kind, o.direct),
+    )
+    for index, ((time, payload_id, kind, direct), run) in enumerate(runs):
+        run = list(run)
+        if writer == "record" or (writer == "interleaved" and index % 2):
+            for obs in run:
+                store.record(obs)
+        else:
+            store.record_batch(
+                time,
+                NODE_IDS,
+                [obs.receiver for obs in run],
+                [obs.sender for obs in run],
+                [obs.message for obs in run],
+                payload_id,
+                kind,
+                sum(obs.message.size_bytes for obs in run),
+                direct,
+            )
+
+
+def store_from(log, writer="record"):
     store = ObservationStore()
-    for obs in log:
-        store.record(obs)
+    write(store, log, writer)
     return store
 
 
@@ -99,10 +143,18 @@ def naive_for_receivers(log, receivers, payload_id=None, kinds=None):
 # ----------------------------------------------------------------------
 # Equivalence on randomized traffic
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module", params=[1, 2, 3])
+@pytest.fixture(
+    scope="module",
+    params=[
+        (1, "record"), (2, "record"), (3, "record"),
+        (1, "record_batch"), (1, "interleaved"),
+    ],
+    ids=["1", "2", "3", "record_batch", "interleaved"],
+)
 def traffic(request):
-    log = random_log(seed=request.param)
-    return log, store_from(log)
+    seed, writer = request.param
+    log = random_log(seed=seed)
+    return log, store_from(log, writer)
 
 
 KIND_FILTERS = [None, ("flood",), ("flood", "ad_token"), ("missing",), KINDS]
@@ -219,6 +271,31 @@ class TestFirstObservationHooks:
         seen = []
         store.on_first("tx-2", "flood", seen.append)
         assert seen == naive_of_payload(log, "tx-2", ("flood",))[:1]
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_hook_fires_once_at_its_position_for_every_writer(self, writer):
+        # Registered while earlier batches are still unmaterialised; the
+        # pair's first delivery arrives later.  Exactly one call, with the
+        # observation that sits at that log position.
+        log = random_log(seed=11, length=200)
+        expected = naive_of_payload(log, "tx-3", ("ad_token",))[0]
+        cut = log.index(expected)
+        store = store_from(log[:cut], writer)
+        seen = []
+        store.on_first("tx-3", "ad_token", seen.append)
+        assert seen == []
+        write(store, log[cut:], writer)
+        assert seen == [expected]
+        assert store.observations[cut] is seen[0]
+        assert not store.has_pending_first_hooks
+        # Registered after the fact, with batches pending: fires at once.
+        late = []
+        store.record_batch(
+            log[-1].time + 1.0, NODE_IDS, [0], [1], [log[-1].message],
+            log[-1].message.payload_id, log[-1].message.kind, 0,
+        )
+        store.on_first("tx-3", "ad_token", late.append)
+        assert late == [expected]
 
     def test_hook_never_fires_without_match(self):
         store = store_from(random_log(seed=9, length=50))

@@ -11,15 +11,16 @@ sharded engine's unit surface:
 * path selection — which configurations take the worker-process window
   loop and which must fall back (loss, jitter, per-node protocol RNG,
   ``until`` bounds, live timers, ``shards=1``), with identical results
-  either way;
+  either way (which path a fallback lands on is pinned in
+  ``tests/network/test_batched_engine.py``);
 * fixed-seed equivalence scenarios the random properties are unlikely to
   hit: simultaneous multi-payload origination with heterogeneous payload
   sizes, sequential broadcasts over one session, static churn
   (failed nodes and severed links), and ``max_events`` stop + resume;
 * :func:`repro.network.topology.bfs_partition` invariants and the
   partition cache lifecycle on the overlay graph;
-* the observation store's deferred cohort adoption: counters and log
-  contents equal to the event engine's eagerly recorded ones.
+* the parent's per-window rank merge into ``record_batch``: counters and
+  log contents equal to the event engine's per-delivery ``record`` ones.
 """
 
 import hashlib
@@ -345,7 +346,7 @@ class TestPartition:
 
 
 class TestStoreAdoption:
-    """Deferred cohort adoption matches the event engine's eager store."""
+    """The workers' rank-merged batches match the event engine's store."""
 
     def test_counters_and_log_match_event_engine(self):
         sims = {}

@@ -10,7 +10,7 @@ its per-broadcast samples.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.privacy.entropy import min_entropy, shannon_entropy
@@ -29,6 +29,20 @@ posteriors = st.dictionaries(
     min_size=1,
     max_size=16,
 )
+
+#: Near-ties Hypothesis found: the two leaders are 1 ulp apart and become
+#: exactly equal after a log-space product (first) or after normalisation
+#: (second), so the ``repr`` tie-break may legitimately pick either.
+NEAR_TIE_PRODUCT = {"a": 999.9999999999999, "b": 1.0, "c": 836.0, "aa": 1000.0}
+NEAR_TIE_NORMALISED = {
+    "a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "e": 1.0,
+    "f": 1000.0, "aa": 90.0, "ab": 999.9999999999999,
+}
+
+
+def maximises(candidate, scores) -> bool:
+    """Whether ``candidate`` holds the top score up to a relative 1e-12."""
+    return scores[candidate] >= max(scores.values()) * (1.0 - 1e-12)
 
 
 class TestEntropyIdentities:
@@ -50,13 +64,14 @@ class TestEntropyIdentities:
         assert min_entropy(scores) <= shannon_entropy(scores) + 1e-9
 
     @given(scores=posteriors)
+    @example(scores=NEAR_TIE_NORMALISED)
     def test_normalization_preserves_entropy_and_argmax(self, scores):
         normalised = normalize(scores)
         assert sum(normalised.values()) == pytest.approx(1.0)
         assert shannon_entropy(normalised) == pytest.approx(
             shannon_entropy(scores)
         )
-        assert argmax(normalised) == argmax(scores)
+        assert maximises(argmax(normalised), scores)
 
 
 class TestBroadcastPrivacyProperties:
@@ -102,11 +117,12 @@ class TestBroadcastPrivacyProperties:
 
 class TestIntersectionProperties:
     @given(scores=posteriors)
+    @example(scores=NEAR_TIE_PRODUCT)
     def test_repeating_one_round_only_sharpens(self, scores):
         once = normalize(scores)
         twice = combine_posteriors([scores, scores])
         assert shannon_entropy(twice) <= shannon_entropy(once) + 1e-9
-        assert argmax(twice) == argmax(once)
+        assert maximises(argmax(twice), once)
 
     @given(lists=st.lists(posteriors, min_size=1, max_size=5))
     @settings(max_examples=25)

@@ -16,10 +16,12 @@ would hide (a mid-flight topology change that one engine applies a cohort
 late, a loss draw consumed out of order, a fan-out that ignores a severed
 link, a cross-shard delivery ranked out of order).
 
-For the sharded engine the draws deliberately cover both of its regimes:
-flood without loss/jitter takes the multi-process window path, while
-gossip (per-node RNG) and any lossy/jittery setting exercise its exact
-in-process fallback.
+The draws deliberately cover every execution path (the link delay is
+always constant, so the jitter draw alone decides whether cohorts can
+form): flood without loss or jitter takes the sharded engine's
+multi-process window path; gossip (per-node RNG) and lossy, jitter-free
+settings engage the cohort kernel in-process, loss filter included; any
+jittery setting runs the event loop on every requested engine.
 """
 
 import hashlib

@@ -129,13 +129,19 @@ class TestCliEngineFlag:
         assert "error: unknown engine 'warp'" in proc.stderr
         assert "batched" in proc.stderr and "event" in proc.stderr
 
-    def test_batched_engine_runs_preset(self):
+    def test_batched_engine_runs_preset(self, tmp_path):
         proc = _run_cli(
             "run", "e4_broadcast_deanonymization",
             "--engine", "batched", "--repetitions", "1", "--processes", "1",
+            "--telemetry", str(tmp_path / "telemetry.json"),
         )
         assert proc.returncode == 0, proc.stderr
         assert "# digest:" in proc.stdout
+        # The engine is a cap: the preset's per-edge latencies leave no
+        # cohorts to form, and the CLI says which path ran and why.
+        assert "# engine: requested=batched effective=event" in proc.stdout
+        assert "# fallback" in proc.stdout
+        assert "per-message delays" in proc.stdout
 
     def test_sharded_engine_runs_preset_with_shards(self):
         proc = _run_cli(
