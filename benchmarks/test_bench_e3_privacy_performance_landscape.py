@@ -15,7 +15,7 @@ ADVERSARY_FRACTION = 0.2
 
 #: The three-phase point of the landscape is the registered preset; the
 #: baseline points derive protocol, conditions and seed from it — the same
-#: historical environments the legacy ``attack_experiment`` shim used
+#: historical environments the pre-registry experiment loop hard-coded
 #: (baselines on per-edge internet latency, three-phase on constant 0.1).
 BASE = scenario("e3_privacy_performance_landscape")
 

@@ -15,7 +15,6 @@ same derived seeds, same aggregation — out over worker processes.
 from repro.analysis.experiment import (
     ESTIMATORS,
     ExperimentResult,
-    attack_experiment,
     run_attack_experiment,
 )
 from repro.analysis.parallel import ParallelSweep, run_parallel
@@ -26,7 +25,6 @@ from repro.analysis.sweep import aggregate_runs, derive_seed, sweep
 __all__ = [
     "ESTIMATORS",
     "ExperimentResult",
-    "attack_experiment",
     "run_attack_experiment",
     "format_table",
     "ParallelSweep",

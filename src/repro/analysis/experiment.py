@@ -18,13 +18,6 @@ anonymity-set and top-k metrics and the multi-round intersection attack
 (:mod:`repro.privacy.intersection`) links across broadcasts that share a
 sender.  The measurement is read-only — detection numbers stay seed-for-seed
 identical with privacy on or off.
-
-:func:`attack_experiment` remains as the legacy entry point.  It is a thin
-shim over the registry that reproduces the historical per-protocol defaults
-seed-for-seed: the three-phase protocol on constant 0.1 latency, the
-baselines on per-edge 50–300 ms latency, everything lossless.  New code
-should call :func:`run_attack_experiment` with explicit conditions so all
-protocols face the same environment.
 """
 
 from __future__ import annotations
@@ -45,14 +38,10 @@ from typing import (
 
 import networkx as nx
 
-from repro.adversary.botnet import deploy_botnet
 from repro.adversary.collusion import DcNetCollusionEstimator
 from repro.adversary.first_spy import FirstSpyEstimator
 from repro.adversary.rumor_centrality import RumorCentralityEstimator
-from repro.broadcast.dandelion import DandelionConfig
-from repro.core.config import ProtocolConfig
 from repro.network.conditions import NetworkConditions
-from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.privacy.detection import DetectionStats, evaluate_attack
 from repro.privacy.intersection import IntersectionAttack
@@ -65,7 +54,7 @@ from repro.privacy.metrics import (
 from repro.privacy.posterior import Scores, estimator_rank
 from repro.protocols import BroadcastProtocol, create_protocol
 from repro.telemetry.recorder import NULL_RECORDER, Recorder, recording
-from repro.threat.base import AdversaryModel
+from repro.threat.base import AdversaryModel, StaticBotnetAdversary
 
 logger = logging.getLogger(__name__)
 
@@ -215,13 +204,13 @@ def run_attack_experiment(
             entirely.  Privacy measurement is a pure read over the
             estimator's posterior surface — it draws no randomness and
             changes no detection numbers.
-        adversary: an active :class:`~repro.threat.base.AdversaryModel`
-            driving observer placement and per-broadcast behaviour
-            (adaptive re-positioning, eclipse scheduling, DC-net blame
-            rounds).  ``None`` keeps the historical static botnet code
-            path untouched.  A model's default ``place()`` consumes
-            exactly the static deployment's RNG draws, so models that do
-            not adapt stay seed-for-seed identical to ``adversary=None``.
+        adversary: the :class:`~repro.threat.base.AdversaryModel` driving
+            observer placement and per-broadcast behaviour (adaptive
+            re-positioning, eclipse scheduling, DC-net blame rounds).
+            ``None`` means :class:`~repro.threat.base.StaticBotnetAdversary`,
+            the historical uniform botnet; a model's default ``place()``
+            consumes exactly its RNG draws, so models that do not adapt
+            stay seed-for-seed identical to it.
         engine: simulator delivery engine for every session
             (see :data:`repro.network.simulator.ENGINES`); ``shards``
             sets the sharded engine's worker count.  All engines
@@ -278,19 +267,14 @@ def run_attack_experiment(
         if privacy_config.intersection:
             linker = IntersectionAttack()
 
-    def attack(
-        guesser: object, source: Hashable, payload_id: Hashable
-    ) -> Optional[Scores]:
-        """One broadcast's point guess plus (optionally) its posterior."""
-        outcomes.append((source, guesser.guess(payload_id)))
-        scores: Optional[Scores] = None
-        if accumulator is not None or adversary is not None:
-            scores = estimator_rank(guesser, payload_id)
-        if accumulator is not None:
-            accumulator.add(scores, source)
-            if linker is not None:
-                linker.observe(source, scores)
-        return scores
+    if adversary is None:
+        adversary = StaticBotnetAdversary()
+    # Posterior surfaces cost a ``rank()`` per broadcast, so they are only
+    # computed when someone consumes them: the privacy accumulator, or a
+    # model that actually reacts in ``after_broadcast``.
+    wants_scores = accumulator is not None or (
+        type(adversary).after_broadcast is not AdversaryModel.after_broadcast
+    )
 
     # The recorder is installed ambiently so every Simulator the protocol
     # builds — including ones constructed deep inside adapters — attaches
@@ -306,79 +290,62 @@ def run_attack_experiment(
         broadcasts,
         engine,
     )
+    shared = proto.shared_session
+
+    def open_session(run_seed, protected, **span_attrs):
+        """Build one session, let the adversary in and deploy its observers."""
+        with tel.span("protocol_setup", **span_attrs):
+            session = proto.build(
+                graph, conditions, seed=run_seed, engine=engine, shards=shards
+            )
+            if session_hook is not None:
+                session_hook(session)
+            adversary.begin_session(session)
+            monitored = adversary.place(
+                graph, adversary_fraction, rng if shared else session.rng,
+                protected,
+            )
+        return session, monitored
+
     effective_engines: List[str] = []
     with recording(recorder):
-        if proto.shared_session:
-            with tel.span("protocol_setup", protocol=proto.name):
-                session = proto.build(
-                    graph, conditions, seed=seed, engine=engine,
-                    shards=shards,
-                )
-                if session_hook is not None:
-                    session_hook(session)
-                protected = set(sources)
-                if adversary is not None:
-                    adversary.begin_session(session)
-                    monitored = adversary.place(
-                        graph, adversary_fraction, rng, protected
-                    )
-                else:
-                    monitored = deploy_botnet(
-                        graph, adversary_fraction, rng, protected=protected
-                    ).observers
-            with tel.span("run", broadcasts=len(sources)):
-                for index, source in enumerate(sources):
+        # One session and one botnet (protected from every source) for a
+        # shared-session protocol; a fresh session, seed and botnet per
+        # broadcast otherwise.
+        if shared:
+            protected = set(sources)
+            session, monitored = open_session(
+                seed, protected, protocol=proto.name
+            )
+        with tel.span("run", broadcasts=len(sources)):
+            for index, source in enumerate(sources):
+                if shared:
                     payload_id = f"tx-{seed}-{index}"
-                    outcome = proto.broadcast(session, source, payload_id)
-                    effective_engines.append(
-                        session.simulator.engine_effective
-                    )
-                    guesser = estimator_factory(session.simulator, monitored)
-                    scores = attack(guesser, source, payload_id)
-                    if adversary is not None:
-                        updated = adversary.after_broadcast(
-                            payload_id, source, scores or {}, graph, protected
-                        )
-                        if updated is not None:
-                            monitored = updated
-                    message_counts.append(float(outcome.messages))
-                    reaches.append(outcome.delivered_fraction)
-        else:
-            with tel.span("run", broadcasts=len(sources)):
-                for index, source in enumerate(sources):
+                else:
                     run_seed = seed * 1000 + index
-                    with tel.span("protocol_setup", broadcast=index):
-                        session = proto.build(
-                            graph, conditions, seed=run_seed, engine=engine,
-                            shards=shards,
-                        )
-                        if session_hook is not None:
-                            session_hook(session)
-                        protected = {source}
-                        if adversary is not None:
-                            adversary.begin_session(session)
-                            monitored = adversary.place(
-                                graph, adversary_fraction, session.rng,
-                                protected,
-                            )
-                        else:
-                            monitored = deploy_botnet(
-                                graph, adversary_fraction, session.rng,
-                                protected=protected,
-                            ).observers
-                    payload_id = f"tx-{run_seed}"
-                    outcome = proto.broadcast(session, source, payload_id)
-                    effective_engines.append(
-                        session.simulator.engine_effective
+                    protected = {source}
+                    session, monitored = open_session(
+                        run_seed, protected, broadcast=index
                     )
-                    guesser = estimator_factory(session.simulator, monitored)
-                    scores = attack(guesser, source, payload_id)
-                    if adversary is not None:
-                        adversary.after_broadcast(
-                            payload_id, source, scores or {}, graph, protected
-                        )
-                    message_counts.append(float(outcome.messages))
-                    reaches.append(outcome.delivered_fraction)
+                    payload_id = f"tx-{run_seed}"
+                outcome = proto.broadcast(session, source, payload_id)
+                effective_engines.append(session.simulator.engine_effective)
+                guesser = estimator_factory(session.simulator, monitored)
+                outcomes.append((source, guesser.guess(payload_id)))
+                scores: Scores = {}
+                if wants_scores:
+                    scores = estimator_rank(guesser, payload_id)
+                if accumulator is not None:
+                    accumulator.add(scores, source)
+                    if linker is not None:
+                        linker.observe(source, scores)
+                updated = adversary.after_broadcast(
+                    payload_id, source, scores, graph, protected
+                )
+                if updated is not None:
+                    monitored = updated
+                message_counts.append(float(outcome.messages))
+                reaches.append(outcome.delivered_fraction)
 
         privacy_report: Optional[PrivacyReport] = None
         if accumulator is not None:
@@ -411,63 +378,6 @@ def run_attack_experiment(
                 estimator=estimator_name,
                 mean_reach=sum(reaches) / len(reaches),
                 privacy=privacy_report,
-                adversary_metrics=(
-                    dict(adversary.metrics()) if adversary else {}
-                ),
+                adversary_metrics=dict(adversary.metrics()),
                 engine_effective=engine_effective,
             )
-
-
-def attack_experiment(
-    graph: nx.Graph,
-    protocol: str,
-    adversary_fraction: float,
-    broadcasts: int = 20,
-    seed: int = 0,
-    config: Optional[ProtocolConfig] = None,
-    dandelion_config: Optional[DandelionConfig] = None,
-) -> ExperimentResult:
-    """Legacy first-spy experiment entry point (compatibility shim).
-
-    Thin wrapper over :func:`run_attack_experiment` that reproduces the
-    historical per-protocol environments seed-for-seed: ``"three_phase"``
-    runs on constant 0.1 latency, ``"flood"`` and ``"dandelion"`` on stable
-    per-edge 50–300 ms latency, all lossless with the first-spy estimator.
-    Any other registered protocol name runs under the default conditions.
-
-    Args:
-        graph: the overlay to simulate on.
-        protocol: a registered protocol name.
-        adversary_fraction: fraction of nodes the adversary controls.
-        broadcasts: number of transactions to broadcast and attack.
-        seed: master seed of the experiment.
-        config: three-phase protocol configuration (protocol "three_phase").
-        dandelion_config: Dandelion configuration (protocol "dandelion").
-
-    Returns:
-        The aggregated :class:`ExperimentResult`.
-
-    Raises:
-        ValueError: for an unknown protocol name.
-    """
-    conditions: Optional[NetworkConditions]
-    if protocol == "three_phase":
-        proto: BroadcastProtocol = create_protocol("three_phase", config=config)
-        conditions = NetworkConditions(latency=ConstantLatency(0.1))
-    elif protocol == "dandelion":
-        proto = create_protocol("dandelion", config=dandelion_config)
-        conditions = NetworkConditions()
-    elif protocol == "flood":
-        proto = create_protocol("flood")
-        conditions = NetworkConditions()
-    else:
-        proto = create_protocol(protocol)
-        conditions = None
-    return run_attack_experiment(
-        graph,
-        proto,
-        adversary_fraction,
-        broadcasts=broadcasts,
-        seed=seed,
-        conditions=conditions,
-    )

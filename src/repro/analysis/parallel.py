@@ -89,9 +89,6 @@ class ParallelSweep:
             ``sweep()``'s).
         processes: worker process count; defaults to the machine's CPU count,
             capped at the number of runs.  ``1`` forces the serial path.
-        chunk_size: tasks handed to a worker per IPC round-trip; defaults to
-            ``len(tasks) // (workers * 4)`` (at least 1), which keeps every
-            worker busy while bounding the scheduling overhead.
 
     After a ``run()``, :attr:`effective_processes` reports the worker count
     actually used (``1`` on the serial path) — callers surface it so a
@@ -115,7 +112,6 @@ class ParallelSweep:
     repetitions: int = 3
     base_seed: int = 0
     processes: Optional[int] = None
-    chunk_size: Optional[int] = None
     #: Worker count the most recent ``run()`` actually used (``1`` = serial
     #: path); ``None`` until the first run.
     effective_processes: Optional[int] = field(
@@ -143,27 +139,7 @@ class ParallelSweep:
             ``sweep(values, runner, self.repetitions, self.base_seed)``
             returns for the same inputs.
         """
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        values = list(values)
-        if not values:
-            return []
-        tasks: List[_Task] = []
-        for value_index, value in enumerate(values):
-            for repetition in range(self.repetitions):
-                seed = derive_seed(
-                    value_index, repetition, self.repetitions, self.base_seed
-                )
-                tasks.append((len(tasks), value, seed))
-
-        runs = self._execute(tasks, runner)
-        results: List[Dict[str, float]] = []
-        for value_index, value in enumerate(values):
-            start = value_index * self.repetitions
-            results.append(
-                aggregate_runs(value, runs[start : start + self.repetitions])
-            )
-        return results
+        return self._sweep(values, runner, payloads=False)[0]
 
     def run_with_payloads(
         self,
@@ -178,34 +154,45 @@ class ParallelSweep:
         (it sums every value) — are returned separately, one per task in
         task order (value-major, repetition-minor).
         """
-        if self.repetitions < 1:
+        return self._sweep(values, runner, payloads=True)
+
+    def _sweep(
+        self, values: Sequence[ParameterValue], runner: Any, payloads: bool
+    ) -> Tuple[List[Dict[str, float]], List[Any]]:
+        """Build the tasks, execute them, aggregate per parameter value."""
+        repetitions = self.repetitions
+        if repetitions < 1:
             raise ValueError("repetitions must be at least 1")
         values = list(values)
         if not values:
             return [], []
-        tasks: List[_Task] = []
-        for value_index, value in enumerate(values):
-            for repetition in range(self.repetitions):
-                seed = derive_seed(
-                    value_index, repetition, self.repetitions, self.base_seed
-                )
-                tasks.append((len(tasks), value, seed))
-
+        tasks: List[_Task] = [
+            (
+                value_index * repetitions + repetition,
+                value,
+                derive_seed(
+                    value_index, repetition, repetitions, self.base_seed
+                ),
+            )
+            for value_index, value in enumerate(values)
+            for repetition in range(repetitions)
+        ]
         # _execute is shape-agnostic: it collects whatever the runner
         # returns by task index, so (metrics, payload) pairs ride through
         # the same serial/pool paths unchanged.
-        outputs = self._execute(tasks, runner)
-        metrics_runs = [metrics for metrics, _payload in outputs]
-        payloads = [payload for _metrics, payload in outputs]
-        results: List[Dict[str, float]] = []
-        for value_index, value in enumerate(values):
-            start = value_index * self.repetitions
-            results.append(
-                aggregate_runs(
-                    value, metrics_runs[start : start + self.repetitions]
-                )
+        runs = self._execute(tasks, runner)
+        side: List[Any] = []
+        if payloads:
+            side = [payload for _metrics, payload in runs]
+            runs = [metrics for metrics, _payload in runs]
+        results = [
+            aggregate_runs(
+                value,
+                runs[index * repetitions : (index + 1) * repetitions],
             )
-        return results, payloads
+            for index, value in enumerate(values)
+        ]
+        return results, side
 
     # ------------------------------------------------------------------
     # Execution strategies
@@ -244,9 +231,9 @@ class ParallelSweep:
             return [runner(value, seed) for _, value, seed in tasks]
         self.effective_processes = workers
         pool = self._ensure_pool(workers, runner)
-        chunk = self.chunk_size
-        if chunk is None:
-            chunk = max(1, len(tasks) // (workers * 4))
+        # Tasks per IPC round-trip: keeps every worker busy while bounding
+        # the scheduling overhead.
+        chunk = max(1, len(tasks) // (workers * 4))
         runs: List[Optional[Dict[str, float]]] = [None] * len(tasks)
         try:
             for task_index, metrics in pool.imap_unordered(

@@ -15,7 +15,7 @@ from typing import Hashable, Optional, Set
 import networkx as nx
 import numpy as np
 
-from repro.network.batched import CohortKernel
+from repro.network.batched import CohortKernel, exclude_sender_fanout
 from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.node import Node
@@ -88,43 +88,35 @@ class FloodCohortKernel(CohortKernel):
 
     node_type = FloodNode
     kind = FloodNode.MESSAGE_KIND
-    # Flooding consumes no randomness at all — no coin flips, no sampling —
-    # so shard workers can process cohorts without any shared RNG stream.
-    rng_free = True
-    # Forward to every neighbour except the delivering sender: the one
-    # fan-out shape shard workers implement natively.
-    shard_fanout = "exclude_sender"
 
-    def _node_has_seen(self, node: FloodNode, payload_id: Hashable) -> bool:
-        return payload_id in node._seen
-
-    def _mark_node_seen(self, node: FloodNode, payload_id: Hashable) -> None:
-        node._seen.add(payload_id)
-
-    def prior_seen_ids(self, payload_id: Hashable):
-        # Every flood code path writes ``_seen`` and ``mark_delivered``
-        # together, so ``_seen`` holders are a subset of the delivered
-        # index; filtering that (usually tiny) index through the node
-        # state keeps the answer exact even if a caller marked a node
-        # delivered out of band.
+    def shard_state(self, payload_ids):
+        # Flooding draws no randomness and its fan-out is the exclude-sender
+        # shape, so it can be split.  Every flood code path writes ``_seen``
+        # and ``mark_delivered`` together, so ``_seen`` holders are a subset
+        # of the delivered index; filtering that (usually tiny) index
+        # through the node state keeps the answer exact even if a caller
+        # marked a node delivered out of band.
         nodes = self.simulator._nodes
-        entries = self.simulator.metrics._deliveries_by_payload.get(
-            payload_id, ()
-        )
-        return [
-            node_id
-            for _, node_id in entries
-            if payload_id in nodes[node_id]._seen
-        ]
-
-    def shard_node_sizes(self) -> np.ndarray:
-        nodes = self.simulator._nodes
-        return np.fromiter(
-            (nodes[node_id].payload_size_bytes
-             for node_id in self._topology.ids),
+        topology = self._topology
+        index = topology.index
+        node_sizes = np.fromiter(
+            (nodes[node_id].payload_size_bytes for node_id in topology.ids),
             dtype=np.int64,
-            count=self._topology.n,
+            count=topology.n,
         )
+        delivered = self.simulator.metrics._deliveries_by_payload
+        priors = {
+            payload_id: np.array(
+                [
+                    index[node_id]
+                    for _, node_id in delivered.get(payload_id, ())
+                    if payload_id in nodes[node_id]._seen
+                ],
+                dtype=np.int64,
+            )
+            for payload_id in payload_ids
+        }
+        return node_sizes, priors
 
     def _fan_out(
         self,
@@ -134,25 +126,12 @@ class FloodCohortKernel(CohortKernel):
         payload_id: Hashable,
     ) -> None:
         topology = self._topology
-        indptr = topology.indptr
-        starts = indptr[fresh_receivers]
-        counts = indptr[fresh_receivers + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return
-        # Flat CSR positions of every (forwarder, neighbour) pair: repeat
-        # each row start, then add a per-row 0..degree-1 ramp.
-        offsets = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts
+        targets, counts = exclude_sender_fanout(
+            topology.indptr, topology.indices, fresh_receivers,
+            fresh_exclude, self._online, self._edge_ok,
         )
-        flat = np.repeat(starts, counts) + offsets
-        targets = topology.indices[flat]
-        senders = np.repeat(fresh_receivers, counts)
-        keep = targets != np.repeat(fresh_exclude, counts)
-        if self._has_churn:
-            keep &= self._online[targets]
-            keep &= self._edge_ok[flat]
-
+        if not len(targets):
+            return
         nodes = self.simulator._nodes
         ids = topology.ids
         fresh_count = len(fresh_receivers)
@@ -166,10 +145,10 @@ class FloodCohortKernel(CohortKernel):
             )
         self._emit(
             time,
-            senders[keep],
-            targets[keep],
-            np.repeat(node_messages, counts)[keep],
-            np.repeat(node_sizes, counts)[keep],
+            np.repeat(fresh_receivers, counts),
+            targets,
+            np.repeat(node_messages, counts),
+            np.repeat(node_sizes, counts),
             payload_id,
         )
 

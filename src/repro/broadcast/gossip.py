@@ -95,12 +95,6 @@ class GossipCohortKernel(CohortKernel):
     node_type = GossipNode
     kind = GossipNode.MESSAGE_KIND
 
-    def _node_has_seen(self, node: GossipNode, payload_id: Hashable) -> bool:
-        return payload_id in node._seen
-
-    def _mark_node_seen(self, node: GossipNode, payload_id: Hashable) -> None:
-        node._seen.add(payload_id)
-
     def _fan_out(
         self,
         time: float,
@@ -116,7 +110,6 @@ class GossipCohortKernel(CohortKernel):
         simulator = self.simulator
         rng = simulator.rng
         nodes = simulator._nodes
-        has_churn = self._has_churn
         online = self._online
         edge_ok = self._edge_ok
         send_list: List[int] = []
@@ -129,7 +122,7 @@ class GossipCohortKernel(CohortKernel):
             lo = indptr[r]
             hi = indptr[r + 1]
             row = indices[lo:hi]
-            if has_churn:
+            if online is not None:
                 row = row[online[row] & edge_ok[lo:hi]]
             candidates = [ids[j] for j in row.tolist() if j != excluded]
             if not candidates:

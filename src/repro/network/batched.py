@@ -12,12 +12,12 @@ deliveries that share a timestamp — a *cohort* — as numpy arrays:
   ``Simulator.neighbours_of`` does.  Built once per topology-cache
   generation and cached on the graph itself, so repeated simulator
   constructions over one overlay (the benchmark repeat loop) share it.
-* :class:`DeliveryBlock` / :class:`BlockBuffer` — kernel-emitted fan-outs
-  are kept as same-time struct-of-arrays blocks in a side heap instead of
-  being exploded into per-message heap tuples.  Blocks reserve contiguous
-  sequence ranges from the shared :class:`~repro.network.events.EventQueue`
-  counter, so merging blocks with ordinary heap entries by ``(time, first
-  sequence)`` reproduces the event engine's total order exactly.
+* :class:`DeliveryBlock` — a kernel-emitted fan-out stays one same-time
+  struct-of-arrays block instead of being exploded into per-message heap
+  tuples.  It is an ordinary :class:`~repro.network.events.EventQueue`
+  entry (:meth:`~repro.network.events.EventQueue.push_block`) holding a
+  contiguous sequence range, so the one heap's ``(time, sequence)`` order
+  is the event engine's total order exactly.
 * :class:`CohortKernel` — the per-protocol cohort processor: vectorised
   churn filtering (offline/severed masks as boolean arrays, drops counted
   in ``churn_dropped``), one :meth:`ObservationStore.record_batch` append
@@ -28,7 +28,7 @@ deliveries that share a timestamp — a *cohort* — as numpy arrays:
 
 Where cohorts can form.  Deliveries share a timestamp only when every
 overlay send takes the same time, so a kernel engages only under a
-constant-delay latency model with zero jitter (``Simulator._resolve_kernel``
+constant-delay latency model with zero jitter (``Simulator._choose_path``
 decides; every other latency model draws a continuous delay per message or
 per edge, and the run stays on the event loop).  Inside that regime the
 only per-send randomness left is link loss.
@@ -51,9 +51,8 @@ land before any of its fan-out deliveries.
 
 from __future__ import annotations
 
-import heapq
 import logging
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -159,39 +158,38 @@ class DeliveryBlock:
         self.size = len(receivers)
 
 
-class BlockBuffer:
-    """A heap of :class:`DeliveryBlock` entries ordered by (time, seq).
+def exclude_sender_fanout(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    forwarders: np.ndarray,
+    excludes: np.ndarray,
+    online: Optional[np.ndarray],
+    edge_ok: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The flood-and-prune fan-out over CSR rows.
 
-    The batched counterpart of the event queue's delivery tuples: each entry
-    is ``(time, first reserved sequence, block)``.  First sequences are
-    unique (reserved ranges are disjoint), so heap comparison never reaches
-    the block.  ``len`` counts pending *deliveries*, not blocks, which keeps
-    ``Simulator.pending_events`` meaning "messages still in flight".
+    Every neighbour of each forwarder except the sender that delivered to
+    it (``excludes``, aligned with ``forwarders``), minus offline targets
+    and severed links unless the churn masks are ``None``.  Returns the
+    surviving targets in (forwarder, ``neighbours_of``) order and the
+    number surviving per forwarder, so any per-forwarder value lines up
+    with the targets through ``np.repeat(values, counts)``.
     """
-
-    __slots__ = ("_heap", "_live")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, DeliveryBlock]] = []
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def push(self, time: float, seq0: int, block: DeliveryBlock) -> None:
-        heapq.heappush(self._heap, (time, seq0, block))
-        self._live += block.size
-
-    def peek(self) -> Optional[Tuple[float, int, DeliveryBlock]]:
-        return self._heap[0] if self._heap else None
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> Tuple[float, int, DeliveryBlock]:
-        entry = heapq.heappop(self._heap)
-        self._live -= entry[2].size
-        return entry
+    starts = indptr[forwarders]
+    degrees = indptr[forwarders + 1] - starts
+    ends = np.cumsum(degrees)
+    # Flat CSR positions of every (forwarder, neighbour) pair: each row's
+    # start, shifted so that adding one global ramp walks the row.
+    flat = np.repeat(starts - (ends - degrees), degrees) + np.arange(
+        int(degrees.sum())
+    )
+    targets = indices[flat]
+    keep = targets != np.repeat(excludes, degrees)
+    if online is not None:
+        keep &= online[targets]
+        keep &= edge_ok[flat]
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    return targets[keep], kept[ends] - kept[ends - degrees]
 
 
 class CohortKernel:
@@ -210,19 +208,6 @@ class CohortKernel:
     #: The message kind the kernel processes; anything else falls back to
     #: per-item processing.
     kind: str = ""
-    #: Whether the kernel consumes no randomness at all while processing
-    #: cohorts — no protocol coin flips, no per-node sampling.  A shared
-    #: RNG stream cannot be split across processes without changing its
-    #: draw order, so only ``rng_free`` kernels are eligible for the
-    #: sharded engine's multi-process path (:mod:`repro.network.sharded`);
-    #: everything else falls back in-process.
-    rng_free: bool = False
-    #: Shape of the kernel's fan-out, for kernels whose forwarding rule is
-    #: simple enough that a shard worker can run it without node objects.
-    #: ``"exclude_sender"`` = forward to every neighbour except the
-    #: delivering sender (flood); ``None`` (the default) means the fan-out
-    #: needs the kernel itself, disqualifying the multi-process path.
-    shard_fanout: Optional[str] = None
 
     def __init__(self, simulator) -> None:
         self.simulator = simulator
@@ -231,7 +216,6 @@ class CohortKernel:
         self._seen: Dict[Hashable, np.ndarray] = {}
         self._online: Optional[np.ndarray] = None
         self._edge_ok: Optional[np.ndarray] = None
-        self._has_churn = False
         self._constant_delay = simulator.latency.constant_delay()
 
     # ------------------------------------------------------------------
@@ -266,11 +250,9 @@ class CohortKernel:
                     self._mark_edge(topology, edge_ok, *endpoints)
             self._online = online
             self._edge_ok = edge_ok
-            self._has_churn = True
         else:
             self._online = None
             self._edge_ok = None
-            self._has_churn = False
         self._generation = generation
 
     @property
@@ -304,35 +286,29 @@ class CohortKernel:
 
         Consulted only for array-level first receptions, so originators
         (and nodes served per-item while a first-observation hook was
-        pending) never fresh-process a payload twice.
+        pending) never fresh-process a payload twice.  The default reads
+        the ``_seen`` payload-id set that flood and gossip nodes both keep.
         """
-        raise NotImplementedError
+        return payload_id in node._seen
 
     def _mark_node_seen(self, node, payload_id: Hashable) -> None:
         """Mirror a fresh reception into the node's own state."""
-        raise NotImplementedError
+        node._seen.add(payload_id)
 
-    def prior_seen_ids(self, payload_id: Hashable):
-        """Node ids that already hold ``payload_id``, or ``None``.
+    def shard_state(
+        self, payload_ids: Iterable[Hashable]
+    ) -> Optional[Tuple[np.ndarray, Dict[Hashable, np.ndarray]]]:
+        """What shard workers need to run this kernel without node objects.
 
-        The sharded engine's replacement for consulting every candidate
-        node's state through :meth:`_node_has_seen`: a kernel whose node
-        state is exactly mirrored by the metrics' delivery index (flood's
-        ``_seen`` is written iff ``mark_delivered`` runs) returns that
-        index's id set, letting worker processes seed a bitmap once per
-        run instead of calling back into Python per candidate.  ``None``
-        means no such mirror exists and the config is ineligible for the
-        multi-process path.
-        """
-        return None
-
-    def shard_node_sizes(self) -> Optional[np.ndarray]:
-        """Per-node payload sizes in CSR index order, or ``None``.
-
-        Shard workers build forwarded messages' byte sizes from this array
-        instead of touching node objects (``node_sizes[forwarder]`` must
-        equal the ``size_bytes`` the node would put on the wire).  ``None``
-        (the default) disqualifies the multi-process path.
+        ``None`` (the default) keeps the run in one process.  A kernel may
+        answer only if it draws no randomness at all (a shared RNG stream
+        cannot be split across processes without reordering its draws) and
+        its fan-out is :func:`exclude_sender_fanout`, the one shape the
+        workers implement.  The answer is ``(node_sizes, priors)``: the
+        ``size_bytes`` each node puts on the wire, in CSR index order, and
+        per queued payload the CSR indices of the nodes that already hold
+        it — workers seed a seen-bitmap from those once instead of calling
+        :meth:`_node_has_seen` per candidate.
         """
         return None
 
@@ -365,7 +341,7 @@ class CohortKernel:
         """
         simulator = self.simulator
         total = len(recv_idx)
-        if self._has_churn:
+        if self._online is not None:
             # In-flight drops, exactly as the event engine applies them at
             # delivery time: offline receiver first, then severed link.
             keep = self._online[recv_idx]
@@ -444,7 +420,7 @@ class CohortKernel:
 
         Mirrors ``Simulator.send`` per message under the only conditions a
         kernel runs in (one constant link delay, see
-        ``Simulator._resolve_kernel``): the dedicated link stream draws
+        ``Simulator._choose_path``): the dedicated link stream draws
         once per overlay send, and every survivor lands at ``time + delay``.
         """
         simulator = self.simulator
@@ -477,12 +453,30 @@ class CohortKernel:
         # Sequences are reserved after the loss filter — the event engine
         # never allocates a sequence for a lost transmission either, so the
         # numbering stays engine-identical.
-        seq0 = simulator._queue.reserve_sequences(total)
-        simulator._blocks.push(
+        simulator._queue.push_block(
             time + self._constant_delay,
-            seq0,
             DeliveryBlock(tgt_idx, send_idx, messages, sizes, payload_id),
         )
+
+
+def kernel_for(simulator) -> Optional[CohortKernel]:
+    """The cohort kernel that serves the simulator's node population.
+
+    Every registered node must be of exactly one type whose
+    ``COHORT_KERNEL`` declares that same type as its ``node_type`` —
+    subclasses may override behaviour the kernel hard-codes, so they do not
+    inherit eligibility.  ``None`` for every other population.
+    """
+    nodes = simulator._nodes
+    first_type = type(next(iter(nodes.values()))) if nodes else None
+    kernel_cls = getattr(first_type, "COHORT_KERNEL", None)
+    if (
+        kernel_cls is not None
+        and kernel_cls.node_type is first_type
+        and all(type(node) is first_type for node in nodes.values())
+    ):
+        return kernel_cls(simulator)
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -491,57 +485,42 @@ class CohortKernel:
 def run_batched(simulator, kernel, until, max_events) -> float:
     """The batched counterpart of ``Simulator.run``'s event loop.
 
-    Merges ordinary heap entries and buffered delivery blocks by
-    ``(time, sequence)``.  Contiguous kernel-eligible deliveries are
-    assembled into cohorts and handed to the kernel; timers, direct sends,
-    foreign message kinds and anything queued while a first-observation
-    hook is pending are processed per item, event-engine style, so every
-    interleaving (churn timers firing between same-time deliveries, phase
-    hooks) is preserved exactly.
+    Walks the one event queue in ``(time, sequence)`` order.  Contiguous
+    kernel-eligible deliveries — delivery blocks and overlay tuples of the
+    kernel's kind — are assembled into cohorts and handed to the kernel;
+    timers, direct sends, foreign message kinds and anything queued while
+    a first-observation hook is pending are processed per item,
+    event-engine style, so every interleaving (churn timers firing between
+    same-time deliveries, phase hooks) is preserved exactly.
     """
-    simulator._start_nodes()
     executed = 0
     event_cap = float("inf") if max_events is None else max_events
     hit_event_limit = False
     queue = simulator._queue
-    blocks = simulator._blocks
     store = simulator.store
     kind = kernel.kind
     # One attribute load per run; the disabled path then pays a single
     # ``is not None`` test per *cohort* (not per event).
     telemetry = simulator._telemetry
     while True:
-        if executed >= event_cap:
-            next_time = simulator._next_pending_time()
-            hit_event_limit = next_time is not None and (
-                until is None or next_time <= until
-            )
-            break
         entry = queue.peek_entry()
-        block = blocks.peek()
-        if entry is None and block is None:
+        if entry is None:
             break
-        use_block = block is not None and (
-            entry is None or (block[0], block[1]) < (entry[0], entry[1])
-        )
-        time = block[0] if use_block else entry[0]
+        time, _, item = entry
         if until is not None and time > until:
+            break
+        if executed >= event_cap:
+            hit_event_limit = True
             break
         if time > simulator._now:
             simulator._now = time
-        if store.has_pending_first_hooks:
-            # A pending phase hook must fire at its exact log position and
-            # may react by scheduling work; serve everything per item until
-            # it has fired.
-            if use_block:
-                executed += _drain_block(simulator, kernel, blocks.pop())
-            else:
-                executed += _step_single(simulator)
-        elif use_block or (
-            entry[2].__class__ is tuple
-            and not entry[2][3]
-            and entry[2][2].kind == kind
-        ):
+        batchable = item.__class__ is DeliveryBlock or (
+            item.__class__ is tuple and not item[3] and item[2].kind == kind
+        )
+        # A pending phase hook must fire at its exact log position and may
+        # react by scheduling work; serve everything per item until it has
+        # fired.
+        if batchable and not store.has_pending_first_hooks:
             consumed = _process_cohort(simulator, kernel, time)
             executed += consumed
             if telemetry is not None:
@@ -551,7 +530,7 @@ def run_batched(simulator, kernel, until, max_events) -> float:
                     "live_events_peak", simulator.pending_events
                 )
         else:
-            executed += _step_single(simulator)
+            executed += _step_single(simulator, kernel, item)
     simulator._last_executed = executed
     if until is not None and not hit_event_limit:
         simulator._now = max(simulator._now, until)
@@ -572,9 +551,20 @@ def _deliver(simulator, time, receiver, sender, message, direct) -> None:
     simulator._nodes[receiver].on_message(sender, message)
 
 
-def _step_single(simulator) -> int:
-    """Pop and process exactly one heap entry, event-engine style."""
-    _, _, item = simulator._queue.pop_entry()
+def _step_single(simulator, kernel, item) -> int:
+    """Pop the head entry (``item``, as peeked) and process it per message."""
+    queue = simulator._queue
+    if item.__class__ is DeliveryBlock:
+        queue.pop_block()
+        kernel.refresh()
+        ids = kernel._topology.ids
+        for r, s, message in zip(
+            item.receivers.tolist(), item.senders.tolist(),
+            item.messages.tolist(),
+        ):
+            _deliver(simulator, simulator._now, ids[r], ids[s], message, False)
+        return item.size
+    queue.pop_entry()
     if item.__class__ is tuple:
         _deliver(simulator, simulator._now, *item)
     elif item.__class__ is Event:
@@ -584,84 +574,59 @@ def _step_single(simulator) -> int:
     return 1
 
 
-def _drain_block(simulator, kernel, entry) -> int:
-    """Process one delivery block per item (first-observation hook mode)."""
-    time, _, block = entry
-    kernel.refresh()
-    ids = kernel._topology.ids
-    for r, s, message in zip(
-        block.receivers.tolist(), block.senders.tolist(),
-        block.messages.tolist(),
-    ):
-        _deliver(simulator, time, ids[r], ids[s], message, False)
-    return block.size
-
-
 def _process_cohort(simulator, kernel, time: float) -> int:
     """Assemble and process every batchable entry at ``time``.
 
-    Entries are consumed strictly in sequence order, merging the heap and
-    the block buffer, and stop at the first timer, direct send, foreign
-    kind or unknown endpoint — those are handled per item by the caller on
-    its next iteration, preserving the event engine's interleaving.
+    Entries are consumed strictly in queue order and stop at the first
+    timer, direct send, foreign kind or unknown endpoint — those are
+    handled per item by the caller on its next iteration, preserving the
+    event engine's interleaving.
     """
     kernel.refresh()
     index = kernel.index
     queue = simulator._queue
-    blocks = simulator._blocks
     kind = kernel.kind
 
     # Each segment: (payload_id, receivers, senders, messages, sizes,
-    # is_array).  Heap singles accumulate into list segments; blocks enter
+    # is_array).  Tuple entries accumulate into list segments; blocks enter
     # as their arrays, unchanged.
     segments: List[tuple] = []
     while True:
         entry = queue.peek_entry()
-        block = blocks.peek()
-        pick_entry = False
-        pick_block = False
-        if block is not None and block[0] == time:
-            if entry is not None and entry[0] == time and entry[1] < block[1]:
-                pick_entry = True
-            else:
-                pick_block = True
-        elif entry is not None and entry[0] == time:
-            pick_entry = True
-        if pick_entry:
-            item = entry[2]
-            if item.__class__ is not tuple or item[3] or item[2].kind != kind:
-                break
-            receiver, sender, message, _ = item
-            r = index.get(receiver)
-            s = index.get(sender)
-            if r is None or s is None:
-                break
-            queue.pop_entry()
-            payload_id = message.payload_id
-            last = segments[-1] if segments else None
-            if last is not None and not last[5] and last[0] == payload_id:
-                last[1].append(r)
-                last[2].append(s)
-                last[3].append(message)
-                last[4].append(message.size_bytes)
-            else:
-                segments.append(
-                    (payload_id, [r], [s], [message],
-                     [message.size_bytes], False)
-                )
-        elif pick_block:
-            blk = blocks.pop()[2]
-            segments.append(
-                (blk.payload_id, blk.receivers, blk.senders, blk.messages,
-                 blk.sizes, True)
-            )
-        else:
+        if entry is None or entry[0] != time:
             break
+        item = entry[2]
+        if item.__class__ is DeliveryBlock:
+            queue.pop_block()
+            segments.append(
+                (item.payload_id, item.receivers, item.senders,
+                 item.messages, item.sizes, True)
+            )
+            continue
+        if item.__class__ is not tuple or item[3] or item[2].kind != kind:
+            break
+        receiver, sender, message, _ = item
+        r = index.get(receiver)
+        s = index.get(sender)
+        if r is None or s is None:
+            break
+        queue.pop_entry()
+        payload_id = message.payload_id
+        last = segments[-1] if segments else None
+        if last is not None and not last[5] and last[0] == payload_id:
+            last[1].append(r)
+            last[2].append(s)
+            last[3].append(message)
+            last[4].append(message.size_bytes)
+        else:
+            segments.append(
+                (payload_id, [r], [s], [message], [message.size_bytes], False)
+            )
 
     if not segments:
         # The head was same-time but not assemblable after all (unknown
         # endpoint on the very first entry): fall back to one single step.
-        return _step_single(simulator)
+        return _step_single(simulator, kernel, entry[2])
 
     executed = 0
     count = len(segments)

@@ -20,13 +20,21 @@ that are still going to fire.  Cancelled events are excluded immediately at
 :meth:`Event.cancel` time (and lazily removed from the heap), which is what
 makes ``Simulator.pending_events`` trustworthy for the "is the simulation
 idle?" checks in the protocol runners.
+
+There is one heap and one sequence counter for everything a run delivers.
+A cohort kernel's vectorised fan-out enters as a single
+:meth:`EventQueue.push_block` entry that stands for ``block.size``
+same-time deliveries: it occupies that many consecutive sequence numbers
+(:meth:`EventQueue.reserve_sequences`) and counts that many towards
+:func:`len`, so it orders against tuple and timer entries exactly as the
+same deliveries pushed one by one would.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 
 class Event:
@@ -79,65 +87,38 @@ class Event:
 class EventQueue:
     """A deterministic priority queue of scheduled items.
 
-    Two write paths share one heap:
+    Three write paths share one heap:
 
     * :meth:`push` returns an :class:`Event` handle that can be cancelled —
       this is what ``Simulator.schedule`` (protocol timers) uses;
     * :meth:`push_item` stores an opaque payload without allocating a
-      handle — the simulator's delivery fast path.
+      handle — the simulator's delivery fast path;
+    * :meth:`push_block` stores one entry that stands for many same-time
+      deliveries — a cohort kernel's fan-out.
 
     ``len(queue)`` is the number of events that will still fire (cancelled
-    entries are excluded the moment they are cancelled).
+    entries are excluded the moment they are cancelled; a block counts its
+    deliveries).
     """
 
     def __init__(self) -> None:
         self._heap: list = []
         self._live = 0
         self._next_sequence = count().__next__
-        self._seq_counter: Optional[int] = None
         #: Peak live-entry count; ``None`` until
         #: :meth:`enable_depth_tracking` opts this queue in.
         self.peak_live: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # Sequence reservation (batched engine)
-    # ------------------------------------------------------------------
-    def _take_sequence(self) -> int:
-        value = self._seq_counter
-        self._seq_counter = value + 1
-        return value
+    def reserve_sequences(self, size: int) -> int:
+        """Reserve ``size`` consecutive sequence numbers; return the first.
 
-    def enable_sequence_reservation(self) -> None:
-        """Switch to an int counter that supports block reservation.
-
-        The batched delivery engine interleaves heap entries with
-        struct-of-arrays cohort blocks that each occupy a contiguous *range*
-        of sequence numbers (:meth:`reserve_sequences`), so both must draw
-        from one shared counter.  ``itertools.count`` cannot jump, hence the
-        switch; the default engine keeps the slightly faster C counter.
-        Must be called before anything is pushed.
+        ``itertools.count`` cannot jump, so the counter is replaced by one
+        that resumes after the reserved range; the per-push path keeps
+        calling the C counter and pays nothing for this.
         """
-        if self._heap:
-            raise RuntimeError(
-                "sequence reservation must be enabled on an empty queue"
-            )
-        self._seq_counter = 0
-        self._next_sequence = self._take_sequence
-
-    def reserve_sequences(self, count: int) -> int:
-        """Reserve ``count`` consecutive sequence numbers; return the first.
-
-        Only valid after :meth:`enable_sequence_reservation`.  Reserved
-        numbers order a delivery block's entries against heap entries
-        exactly as if each had been pushed individually.
-        """
-        if self._seq_counter is None:
-            raise RuntimeError(
-                "reserve_sequences requires enable_sequence_reservation()"
-            )
-        value = self._seq_counter
-        self._seq_counter = value + count
-        return value
+        first = self._next_sequence()
+        self._next_sequence = count(first + size).__next__
+        return first
 
     def __len__(self) -> int:
         return self._live
@@ -165,6 +146,25 @@ class EventQueue:
             raise ValueError("events cannot be scheduled at negative times")
         heapq.heappush(self._heap, (time, self._next_sequence(), item))
         self._live += 1
+
+    def push_block(self, time: float, block: Any) -> None:
+        """Schedule ``block.size`` same-time deliveries as one heap entry.
+
+        Blocks are consumed through :meth:`peek_entry` + :meth:`pop_block`
+        only (the cohort run loop), so the per-event pops never pay for
+        their accounting.
+        """
+        size = block.size
+        heapq.heappush(
+            self._heap, (time, self.reserve_sequences(size), block)
+        )
+        self._live += size
+
+    def pop_block(self) -> Any:
+        """Pop the head entry, which :meth:`peek_entry` showed to be a block."""
+        block = heapq.heappop(self._heap)[2]
+        self._live -= block.size
+        return block
 
     def enable_depth_tracking(self) -> None:
         """Track the peak number of live entries (telemetry opt-in).
@@ -195,7 +195,7 @@ class EventQueue:
         fresh (already-detached) handle so the legacy ``pop().action()``
         idiom keeps working for callable payloads.
         """
-        entry = self._pop_live()
+        entry = self.pop_entry()
         if entry is None:
             return None
         time, sequence, item = entry
@@ -210,7 +210,7 @@ class EventQueue:
         ``action`` callable; for :meth:`push_item` entries it is the stored
         item, verbatim.  Returns ``None`` when nothing live remains.
         """
-        entry = self._pop_live()
+        entry = self.pop_entry()
         if entry is None:
             return None
         time, _, item = entry
@@ -252,10 +252,9 @@ class EventQueue:
     def peek_entry(self) -> Optional[tuple]:
         """The next live ``(time, sequence, item)`` entry, without popping.
 
-        The batched engine merges heap entries with its delivery blocks by
-        ``(time, sequence)``, so unlike :meth:`peek_time` it needs the
-        sequence number too.  ``item`` is the raw stored payload — an
-        :class:`Event` for :meth:`push` entries.  Cancelled events are
+        ``item`` is the raw stored payload — an :class:`Event` for
+        :meth:`push` entries, the block for :meth:`push_block` ones — which
+        is what the cohort run loop dispatches on.  Cancelled events are
         discarded on the way.
         """
         heap = self._heap
@@ -268,29 +267,27 @@ class EventQueue:
             return head
         return None
 
+    def live_entries(self) -> Iterator[tuple]:
+        """Every live ``(time, sequence, item)`` entry, in no useful order —
+        a read-only scan of what is queued, for the path decision.
+        """
+        for entry in self._heap:
+            item = entry[2]
+            if item.__class__ is not Event or not item.cancelled:
+                yield entry
+
+    def peek_time(self) -> Optional[float]:
+        """Return the time of the next pending event without removing it."""
+        head = self.peek_entry()
+        return None if head is None else head[0]
+
     def pop_entry(self) -> Optional[tuple]:
         """Remove and return the next live ``(time, sequence, item)`` entry.
 
         The raw-payload counterpart of :meth:`pop_item` (``push`` entries
-        come back as their :class:`Event`, already detached); used by the
-        batched engine, whose dispatch wants the sequence number.
+        come back as their :class:`Event`, already detached); the sharded
+        engine keeps the sequence numbers as delivery ranks.
         """
-        return self._pop_live()
-
-    def peek_time(self) -> Optional[float]:
-        """Return the time of the next pending event without removing it."""
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            item = head[2]
-            if item.__class__ is Event and item.cancelled:
-                heapq.heappop(heap)
-                continue
-            return head[0]
-        return None
-
-    def _pop_live(self) -> Optional[tuple]:
-        """Pop the next non-cancelled heap entry, maintaining the live count."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)

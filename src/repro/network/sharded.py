@@ -14,17 +14,20 @@ by construction.
 Exactness, not approximation.  The sharded engine must be seed-for-seed
 identical to the event and batched engines, so the multi-process path only
 runs for configurations where that can be guaranteed and *everything else
-falls back in-process* to :func:`repro.network.batched.run_batched` (which
-is itself exact).  Eligibility requires:
+stays in-process* on :func:`repro.network.batched.run_batched` (which is
+itself exact).  ``Simulator._choose_path`` makes that call before anything
+is consumed; by the time :func:`run_sharded` is entered the run is known to
+have:
 
-* ``fork`` start method (workers inherit the parent's CSR topology, churn
-  masks and partition as copy-on-write pages — nothing is pickled at
+* the ``fork`` start method (workers inherit the parent's CSR topology,
+  churn masks and partition as copy-on-write pages — nothing is pickled at
   startup);
-* a kernel that declares ``rng_free`` (no protocol randomness — a shared
-  ``random.Random`` stream cannot be split across processes without
-  reordering its draws) and the ``"exclude_sender"`` fan-out shape plus
-  per-node payload sizes (:meth:`CohortKernel.shard_node_sizes`), so the
-  worker can run the fan-out without calling back into node objects;
+* a kernel that answers :meth:`CohortKernel.shard_state` — no protocol
+  randomness (a shared ``random.Random`` stream cannot be split across
+  processes without reordering its draws), the exclude-sender fan-out the
+  workers run natively (:func:`~repro.network.batched.exclude_sender_fanout`),
+  per-node payload sizes and the prior holders of every queued payload,
+  so a worker never calls back into node objects;
 * zero link loss on top of the constant, jitter-free link delay every
   cohort kernel already requires (loss consumes the dedicated link RNG per
   send in global send order, which is exactly the cross-process ordering
@@ -33,10 +36,7 @@ is itself exact).  Eligibility requires:
   queue holding nothing but non-direct deliveries of the kernel's kind
   between known endpoints — timers (churn schedules, protocol phases) may
   fire between cohorts and observe global state, so any timer disables the
-  split;
-* a kernel that can mirror prior per-node payload state as an id set
-  (:meth:`CohortKernel.prior_seen_ids`), so workers seed a seen-bitmap
-  once instead of consulting node objects per candidate.
+  split.
 
 Ordering is reproduced through explicit *delivery ranks*.  Every delivery
 carries an ``int64`` rank; initial queue entries keep their heap sequence
@@ -62,14 +62,14 @@ from __future__ import annotations
 import itertools
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
-import sys
 import traceback
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List
 
 import numpy as np
 
-from repro.network.events import Event
+from repro.network.batched import exclude_sender_fanout
 from repro.network.message import Message
 from repro.network.topology import bfs_partition
 
@@ -117,99 +117,25 @@ def shard_assignment(graph, topology, shards: int) -> np.ndarray:
     return assignment
 
 
-def try_run_sharded(simulator, kernel, until, max_events) -> Optional[float]:
-    """Run the simulation across worker processes, or decline.
+def run_sharded(simulator, kernel, shards, state, max_events) -> float:
+    """Run the queued deliveries to quiescence across ``shards`` workers.
 
-    Returns the end time on success and ``None`` when the configuration
-    cannot be split exactly (the caller then falls back in-process to
-    ``run_batched``, which is behaviourally identical).  All eligibility
-    checks happen before any state is consumed, so declining is free of
-    side effects beyond ``_start_nodes``; every decline records its
-    reason (``Simulator.fallback_reason``, the debug log and the telemetry
-    fallback counters), so "why did my sharded run not shard?" has an
-    answer.
+    Only entered once ``Simulator._choose_path`` found the split exact (see
+    the module docstring), with the ``(shards, state)`` it returned; so
+    every queue entry is an overlay delivery of the kernel's kind.
     """
-    decline = simulator._note_fallback  # returns None, i.e. "declined"
-    if sys.platform != "linux":
-        return decline("non-linux platform")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return decline("fork start method unavailable")
-    if until is not None:
-        return decline("bounded run (until set)")
-    if not kernel.rng_free or kernel.shard_fanout != "exclude_sender":
-        return decline("kernel not rng-free or unsupported fan-out shape")
-    if simulator._loss_probability > 0.0:
-        return decline("link loss enabled")
-    if simulator.store.has_pending_first_hooks:
-        return decline("pending first-observation hooks")
-    if simulator._blocks is not None and len(simulator._blocks):
-        return decline("pending delivery blocks")
-    node_count = simulator.graph.number_of_nodes()
-    shards = simulator._shards
-    if shards is None:
-        shards = default_shard_count(node_count)
-    shards = min(shards, node_count)
-    if shards < 2:
-        return decline("<2 shards")
-
-    simulator._start_nodes()
-
-    # Non-destructive queue scan: anything but a known-endpoint overlay
-    # delivery of the kernel's kind declines the whole run.
-    kernel.refresh()
-    topology = kernel._topology
-    index = topology.index
-    kind = kernel.kind
-    payload_set = set()
-    for entry in simulator._queue._heap:
-        item = entry[2]
-        if item.__class__ is Event:
-            if item.cancelled:
-                continue
-            return decline("timer in queue")
-        if item.__class__ is not tuple or item[3] or item[2].kind != kind:
-            return decline("foreign queue entry (direct or foreign kind)")
-        if item[0] not in index or item[1] not in index:
-            return decline("queue entry with unregistered endpoint")
-        payload_set.add(item[2].payload_id)
-
-    node_sizes = kernel.shard_node_sizes()
-    if node_sizes is None:
-        return decline("kernel lacks per-node payload sizes")
-    priors: Dict[Hashable, np.ndarray] = {}
-    for payload_id in payload_set:
-        prior = kernel.prior_seen_ids(payload_id)
-        if prior is None:
-            return decline("kernel lacks prior-seen mirror")
-        priors[payload_id] = np.fromiter(
-            (index[node_id] for node_id in prior),
-            dtype=np.int64,
-            count=len(prior),
-        )
-
-    simulator._fallback_reason = None
-    queue = simulator._queue
-    entries: List[tuple] = []
-    while True:
-        entry = queue.pop_entry()
-        if entry is None:
-            break
-        entries.append(entry)
+    entries = list(iter(simulator._queue.pop_entry, None))
     if not entries:
         simulator._last_executed = 0
         return simulator._now
-
-    return _run_windows(
-        simulator, kernel, topology, entries, priors, node_sizes,
-        shards, kernel._constant_delay, max_events,
-    )
+    return _run_windows(simulator, kernel, entries, shards, state, max_events)
 
 
-def _run_windows(
-    simulator, kernel, topology, entries, priors, node_sizes,
-    shards, delay, max_events,
-) -> float:
-    """The parent-side window loop (workers already eligible)."""
+def _run_windows(simulator, kernel, entries, shards, state, max_events) -> float:
+    """The parent-side window loop over a non-empty, splittable queue."""
+    topology = kernel._topology
+    delay = kernel._constant_delay
+    node_sizes, priors = state
     index = topology.index
     shard_of = shard_assignment(simulator.graph, topology, shards)
 
@@ -287,7 +213,6 @@ def _run_windows(
         "shard_of": shard_of,
         "node_sizes": node_sizes,
         "size_const": size_const,
-        "has_churn": kernel._has_churn,
         "online": kernel._online,
         "edge_ok": kernel._edge_ok,
         "priors": prior_arrays,
@@ -368,6 +293,23 @@ def _run_windows(
         results = [_recv(conn) for conn in conns]
         for proc in procs:
             proc.join(timeout=30)
+    except (EOFError, ConnectionError):
+        # A pipe closed under us: some worker is gone (killed, crashed in
+        # native code, ``os._exit``).  Name it instead of leaking the bare
+        # pipe error; the ``finally`` below reaps the survivors.
+        gone = multiprocessing.connection.wait(
+            [proc.sentinel for proc in procs], timeout=5
+        )
+        dead = []
+        for shard, proc in enumerate(procs):
+            if proc.sentinel in gone:
+                # The sentinel can fire just before the exit status is
+                # reapable; join blocks for that instant.
+                proc.join(timeout=5)
+                dead.append(f"shard {shard} (exit code {proc.exitcode})")
+        raise RuntimeError(
+            f"sharded worker died mid-run: {', '.join(dead) or 'none exited yet'}"
+        ) from None
     finally:
         for conn in conns:
             conn.close()
@@ -552,7 +494,6 @@ def _worker_main(conn, me, static):
         shard_of = static["shard_of"]
         node_sizes = static["node_sizes"]
         size_const = static["size_const"]
-        has_churn = static["has_churn"]
         online = static["online"]
         edge_ok = static["edge_ok"]
         delay = static["delay"]
@@ -631,35 +572,19 @@ def _worker_main(conn, me, static):
                 if not len(fresh):
                     continue
 
-                # The exclude_sender fan-out, exactly as the batched
-                # kernel's CSR ramp: every neighbour of each fresh node
-                # except the delivering sender, churn-masked.
-                starts = indptr[fresh]
-                counts = indptr[fresh + 1] - starts
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                offsets = np.arange(total) - np.repeat(
-                    np.cumsum(counts) - counts, counts
+                # The same fan-out the in-process kernel runs, over this
+                # process's copy of the CSR arrays and churn masks.
+                em_targets, kept_counts = exclude_sender_fanout(
+                    indptr, indices, fresh, excludes, online, edge_ok
                 )
-                flat = np.repeat(starts, counts) + offsets
-                em_targets = indices[flat]
-                em_senders = np.repeat(fresh, counts).astype(np.int32)
-                keep = em_targets != np.repeat(excludes, counts)
-                if has_churn:
-                    keep &= online[em_targets]
-                    keep &= edge_ok[flat]
-                block_of = np.repeat(
-                    np.arange(len(fresh)), counts
-                )[keep]
-                kept_counts = np.bincount(
-                    block_of, minlength=len(fresh)
-                ).astype(np.int64)
+                if not len(em_targets):
+                    continue
                 trigger_chunks.append(triggers)
                 count_chunks.append(kept_counts)
-                fan_outs.append(
-                    (pidx, kept_counts, em_targets[keep], em_senders[keep])
-                )
+                fan_outs.append((
+                    pidx, kept_counts, em_targets,
+                    np.repeat(fresh, kept_counts).astype(np.int32),
+                ))
 
             counters["deliveries_processed"] += processed
             target_time = time + delay
@@ -680,10 +605,7 @@ def _worker_main(conn, me, static):
             for pidx, kept_counts, em_targets, em_senders in fan_outs:
                 block_bases = bases[offset:offset + len(kept_counts)]
                 offset += len(kept_counts)
-                total = len(em_targets)
-                if total == 0:
-                    continue
-                ramp = np.arange(total) - np.repeat(
+                ramp = np.arange(len(em_targets)) - np.repeat(
                     np.cumsum(kept_counts) - kept_counts, kept_counts
                 )
                 delivery_ranks = np.repeat(block_bases, kept_counts) + ramp

@@ -31,26 +31,29 @@ insertion order), the loss/jitter stream still comes from the dedicated link
 RNG, and identical seeds produce identical observation logs (guarded by the
 golden tests in ``tests/network/test_fastpath_determinism.py``).
 
-Engines.  ``Simulator(engine="event")`` (the default) is the per-message
-loop described above.  ``engine="batched"`` and ``engine="sharded"`` keep the
-same interface and the same observable behaviour and are a *cap* on the
-execution path, never a promise: the run itself decides, from what it can
-observe, how far up it goes.  A cohort kernel (:mod:`repro.network.batched`)
-processes all deliveries sharing a timestamp as numpy struct-of-arrays, so
-it engages only where cohorts can form — every registered node is of one
-type that declares a ``COHORT_KERNEL`` (flood and gossip do) *and* the
-latency model has a constant delay with zero jitter; the sharded engine
-additionally needs the split to be exact (:mod:`repro.network.sharded`).
-Every other run executes the event loop verbatim and says why in
-:attr:`Simulator.fallback_reason`.  Seed-for-seed all paths produce
-identical observation logs and drop counters; the golden and property tests
-assert this for every preset.
+Engines.  There is one event queue and one total order; ``engine`` only
+caps how a run may walk it.  ``"event"`` (the default) is the per-message
+loop described above.  ``"batched"`` and ``"sharded"`` keep the same
+interface and observable behaviour and are a *cap*, never a promise: the
+run decides from what it can observe how far up it goes, in exactly one
+place — :meth:`Simulator._choose_path`, the only code that reads ``engine``.
+A cohort kernel (:mod:`repro.network.batched`) processes all deliveries
+sharing a timestamp as numpy struct-of-arrays, so it engages only where
+cohorts can form: every registered node is of one type that declares a
+``COHORT_KERNEL`` (flood and gossip do) *and* the latency model has a
+constant delay with zero jitter.  The sharded path additionally needs the
+split to be exact (:mod:`repro.network.sharded`).  Every other run executes
+the event loop verbatim and says why in :attr:`Simulator.fallback_reason`;
+seed-for-seed all paths produce identical observation logs and drop
+counters, which the golden and property tests assert for every preset.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import random
+import sys
 from typing import (
     Callable,
     Dict,
@@ -104,16 +107,12 @@ class Simulator:
             applied to every overlay send; randomness for both comes from a
             dedicated stream (derived from ``seed``), so lossless conditions
             leave protocol RNG consumption untouched.
-        engine: a cap on the execution path: ``"event"`` (per-message
-            loop, the default), ``"batched"`` (vectorised cohort kernel
-            where a protocol provides one and the link delay is constant
-            without jitter) or ``"sharded"`` (cohort kernels partitioned
-            over worker processes in conservative time windows, where the
-            configuration can be split exactly — see
-            :mod:`repro.network.sharded`).  All paths are behaviourally
-            identical; a run that cannot use the requested one takes the
-            next one down and records :attr:`fallback_reason`.  Unknown
-            names raise ``KeyError`` listing the registered engines.
+        engine: a cap on the execution path — ``"event"`` (the default),
+            ``"batched"`` or ``"sharded"``; see the module docstring.  All
+            paths are behaviourally identical; a run that cannot use the
+            requested one takes the next one down and records
+            :attr:`fallback_reason`.  Unknown names raise ``KeyError``
+            listing the registered engines.
         shards: worker-process count for ``engine="sharded"`` (default:
             the CPU count, at least 2, capped at 8).  Ignored by the
             other engines; behaviour is shard-count independent.
@@ -209,33 +208,20 @@ class Simulator:
         self._delay = self.latency.delay
         self._record = self.store.record
         self._push_item = self._queue.push_item
-        # Batched engine state.  The generation counter is bumped by every
-        # topology-cache invalidation so cohort kernels know when to rebuild
-        # their CSR view and churn masks; the block buffer holds kernel
-        # fan-outs as struct-of-arrays instead of per-message heap tuples.
+        # Bumped by every topology-cache invalidation so cohort kernels
+        # know when to rebuild their CSR view and churn masks; the kernel
+        # itself (or its absence) is resolved lazily by ``_choose_path``.
         self._topology_generation = 0
         self._kernel = None
-        self._kernel_decline: Optional[str] = None
+        self._kernel_resolved = False
         if shards is not None and shards < 1:
             raise ValueError("shards must be at least 1 when given")
         self._shards = shards
-        if engine in ("batched", "sharded"):
-            from repro.network.batched import BlockBuffer
-
-            self._queue.enable_sequence_reservation()
-            self._blocks = BlockBuffer()
-        else:
-            self._blocks = None
 
     @property
     def engine(self) -> str:
-        """The delivery engine this simulator runs on."""
+        """The requested cap on the execution path (see :attr:`engine_effective`)."""
         return self._engine
-
-    @property
-    def shards(self) -> Optional[int]:
-        """The requested shard count (``None`` = the engine's default)."""
-        return self._shards
 
     @property
     def telemetry(self) -> Optional[Recorder]:
@@ -244,14 +230,10 @@ class Simulator:
 
     @property
     def engine_effective(self) -> str:
-        """The engine that actually executed the most recent :meth:`run`.
-
-        ``engine="sharded"`` runs fall back to ``"batched"`` when the
-        configuration cannot be split across workers, and both batched
-        and sharded fall back to ``"event"`` when no cohort kernel is
-        eligible or link delays vary per message (no cohorts to form);
-        :attr:`fallback_reason` carries the why.  Before the first run
-        this reports the requested engine.
+        """The path the most recent :meth:`run` took (``event`` <
+        ``batched`` < ``sharded``, never above :attr:`engine`);
+        :attr:`fallback_reason` says why it stopped below the cap.  Before
+        the first run this reports the requested engine.
         """
         return self._engine_effective
 
@@ -274,7 +256,7 @@ class Simulator:
         # The cohort kernel (if any) is resolved from the full node
         # population; adding a node of another type disqualifies it.
         self._kernel = None
-        self._kernel_decline = None
+        self._kernel_resolved = False
         return node
 
     def populate(self, factory: Callable[[Hashable], Node]) -> None:
@@ -523,57 +505,82 @@ class Simulator:
         for node_id in sorted(self._nodes, key=repr):
             self._nodes[node_id].on_start()
 
-    def _resolve_kernel(self):
-        """The cohort kernel this run can use, or ``None`` (reason noted).
+    def _choose_path(self, until: Optional[float] = None):
+        """Decide how the next :meth:`run` executes: ``(path, reason, split)``.
 
-        Cohorts form only when every overlay send takes the same time, so
-        a kernel needs a constant-delay latency model and zero jitter —
-        every other model draws a continuous delay per message or per
-        edge and timestamps never coincide.  It also needs every
-        registered node to be of exactly one type whose ``COHORT_KERNEL``
-        declares that same type as its ``node_type`` — subclasses may
-        override behaviour the kernel hard-codes, so they do not inherit
-        eligibility.  Cached until the population changes.
+        ``path`` is the highest of ``event`` < ``batched`` < ``sharded``
+        that the ``engine`` cap allows and the run supports; ``reason``
+        says what stopped it below the cap (``None`` at the cap); ``split``
+        is ``(shard count, kernel.shard_state(...))`` on the sharded path,
+        else ``None``.  Everything is read from what the run can observe —
+        latency model, jitter, loss, node population, queue contents, hooks,
+        ``until``, platform — and nothing is consumed.  Each ``return`` is
+        one row of the eligibility table in ``docs/ARCHITECTURE.md``.
         """
-        if self._kernel is not None or self._kernel_decline is not None:
-            return self._kernel
+        cap = self._engine
+        if cap == "event":
+            return "event", None, None
+        # Cohorts form only when every overlay send takes the same time:
+        # every other model draws a continuous delay per message or per
+        # edge and timestamps never coincide.
         if self.latency.constant_delay() is None or self._jitter > 0.0:
-            self._kernel_decline = NO_COHORTS
-            return None
-        nodes = self._nodes
-        first_type = type(next(iter(nodes.values()))) if nodes else None
-        kernel_cls = getattr(first_type, "COHORT_KERNEL", None)
+            return "event", NO_COHORTS, None
+        if not self._kernel_resolved:
+            from repro.network.batched import kernel_for
+
+            self._kernel = kernel_for(self)
+            self._kernel_resolved = True
+        kernel = self._kernel
+        if kernel is None:
+            return "event", NO_KERNEL, None
+        if cap == "batched":
+            return "batched", None, None
+
+        # Splitting across processes must be exact, so anything that could
+        # observe or perturb a global order between cohorts keeps the run
+        # in one process (see :mod:`repro.network.sharded`).
         if (
-            kernel_cls is not None
-            and kernel_cls.node_type is first_type
-            and all(type(node) is first_type for node in nodes.values())
+            sys.platform != "linux"
+            or "fork" not in multiprocessing.get_all_start_methods()
         ):
-            self._kernel = kernel_cls(self)
-        else:
-            self._kernel_decline = NO_KERNEL
-        return self._kernel
+            return "batched", "no fork start method on this platform", None
+        if until is not None:
+            return "batched", "bounded run (until set)", None
+        if self._loss_probability > 0.0:
+            return "batched", "link loss enabled", None
+        if self.store.has_pending_first_hooks:
+            return "batched", "pending first-observation hooks", None
+        from repro.network.sharded import default_shard_count
 
-    def _next_pending_time(self) -> Optional[float]:
-        """Earliest pending time across the heap and the block buffer."""
-        queue_time = self._queue.peek_time()
-        block_time = (
-            self._blocks.peek_time() if self._blocks is not None else None
-        )
-        if queue_time is None:
-            return block_time
-        if block_time is None:
-            return queue_time
-        return min(queue_time, block_time)
-
-    def _note_fallback(self, reason: str) -> None:
-        """Record why a run left its requested engine (see telemetry)."""
-        self._fallback_reason = reason
-        logger.debug(
-            "engine %r falling back: %s", self._engine, reason
-        )
-        telemetry = self._telemetry
-        if telemetry is not None:
-            telemetry.fallback(reason)
+        node_count = self.graph.number_of_nodes()
+        shards = min(self._shards or default_shard_count(node_count), node_count)
+        if shards < 2:
+            return "batched", "<2 shards", None
+        kernel.refresh()
+        index = kernel.index
+        payload_ids = set()
+        for _, _, item in self._queue.live_entries():
+            if item.__class__ is Event:
+                return "batched", "timer in queue", None
+            if (
+                item.__class__ is not tuple
+                or item[3]
+                or item[2].kind != kernel.kind
+                or item[0] not in index
+                or item[1] not in index
+            ):
+                return "batched", (
+                    "foreign queue entry (direct send, foreign kind, "
+                    "unregistered endpoint or buffered block)"
+                ), None
+            payload_ids.add(item[2].payload_id)
+        state = kernel.shard_state(payload_ids)
+        if state is None:
+            return "batched", (
+                "kernel cannot run in shard workers (protocol rng or a "
+                "fan-out other than exclude-sender)"
+            ), None
+        return "sharded", None, (shards, state)
 
     def run(
         self,
@@ -596,11 +603,10 @@ class Simulator:
         of spinning on a stuck clock.  A ``max_events`` exit leaves the clock
         at the last executed event.
 
-        Engine note: under ``engine="batched"`` (with an eligible cohort
-        kernel) the ``max_events`` cap is checked between cohorts, so a run
-        may execute up to one cohort past the cap before stopping; ``until``
-        semantics are identical on both engines.  Without an eligible
-        kernel the batched engine runs this very loop.
+        Engine note: on the cohort paths the ``max_events`` cap is checked
+        between cohorts (windows, when sharded), so a run may execute up to
+        one cohort past the cap before stopping; ``until`` semantics are
+        identical on every path.
         """
         telemetry = self._telemetry
         if telemetry is None:
@@ -636,27 +642,23 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Engine dispatch + the per-message event loop (see :meth:`run`)."""
-        if self._engine != "event":
-            kernel = self._resolve_kernel()
-            if kernel is not None:
-                from repro.network.batched import run_batched
-
-                if self._engine == "sharded":
-                    from repro.network.sharded import try_run_sharded
-
-                    end = try_run_sharded(self, kernel, until, max_events)
-                    if end is not None:
-                        self._engine_effective = "sharded"
-                        return end
-                    # Configuration not splittable (randomness, timers,
-                    # ...): same cohorts, one process — still seed-for-seed
-                    # identical.  try_run_sharded recorded the reason.
-                self._engine_effective = "batched"
-                return run_batched(self, kernel, until, max_events)
-            self._engine_effective = "event"
-            self._note_fallback(self._kernel_decline)
+        """Path dispatch + the per-message event loop (see :meth:`run`)."""
         self._start_nodes()
+        path, reason, split = self._choose_path(until)
+        self._engine_effective = path
+        self._fallback_reason = reason
+        if reason is not None:
+            logger.debug("engine %r falling back: %s", self._engine, reason)
+            if self._telemetry is not None:
+                self._telemetry.fallback(reason)
+        if path == "sharded":
+            from repro.network.sharded import run_sharded
+
+            return run_sharded(self, self._kernel, *split, max_events)
+        if path == "batched":
+            from repro.network.batched import run_batched
+
+            return run_batched(self, self._kernel, until, max_events)
         executed = 0
         event_cap = float("inf") if max_events is None else max_events
         hit_event_limit = False
@@ -739,14 +741,11 @@ class Simulator:
 
         Cancelled events are excluded immediately, so a ``pending_events ==
         0`` check means the simulation is genuinely idle — timers that were
-        cancelled no longer keep runner loops spinning.  On the batched
-        engine this includes deliveries buffered in cohort blocks, which
-        live outside the heap; both engines therefore agree on idleness.
+        cancelled no longer keep runner loops spinning.  A cohort block
+        counts as the deliveries it holds, so every execution path agrees
+        on idleness.
         """
-        pending = len(self._queue)
-        if self._blocks is not None:
-            pending += len(self._blocks)
-        return pending
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # Message-loss accounting

@@ -1,6 +1,6 @@
 """Name-based registry of dissemination-protocol adapters.
 
-The registry is what turns ``attack_experiment(graph, "dandelion", ...)``
+The registry is what turns ``run_attack_experiment(graph, "dandelion", ...)``
 from an if/elif over hard-coded names into an open set: every
 :class:`~repro.protocols.base.BroadcastProtocol` subclass decorated with
 :func:`register_protocol` becomes addressable by name from the experiment

@@ -18,6 +18,7 @@ enumerates and executes them.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -81,6 +82,16 @@ class TopologySpec:
             known = ", ".join(sorted(TOPOLOGY_FAMILIES))
             raise ValueError(
                 f"unknown topology family {self.family!r} (known: {known})"
+            )
+        # A misspelt parameter would otherwise surface only at build()
+        # time, as a TypeError from inside the generator call.
+        accepted = inspect.signature(TOPOLOGY_FAMILIES[self.family]).parameters
+        unknown = sorted(set(self.params) - set(accepted))
+        if unknown:
+            raise ValueError(
+                f"topology family {self.family!r} does not take "
+                f"{', '.join(map(repr, unknown))} "
+                f"(accepted: {', '.join(accepted)})"
             )
 
     def build(self) -> nx.Graph:
@@ -175,14 +186,11 @@ class AdversarySpec:
         create_adversary_model(self.model, self.model_params)
 
     def build(self):
-        """A fresh model instance for one run (``None`` for the static one).
+        """A fresh model instance for one run.
 
         Models are stateful across a run's broadcasts, so every run gets
-        its own instance; the static default returns ``None`` to keep the
-        experiment loop on its historical code path.
+        its own instance.
         """
-        if self.model == "static" and not self.model_params:
-            return None
         from repro.threat import create_adversary_model
 
         return create_adversary_model(self.model, self.model_params)

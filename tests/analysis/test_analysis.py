@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.analysis.experiment import attack_experiment
+from repro.analysis.experiment import run_attack_experiment
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import confidence_interval, summarize
 from repro.analysis.sweep import sweep
+from repro.network import ConstantLatency, NetworkConditions
 from repro.network.topology import random_regular_overlay
 
 
@@ -73,49 +74,56 @@ class TestAttackExperiment:
         return random_regular_overlay(60, degree=6, seed=1)
 
     def test_flood_is_vulnerable(self, overlay):
-        result = attack_experiment(overlay, "flood", adversary_fraction=0.3,
-                                   broadcasts=6, seed=0)
+        result = run_attack_experiment(
+            overlay, "flood", adversary_fraction=0.3, broadcasts=6, seed=0,
+            conditions=NetworkConditions(),
+        )
         assert result.protocol == "flood"
         assert result.detection.total == 6
         assert result.detection.recall > 0.3
         assert result.anonymity_floor == 1
 
     def test_dandelion_runs(self, overlay):
-        result = attack_experiment(overlay, "dandelion", adversary_fraction=0.2,
-                                   broadcasts=5, seed=1)
+        result = run_attack_experiment(
+            overlay, "dandelion", adversary_fraction=0.2, broadcasts=5,
+            seed=1, conditions=NetworkConditions(),
+        )
         assert result.detection.total == 5
         assert result.messages_per_broadcast > 0
 
     def test_three_phase_runs_and_has_group_floor(self, overlay):
         from repro.core.config import ProtocolConfig
+        from repro.protocols import create_protocol
 
-        result = attack_experiment(
+        result = run_attack_experiment(
             overlay,
-            "three_phase",
+            create_protocol(
+                "three_phase",
+                config=ProtocolConfig(group_size=4, diffusion_depth=2),
+            ),
             adversary_fraction=0.2,
             broadcasts=4,
             seed=2,
-            config=ProtocolConfig(group_size=4, diffusion_depth=2),
+            conditions=NetworkConditions(latency=ConstantLatency(0.1)),
         )
         assert result.anonymity_floor == 4
         assert result.detection.total == 4
 
     def test_unknown_protocol_rejected(self, overlay):
         with pytest.raises(ValueError):
-            attack_experiment(overlay, "carrier-pigeon", 0.1)
+            run_attack_experiment(overlay, "carrier-pigeon", 0.1)
 
     def test_zero_broadcasts_rejected(self, overlay):
         # Used to die with ZeroDivisionError on the messages mean.
-        from repro.analysis.experiment import run_attack_experiment
-
         with pytest.raises(ValueError, match="broadcasts"):
             run_attack_experiment(overlay, "flood", 0.2, broadcasts=0)
         with pytest.raises(ValueError, match="broadcasts"):
-            attack_experiment(overlay, "flood", 0.2, broadcasts=-3)
+            run_attack_experiment(overlay, "flood", 0.2, broadcasts=-3)
 
     def test_experiment_reports_privacy_block(self, overlay):
-        result = attack_experiment(
-            overlay, "flood", adversary_fraction=0.3, broadcasts=3, seed=0
+        result = run_attack_experiment(
+            overlay, "flood", adversary_fraction=0.3, broadcasts=3, seed=0,
+            conditions=NetworkConditions(),
         )
         assert result.privacy is not None
         assert result.privacy.broadcasts == 3

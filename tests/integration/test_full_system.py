@@ -12,10 +12,12 @@ import pytest
 
 from repro.adversary.botnet import deploy_botnet
 from repro.adversary.first_spy import FirstSpyEstimator
-from repro.analysis.experiment import attack_experiment
+from repro.analysis.experiment import run_attack_experiment
 from repro.blockchain import Blockchain, Mempool, Miner, Transaction, Wallet
 from repro.core import Phase, ProtocolConfig, ThreePhaseBroadcast
+from repro.network import ConstantLatency, NetworkConditions
 from repro.network.topology import bitcoin_like_overlay, random_regular_overlay
+from repro.protocols import create_protocol
 
 
 class TestWalletToBlockFlow:
@@ -64,10 +66,18 @@ class TestPrivacyComparisonIntegration:
         return random_regular_overlay(100, degree=8, seed=9)
 
     def test_three_phase_beats_flood_against_strong_botnet(self, overlay):
-        flood = attack_experiment(overlay, "flood", 0.3, broadcasts=8, seed=4)
-        private = attack_experiment(
-            overlay, "three_phase", 0.3, broadcasts=8, seed=5,
-            config=ProtocolConfig(group_size=5, diffusion_depth=3),
+        flood = run_attack_experiment(
+            overlay, "flood", 0.3, broadcasts=8, seed=4,
+            conditions=NetworkConditions(),
+        )
+        private = run_attack_experiment(
+            overlay,
+            create_protocol(
+                "three_phase",
+                config=ProtocolConfig(group_size=5, diffusion_depth=3),
+            ),
+            0.3, broadcasts=8, seed=5,
+            conditions=NetworkConditions(latency=ConstantLatency(0.1)),
         )
         assert (
             private.detection.detection_probability

@@ -142,6 +142,27 @@ class TestPendingEventsAndLimits:
         # cohort but must stop with the remaining waves still pending.
         assert sim.pending_events > 0
 
+    def test_pending_events_tracks_blocks_across_stop_and_resume(self):
+        # A block in the queue counts as the deliveries it holds: after
+        # every cohort-granular max_events stop, pending_events equals what
+        # the event engine reports once it has caught up to the same time.
+        sim = _batched_flood()
+        overlay = random_regular_overlay(60, degree=4, seed=2)
+        twin = Simulator(overlay, latency=ConstantLatency(1.0), seed=0)
+        twin.populate(FloodNode)
+        for simulator in (sim, twin):
+            simulator.node(0).originate("tx")
+        assert sim.pending_events == twin.pending_events == 4
+        stops = 0
+        while sim.pending_events:
+            sim.run(max_events=5)
+            twin.run(until=sim.now)
+            assert sim.pending_events == twin.pending_events
+            assert len(sim.store) == len(twin.store)
+            stops += 1
+        assert stops > 3  # the run really was resumed several times
+        assert observation_digest(sim) == observation_digest(twin)
+
     def test_run_until_idle_error_names_batched_engine(self):
         sim = _batched_flood()
         sim.node(0).originate("tx")

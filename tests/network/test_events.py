@@ -1,6 +1,9 @@
 """Tests for the deterministic event queue."""
 
+import random
+
 import pytest
+from test_fastpath_determinism import _ReferenceEventQueue
 
 from repro.network.events import EventQueue
 
@@ -158,3 +161,92 @@ class TestFastPathEntries:
         queue = EventQueue()
         with pytest.raises(ValueError):
             queue.push_item(-0.5, "nope")
+
+
+class _Block:
+    """Stand-in for a cohort kernel's ``DeliveryBlock``: only ``size`` matters."""
+
+    def __init__(self, size):
+        self.size = size
+
+
+class TestBlockEntries:
+    """One heap, one counter: a block is ``size`` deliveries in one entry."""
+
+    def test_reserve_sequences_on_a_default_queue(self):
+        # No mode switch: any queue can hand out a contiguous range, and the
+        # per-push counter resumes right after it.
+        queue = EventQueue()
+        queue.push_item(0.0, "before")
+        assert queue.reserve_sequences(3) == 1
+        queue.push_item(0.0, "after")
+        assert queue.reserve_sequences(0) == 5  # an empty range consumes nothing
+        queue.push(0.0, lambda: None)
+        sequences = []
+        while True:
+            entry = queue.pop_entry()
+            if entry is None:
+                break
+            sequences.append(entry[1])
+        assert sequences == [0, 4, 5]
+
+    def _drive(self, seed, operations=300):
+        # Same schedule into both queues; where the fast queue gets one
+        # block, the reference oracle gets every delivery pushed one by one.
+        rng = random.Random(seed)
+        fast, reference = EventQueue(), _ReferenceEventQueue()
+        handles = []
+        live = 0
+        for _ in range(operations):
+            roll = rng.random()
+            time = rng.choice([0.0, 1.0, 1.0, 2.5, rng.uniform(0, 5)])
+            if roll < 0.3:
+                handles.append(
+                    (fast.push(time, lambda: None),
+                     reference.push(time, lambda: None))
+                )
+                live += 1
+            elif roll < 0.6:
+                fast.push_item(time, ("receiver", "sender", "message", False))
+                reference.push(time, lambda: None)
+                live += 1
+            elif roll < 0.85:
+                size = rng.randint(1, 6)
+                fast.push_block(time, _Block(size))
+                for _ in range(size):
+                    reference.push(time, lambda: None)
+                live += size
+            elif handles:
+                fast_handle, reference_handle = handles.pop(
+                    rng.randrange(len(handles))
+                )
+                fast_handle.cancel()
+                reference_handle.cancel()
+                live -= 1
+            assert len(fast) == live
+        # Drain: expanding each block into its deliveries must reproduce the
+        # oracle's pop order exactly, (time, sequence) for (time, sequence).
+        while True:
+            entry = fast.peek_entry()
+            if entry is None:
+                assert reference.pop() is None
+                break
+            time, sequence, item = entry
+            if item.__class__ is _Block:
+                assert fast.pop_block() is item
+                count = item.size
+            else:
+                assert fast.pop_entry() is entry
+                count = 1
+            live -= count
+            assert len(fast) == live
+            for offset in range(count):
+                expected = reference.pop()
+                assert (time, sequence + offset) == (
+                    expected.time, expected.sequence
+                )
+        assert live == 0
+
+    def test_block_orders_like_its_deliveries_pushed_one_by_one(self):
+        for seed in range(20):
+            self._drive(seed)

@@ -24,6 +24,8 @@ sharded engine's unit surface:
 """
 
 import hashlib
+import multiprocessing
+import os
 
 import pytest
 
@@ -218,6 +220,30 @@ class TestPathSelection:
         assert logs["sharded"] == logs["event"]
 
 
+class TestDeadWorker:
+    def test_worker_exit_mid_window_names_shard_and_exit_code(
+        self, monkeypatch
+    ):
+        # Shard 1 dies on its first window, before replying: the parent's
+        # blocking receive must not surface a bare EOFError (or hang) but
+        # say which worker is gone and how it exited.
+        original = sharded_mod._worker_main
+
+        def dying_worker(conn, shard, static):
+            if shard == 1:
+                conn.recv()
+                os._exit(17)
+            original(conn, shard, static)
+
+        monkeypatch.setattr(sharded_mod, "_worker_main", dying_worker)
+        sim = _flood_sim("sharded", shards=2)
+        sim.node(0).originate("tx")
+        with pytest.raises(RuntimeError, match=r"shard 1 \(exit code 17\)"):
+            sim.run_until_idle()
+        # No worker outlives the failed run.
+        assert multiprocessing.active_children() == []
+
+
 class TestFixedEquivalence:
     """Fixed-seed scenarios the random properties are unlikely to draw."""
 
@@ -236,7 +262,7 @@ class TestFixedEquivalence:
 
     def test_multi_payload_heterogeneous_sizes(self, window_calls):
         # Two simultaneous originators, per-node payload sizes: exercises
-        # cross-payload rank interleaving and shard_node_sizes.
+        # cross-payload rank interleaving and shard_state's node sizes.
         def sized_node(node_id):
             return FloodNode(node_id, payload_size_bytes=200 + node_id % 7 * 16)
 
@@ -264,7 +290,7 @@ class TestFixedEquivalence:
             results[engine] = self._summary(sim, ["tx-1", "tx-2"])
         assert results["sharded"] == results["event"]
         # Both runs of the session split (prior seen state is mirrored
-        # into the workers via prior_seen_ids).
+        # into the workers via shard_state's priors).
         assert len(window_calls) == 2
 
     def test_static_churn_and_severed_links(self, window_calls):

@@ -2,36 +2,48 @@
 
 The golden numbers below were captured by running the pre-registry
 ``attack_experiment`` (the hard-coded if/elif implementation) at the commit
-that introduced the protocol registry.  The shim must keep reproducing them
-exactly: same detection counts, same mean message counts, for each of the
-three protocol names the legacy signature supported.
+that introduced the protocol registry.  ``run_attack_experiment`` must keep
+reproducing them exactly — same detection counts, same mean message counts
+— under the environment that loop hard-coded per protocol: the three-phase
+protocol on constant 0.1 latency (``FLAT``), the baselines on stable
+per-edge 50–300 ms latency (``PER_EDGE``), all lossless with the first-spy
+estimator.
 """
 
 import pytest
 
-from repro.analysis.experiment import attack_experiment, run_attack_experiment
+from repro.analysis.experiment import run_attack_experiment
 from repro.broadcast.dandelion import DandelionConfig
 from repro.core.config import ProtocolConfig
 from repro.network import ConstantLatency, NetworkConditions
 from repro.network.topology import random_regular_overlay
 from repro.protocols import create_protocol
 
-# (protocol, kwargs, (total, guesses, correct, messages_per_broadcast, floor))
+FLAT = NetworkConditions(latency=ConstantLatency(0.1))
+PER_EDGE = NetworkConditions()
+
+# (protocol, adapter options, conditions, kwargs,
+#  (total, guesses, correct, messages_per_broadcast, floor))
 GOLDEN = [
-    ("flood", dict(adversary_fraction=0.3, broadcasts=6, seed=0),
+    ("flood", {}, PER_EDGE,
+     dict(adversary_fraction=0.3, broadcasts=6, seed=0),
      (6, 6, 3, 301.0, 1)),
-    ("flood", dict(adversary_fraction=0.15, broadcasts=5, seed=7),
+    ("flood", {}, PER_EDGE,
+     dict(adversary_fraction=0.15, broadcasts=5, seed=7),
      (5, 5, 4, 301.0, 1)),
-    ("dandelion", dict(adversary_fraction=0.2, broadcasts=5, seed=1),
+    ("dandelion", {}, PER_EDGE,
+     dict(adversary_fraction=0.2, broadcasts=5, seed=1),
      (5, 5, 1, 308.0, 1)),
-    ("dandelion", dict(adversary_fraction=0.3, broadcasts=4, seed=3,
-                       dandelion_config=DandelionConfig(fluff_probability=0.2)),
+    ("dandelion", dict(config=DandelionConfig(fluff_probability=0.2)),
+     PER_EDGE, dict(adversary_fraction=0.3, broadcasts=4, seed=3),
      (4, 4, 1, 307.25, 1)),
-    ("three_phase", dict(adversary_fraction=0.2, broadcasts=4, seed=2,
-                         config=ProtocolConfig(group_size=4, diffusion_depth=2)),
+    ("three_phase",
+     dict(config=ProtocolConfig(group_size=4, diffusion_depth=2)), FLAT,
+     dict(adversary_fraction=0.2, broadcasts=4, seed=2),
      (4, 4, 0, 531.25, 4)),
-    ("three_phase", dict(adversary_fraction=0.3, broadcasts=3, seed=5,
-                         config=ProtocolConfig(group_size=5, diffusion_depth=2)),
+    ("three_phase",
+     dict(config=ProtocolConfig(group_size=5, diffusion_depth=2)), FLAT,
+     dict(adversary_fraction=0.3, broadcasts=3, seed=5),
      (3, 3, 1, 681.3333333333334, 5)),
 ]
 
@@ -43,14 +55,17 @@ def overlay():
 
 class TestLegacyShimEquivalence:
     @pytest.mark.parametrize(
-        "protocol, kwargs, expected",
+        "protocol, options, conditions, kwargs, expected",
         GOLDEN,
-        ids=[f"{p}-seed{kw['seed']}" for p, kw, _ in GOLDEN],
+        ids=[f"{p}-seed{kw['seed']}" for p, _, _, kw, _ in GOLDEN],
     )
     def test_shim_reproduces_pre_registry_results(
-        self, overlay, protocol, kwargs, expected
+        self, overlay, protocol, options, conditions, kwargs, expected
     ):
-        result = attack_experiment(overlay, protocol, **kwargs)
+        result = run_attack_experiment(
+            overlay, create_protocol(protocol, **options),
+            conditions=conditions, **kwargs,
+        )
         total, guesses, correct, messages, floor = expected
         assert result.protocol == protocol
         assert result.detection.total == total
@@ -60,9 +75,10 @@ class TestLegacyShimEquivalence:
         assert result.anonymity_floor == floor
 
     def test_shim_matches_explicit_registry_call(self, overlay):
-        """The shim is exactly run_attack_experiment + legacy conditions."""
-        via_shim = attack_experiment(
-            overlay, "flood", adversary_fraction=0.3, broadcasts=6, seed=0
+        """A registry name is exactly the adapter instance it resolves to."""
+        via_shim = run_attack_experiment(
+            overlay, "flood", adversary_fraction=0.3, broadcasts=6, seed=0,
+            conditions=PER_EDGE,
         )
         explicit = run_attack_experiment(
             overlay,
@@ -75,10 +91,11 @@ class TestLegacyShimEquivalence:
         assert via_shim == explicit
 
     def test_shim_matches_explicit_three_phase_call(self, overlay):
+        """Two adapters built from one config agree, shared or fresh conditions."""
         config = ProtocolConfig(group_size=4, diffusion_depth=2)
-        via_shim = attack_experiment(
-            overlay, "three_phase", adversary_fraction=0.2, broadcasts=4,
-            seed=2, config=config,
+        via_shim = run_attack_experiment(
+            overlay, create_protocol("three_phase", config=config),
+            adversary_fraction=0.2, broadcasts=4, seed=2, conditions=FLAT,
         )
         explicit = run_attack_experiment(
             overlay,
@@ -92,11 +109,11 @@ class TestLegacyShimEquivalence:
 
     def test_shim_rejects_unknown_protocol(self, overlay):
         with pytest.raises(ValueError):
-            attack_experiment(overlay, "carrier-pigeon", 0.1)
+            run_attack_experiment(overlay, "carrier-pigeon", 0.1)
 
     def test_shim_accepts_newly_registered_protocols(self, overlay):
-        """Gossip and adaptive diffusion are reachable from the shim too."""
-        result = attack_experiment(
+        """Gossip and adaptive diffusion are reachable by name too."""
+        result = run_attack_experiment(
             overlay, "gossip", adversary_fraction=0.2, broadcasts=3, seed=4
         )
         assert result.protocol == "gossip"

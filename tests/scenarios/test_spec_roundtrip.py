@@ -105,6 +105,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TopologySpec("torus", {})
 
+    def test_misspelt_topology_param_rejected_where_it_enters(self):
+        # A typo used to pass validation and die as a TypeError inside the
+        # generator call at build() time; it must fail at parse time, as a
+        # ValueError that lists what the family accepts.
+        text = FULL_SPEC.to_json().replace('"neighbours"', '"neighbors"')
+        with pytest.raises(ValueError) as excinfo:
+            ScenarioSpec.from_json(text)
+        message = str(excinfo.value)
+        assert "'neighbors'" in message and "small_world" in message
+        for accepted in ("num_nodes", "neighbours", "shortcut_probability"):
+            assert accepted in message
+
     def test_adversary_fraction_bounds(self):
         with pytest.raises(ValueError):
             AdversarySpec(fraction=1.0)
