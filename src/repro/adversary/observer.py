@@ -59,11 +59,15 @@ class AdversaryView:
         kinds: Optional[Tuple[str, ...]] = None,
         include_direct: bool = True,
     ) -> Optional[Observation]:
-        """The earliest observation of the payload, or ``None``."""
+        """The earliest observation of the payload, or ``None``.
+
+        Among equal delivery times the earliest log position wins:
+        candidates come in log order and ``min`` keeps the first minimum.
+        """
         candidates = self.observations_of(payload_id, kinds, include_direct)
         if not candidates:
             return None
-        return min(candidates, key=lambda obs: (obs.time, obs.message.uid))
+        return min(candidates, key=lambda obs: obs.time)
 
     def first_relayers(
         self,

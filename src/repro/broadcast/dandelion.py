@@ -157,16 +157,14 @@ class DandelionNode(Node):
         )
 
     def _flood(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
+        message = Message(
+            kind=self.FLUFF_KIND,
+            payload_id=payload_id,
+            size_bytes=self.config.payload_size_bytes,
+        )
         for peer in self.neighbours:
             if peer != exclude:
-                self.send(
-                    peer,
-                    Message(
-                        kind=self.FLUFF_KIND,
-                        payload_id=payload_id,
-                        size_bytes=self.config.payload_size_bytes,
-                    ),
-                )
+                self.send(peer, message)
 
 
 @dataclass

@@ -62,16 +62,14 @@ class FloodNode(Node):
         return payload_id in self._seen
 
     def _forward(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
+        message = Message(
+            kind=self.MESSAGE_KIND,
+            payload_id=payload_id,
+            size_bytes=self.payload_size_bytes,
+        )
         for peer in self.neighbours:
             if peer != exclude:
-                self.send(
-                    peer,
-                    Message(
-                        kind=self.MESSAGE_KIND,
-                        payload_id=payload_id,
-                        size_bytes=self.payload_size_bytes,
-                    ),
-                )
+                self.send(peer, message)
 
 
 class FloodCohortKernel(CohortKernel):
@@ -81,9 +79,7 @@ class FloodCohortKernel(CohortKernel):
     neighbour except the delivering sender, with offline nodes and severed
     links masked out exactly as ``neighbours_of`` excludes them.  One
     :class:`~repro.network.message.Message` is shared across a node's
-    forwards (the event engine allocates one per forward); uid order still
-    equals log order among equal-time deliveries, and digests exclude uids,
-    so every observable — including first-spy tie-breaking — is identical.
+    forwards, as in :meth:`FloodNode._forward`.
     """
 
     node_type = FloodNode

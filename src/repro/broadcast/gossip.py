@@ -69,15 +69,13 @@ class GossipNode(Node):
         if not candidates:
             return
         count = min(self.config.fanout, len(candidates))
+        message = Message(
+            kind=self.MESSAGE_KIND,
+            payload_id=payload_id,
+            size_bytes=self.config.payload_size_bytes,
+        )
         for peer in self.simulator.rng.sample(candidates, count):
-            self.send(
-                peer,
-                Message(
-                    kind=self.MESSAGE_KIND,
-                    payload_id=payload_id,
-                    size_bytes=self.config.payload_size_bytes,
-                ),
-            )
+            self.send(peer, message)
 
 
 class GossipCohortKernel(CohortKernel):

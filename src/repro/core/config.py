@@ -10,6 +10,9 @@ on the network diameter").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+from repro.diffusion.adaptive import AdaptiveDiffusionConfig
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,20 @@ class ProtocolConfig:
             raise ValueError("round intervals must be positive")
         if self.payload_size_bytes <= 0 or self.control_size_bytes <= 0:
             raise ValueError("message sizes must be positive")
+
+    @cached_property
+    def diffusion_config(self) -> AdaptiveDiffusionConfig:
+        """The Phase-2 parameters this configuration implies.
+
+        Derived once per instance, so the nodes of a session share one
+        object instead of each holding an identical copy.
+        """
+        return AdaptiveDiffusionConfig(
+            max_rounds=self.diffusion_depth,
+            round_interval=self.diffusion_round_interval,
+            payload_size_bytes=self.payload_size_bytes,
+            control_size_bytes=self.control_size_bytes,
+        )
 
     @property
     def max_group_size(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Hashable, Optional, Set
 
 from repro.core.config import ProtocolConfig
-from repro.diffusion.adaptive import AdaptiveDiffusionConfig, AdaptiveDiffusionNode
+from repro.diffusion.adaptive import AdaptiveDiffusionNode
 from repro.network.message import Message
 
 
@@ -35,13 +35,7 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
         config: Optional[ProtocolConfig] = None,
     ) -> None:
         self.protocol_config = config or ProtocolConfig()
-        diffusion_config = AdaptiveDiffusionConfig(
-            max_rounds=self.protocol_config.diffusion_depth,
-            round_interval=self.protocol_config.diffusion_round_interval,
-            payload_size_bytes=self.protocol_config.payload_size_bytes,
-            control_size_bytes=self.protocol_config.control_size_bytes,
-        )
-        super().__init__(node_id, diffusion_config)
+        super().__init__(node_id, self.protocol_config.diffusion_config)
         self._flooded: Set[Hashable] = set()
 
     # ------------------------------------------------------------------
@@ -92,16 +86,14 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
         if payload_id in self._flooded:
             return
         self._flooded.add(payload_id)
+        message = Message(
+            kind=self.FLOOD_KIND,
+            payload_id=payload_id,
+            size_bytes=self.protocol_config.payload_size_bytes,
+        )
         for peer in self.neighbours:
             if peer != exclude:
-                self.send(
-                    peer,
-                    Message(
-                        kind=self.FLOOD_KIND,
-                        payload_id=payload_id,
-                        size_bytes=self.protocol_config.payload_size_bytes,
-                    ),
-                )
+                self.send(peer, message)
 
     def has_flooded(self, payload_id: Hashable) -> bool:
         """Whether this node already flooded the payload (Phase 3)."""

@@ -193,17 +193,7 @@ class AdaptiveDiffusionNode(Node):
         if state.delivered_at is None:
             state.note_received(sender, self.now)
             self.mark_delivered(payload_id)
-        for child in state.children:
-            self.send(
-                child,
-                Message(
-                    kind="ad_final",
-                    payload_id=payload_id,
-                    body=dict(message.body),
-                    size_bytes=self.config.control_size_bytes,
-                ),
-            )
-        self.on_diffusion_finished(payload_id)
+        self._send_final(payload_id, state, dict(message.body))
 
     # ------------------------------------------------------------------
     # Virtual source rounds
@@ -256,17 +246,21 @@ class AdaptiveDiffusionNode(Node):
         """Send the final spreading request down the tree and stop."""
         del self._tokens[payload_id]
         self._finalized[payload_id] = True
-        state = self._state(payload_id)
+        self._send_final(
+            payload_id, self._state(payload_id), {"from_virtual_source": True}
+        )
+
+    def _send_final(
+        self, payload_id: Hashable, state: InfectionState, body: dict
+    ) -> None:
+        request = Message(
+            kind="ad_final",
+            payload_id=payload_id,
+            body=body,
+            size_bytes=self.config.control_size_bytes,
+        )
         for child in state.children:
-            self.send(
-                child,
-                Message(
-                    kind="ad_final",
-                    payload_id=payload_id,
-                    body={"from_virtual_source": True},
-                    size_bytes=self.config.control_size_bytes,
-                ),
-            )
+            self.send(child, request)
         self.on_diffusion_finished(payload_id)
 
     # ------------------------------------------------------------------
@@ -288,21 +282,19 @@ class AdaptiveDiffusionNode(Node):
         tree_links = list(state.children)
         if state.parent is not None:
             tree_links.append(state.parent)
+        spread = Message(
+            kind="ad_spread",
+            payload_id=payload_id,
+            body={"wave": wave},
+            size_bytes=self.config.control_size_bytes,
+        )
         for link in tree_links:
-            if link == exclude:
-                continue
-            self.send(
-                link,
-                Message(
-                    kind="ad_spread",
-                    payload_id=payload_id,
-                    body={"wave": wave},
-                    size_bytes=self.config.control_size_bytes,
-                ),
-            )
+            if link != exclude:
+                self.send(link, spread)
         targets = state.spread_targets(self.neighbours, exclude=exclude)
+        payload = self._payload_message(payload_id)
         for target in targets:
-            self.send(target, self._payload_message(payload_id))
+            self.send(target, payload)
         state.add_children(targets)
 
     def _payload_message(self, payload_id: Hashable) -> Message:

@@ -8,40 +8,79 @@ only information the honest-but-curious adversaries of
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional
+from types import MappingProxyType
+from typing import Any, Hashable, Mapping, Optional
 
-_message_counter = itertools.count()
+#: The body of every message built without one: shared and read-only, so a
+#: body-less message (every flood, gossip and fluff forward) allocates no
+#: dict of its own.
+_NO_BODY: Mapping[str, Any] = MappingProxyType({})
 
 
-@dataclass(slots=True)
 class Message:
-    """A protocol message travelling over one overlay link.
+    """What a node puts on the wire: one instance per *fan-out*.
+
+    A node forwarding to several neighbours hands the same instance to every
+    :meth:`~repro.network.node.Node.send`, and each delivery's
+    :class:`Observation` refers to it, so treat a message as immutable once
+    sent — a handler that wants to change ``body`` content copies it first.
+    Instances carry no identity of their own: a delivery is identified by
+    its position in the observation log.
 
     Attributes:
         kind: protocol-specific message type, e.g. ``"flood"`` or
             ``"ad_token"``.
         payload_id: identifier of the transaction / payload being spread.
             All messages belonging to one broadcast share this id.
-        body: arbitrary protocol metadata (share bytes, round counters, ...).
+        body: arbitrary protocol metadata (share bytes, round counters, ...);
+            an empty read-only mapping unless given.
         size_bytes: accounted message size; used only for traffic statistics.
-        uid: unique identifier of this message instance.
     """
 
-    kind: str
-    payload_id: Hashable
-    body: Dict[str, Any] = field(default_factory=dict)
-    size_bytes: int = 256
-    # Bound method of the counter directly: one C-level call per message
-    # instead of a Python wrapper frame on the hot construction path.
-    uid: int = field(default_factory=_message_counter.__next__)
+    __slots__ = ("kind", "payload_id", "body", "size_bytes")
+
+    def __init__(
+        self,
+        kind: str,
+        payload_id: Hashable,
+        body: Mapping[str, Any] = _NO_BODY,
+        size_bytes: int = 256,
+    ) -> None:
+        self.kind = kind
+        self.payload_id = payload_id
+        self.body = body
+        self.size_bytes = size_bytes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Message:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.payload_id == other.payload_id
+            and self.body == other.body
+            and self.size_bytes == other.size_bytes
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(kind={self.kind!r}, payload_id={self.payload_id!r}, "
+            f"body={dict(self.body)!r}, size_bytes={self.size_bytes!r})"
+        )
+
+    def __reduce__(self):
+        # The shared empty body is a mappingproxy, which neither pickles
+        # nor deep-copies; a copy carries a plain dict instead.
+        return Message, (
+            self.kind, self.payload_id, dict(self.body), self.size_bytes
+        )
 
     def copy_for_forwarding(self) -> "Message":
         """Return a fresh message instance carrying the same content.
 
-        Forwarded messages get their own ``uid`` so traffic accounting counts
-        every hop separately, exactly like a real network would.
+        The copy owns its ``body`` dict, so a relay that annotates what it
+        forwards never writes into the instance other receivers hold.
         """
         return Message(
             kind=self.kind,

@@ -12,6 +12,7 @@ from repro.adversary.observer import AdversaryView
 from repro.adversary.rumor_centrality import rumor_centrality, rumor_source_estimate
 from repro.broadcast.flood import FloodNode
 from repro.network.latency import PerEdgeLatency
+from repro.network.message import Message
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay, regular_tree_overlay
 
@@ -85,6 +86,36 @@ class TestAdversaryView:
         first = view.first_observation("tx")
         assert first is not None
         assert all(first.time <= obs.time for obs in view.observations_of("tx"))
+
+    def test_first_observation_breaks_time_ties_by_log_position(self):
+        # Two spies hear the payload at the same instant.  The message that
+        # was *built* later is delivered first, so creation order and log
+        # order disagree; the log decides.
+        sim = Simulator(nx.complete_graph(4), seed=0)
+        sim.populate(FloodNode)
+        early = Message(kind="flood", payload_id="tx")
+        late = Message(kind="flood", payload_id="tx")
+        sim.send(3, 1, late)
+        sim.send(2, 1, early)
+        sim.send(3, 2, late)
+        sim.run_until_idle()
+        view = AdversaryView(sim, observers=[1, 2])
+        tied = [obs for obs in view.observations_of("tx") if obs.time == 1.0]
+        assert [(obs.sender, obs.receiver) for obs in tied[:3]] == [
+            (3, 1), (2, 1), (3, 2),
+        ]
+        first = view.first_observation("tx")
+        assert first is tied[0]
+        assert view.first_observation("tx", include_direct=False) is tied[0]
+        # Same answer on a kernel-written log, where a fan-out's deliveries
+        # share one message and only the position tells them apart.
+        batched = Simulator(nx.complete_graph(4), seed=0, engine="batched")
+        batched.populate(FloodNode)
+        batched.node(0).originate("tx")
+        batched.run_until_idle()
+        assert batched.engine_effective == "batched"
+        spies = AdversaryView(batched, observers=[1, 2, 3])
+        assert spies.first_observation("tx") is spies.observations_of("tx")[0]
 
     def test_first_relayers_exclude_observers(self):
         graph, sim = _flood_simulation()

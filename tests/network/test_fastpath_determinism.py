@@ -183,9 +183,7 @@ class TestTupleHeapMatchesReferenceQueue:
 
 
 class TestSeedForSeedRepeatability:
-    # Message.uid is a process-global counter (every message instance is
-    # unique by design), so runs are compared on the uid-free projection —
-    # the same one the golden digests use.
+    # Runs are compared on the projection the golden digests use.
 
     def test_flood_runs_identical(self):
         overlay = random_regular_overlay(150, degree=6, seed=2)

@@ -336,12 +336,45 @@ class TestMetricsQueries:
 
 
 class TestMessage:
-    def test_copy_for_forwarding_gets_new_uid(self):
+    def test_copy_for_forwarding_owns_its_body(self):
         msg = Message(kind="flood", payload_id="tx", body={"hops": 1})
         copy = msg.copy_for_forwarding()
-        assert copy.uid != msg.uid
-        assert copy.body == msg.body
+        assert copy is not msg
+        assert copy == msg
         assert copy.body is not msg.body
+        copy.body["hops"] = 2
+        assert msg.body == {"hops": 1}
+
+    def test_bodyless_messages_share_one_read_only_body(self):
+        first = Message(kind="flood", payload_id="tx")
+        second = Message(kind="flood", payload_id="tx")
+        assert first.body is second.body
+        assert first.body == {}
+        with pytest.raises(TypeError):
+            first.body["hops"] = 1
+        # ...while a forwarding copy may be annotated freely.
+        first.copy_for_forwarding().body["hops"] = 1
+        assert second.body == {}
+
+    def test_message_has_no_identity_beyond_its_content(self):
+        assert not hasattr(Message(kind="flood", payload_id="tx"), "uid")
+        assert Message(kind="a", payload_id="t") == Message(
+            kind="a", payload_id="t", body={}
+        )
+        assert Message(kind="a", payload_id="t") != Message(
+            kind="a", payload_id="t", size_bytes=1
+        )
+
+    def test_message_survives_pickle_and_deepcopy(self):
+        import copy
+        import pickle
+
+        for msg in (
+            Message(kind="flood", payload_id="tx"),
+            Message(kind="ad_spread", payload_id="tx", body={"wave": 3}),
+        ):
+            assert pickle.loads(pickle.dumps(msg)) == msg
+            assert copy.deepcopy(msg) == msg
 
     def test_unimplemented_on_message(self):
         node = Node("x")
