@@ -307,45 +307,67 @@ def run_attack_experiment(
             )
         return session, monitored
 
+    def attack(session, monitored, source, payload_id, protected):
+        """One broadcast and the adversary's answer to it.
+
+        Its own frame, so the estimator and the broadcast outcome — both
+        of which pin the session — are gone when it returns.
+        """
+        outcome = proto.broadcast(session, source, payload_id)
+        effective_engines.append(session.simulator.engine_effective)
+        guesser = estimator_factory(session.simulator, monitored)
+        outcomes.append((source, guesser.guess(payload_id)))
+        scores: Scores = {}
+        if wants_scores:
+            scores = estimator_rank(guesser, payload_id)
+        if accumulator is not None:
+            accumulator.add(scores, source)
+            if linker is not None:
+                linker.observe(source, scores)
+        message_counts.append(float(outcome.messages))
+        reaches.append(outcome.delivered_fraction)
+        return adversary.after_broadcast(
+            payload_id, source, scores, graph, protected
+        )
+
     effective_engines: List[str] = []
+    # This function owns session lifetime: each session is closed and let
+    # go of before the next one is built, so it is freed by reference count
+    # and at most one is alive at a time.
+    session = None
     with recording(recorder):
-        # One session and one botnet (protected from every source) for a
-        # shared-session protocol; a fresh session, seed and botnet per
-        # broadcast otherwise.
-        if shared:
-            protected = set(sources)
-            session, monitored = open_session(
-                seed, protected, protocol=proto.name
-            )
-        with tel.span("run", broadcasts=len(sources)):
-            for index, source in enumerate(sources):
-                if shared:
-                    payload_id = f"tx-{seed}-{index}"
-                else:
-                    run_seed = seed * 1000 + index
-                    protected = {source}
-                    session, monitored = open_session(
-                        run_seed, protected, broadcast=index
-                    )
-                    payload_id = f"tx-{run_seed}"
-                outcome = proto.broadcast(session, source, payload_id)
-                effective_engines.append(session.simulator.engine_effective)
-                guesser = estimator_factory(session.simulator, monitored)
-                outcomes.append((source, guesser.guess(payload_id)))
-                scores: Scores = {}
-                if wants_scores:
-                    scores = estimator_rank(guesser, payload_id)
-                if accumulator is not None:
-                    accumulator.add(scores, source)
-                    if linker is not None:
-                        linker.observe(source, scores)
-                updated = adversary.after_broadcast(
-                    payload_id, source, scores, graph, protected
+        try:
+            # One session and one botnet (protected from every source) for
+            # a shared-session protocol; a fresh session, seed and botnet
+            # per broadcast otherwise.
+            if shared:
+                protected = set(sources)
+                session, monitored = open_session(
+                    seed, protected, protocol=proto.name
                 )
-                if updated is not None:
-                    monitored = updated
-                message_counts.append(float(outcome.messages))
-                reaches.append(outcome.delivered_fraction)
+            with tel.span("run", broadcasts=len(sources)):
+                for index, source in enumerate(sources):
+                    if shared:
+                        payload_id = f"tx-{seed}-{index}"
+                    else:
+                        run_seed = seed * 1000 + index
+                        protected = {source}
+                        session, monitored = open_session(
+                            run_seed, protected, broadcast=index
+                        )
+                        payload_id = f"tx-{run_seed}"
+                    updated = attack(
+                        session, monitored, source, payload_id, protected
+                    )
+                    if updated is not None:
+                        monitored = updated
+                    if not shared:
+                        session.simulator.close()
+                        session = None
+        finally:
+            if session is not None:
+                session.simulator.close()
+                session = None
 
         privacy_report: Optional[PrivacyReport] = None
         if accumulator is not None:

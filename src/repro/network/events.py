@@ -123,6 +123,15 @@ class EventQueue:
     def __len__(self) -> int:
         return self._live
 
+    def clear(self) -> None:
+        """Discard everything queued; outstanding handles become inert."""
+        for entry in self._heap:
+            item = entry[2]
+            if item.__class__ is Event:
+                item._queue = None
+        self._heap.clear()
+        self._live = 0
+
     def __bool__(self) -> bool:
         return self._live > 0
 

@@ -36,6 +36,11 @@ class Node:
         """Called by the simulator when the node is registered."""
         self._simulator = simulator
 
+    def detach(self) -> None:
+        """Called by :meth:`Simulator.close`: protocol state stays, the
+        back-reference goes."""
+        self._simulator = None
+
     @property
     def simulator(self) -> "Simulator":
         if self._simulator is None:

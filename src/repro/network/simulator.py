@@ -62,6 +62,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NoReturn,
     Optional,
     Tuple,
 )
@@ -217,6 +218,36 @@ class Simulator:
         if shards is not None and shards < 1:
             raise ValueError("shards must be at least 1 when given")
         self._shards = shards
+        self._closed = False
+
+    def close(self) -> None:
+        """End the session: nothing can be sent, scheduled or run any more.
+
+        A live simulator is one big reference cycle (every node points back
+        at it, so does a cohort kernel, and queued timers close over
+        either), which only the cycle collector can free.  Closing cuts
+        those back-references and discards what is still queued, so
+        dropping the last reference afterwards frees the whole session —
+        nodes, store, log — by reference count.  Whoever built the session
+        closes it (:func:`~repro.analysis.experiment.run_attack_experiment`
+        does, per session).
+
+        Everything a run left behind stays readable: :attr:`store`,
+        :attr:`metrics`, :meth:`iter_observations`, the node objects and
+        their protocol state, :attr:`engine_effective` and
+        :attr:`fallback_reason`.  Idempotent.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for node in self._nodes.values():
+            node.detach()
+        self._kernel = None
+        self._kernel_resolved = False
+        self._queue.clear()
+
+    def _raise_closed(self, call: str) -> "NoReturn":
+        raise RuntimeError(f"Simulator.{call}: simulator is closed")
 
     @property
     def engine(self) -> str:
@@ -430,6 +461,8 @@ class Simulator:
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to run ``delay`` time units from now."""
+        if self._closed:
+            self._raise_closed("schedule")
         if delay < 0:
             raise ValueError("cannot schedule events in the past")
         return self._queue.push(self._now + delay, action)
@@ -454,6 +487,8 @@ class Simulator:
         ``[0, jitter]`` is added to every delivery.  Direct sends model
         reliable out-of-band channels and bypass both.
         """
+        if self._closed:
+            self._raise_closed("send")
         if receiver not in self._nodes:
             raise ValueError(f"receiver {receiver!r} is not registered")
         if not direct:
@@ -608,6 +643,8 @@ class Simulator:
         one cohort past the cap before stopping; ``until`` semantics are
         identical on every path.
         """
+        if self._closed:
+            self._raise_closed("run")
         telemetry = self._telemetry
         if telemetry is None:
             return self._run_impl(until, max_events)

@@ -430,6 +430,9 @@ class ScenarioRunner:
         which makes it the right shape for per-preset golden pinning.
         """
         session = build_session(spec)
-        source = sorted(session.graph.nodes, key=repr)[0]
-        session.protocol.broadcast(session, source, f"digest-{spec.name}")
-        return observation_log_digest(session.simulator)
+        try:
+            source = sorted(session.graph.nodes, key=repr)[0]
+            session.protocol.broadcast(session, source, f"digest-{spec.name}")
+            return observation_log_digest(session.simulator)
+        finally:
+            session.simulator.close()

@@ -380,3 +380,123 @@ class TestMessage:
         node = Node("x")
         with pytest.raises(NotImplementedError):
             node.on_message(None, Message(kind="a", payload_id="t"))
+
+
+class TestClose:
+    """``Simulator.close()``: the run's record stays, the cycles go."""
+
+    @staticmethod
+    def _flooded(engine, shards=None):
+        from repro.broadcast.flood import FloodNode
+        from repro.network.topology import random_regular_overlay
+
+        sim = Simulator(
+            random_regular_overlay(40, degree=4, seed=1),
+            latency=ConstantLatency(0.1), seed=3, engine=engine,
+            shards=shards,
+        )
+        sim.populate(FloodNode)
+        sim.node(0).originate("tx")
+        sim.run_until_idle()
+        return sim
+
+    def test_close_is_idempotent(self):
+        sim = build_sim()
+        sim.close()
+        sim.close()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.send(0, 1, Message(kind="a", payload_id="t")),
+            lambda sim: sim.schedule(1.0, lambda: None),
+            lambda sim: sim.run(),
+            lambda sim: sim.run_until_idle(),
+        ],
+        ids=["send", "schedule", "run", "run_until_idle"],
+    )
+    def test_closed_simulator_refuses_work_by_name(self, call, request):
+        sim = build_sim()
+        sim.close()
+        name = request.node.callspec.id.replace("run_until_idle", "run")
+        with pytest.raises(
+            RuntimeError, match=rf"Simulator\.{name}: simulator is closed"
+        ):
+            call(sim)
+
+    def test_detached_node_raises_runtime_error_not_attribute_error(self):
+        sim = build_sim()
+        node = sim.node(0)
+        sim.close()
+        for act in (
+            lambda: node.send(1, Message(kind="a", payload_id="t")),
+            lambda: node.send_direct(1, Message(kind="a", payload_id="t")),
+            lambda: node.schedule(1.0, lambda: None),
+            lambda: node.neighbours,
+        ):
+            with pytest.raises(RuntimeError, match="not attached"):
+                act()
+
+    @pytest.mark.parametrize(
+        "engine,shards", [("event", None), ("batched", None), ("sharded", 2)]
+    )
+    def test_everything_a_run_left_behind_stays_readable(self, engine, shards):
+        from repro.scenarios.runner import observation_log_digest
+
+        sim = self._flooded(engine, shards)
+        before = {
+            "effective": sim.engine_effective,
+            "reason": sim.fallback_reason,
+            "len": len(sim.store),
+            "kinds": sim.store.kind_counts(),
+            "reach": sim.metrics.reach("tx"),
+            "messages": sim.metrics.message_count(payload_id="tx"),
+            "completion": sim.metrics.completion_time("tx"),
+        }
+        assert before["effective"] == engine
+        # Closed *before* the first reader: the lazy materialisation of a
+        # kernel-written log must not need anything close() cut.
+        sim.close()
+        assert {
+            "effective": sim.engine_effective,
+            "reason": sim.fallback_reason,
+            "len": len(sim.store),
+            "kinds": sim.store.kind_counts(),
+            "reach": sim.metrics.reach("tx"),
+            "messages": sim.metrics.message_count(payload_id="tx"),
+            "completion": sim.metrics.completion_time("tx"),
+        } == before
+        assert sum(1 for _ in sim.iter_observations()) == before["len"]
+        assert observation_log_digest(sim) == observation_log_digest(
+            self._flooded("event")
+        )
+        assert sim.node(0).has_seen("tx")
+        assert sim.delivered_fraction("tx") == 1.0
+
+    def test_close_discards_pending_work_and_defuses_handles(self):
+        sim = build_sim()
+        handle = sim.schedule(5.0, lambda: None)
+        sim.node(0).send(1, Message(kind="a", payload_id="t"))
+        assert sim.pending_events == 2
+        sim.close()
+        assert sim.pending_events == 0
+        handle.cancel()
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("engine", ["event", "batched"])
+    def test_closed_simulator_is_freed_by_reference_count(self, engine):
+        import gc
+        import weakref
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = self._flooded(engine)
+            node = weakref.ref(sim.node(5))
+            ref = weakref.ref(sim)
+            sim.close()
+            del sim
+            assert ref() is None and node() is None
+        finally:
+            if was_enabled:
+                gc.enable()
