@@ -22,6 +22,7 @@ identical with privacy on or off.
 
 from __future__ import annotations
 
+import gc
 import logging
 import random
 from dataclasses import dataclass, field
@@ -155,6 +156,12 @@ def _pick_sources(
     return [rng.choice(nodes) for _ in range(count)]
 
 
+def _collections() -> Tuple[int, int]:
+    """Cycle-collector passes so far in this process: (all, full)."""
+    passes = [generation["collections"] for generation in gc.get_stats()]
+    return sum(passes), passes[-1]
+
+
 def run_attack_experiment(
     graph: nx.Graph,
     protocol: Union[str, BroadcastProtocol],
@@ -284,6 +291,11 @@ def run_attack_experiment(
         telemetry if telemetry is not None and telemetry.enabled else None
     )
     tel = recorder if recorder is not None else NULL_RECORDER
+    # Collector activity is read at the experiment boundary: inside
+    # ``Simulator.run`` the collector is paused, so a delta taken there is
+    # zero by construction.
+    if recorder is not None:
+        passes_before, full_before = _collections()
     logger.debug(
         "running attack experiment: protocol=%s broadcasts=%d engine=%s",
         proto.name,
@@ -388,6 +400,10 @@ def run_attack_experiment(
             effective.pop() if len(effective) == 1
             else ("mixed" if effective else engine)
         )
+        if recorder is not None:
+            passes, full_passes = _collections()
+            recorder.incr("gc_collections", passes - passes_before)
+            recorder.incr("gc_gen2_collections", full_passes - full_before)
         with tel.span("metrics"):
             return ExperimentResult(
                 protocol=proto.name,

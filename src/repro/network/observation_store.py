@@ -52,6 +52,7 @@ from typing import (
     Tuple,
 )
 
+from repro.network.collector import collector_paused
 from repro.network.message import Observation
 
 FirstObservationHook = Callable[[Observation], None]
@@ -207,6 +208,13 @@ class ObservationStore:
 
     def _sync(self) -> None:
         """The lazy step: materialise pending batches, index new entries."""
+        if self._pending or self._indexed < len(self._log):
+            self._materialise()
+
+    @collector_paused()
+    def _materialise(self) -> None:
+        # One observation, one index slot per delivery, all of it kept:
+        # nothing here is garbage, so the collector sits this out.
         log = self._log
         by_pair = self._by_pair
         by_receiver = self._by_receiver

@@ -69,6 +69,7 @@ from typing import (
 
 import networkx as nx
 
+from repro.network.collector import collector_paused
 from repro.network.conditions import NetworkConditions
 from repro.network.events import Event, EventQueue
 from repro.network.latency import ConstantLatency, LatencyModel
@@ -674,12 +675,20 @@ class Simulator:
         telemetry.sample_rss()
         return end
 
+    @collector_paused()
     def _run_impl(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Path dispatch + the per-message event loop (see :meth:`run`)."""
+        """Path dispatch + the per-message event loop (see :meth:`run`).
+
+        Runs with the cycle collector paused on every path: a run allocates
+        one heap entry and one observation per delivery, none of them
+        garbage until the session goes.  On the sharded path the workers are
+        forked in here, so they inherit the pause and never write to the
+        pages they share with the parent.
+        """
         self._start_nodes()
         path, reason, split = self._choose_path(until)
         self._engine_effective = path

@@ -14,9 +14,11 @@ The load-bearing claims of ``docs/OBSERVABILITY.md``, pinned per engine:
   engine that actually ran.
 """
 
+import gc
 import json
 from pathlib import Path
 
+from repro.analysis.experiment import run_attack_experiment
 from repro.broadcast.flood import FloodNode
 from repro.broadcast.gossip import run_gossip
 from repro.network.latency import ConstantLatency
@@ -24,7 +26,12 @@ from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
 from repro.scenarios import ScenarioRunner, scenario
 from repro.scenarios.runner import build_session, observation_log_digest
-from repro.telemetry import TelemetryRecorder, recording, validate
+from repro.telemetry import (
+    TelemetryRecorder,
+    aggregate_telemetry,
+    recording,
+    validate,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent / "telemetry.schema.json").read_text()
@@ -134,8 +141,6 @@ class TestSpans:
         assert names == ["simulator_run", "simulator_run"]
         assert recorder.counters["events_dispatched"] == len(sim.store)
         # Both spans closed; the document validates as one repetition.
-        from repro.telemetry import aggregate_telemetry
-
         assert validate(
             aggregate_telemetry([recorder.to_dict()]), SCHEMA
         ) == []
@@ -173,3 +178,62 @@ class TestFallbackSurface:
             {"spec": result.spec.to_dict(), "seeds": result.seeds,
              "runs": result.runs},
         )
+
+
+class TestCollectorCounters:
+    """``gc_collections`` / ``gc_gen2_collections``: collector passes over
+    one experiment, read at its boundary (zero-valued counters are omitted,
+    like every other counter)."""
+
+    @staticmethod
+    def _passes():
+        stats = gc.get_stats()
+        return sum(s["collections"] for s in stats), stats[2]["collections"]
+
+    def _experiment(self, recorder, session_hook=None):
+        return run_attack_experiment(
+            random_regular_overlay(80, degree=4, seed=3), "flood", 0.2,
+            broadcasts=2, seed=4, telemetry=recorder,
+            session_hook=session_hook,
+        )
+
+    def test_counts_the_passes_of_this_experiment(self):
+        recorder = TelemetryRecorder()
+        was_enabled = gc.isenabled()
+        gc.enable()
+        try:
+            before = self._passes()
+            # A full pass per session build makes the expected floor exact.
+            self._experiment(recorder, session_hook=lambda s: gc.collect())
+            after = self._passes()
+        finally:
+            if not was_enabled:
+                gc.disable()
+        counters = recorder.counters
+        assert 2 <= counters["gc_gen2_collections"] <= after[1] - before[1]
+        assert (
+            counters["gc_gen2_collections"]
+            <= counters["gc_collections"]
+            <= after[0] - before[0]
+        )
+        assert validate(
+            aggregate_telemetry([recorder.to_dict()]), SCHEMA
+        ) == []
+
+    def test_a_disabled_collector_counts_nothing(self):
+        recorder = TelemetryRecorder()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._experiment(recorder)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert "gc_collections" not in recorder.counters
+        assert "gc_gen2_collections" not in recorder.counters
+        assert recorder.counters["events_dispatched"] > 0
+
+    def test_results_identical_with_the_counters_on(self):
+        plain = self._experiment(None)
+        recorded = self._experiment(TelemetryRecorder())
+        assert recorded == plain
