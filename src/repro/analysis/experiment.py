@@ -379,7 +379,6 @@ def run_attack_experiment(
         finally:
             if session is not None:
                 session.simulator.close()
-                session = None
 
         privacy_report: Optional[PrivacyReport] = None
         if accumulator is not None:

@@ -7,9 +7,10 @@ store materialises its pending batches.  The generational collector counts
 allocations, so it fires again and again inside exactly those stretches and
 each pass walks a heap that holds nothing collectable yet.
 :func:`collector_paused` suspends it for such a stretch and for nothing
-else: sessions are freed by reference count
-(:meth:`~repro.network.simulator.Simulator.close`), so there is no process
--wide ``gc.disable()``, no ``gc.freeze()`` and no threshold change anywhere.
+else.  Sessions are freed by reference count
+(:meth:`~repro.network.simulator.Simulator.close`), so nothing here or
+elsewhere disables the collector for the whole process, freezes the heap or
+edits a threshold.
 """
 
 from __future__ import annotations

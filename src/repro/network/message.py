@@ -61,8 +61,6 @@ class Message:
             and self.size_bytes == other.size_bytes
         )
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return (
             f"Message(kind={self.kind!r}, payload_id={self.payload_id!r}, "

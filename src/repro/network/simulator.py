@@ -244,7 +244,6 @@ class Simulator:
         for node in self._nodes.values():
             node.detach()
         self._kernel = None
-        self._kernel_resolved = False
         self._queue.clear()
 
     def _raise_closed(self, call: str) -> "NoReturn":

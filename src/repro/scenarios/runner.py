@@ -25,6 +25,7 @@ import hashlib
 import json
 import logging
 import random
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -430,9 +431,7 @@ class ScenarioRunner:
         which makes it the right shape for per-preset golden pinning.
         """
         session = build_session(spec)
-        try:
+        with closing(session.simulator):
             source = sorted(session.graph.nodes, key=repr)[0]
             session.protocol.broadcast(session, source, f"digest-{spec.name}")
             return observation_log_digest(session.simulator)
-        finally:
-            session.simulator.close()

@@ -406,19 +406,18 @@ class TestClose:
         sim.close()
 
     @pytest.mark.parametrize(
-        "call",
+        "name,call",
         [
-            lambda sim: sim.send(0, 1, Message(kind="a", payload_id="t")),
-            lambda sim: sim.schedule(1.0, lambda: None),
-            lambda sim: sim.run(),
-            lambda sim: sim.run_until_idle(),
+            ("send", lambda sim: sim.send(0, 1, Message("a", "t"))),
+            ("schedule", lambda sim: sim.schedule(1.0, lambda: None)),
+            ("run", lambda sim: sim.run()),
+            ("run", lambda sim: sim.run_until_idle()),
         ],
         ids=["send", "schedule", "run", "run_until_idle"],
     )
-    def test_closed_simulator_refuses_work_by_name(self, call, request):
+    def test_closed_simulator_refuses_work_by_name(self, name, call):
         sim = build_sim()
         sim.close()
-        name = request.node.callspec.id.replace("run_until_idle", "run")
         with pytest.raises(
             RuntimeError, match=rf"Simulator\.{name}: simulator is closed"
         ):
