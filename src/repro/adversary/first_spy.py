@@ -43,6 +43,22 @@ class FirstSpyEstimator:
     ) -> None:
         self.view = AdversaryView(simulator, observers)
         self.kinds = kinds
+        self._store = simulator.store
+        self._relayers: Dict[Hashable, Tuple[int, Dict[Hashable, float]]] = {}
+
+    def _first_relayers(self, payload_id: Hashable) -> Dict[Hashable, float]:
+        """The payload's relay table, shared by :meth:`guess` and :meth:`rank`.
+
+        Keyed by the payload's delivery count, so traffic arriving after
+        the table was built rebuilds it: the view is live.
+        """
+        traffic = self._store.count_for(payload_id, self.kinds)
+        cached = self._relayers.get(payload_id)
+        if cached is None or cached[0] != traffic:
+            cached = self._relayers[payload_id] = (
+                traffic, self.view.first_relayers(payload_id, self.kinds)
+            )
+        return cached[1]
 
     def guess(self, payload_id: Hashable) -> Optional[Hashable]:
         """The adversary's single best guess for the originator.
@@ -57,7 +73,7 @@ class FirstSpyEstimator:
         first-seen lookup so the historical detection numbers are
         reproduced instruction for instruction.
         """
-        candidates = self.view.first_relayers(payload_id, self.kinds)
+        candidates = self._first_relayers(payload_id)
         if not candidates:
             return None
         return min(candidates.items(), key=lambda item: (item[1], repr(item[0])))[0]
@@ -75,7 +91,7 @@ class FirstSpyEstimator:
 
         Returns an empty surface when no spy observed the payload.
         """
-        candidates = self.view.first_relayers(payload_id, self.kinds)
+        candidates = self._first_relayers(payload_id)
         if not candidates:
             return {}
         times = sorted(candidates.values())

@@ -77,13 +77,7 @@ class AdversaryView:
         """Earliest time each non-observer node was seen relaying the payload.
 
         This is the statistic the Biryukov-style attack aggregates: the first
-        non-adversarial peer to forward a transaction to any spy node.
+        non-adversarial peer to forward a transaction to any spy node (the
+        store's column query, :meth:`ObservationStore.first_relay_times`).
         """
-        first_seen: Dict[Hashable, float] = {}
-        for obs in self.observations_of(payload_id, kinds):
-            sender = obs.sender
-            if sender is None or sender in self.observers:
-                continue
-            if sender not in first_seen or obs.time < first_seen[sender]:
-                first_seen[sender] = obs.time
-        return first_seen
+        return self._store.first_relay_times(self.observers, payload_id, kinds)

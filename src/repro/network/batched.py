@@ -158,6 +158,22 @@ class DeliveryBlock:
         self.size = len(receivers)
 
 
+def csr_row_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``indices`` positions of the given CSR rows, row after row, plus
+    each row's degree and running end offset (what ``np.repeat`` needs to
+    line per-row values up with the positions)."""
+    starts = indptr[rows]
+    degrees = indptr[rows + 1] - starts
+    ends = np.cumsum(degrees)
+    # Each row's start, shifted so that adding one global ramp walks the row.
+    flat = np.repeat(starts - (ends - degrees), degrees) + np.arange(
+        int(degrees.sum())
+    )
+    return flat, degrees, ends
+
+
 def exclude_sender_fanout(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -175,14 +191,7 @@ def exclude_sender_fanout(
     number surviving per forwarder, so any per-forwarder value lines up
     with the targets through ``np.repeat(values, counts)``.
     """
-    starts = indptr[forwarders]
-    degrees = indptr[forwarders + 1] - starts
-    ends = np.cumsum(degrees)
-    # Flat CSR positions of every (forwarder, neighbour) pair: each row's
-    # start, shifted so that adding one global ramp walks the row.
-    flat = np.repeat(starts - (ends - degrees), degrees) + np.arange(
-        int(degrees.sum())
-    )
+    flat, degrees, ends = csr_row_positions(indptr, forwarders)
     targets = indices[flat]
     keep = targets != np.repeat(excludes, degrees)
     if online is not None:

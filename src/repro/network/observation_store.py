@@ -27,7 +27,9 @@ time a reader needs log entries.  The store maintains
 * a per-``(payload_id, kind)`` and a per-receiver position index (the
   honest-but-curious adversary view), both built by the lazy step — first
   observations per receiver and whole-payload views are derived from them
-  on demand; and
+  on demand;
+* one column query, :meth:`~ObservationStore.first_relay_times` (the timing
+  adversary's), answered from pending batches without the lazy step; and
 * one-shot *first observation* hooks so orchestration code can react to the
   first message of a ``(payload, kind)`` pair without polling the log.
 
@@ -94,6 +96,7 @@ class ObservationStore:
         "_by_pair",
         "_by_receiver",
         "_first_hooks",
+        "telemetry",
     )
 
     def __init__(self) -> None:
@@ -117,6 +120,8 @@ class ObservationStore:
         self._first_hooks: Dict[
             Tuple[Hashable, str], List[FirstObservationHook]
         ] = {}
+        #: The owning simulator's enabled recorder, if any.
+        self.telemetry = None
 
     # ------------------------------------------------------------------
     # Writing
@@ -207,14 +212,17 @@ class ObservationStore:
                 hook(self._log[position])
 
     def _sync(self) -> None:
-        """The lazy step: materialise pending batches, index new entries."""
-        if self._pending or self._indexed < len(self._log):
+        """The lazy step: index new entries, materialise pending batches."""
+        if self._indexed < len(self._log):
+            self._index()
+        if self._pending:
             self._materialise()
 
     @collector_paused()
-    def _materialise(self) -> None:
-        # One observation, one index slot per delivery, all of it kept:
-        # nothing here is garbage, so the collector sits this out.
+    def _index(self) -> None:
+        """Index per-event records; builds no :class:`Observation`."""
+        # Like ``_materialise``, allocates per delivery and keeps all of it:
+        # nothing is garbage, so the collector sits both out.
         log = self._log
         by_pair = self._by_pair
         by_receiver = self._by_receiver
@@ -223,6 +231,13 @@ class ObservationStore:
             message = observation.message
             by_pair[(message.payload_id, message.kind)].append(position)
             by_receiver[observation.receiver].append(position)
+        self._indexed = len(log)
+
+    @collector_paused()
+    def _materialise(self) -> None:
+        log = self._log
+        by_pair = self._by_pair
+        by_receiver = self._by_receiver
         pending, self._pending = self._pending, []
         for time, ids, receivers, senders, messages, payload_id, kind, direct in pending:
             start = len(log)
@@ -233,6 +248,9 @@ class ObservationStore:
             by_pair[(payload_id, kind)].extend(range(start, len(log)))
             for position, receiver in enumerate(receivers, start):
                 by_receiver[receiver].append(position)
+        if self.telemetry is not None:
+            rows = len(log) - self._indexed
+            self.telemetry.incr("observations_materialised", rows)
         self._indexed = len(log)
 
     @property
@@ -392,24 +410,82 @@ class ObservationStore:
         never by the full log.
         """
         self._sync()
+        return list(self._logged_for(set(receivers), payload_id, kinds))
+
+    def _logged_for(
+        self,
+        receiver_set: set,
+        payload_id: Optional[Hashable],
+        kinds: Optional[Tuple[str, ...]],
+    ) -> Iterator[Observation]:
+        """:meth:`for_receivers` over the indexed log entries alone."""
         log = self._log
         by_receiver = self._by_receiver
-        receiver_set = set(receivers)
         receiver_lists = [
             by_receiver[r] for r in receiver_set if r in by_receiver
         ]
         if sum(map(len, receiver_lists)) <= self.count_for(payload_id, kinds):
-            return [
+            return (
                 obs
                 for obs in (log[i] for i in _merged(receiver_lists))
                 if (payload_id is None or obs.message.payload_id == payload_id)
                 and (kinds is None or obs.message.kind in kinds)
-            ]
-        return [
+            )
+        return (
             obs
             for obs in (log[i] for i in self._positions(payload_id, kinds))
             if obs.receiver in receiver_set
-        ]
+        )
+
+    def first_relay_times(
+        self,
+        receivers: Iterable[Hashable],
+        payload_id: Hashable,
+        kinds: Optional[Iterable[str]] = None,
+    ) -> Dict[Hashable, float]:
+        """Earliest delivery per outside sender into any of ``receivers``.
+
+        The timing adversary's statistic: for every node not in
+        ``receivers`` that relayed the payload to one of them, the time of
+        its earliest such delivery.  Keys come in order of first appearance
+        in the log — part of the contract, because the privacy metrics sum
+        floats in posterior order.  Per-event records are walked through
+        the position indexes (the smaller side, as in
+        :meth:`for_receivers`); pending batches are answered from their
+        arrays, so a kernel-written log is never turned into objects.
+        """
+        receiver_set = set(receivers)
+        kinds = None if kinds is None else tuple(kinds)
+        if self._indexed < len(self._log):
+            self._index()
+        first_seen: Dict[Hashable, float] = {}
+
+        def note(sender: Hashable, time: float) -> None:
+            if sender not in first_seen or time < first_seen[sender]:
+                first_seen[sender] = time
+
+        for obs in self._logged_for(receiver_set, payload_id, kinds):
+            if obs.sender is not None and obs.sender not in receiver_set:
+                note(obs.sender, obs.time)
+        if self._pending:
+            import numpy as np  # loaded already: only kernels write batches
+        masked = mask = None
+        for time, ids, to, senders, _, payload, kind, _ in self._pending:
+            if payload != payload_id or not (kinds is None or kind in kinds):
+                continue
+            if ids is not masked:
+                masked = ids
+                mask = np.fromiter(
+                    (node in receiver_set for node in ids.tolist()),
+                    dtype=bool, count=len(ids),
+                )
+            relays = np.asarray(senders)[mask[to]]
+            relays = relays[~mask[relays]]
+            # First occurrences, back in delivery order.
+            unique, first = np.unique(relays, return_index=True)
+            for sender in ids[unique[np.argsort(first)]].tolist():
+                note(sender, time)
+        return first_seen
 
     def first_observations(
         self,

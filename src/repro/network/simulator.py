@@ -197,6 +197,7 @@ class Simulator:
                 self._queue.enable_depth_tracking()
         else:
             self._telemetry = None
+        self.store.telemetry = self._telemetry
         self._engine_effective = engine
         self._fallback_reason: Optional[str] = None
         self._last_executed = 0
@@ -579,6 +580,8 @@ class Simulator:
             or "fork" not in multiprocessing.get_all_start_methods()
         ):
             return "batched", "no fork start method on this platform", None
+        if multiprocessing.current_process().daemon:
+            return "batched", "daemonic process cannot fork shard workers", None
         if until is not None:
             return "batched", "bounded run (until set)", None
         if self._loss_probability > 0.0:

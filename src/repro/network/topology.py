@@ -12,8 +12,7 @@ partitioned graph).
 from __future__ import annotations
 
 import random
-from collections import deque
-from typing import Hashable, List, Optional
+from typing import Optional
 
 import networkx as nx
 
@@ -204,87 +203,3 @@ def bitcoin_like_overlay(
         for peer in rng.sample(reachable_nodes, outgoing):
             graph.add_edge(node, peer)
     return _require_connected(graph, "bitcoin_like_overlay")
-
-
-def bfs_partition(graph: nx.Graph, parts: int) -> List[List[Hashable]]:
-    """Split an overlay into ``parts`` balanced, BFS-contiguous node blocks.
-
-    The sharded delivery engine (:mod:`repro.network.sharded`) assigns each
-    block to one worker process; a good partition keeps most overlay edges
-    *inside* a block so most deliveries never cross a process boundary.
-    This is the METIS-lite take on that goal: walk the graph breadth-first
-    from the ``repr``-smallest node (neighbours visited in ``repr`` order,
-    matching the simulator's deterministic orderings) and chop the visit
-    sequence into ``parts`` contiguous chunks of near-equal size.  BFS
-    order keeps neighbourhoods together, so each chunk is one "region" of
-    the overlay rather than a random node sample.
-
-    Deterministic: the same graph always yields the same partition.
-    Disconnected graphs (none of the generators here produce one) are
-    handled by restarting the walk from the next unvisited node.
-
-    Args:
-        graph: the overlay to split.
-        parts: number of blocks; must be in ``[1, number_of_nodes]``.
-
-    Returns:
-        A list of ``parts`` node lists.  Every node appears in exactly one
-        block; block sizes differ by at most one (the remainder goes to the
-        leading blocks).
-    """
-    order = bfs_order(graph)
-    count = len(order)
-    if not 1 <= parts <= count:
-        raise ValueError(
-            f"parts must be between 1 and the node count ({count}), "
-            f"got {parts}"
-        )
-    base, remainder = divmod(count, parts)
-    blocks: List[List[Hashable]] = []
-    start = 0
-    for index in range(parts):
-        size = base + (1 if index < remainder else 0)
-        blocks.append(order[start:start + size])
-        start += size
-    return blocks
-
-
-def bfs_order(graph: nx.Graph) -> List[Hashable]:
-    """Deterministic breadth-first visit order of every node in ``graph``.
-
-    Starts from the ``repr``-smallest node, visits neighbours in ``repr``
-    order, and restarts from the next unvisited node (again in ``repr``
-    order) if the graph is disconnected.  :func:`bfs_partition` chunks this
-    sequence; it is exposed separately so tests and other layouts can reuse
-    the exact walk.
-    """
-    if graph.number_of_nodes() == 0:
-        return []
-    # One repr-sort up front, then pure integer BFS over index adjacency —
-    # sorting each node's neighbour tuple on demand would pay the key
-    # function per edge instead of per node.
-    nodes = sorted(graph.nodes, key=repr)
-    index_of = {node: index for index, node in enumerate(nodes)}
-    adjacency: List[List[int]] = [[] for _ in nodes]
-    for a, b in graph.edges:
-        ia, ib = index_of[a], index_of[b]
-        adjacency[ia].append(ib)
-        adjacency[ib].append(ia)
-    for neighbours in adjacency:
-        neighbours.sort()
-    visited = bytearray(len(nodes))
-    order: List[Hashable] = []
-    queue: deque = deque()
-    for root in range(len(nodes)):
-        if visited[root]:
-            continue
-        visited[root] = 1
-        queue.append(root)
-        while queue:
-            current = queue.popleft()
-            order.append(nodes[current])
-            for neighbour in adjacency[current]:
-                if not visited[neighbour]:
-                    visited[neighbour] = 1
-                    queue.append(neighbour)
-    return order

@@ -22,7 +22,8 @@ Conventions, chosen so every metric is defined for every broadcast:
   into this metric.
 * **Top-k success** is deterministic: the true sender must hold one of the
   first ``k`` places of the canonical order (score, then ``repr``) with
-  positive probability.  It is monotone in ``k`` by construction.
+  positive probability — fewer than ``k`` candidates score higher or tie
+  with a smaller ``repr``.  It is monotone in ``k`` by construction.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.privacy.anonymity import DEFAULT_THRESHOLD, anonymity_set_size
-from repro.privacy.posterior import Scores, canonical_order, normalize
+from repro.privacy.posterior import Scores, normalize
 
 #: The default top-k ladder reported by experiments.
 DEFAULT_TOP_K = (1, 3, 5)
@@ -138,10 +139,12 @@ def broadcast_privacy(
         higher = sum(1 for p in posterior.values() if p > truth_p)
         ties = sum(1 for p in posterior.values() if p == truth_p)
         expected_rank = higher + (ties + 1) / 2
-        position = next(
-            index
-            for index, (node, _) in enumerate(canonical_order(posterior))
-            if node == true_source
+        # Its place in the canonical order, counted rather than sorted for.
+        truth_repr = repr(true_source)
+        position = higher + sum(
+            1
+            for node, p in posterior.items()
+            if p == truth_p and repr(node) < truth_repr
         )
         top_hits = tuple(position < k for k in top_k)
 

@@ -15,11 +15,18 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.adversary.first_spy import FirstSpyEstimator
+from repro.network.conditions import NetworkConditions
+from repro.network.latency import ConstantLatency
 from repro.network.message import Message, Observation
 from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
 from repro.network.simulator import Simulator
+from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
 
 KINDS = ("flood", "ad_payload", "ad_token", "dc_share")
 PAYLOADS = ("tx-0", "tx-1", "tx-2", "tx-3", "tx-4")
@@ -252,6 +259,152 @@ class TestQueryEquivalence:
                     assert store.for_receivers(receivers, payload_id, kinds) == (
                         naive_for_receivers(log, receivers, payload_id, kinds)
                     ), (receivers, payload_id, kinds)
+
+
+# ----------------------------------------------------------------------
+# The column query: first relay time per outside sender
+# ----------------------------------------------------------------------
+def first_relayers_by_loop(store, observers, payload_id, kinds=None):
+    """The loop ``AdversaryView.first_relayers`` ran over ``Observation``s."""
+    first_seen = {}
+    for obs in store.for_receivers(observers, payload_id, kinds):
+        sender = obs.sender
+        if sender is None or sender in observers:
+            continue
+        if sender not in first_seen or obs.time < first_seen[sender]:
+            first_seen[sender] = obs.time
+    return first_seen
+
+
+#: Mixed ``int``/``str`` ids; a batch addresses them by position.  Few ids
+#: and mostly-batched runs, so that several outside senders reaching an
+#: observer inside one pending batch — where key order is at stake — is
+#: the common case rather than a one-in-a-thousand draw.
+RELAY_IDS = np.empty(5, dtype=object)
+RELAY_IDS[:] = [0, "a", 1, "b", 2]
+_slots = st.integers(min_value=0, max_value=len(RELAY_IDS) - 1)
+_relay_runs = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.25, 1.0]),  # time step: equal times too
+        st.sampled_from(PAYLOADS[:2]),
+        st.sampled_from(KINDS[:2]),
+        st.sampled_from([True, True, True, False]),  # through record_batch?
+        st.lists(
+            st.tuples(_slots, st.one_of(_slots, _slots, _slots, st.none())),
+            min_size=1, max_size=8,
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestFirstRelayTimes:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=_relay_runs,
+        # Observers send too, and one ("ghost") is in no batch's id table.
+        observers=st.sets(st.sampled_from([0, "a", 1, "ghost"])),
+        kinds=st.one_of(
+            st.none(), st.lists(st.sampled_from(KINDS[:3]), max_size=3)
+        ),
+    )
+    def test_equals_the_loop_over_objects_key_order_included(
+        self, runs, observers, kinds
+    ):
+        store = ObservationStore()
+        time = 0.0
+        for step, payload_id, kind, batched, pairs in runs:
+            time += step
+            message = Message(kind=kind, payload_id=payload_id)
+            if batched:
+                # A batch has no ``None`` sender: fall back to the slot.
+                store.record_batch(
+                    time, RELAY_IDS,
+                    np.array([to for to, _ in pairs]),
+                    np.array([to if by is None else by for to, by in pairs]),
+                    [message] * len(pairs), payload_id, kind,
+                    message.size_bytes * len(pairs),
+                )
+            else:
+                for to, by in pairs:
+                    sender = None if by is None else RELAY_IDS[by]
+                    store.record(
+                        Observation(time, RELAY_IDS[to], sender, message)
+                    )
+        pending = len(store._pending)
+        got = [
+            store.first_relay_times(
+                observers, payload_id, None if kinds is None else iter(kinds)
+            )
+            for payload_id in PAYLOADS[:2]
+        ]
+        assert len(store._pending) == pending  # nothing was materialised
+        for payload_id, table in zip(PAYLOADS[:2], got):
+            want = first_relayers_by_loop(
+                store, observers, payload_id,
+                None if kinds is None else tuple(kinds),
+            )
+            assert list(table.items()) == list(want.items())
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_on_the_random_traffic_of_this_module(self, writer):
+        log = random_log(seed=5)
+        store = store_from(log, writer)
+        for observers in ([], [0], [3, 4, 5, 9], NODES):
+            for kinds in KIND_FILTERS:
+                got = store.first_relay_times(observers, "tx-1", kinds)
+                want = first_relayers_by_loop(
+                    store_from(log), set(observers), "tx-1", kinds
+                )
+                assert list(got.items()) == list(want.items())
+
+    def test_cost_is_the_smaller_index_side_not_the_log(self):
+        log = random_log(seed=8, length=2000)
+        store = store_from(log)
+        store.first_relay_times([0], "tx-0")  # indexes the log, once
+        touched = store._log = CountingLog(store._log)
+        for payload_id in PAYLOADS:
+            for observers in ([0], NODES):
+                touched.count = 0
+                store.first_relay_times(observers, payload_id)
+                assert touched.count == min(
+                    len(naive_for_receivers(log, observers)),
+                    len(naive_of_payload(log, payload_id)),
+                )
+
+    def test_a_shared_session_is_read_per_payload_not_per_log(self):
+        # three_phase keeps all broadcasts of an experiment on one store: a
+        # per-payload relay table must cost that payload's traffic (or the
+        # observers', whichever is smaller), or B broadcasts cost O(B * log).
+        graph = random_regular_overlay(60, degree=4, seed=2)
+        protocol = create_protocol("three_phase")
+        session = protocol.build(
+            graph, NetworkConditions(latency=ConstantLatency(0.1)), seed=5
+        )
+        nodes = sorted(graph.nodes)
+        payloads = [f"tx-{index}" for index in range(20)]
+        for index, payload_id in enumerate(payloads):
+            protocol.broadcast(session, nodes[index], payload_id)
+        store = session.simulator.store
+        estimator = FirstSpyEstimator(session.simulator, nodes[40:52])
+        estimator.guess(payloads[0])  # indexes the per-event log, once
+        log = store._log = CountingLog(store._log)
+        for payload_id in payloads[1:]:
+            log.count = 0
+            assert estimator.rank(payload_id)
+            estimator.guess(payload_id)  # shares rank's table
+            assert 0 < log.count <= store.count(payload_id=payload_id)
+        assert not store._pending and len(log) == len(store)
+
+
+class CountingLog(list):
+    """A log that counts the positions readers touch."""
+
+    count = 0
+
+    def __getitem__(self, position):
+        self.count += 1
+        return super().__getitem__(position)
 
 
 class TestFirstObservationHooks:

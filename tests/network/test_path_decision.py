@@ -15,6 +15,8 @@ import multiprocessing
 import re
 from pathlib import Path
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.broadcast.flood import FloodNode
@@ -67,6 +69,13 @@ def _no_fork(sim, monkeypatch):
     )
 
 
+def _daemonic(sim, monkeypatch):
+    # What a ``multiprocessing.Pool`` worker (``ParallelSweep``) sees.
+    monkeypatch.setattr(
+        multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True)
+    )
+
+
 def _not_linux(sim, monkeypatch):
     monkeypatch.setattr(simulator_mod.sys, "platform", "darwin")
 
@@ -84,6 +93,8 @@ CASES = [
      ("batched", "no fork start method on this platform")),
     ("no-fork", dict(engine="sharded"), _no_fork, None,
      ("batched", "no fork start method on this platform")),
+    ("daemonic", dict(engine="sharded"), _daemonic, None,
+     ("batched", "daemonic process cannot fork shard workers")),
     ("until", dict(engine="sharded"), None, 50.0,
      ("batched", "bounded run (until set)")),
     ("loss", dict(engine="sharded", loss_probability=0.1), None, None,

@@ -17,8 +17,9 @@ sharded engine's unit surface:
   hit: simultaneous multi-payload origination with heterogeneous payload
   sizes, sequential broadcasts over one session, static churn
   (failed nodes and severed links), and ``max_events`` stop + resume;
-* :func:`repro.network.topology.bfs_partition` invariants and the
-  partition cache lifecycle on the overlay graph;
+* :func:`repro.network.sharded.bfs_partition` invariants (the CSR walk
+  against a naive deque BFS) and the partition cache lifecycle on the
+  overlay graph;
 * the parent's per-window rank merge into ``record_batch``: counters and
   log contents equal to the event engine's per-delivery ``record`` ones.
 """
@@ -26,7 +27,9 @@ sharded engine's unit surface:
 import hashlib
 import multiprocessing
 import os
+from collections import deque
 
+import networkx as nx
 import pytest
 
 import repro.network.sharded as sharded_mod
@@ -37,15 +40,13 @@ from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.sharded import (
     PARTITION_CACHE_KEY,
+    bfs_order,
+    bfs_partition,
     default_shard_count,
     shard_assignment,
 )
 from repro.network.batched import csr_topology
-from repro.network.topology import (
-    bfs_order,
-    bfs_partition,
-    random_regular_overlay,
-)
+from repro.network.topology import random_regular_overlay
 
 
 def observation_digest(sim: Simulator) -> str:
@@ -327,32 +328,80 @@ class TestFixedEquivalence:
         assert sim.pending_events == 0
 
 
+def naive_bfs_order(graph):
+    """The oracle: a FIFO walk, roots and neighbours in ``repr`` order."""
+    order, seen = [], set()
+    for root in sorted(graph.nodes, key=repr):
+        queue = deque([root] if root not in seen else [])
+        seen.add(root)
+        while queue:
+            order.append(queue.popleft())
+            for peer in sorted(graph.neighbors(order[-1]), key=repr):
+                if peer not in seen:
+                    seen.add(peer)
+                    queue.append(peer)
+    return order
+
+
+def _disconnected_mixed_ids():
+    graph = nx.relabel_nodes(
+        random_regular_overlay(24, degree=3, seed=7),
+        lambda n: f"peer-{n}" if n % 3 == 0 else n,
+    )
+    graph.add_edges_from([("x", "y"), ("y", 99), ("z", 98)])
+    graph.add_node("alone")
+    return graph
+
+
 class TestPartition:
     def test_blocks_cover_every_node_once(self):
-        overlay = random_regular_overlay(50, degree=4, seed=2)
+        topology = csr_topology(random_regular_overlay(50, degree=4, seed=2))
         for parts in (1, 2, 3, 7):
-            blocks = bfs_partition(overlay, parts)
+            blocks = bfs_partition(topology, parts)
             assert len(blocks) == parts
-            nodes = [node for block in blocks for node in block]
-            assert sorted(nodes) == sorted(overlay.nodes)
+            indices = [index for block in blocks for index in block.tolist()]
+            assert sorted(indices) == list(range(50))
             sizes = [len(block) for block in blocks]
             assert max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes, reverse=True)
 
-    def test_blocks_chunk_the_bfs_order(self):
-        overlay = random_regular_overlay(40, degree=4, seed=5)
-        blocks = bfs_partition(overlay, 3)
-        assert [n for block in blocks for n in block] == bfs_order(overlay)
+    @pytest.mark.parametrize(
+        "overlay",
+        [
+            random_regular_overlay(40, degree=4, seed=5),
+            random_regular_overlay(300, degree=8, seed=1),
+            nx.path_graph(9),
+            nx.empty_graph(5),
+            _disconnected_mixed_ids(),
+        ],
+        ids=["regular-40", "regular-300", "path", "edgeless", "disconnected"],
+    )
+    def test_csr_walk_is_the_deque_walk(self, overlay):
+        topology = csr_topology(overlay)
+        order = bfs_order(topology)
+        assert topology.ids_array[order].tolist() == naive_bfs_order(overlay)
+        blocks = bfs_partition(topology, 3)
+        assert [i for block in blocks for i in block.tolist()] == order.tolist()
 
     def test_partition_is_deterministic(self):
         overlay = random_regular_overlay(40, degree=4, seed=5)
-        assert bfs_partition(overlay, 4) == bfs_partition(overlay, 4)
+        first = bfs_partition(csr_topology(overlay), 4)
+        again = bfs_partition(csr_topology(overlay.copy()), 4)
+        assert [b.tolist() for b in first] == [b.tolist() for b in again]
 
     def test_invalid_part_counts_rejected(self):
-        overlay = random_regular_overlay(10, degree=3, seed=1)
+        topology = csr_topology(random_regular_overlay(10, degree=3, seed=1))
         with pytest.raises(ValueError):
-            bfs_partition(overlay, 0)
+            bfs_partition(topology, 0)
         with pytest.raises(ValueError):
-            bfs_partition(overlay, 11)
+            bfs_partition(topology, 11)
+
+    def test_assignment_follows_the_blocks(self):
+        overlay = _disconnected_mixed_ids()
+        topology = csr_topology(overlay)
+        assignment = shard_assignment(overlay, topology, 3)
+        for shard, block in enumerate(bfs_partition(topology, 3)):
+            assert (assignment[block] == shard).all()
 
     def test_default_shard_count_bounds(self):
         assert 2 <= default_shard_count(100_000) <= 8

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.privacy.entropy import min_entropy, shannon_entropy
 from repro.privacy.intersection import combine_posteriors
 from repro.privacy.metrics import PrivacyAccumulator, broadcast_privacy
-from repro.privacy.posterior import argmax, normalize
+from repro.privacy.posterior import argmax, canonical_order, normalize
 
 #: Candidate populations: small enough to stay fast, large enough to bite.
 sizes = st.integers(min_value=1, max_value=64)
@@ -82,6 +82,33 @@ class TestBroadcastPrivacyProperties:
         sample = broadcast_privacy(scores, truth, population, ladder)
         hits = list(sample.top_hits)
         assert hits == sorted(hits)  # False may never follow True
+
+    @given(
+        # Few distinct weights (ties, and zeros that drop out) over mixed
+        # ``int``/``str`` ids, whose ``repr`` order is not their sort order.
+        scores=st.dictionaries(
+            st.one_of(
+                st.integers(0, 30), st.sampled_from(["1", "10", "2", "b", "a"])
+            ),
+            st.sampled_from([0.0, 0.5, 1.0, 1.0, 3.0]),
+            min_size=1,
+        ).filter(lambda scores: any(scores.values())),
+        data=st.data(),
+    )
+    def test_top_k_counts_the_canonical_position(self, scores, data):
+        truth = data.draw(st.sampled_from(sorted(scores, key=repr)))
+        ladder = tuple(range(1, len(scores) + 2))
+        sample = broadcast_privacy(scores, truth, len(scores), ladder)
+        ordered = [
+            node
+            for node, p in canonical_order(normalize(scores))
+            if p > 0
+        ]
+        if truth in ordered:
+            position = ordered.index(truth)
+            assert sample.top_hits == tuple(position < k for k in ladder)
+        else:
+            assert not any(sample.top_hits)
 
     @given(scores=posteriors, population=st.integers(16, 256))
     def test_metric_bounds(self, scores, population):

@@ -18,6 +18,7 @@ import gc
 import json
 from pathlib import Path
 
+from repro.adversary.first_spy import FirstSpyEstimator
 from repro.analysis.experiment import run_attack_experiment
 from repro.broadcast.flood import FloodNode
 from repro.broadcast.gossip import run_gossip
@@ -118,6 +119,26 @@ class TestCounters:
         hist = recorder.histograms["cohort_size"]
         assert recorder.counters["cohorts"] == hist["count"]
         assert hist["sum"] == recorder.counters["events_dispatched"]
+
+    def test_materialised_rows_counted_once_per_lazy_step(self):
+        recorder = TelemetryRecorder()
+        sim = _flood_sim("batched", telemetry=recorder)
+        sim.run(max_events=150)
+        spies = FirstSpyEstimator(sim, range(10, 30))
+        # The timing adversary reads columns: the run stayed columnar.
+        assert spies.guess("tx") is not None and spies.rank("tx")
+        assert "observations_materialised" not in recorder.counters
+        # A reader that iterates turns every pending row into an object.
+        first = len(sim.store) - len(sim.store._log)
+        assert first > 0
+        assert sum(1 for _ in sim.iter_observations()) == len(sim.store)
+        assert recorder.counters["observations_materialised"] == first
+        sim.iter_observations()
+        assert recorder.counters["observations_materialised"] == first
+        sim.run_until_idle()
+        rest = len(sim.store) - len(sim.store._log)
+        sim.iter_observations()
+        assert recorder.counters["observations_materialised"] == first + rest
 
     def test_queue_depth_tracking_is_opt_in(self):
         default = TelemetryRecorder()
