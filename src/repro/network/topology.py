@@ -12,9 +12,20 @@ partitioned graph).
 from __future__ import annotations
 
 import random
-from typing import Optional
+from collections import Counter
+from typing import List, Optional, Set, Tuple
 
 import networkx as nx
+import numpy as np
+
+#: ``_shuffle`` draws this many 32-bit words at a time.
+SHUFFLE_BLOCK = 1 << 12
+#: Stubs (nodes x degree) from which a random-regular overlay is paired on
+#: arrays: an attempt networkx's loop throws away costs 0.13 s there and
+#: grows with the size.  Below, it is too short to matter, the loop is as
+#: fast up to 16,000 stubs, and at 80,000 the arrays' allocations leave the
+#: process's peak RSS 1.7 MiB higher.
+ARRAY_PAIRING_STUBS = 1 << 18
 
 
 def _require_connected(graph: nx.Graph, description: str) -> nx.Graph:
@@ -29,6 +40,122 @@ def _seeded(seed: Optional[int]) -> random.Random:
     return random.Random(seed)
 
 
+def _shuffle(rng: random.Random, items: list) -> None:
+    """``rng.shuffle(items)`` — same draws, same order — drawn in blocks.
+
+    ``shuffle`` exchanges ``items[i]``, for ``i = len - 1 ... 1``, with
+    ``items[_randbelow(i + 1)]``, and ``_randbelow(n)`` takes the top
+    ``n.bit_length()`` bits of one 32-bit word after another until they are
+    below ``n``.  ``getrandbits`` hands the same words over a block at a
+    time, and which of a block are kept is array work: the argument falls
+    by one per kept draw, so a draw below what it can fall to is kept
+    wherever it stands and only the few just under ``n`` are settled in
+    turn.  A block never reaches past a power of two (the bit length holds
+    for all of it) and every word of it is used, so ``rng`` ends where
+    ``shuffle`` leaves it; the last ``SHUFFLE_BLOCK`` items are its own.
+    """
+    n = len(items)
+    while n > SHUFFLE_BLOCK:
+        bits = n.bit_length()
+        size = min(SHUFFLE_BLOCK, n - (1 << (bits - 1)) + 1)
+        words = np.frombuffer(
+            rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4"
+        )
+        draws = (words >> (32 - bits)).astype(np.int64)
+        kept = draws <= n - size
+        before = np.cumsum(kept) - kept
+        late = 0
+        for at in np.flatnonzero(~kept & (draws < n)).tolist():
+            if draws[at] < n - before[at] - late:
+                kept[at] = True
+                late += 1
+        partners = draws[kept].tolist()
+        for i, j in zip(range(n - 1, -1, -1), partners):
+            items[i], items[j] = items[j], items[i]
+        n -= len(partners)
+    head = items[:n]
+    rng.shuffle(head)
+    items[:n] = head
+
+
+def _regular_edges(
+    degree: int, num_nodes: int, rng: random.Random
+) -> Set[Tuple[int, int]]:
+    """The edge set ``nx.random_regular_graph(degree, num_nodes, rng)`` adds.
+
+    networkx's algorithm (Steger–Wormald: shuffle ``degree`` stubs per node,
+    pair them off, re-pair those that made a loop or a repeated edge; start
+    over when what is left cannot be paired), the same draws from ``rng``
+    and the same set, built in the same order.  The pairing is done on
+    arrays and the set only once an attempt has succeeded: how many attempts
+    a seed needs is chance, so a thrown-away one has to be cheap for build
+    times to be comparable across seeds.
+    """
+
+    nodes = list(range(num_nodes))
+
+    def attempt() -> Optional[Set[Tuple[int, int]]]:
+        stubs = nodes * degree
+        seen: List[np.ndarray] = []  # sorted pair keys, one array per round
+        # The (low, high) pairs each round kept, in the order it met them.
+        added = [np.zeros((0, 2), dtype=np.int64)]
+
+        def is_edge(key: int) -> bool:
+            for keys in seen:
+                at = int(np.searchsorted(keys, key))
+                if at < len(keys) and keys[at] == key:
+                    return True
+            return False
+
+        def can_pair(left: Counter) -> bool:
+            # networkx's ``_suitable`` line for line: it rebinds ``s1`` in
+            # the inner loop, so it is not quite "some two of them are not
+            # joined yet", and which attempts fail depends on it.
+            for s1 in left:
+                for s2 in left:
+                    if s1 == s2:
+                        break
+                    if s1 > s2:
+                        s1, s2 = s2, s1
+                    if not is_edge(s1 * num_nodes + s2):
+                        return True
+            return False
+
+        while stubs:
+            _shuffle(rng, stubs)
+            pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
+            pairs.sort(axis=1)
+            keys = pairs[:, 0] * num_nodes + pairs[:, 1]
+            ordered = np.sort(keys)
+            # Kept: no loop, not met before in this round (a plain sort
+            # names the few keys met twice) nor an edge of an earlier one.
+            fresh = pairs[:, 0] != pairs[:, 1]
+            twice = np.flatnonzero(
+                np.isin(keys, ordered[1:][ordered[1:] == ordered[:-1]])
+            )
+            first = np.unique(keys[twice], return_index=True)[1]
+            fresh[np.delete(twice, first)] = False
+            if seen:
+                fresh &= ~np.fromiter(map(is_edge, keys.tolist()), dtype=bool)
+            # Every pair of the round is an edge from now on unless it is a
+            # loop, and nobody asks about loops.
+            seen.append(ordered)
+            added.append(pairs[fresh])
+            left = Counter(pairs[~fresh].ravel().tolist())
+            if left and not can_pair(left):
+                return None
+            stubs = list(left.elements())
+        # Tuples of the stubs' own ``int`` objects, as networkx makes them:
+        # a graph of 800,000 fresh ones is 20 MiB larger.
+        low, high = np.array(nodes, dtype=object)[np.concatenate(added).T]
+        return set(zip(low.tolist(), high.tolist()))
+
+    edges = attempt()
+    while edges is None:
+        edges = attempt()
+    return edges
+
+
 def random_regular_overlay(
     num_nodes: int, degree: int = 8, seed: Optional[int] = None
 ) -> nx.Graph:
@@ -36,7 +163,9 @@ def random_regular_overlay(
 
     Bitcoin nodes maintain 8 outgoing connections, so ``degree=8`` mirrors the
     setting used in the Dandelion analysis.  The generator retries with fresh
-    seeds until the sampled graph is connected.
+    seeds until the sampled graph is connected.  It is networkx's
+    ``random_regular_graph`` at every size; large overlays get the same
+    graph from :func:`_regular_edges`.
     """
     if num_nodes <= degree:
         raise ValueError("need more nodes than the degree")
@@ -44,9 +173,16 @@ def random_regular_overlay(
         raise ValueError("num_nodes * degree must be even for a regular graph")
     rng = _seeded(seed)
     for _ in range(100):
-        candidate = nx.random_regular_graph(
-            degree, num_nodes, seed=rng.randrange(2**31)
-        )
+        attempt_seed = rng.randrange(2**31)
+        if num_nodes * degree < ARRAY_PAIRING_STUBS:
+            candidate = nx.random_regular_graph(
+                degree, num_nodes, seed=attempt_seed
+            )
+        else:
+            candidate = nx.empty_graph(num_nodes)
+            candidate.add_edges_from(
+                _regular_edges(degree, num_nodes, random.Random(attempt_seed))
+            )
         if nx.is_connected(candidate):
             return candidate
     raise RuntimeError("failed to sample a connected random regular graph")

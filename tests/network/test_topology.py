@@ -1,8 +1,11 @@
 """Tests for overlay topology generators."""
 
+import random
+
 import networkx as nx
 import pytest
 
+from repro.network import topology
 from repro.network.topology import (
     barabasi_albert_overlay,
     bitcoin_like_overlay,
@@ -38,6 +41,56 @@ class TestRandomRegular:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             random_regular_overlay(4, degree=8)
+
+    @pytest.mark.parametrize(
+        "degree,nodes",
+        # Dense and tiny ones start over and re-pair many times; the last two
+        # have more stubs than one block of the shuffle.
+        [(0, 5), (2, 3), (8, 9), (8, 10), (8, 16), (4, 30), (30, 200),
+         (8, 1000), (40, 1500)],
+    )
+    def test_is_networkx_generator_draw_for_draw(self, degree, nodes):
+        """Same graph, same adjacency order, generator left in the same state:
+        every digest in the repo hangs on it."""
+        for seed in range(12 if nodes < 1000 else 3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            graph = nx.empty_graph(nodes)
+            graph.add_edges_from(topology._regular_edges(degree, nodes, ours))
+            reference = nx.random_regular_graph(degree, nodes, seed=theirs)
+            assert list(graph.edges) == list(reference.edges)
+            assert all(
+                list(graph.adj[node]) == list(reference.adj[node])
+                for node in reference
+            )
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("nodes,degree", [(60, 4), (16, 8), (1200, 8)])
+    def test_same_overlay_whichever_side_of_the_size_switch(
+        self, nodes, degree, monkeypatch
+    ):
+        for seed in range(4):
+            monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
+            paired_on_arrays = random_regular_overlay(nodes, degree, seed=seed)
+            monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 1 << 40)
+            plain = random_regular_overlay(nodes, degree, seed=seed)
+            assert list(paired_on_arrays.edges) == list(plain.edges)
+            assert [list(paired_on_arrays.adj[node]) for node in plain] == [
+                list(plain.adj[node]) for node in plain
+            ]
+
+    @pytest.mark.parametrize("block", [4, 64, topology.SHUFFLE_BLOCK])
+    def test_block_shuffle_is_random_shuffle(self, block, monkeypatch):
+        monkeypatch.setattr(topology, "SHUFFLE_BLOCK", block)
+        # Around powers of two (where a block must stop) and the block size.
+        for length in (0, 1, 2, 5, 63, 64, 65, 127, 128, 129, 1000, 4095, 4096,
+                       4097, 8191, 8192, 8193, 20_000, 65_537):
+            for seed in range(3):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                items, expected = list(range(length)), list(range(length))
+                topology._shuffle(ours, items)
+                theirs.shuffle(expected)
+                assert items == expected, (length, seed)
+                assert ours.getstate() == theirs.getstate(), (length, seed)
 
 
 class TestErdosRenyi:
