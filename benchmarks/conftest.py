@@ -1,13 +1,12 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the claim benchmarks.
 
-Every benchmark regenerates one quantitative claim (experiment ids E1-E10 and
-ablations A1-A3 in DESIGN.md).  The overlays used repeatedly are built once
-per session — from the *same* declarative topology specs the scenario
-registry's presets carry (``repro.scenarios.presets``), so the benchmarks
-and ``scripts/scenario.py`` provably run on identical overlays.  Each
-benchmark prints a small table with its measurements so the numbers recorded
-in EXPERIMENTS.md can be reproduced by running
-``pytest benchmarks/ --benchmark-only -s``.
+Every benchmark regenerates one quantitative claim (experiments E1-E14 and
+ablations A1-A3, catalogued in docs/BENCHMARKS.md).  The overlays used
+repeatedly are built once per session — from the *same* declarative
+topology specs the scenario registry's presets carry
+(``repro.scenarios.presets``), so the benchmarks and ``scripts/scenario.py``
+provably run on identical overlays.  Each benchmark prints a small table
+with its measurements; ``pytest benchmarks/ -s`` shows them.
 """
 
 import pytest

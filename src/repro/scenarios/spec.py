@@ -406,6 +406,12 @@ class ScenarioSpec:
             )
         if self.shards is not None and self.shards < 1:
             raise ValueError("shards must be at least 1 when given")
+        # Late import: the runner imports this module.  Raises ValueError
+        # for an unknown protocol name and TypeError for options the
+        # protocol does not accept, so a typo fails at load, not at compile.
+        from repro.scenarios.runner import build_protocol
+
+        build_protocol(self.protocol, self.protocol_options)
         # JSON round-trips deliver lists; store the canonical tuple.
         object.__setattr__(self, "faults", tuple(self.faults))
 

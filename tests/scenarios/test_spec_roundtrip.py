@@ -1,5 +1,6 @@
 """Spec serialization: JSON round-trips and identical run digests."""
 
+import json
 import random
 
 import pytest
@@ -116,6 +117,19 @@ class TestSpecValidation:
         assert "'neighbors'" in message and "small_world" in message
         for accepted in ("num_nodes", "neighbours", "shortcut_probability"):
             assert accepted in message
+
+    def test_unknown_protocol_rejected_at_load(self):
+        # Used to load fine and fail only when the spec was compiled.
+        data = json.loads(FULL_SPEC.to_json())
+        data["protocol"] = "nope"
+        with pytest.raises(ValueError, match="unknown protocol 'nope'"):
+            ScenarioSpec.from_json(json.dumps(data))
+
+    def test_unknown_protocol_option_rejected_at_load(self):
+        data = json.loads(FULL_SPEC.to_json())
+        data["protocol_options"] = {"fan_out": 3}
+        with pytest.raises(TypeError, match="fan_out"):
+            ScenarioSpec.from_json(json.dumps(data))
 
     def test_adversary_fraction_bounds(self):
         with pytest.raises(ValueError):
