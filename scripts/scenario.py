@@ -119,8 +119,9 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     # Spec construction validates every registry name (estimator, adversary
-    # model, fault model) and raises KeyError listing the registered
-    # alternatives; surface that as a clean CLI error, not a traceback.
+    # model, fault model) and raises ValueError listing the registered
+    # alternatives (TypeError for a malformed spec file); surface that as a
+    # clean CLI error, not a traceback.
     try:
         spec = _load_spec(args)
         if args.seed is not None:
@@ -143,7 +144,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec = spec.derive(engine=args.engine)
         if args.shards is not None:
             spec = spec.derive(shards=args.shards)
-    except KeyError as error:
+    except (ValueError, TypeError) as error:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
     if args.no_privacy:

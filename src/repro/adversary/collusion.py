@@ -94,13 +94,17 @@ class DcNetCollusionEstimator:
 
     def _honest_members(self, payload_id: Hashable) -> Set[Hashable]:
         """Group members the colluders cannot rule out for one payload."""
-        observers = self.view.observers
+        view = self.view
+        rows = view.rows_of(payload_id, self.DC_KINDS)
         members: Set[Hashable] = set()
-        for obs in self.view.observations_of(payload_id, self.DC_KINDS):
-            if obs.sender is not None:
-                members.add(obs.sender)
-            members.add(obs.receiver)
-        return members - observers
+        for sender, receiver in zip(
+            view.store.column("sender", rows),
+            view.store.column("receiver", rows),
+        ):
+            if sender is not None:
+                members.add(sender)
+            members.add(receiver)
+        return members - view.observers
 
     def rank(self, payload_id: Hashable) -> Dict[Hashable, float]:
         """Uniform posterior over the observed group's honest members."""

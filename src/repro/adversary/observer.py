@@ -3,12 +3,11 @@
 The adversary controls a set of observer nodes.  Everything those nodes
 receive — message, arrival time, previous hop, whether the message came over
 an overlay link or a direct (group) channel — is available for analysis;
-nothing else is.  :class:`AdversaryView` answers exactly those queries by
-reading the simulator's indexed
+nothing else is.  :class:`AdversaryView` answers exactly those queries as
+column queries on the simulator's
 :class:`~repro.network.observation_store.ObservationStore`: per-payload
-queries walk the smaller of the payload index and the observers' per-receiver
-index, so the cost is O(relevant traffic) rather than O(all traffic), which
-is what makes running the estimators inside large parameter sweeps cheap.
+queries walk that payload's rows, not the whole log, which is what makes
+running the estimators inside large parameter sweeps cheap.
 """
 
 from __future__ import annotations
@@ -24,20 +23,30 @@ class AdversaryView:
 
     The view is live: it reads the simulator's observation store on every
     query, so it can be constructed once and reused as a simulation
-    progresses.  All queries are scoped by payload and/or kind, which keeps
-    them index-backed.
+    progresses.  All queries are scoped by payload and/or kind.
     """
 
     def __init__(
         self, simulator: Simulator, observers: Iterable[Hashable]
     ) -> None:
         self.observers: Set[Hashable] = set(observers)
-        self._store = simulator.store
+        self.store = simulator.store
 
     @property
     def observations(self) -> List[Observation]:
         """All deliveries received by observer nodes, in delivery order."""
-        return self._store.for_receivers(self.observers)
+        return self.store.for_receivers(self.observers)
+
+    def rows_of(
+        self,
+        payload_id: Hashable,
+        kinds: Optional[Tuple[str, ...]] = None,
+        include_direct: bool = True,
+    ) -> List[int]:
+        """Store rows of the observers' deliveries of one payload."""
+        return self.store.rows(
+            payload_id, kinds, self.observers, include_direct=include_direct
+        )
 
     def observations_of(
         self,
@@ -46,12 +55,7 @@ class AdversaryView:
         include_direct: bool = True,
     ) -> List[Observation]:
         """Observations concerning one payload, optionally filtered by kind."""
-        result = self._store.for_receivers(
-            self.observers, payload_id=payload_id, kinds=kinds
-        )
-        if include_direct:
-            return result
-        return [obs for obs in result if not obs.direct]
+        return self.store.view(self.rows_of(payload_id, kinds, include_direct))
 
     def first_observation(
         self,
@@ -61,13 +65,13 @@ class AdversaryView:
     ) -> Optional[Observation]:
         """The earliest observation of the payload, or ``None``.
 
-        Among equal delivery times the earliest log position wins:
-        candidates come in log order and ``min`` keeps the first minimum.
+        Among equal delivery times the earliest log position wins.
         """
-        candidates = self.observations_of(payload_id, kinds, include_direct)
-        if not candidates:
+        rows = self.rows_of(payload_id, kinds, include_direct)
+        if not rows:
             return None
-        return min(candidates, key=lambda obs: obs.time)
+        times = self.store.column("time", rows)
+        return self.store.view([rows[times.index(min(times))]])[0]
 
     def first_relayers(
         self,
@@ -80,4 +84,4 @@ class AdversaryView:
         non-adversarial peer to forward a transaction to any spy node (the
         store's column query, :meth:`ObservationStore.first_relay_times`).
         """
-        return self._store.first_relay_times(self.observers, payload_id, kinds)
+        return self.store.first_relay_times(self.observers, payload_id, kinds)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional
 
 import networkx as nx
 
@@ -172,26 +172,23 @@ class ThreePhaseBroadcast:
         timeline = PhaseTimeline()
         start_time = self.simulator.now
         timeline.record(Phase.DC_NET, start_time)
+        log_start = len(self.simulator.store)
 
         group = self.directory.members_of(source)
         dc_rounds = self._run_phase_one(source, group, payload, payload_id)
         phase_one_end = start_time + dc_rounds * self.config.dc_round_interval
 
         virtual_source = select_virtual_source(payload, group)
-        cancel_flood_hook = self._schedule_phase_two(
+        self._schedule_phase_two(
             payload_id, group, virtual_source, phase_one_end, timeline
         )
 
         if run_to_completion:
             self.simulator.run_until_idle()
-            # The event queue is drained: a broadcast that never reached
-            # Phase 3 by now never will, so drop its pending flood hook
-            # rather than letting a later broadcast that reuses the same
-            # payload id fire it into this (already final) timeline.
-            cancel_flood_hook()
 
         result = self._collect_result(
-            payload_id, source, group, virtual_source, dc_rounds, timeline
+            payload_id, source, group, virtual_source, dc_rounds, timeline,
+            log_start,
         )
         self._results.append(result)
         return result
@@ -275,7 +272,7 @@ class ThreePhaseBroadcast:
         virtual_source: Hashable,
         phase_one_end: float,
         timeline: PhaseTimeline,
-    ) -> Callable[[], None]:
+    ) -> None:
         delay = max(0.0, phase_one_end - self.simulator.now)
 
         def start_phase_two() -> None:
@@ -285,16 +282,6 @@ class ThreePhaseBroadcast:
             self.node(virtual_source).become_virtual_source(payload_id)
 
         self.simulator.schedule(delay, start_phase_two)
-
-        # The first flood message observed for this payload marks the Phase 3
-        # boundary.  The observation store fires the hook exactly once, at
-        # delivery time, so no polling events are needed and a broadcast that
-        # never reaches Phase 3 simply never records a flood start.
-        return self.simulator.store.on_first(
-            payload_id,
-            ThreePhaseNode.FLOOD_KIND,
-            lambda obs: timeline.record(Phase.FLOOD, obs.time),
-        )
 
     # ------------------------------------------------------------------
     # Result collection
@@ -307,7 +294,17 @@ class ThreePhaseBroadcast:
         virtual_source: Hashable,
         dc_rounds: int,
         timeline: PhaseTimeline,
+        log_start: int,
     ) -> BroadcastResult:
+        # Phase 3 started with the broadcast's first flood delivery: the
+        # first such row from the broadcast's own start on, so a payload id
+        # reused by a later broadcast never reads an earlier one's flood.
+        store = self.simulator.store
+        flood = store.rows(
+            payload_id, (ThreePhaseNode.FLOOD_KIND,), start=log_start
+        )
+        if flood:
+            timeline.record(Phase.FLOOD, store.column("time", flood[:1])[0])
         metrics = self.simulator.metrics
         total_nodes = self.graph.number_of_nodes()
         reach = metrics.reach(payload_id)

@@ -1,7 +1,7 @@
 """Struct-of-arrays machinery of the batched delivery engine.
 
 The event engine (``Simulator.run``'s default loop) pays Python dispatch per
-delivered message: one heap pop, one ``Observation``, one ``on_message``
+delivered message: one heap pop, one store ``record``, one ``on_message``
 call.  That is invisible at 200 nodes and dominant at 100,000.  The batched
 engine keeps the exact same observable behaviour but processes all
 deliveries that share a timestamp — a *cohort* — as numpy arrays:
@@ -57,7 +57,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.network.events import Event
-from repro.network.message import Observation
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +86,8 @@ class CSRTopology:
             node_id: i for i, node_id in enumerate(ids)
         }
         # dtype=object so fancy-indexing yields the original Python node ids
-        # (an int dtype would leak numpy scalars into Observations and change
-        # every repr-based digest).
+        # (an int dtype would leak numpy scalars into the store's intern
+        # table and change every repr-based digest).
         ids_array = np.empty(n, dtype=object)
         ids_array[:] = ids
         self.ids_array = ids_array
@@ -497,16 +496,14 @@ def run_batched(simulator, kernel, until, max_events) -> float:
     Walks the one event queue in ``(time, sequence)`` order.  Contiguous
     kernel-eligible deliveries — delivery blocks and overlay tuples of the
     kernel's kind — are assembled into cohorts and handed to the kernel;
-    timers, direct sends, foreign message kinds and anything queued while
-    a first-observation hook is pending are processed per item,
+    timers, direct sends and foreign message kinds are processed per item,
     event-engine style, so every interleaving (churn timers firing between
-    same-time deliveries, phase hooks) is preserved exactly.
+    same-time deliveries) is preserved exactly.
     """
     executed = 0
     event_cap = float("inf") if max_events is None else max_events
     hit_event_limit = False
     queue = simulator._queue
-    store = simulator.store
     kind = kernel.kind
     # One attribute load per run; the disabled path then pays a single
     # ``is not None`` test per *cohort* (not per event).
@@ -526,10 +523,7 @@ def run_batched(simulator, kernel, until, max_events) -> float:
         batchable = item.__class__ is DeliveryBlock or (
             item.__class__ is tuple and not item[3] and item[2].kind == kind
         )
-        # A pending phase hook must fire at its exact log position and may
-        # react by scheduling work; serve everything per item until it has
-        # fired.
-        if batchable and not store.has_pending_first_hooks:
+        if batchable:
             consumed = _process_cohort(simulator, kernel, time)
             executed += consumed
             if telemetry is not None:
@@ -556,7 +550,7 @@ def _deliver(simulator, time, receiver, sender, message, direct) -> None:
     if severed and not direct and frozenset((sender, receiver)) in severed:
         simulator._churn_dropped += 1
         return
-    simulator._record(Observation(time, receiver, sender, message, direct))
+    simulator._record(time, receiver, sender, message, direct)
     simulator._nodes[receiver].on_message(sender, message)
 
 

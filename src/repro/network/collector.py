@@ -1,13 +1,11 @@
 """The one place this library touches CPython's cycle collector.
 
 A run allocates O(deliveries) long-lived, acyclic objects in one go — heap
-entries and :class:`~repro.network.message.Observation` records while the
-simulator runs, the log entries and position indexes when the observation
-store materialises its pending batches.  The generational collector counts
-allocations, so it fires again and again inside exactly those stretches and
-each pass walks a heap that holds nothing collectable yet.
-:func:`collector_paused` suspends it for such a stretch and for nothing
-else.  Sessions are freed by reference count
+entries and the observation store's column rows while the simulator runs.
+The generational collector counts allocations, so it fires again and again
+inside exactly that stretch and each pass walks a heap that holds nothing
+collectable yet.  :func:`collector_paused` suspends it for that stretch and
+for nothing else.  Sessions are freed by reference count
 (:meth:`~repro.network.simulator.Simulator.close`), so nothing here or
 elsewhere disables the collector for the whole process, freezes the heap or
 edits a threshold.

@@ -9,8 +9,8 @@ those numbers without protocol code having to count anything itself.
 Message traffic is written by the simulator straight into an
 :class:`~repro.network.observation_store.ObservationStore` shared with this
 collector, so every traffic query (``message_count``, ``first_observations``)
-is answered from a counter or an index instead of scanning the global send
-log.  Payload deliveries (the "node X now knows the payload" events) are
+is answered from a counter or a column query instead of scanning the global
+send log.  Payload deliveries (the "node X now knows the payload" events) are
 indexed here per payload, so ``delivered_nodes``, ``reach`` and
 ``completion_time`` are O(result) as well.
 """

@@ -1,157 +1,159 @@
-"""Indexed store of every delivery the simulator performed.
+"""Columnar store of every delivery the simulator performed.
 
 The paper's evaluation (Section V-A) is phrased entirely in message counts
 and arrival times, so every adversary and every benchmark ends up asking the
 same small family of questions about the traffic log: "how many messages of
 this kind belonged to this payload", "when did each node first see the
-payload", "what did this observer set receive".  Answering those questions by
-scanning the global send log makes every query O(total traffic), which is the
-dominant cost once overlays reach thousands of nodes and a sweep runs
-hundreds of broadcasts over the same simulator.
+payload", "what did this observer set receive".
 
-:class:`ObservationStore` is the single write path for deliveries, with two
-writers: :meth:`~ObservationStore.record` appends one delivery (the event
-loop), :meth:`~ObservationStore.record_batch` appends a same-time run of
-deliveries of one ``(payload, kind)`` pair as parallel arrays (the cohort
-kernel, in-process or sharded).  Both bump the same counters, so every
-count query is O(1) and exact at all times; everything per-object is left
-to **one lazy step** (:meth:`~ObservationStore._sync`) that runs the first
-time a reader needs log entries.  The store maintains
+:class:`ObservationStore` keeps the log in **one row format**: growable
+columns, appended to by both writers.  :meth:`~ObservationStore.record`
+appends one delivery (the event loop); :meth:`~ObservationStore.record_batch`
+appends a same-time run of one ``(payload, kind)`` pair from a cohort
+kernel's index arrays (in-process or sharded).  The columns are
 
-* the append-only log (chronological, because deliveries arrive in time
-  order) — batches stay struct-of-arrays until the lazy step turns them
-  into :class:`~repro.network.message.Observation` entries, so a run whose
-  metrics are all counts never builds them;
-* delivery counters per ``kind`` and per ``(payload_id, kind)`` plus the
-  byte total (message counts are dictionary lookups);
-* a per-``(payload_id, kind)`` and a per-receiver position index (the
-  honest-but-curious adversary view), both built by the lazy step — first
-  observations per receiver and whole-payload views are derived from them
-  on demand;
-* one column query, :meth:`~ObservationStore.first_relay_times` (the timing
-  adversary's), answered from pending batches without the lazy step; and
-* one-shot *first observation* hooks so orchestration code can react to the
-  first message of a ``(payload, kind)`` pair without polling the log.
+* ``time`` and ``message`` (Python lists, so every row keeps the exact
+  objects it was written with);
+* ``receiver`` and ``sender`` as C ``int`` indexes (the kernels' index
+  width) into one store-owned intern table of node ids — it adopts a
+  kernel's ``ids`` array on first sight, and grows by dict for per-event
+  rows;
+* ``direct`` (one byte per row); and
+* a run-length list of ``(payload, kind)`` *segments*, plus the segment
+  numbers of each payload, so a payload/kind filter costs that payload's
+  segments, never the whole log.
 
-Index-backed queries cost O(size of the answer) — plus an O(log) merge
-factor when several index lists are combined — instead of O(everything ever
-sent).
+Counters per ``kind`` and per ``(payload_id, kind)`` plus the byte total
+are bumped by both writers, so every count query is O(1).  Every in-repo
+reader asks a column query: :meth:`~ObservationStore.rows` and
+:meth:`~ObservationStore.column`, :meth:`~ObservationStore.first_relay_times`
+(the timing adversary's) and :meth:`~ObservationStore.row_reprs` (the log
+digest).  :class:`~repro.network.message.Observation` objects are built only
+as a view for outside callers — :meth:`~ObservationStore.iter_observations`,
+:meth:`~ObservationStore.of_payload`, :meth:`~ObservationStore.for_receivers`,
+:meth:`~ObservationStore.first_observations` — and each row so viewed is
+added to the ``observations_materialised`` telemetry counter.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import chain, repeat
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from array import array
+from itertools import chain, repeat, starmap
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
-from repro.network.collector import collector_paused
+import numpy as np
+
 from repro.network.message import Observation
 
-FirstObservationHook = Callable[[Observation], None]
-
-
-def _merged(lists: List[List[int]]) -> Sequence[int]:
-    """Disjoint sorted position lists as one sorted sequence."""
-    if len(lists) == 1:
-        return lists[0]
-    return sorted(chain.from_iterable(lists))
+#: Rows per :class:`Observation` chunk of :meth:`ObservationStore.iter_observations`
+#: and per string of :meth:`ObservationStore.row_reprs`.
+_CHUNK = 4096
+#: Rows per array block of :meth:`ObservationStore.first_relay_times`.
+_BLOCK = 1 << 16
 
 
 class ObservationStore:
-    """Append-only, index-backed log of message deliveries.
+    """Append-only, columnar log of message deliveries.
 
     Example:
-        >>> from repro.network.message import Message, Observation
+        >>> from repro.network.message import Message
         >>> store = ObservationStore()
-        >>> obs = Observation(0.5, receiver=1, sender=0,
-        ...                   message=Message(kind="flood", payload_id="tx"))
-        >>> store.record(obs)
+        >>> store.record(0.5, 1, 0, Message(kind="flood", payload_id="tx"))
         0
         >>> store.count(kind="flood", payload_id="tx")
+        1
+        >>> store.of_payload("tx")[0].receiver
         1
     """
 
     # The store is written once per simulated delivery — the single hottest
-    # call in the library after the event loop itself — so its records stay
-    # slim: no instance ``__dict__``, and ``record`` does nothing but append
-    # and bump counters (inline: a helper call per delivery is measurable).
+    # call in the library after the event loop itself — so ``record`` does
+    # nothing but append to columns and bump counters (inline: a helper call
+    # per delivery is measurable).
     __slots__ = (
-        "_log",
-        "_pending",
-        "_indexed",
+        "_times",
+        "_receivers",
+        "_senders",
+        "_messages",
+        "_direct",
+        "_nodes",
+        "_node_index",
+        "_ids_map",
+        "_segment_starts",
+        "_segment_pairs",
+        "_payload_segments",
+        "_last_payload",
+        "_last_kind",
         "_count",
         "_bytes_total",
         "_kind_counts",
         "_pair_counts",
-        "_by_pair",
-        "_by_receiver",
-        "_first_hooks",
         "telemetry",
     )
 
     def __init__(self) -> None:
-        self._log: List[Observation] = []
-        # Batches not yet turned into log entries.  Invariant: everything in
-        # ``_log`` precedes everything pending (``record`` syncs first).
-        self._pending: List[tuple] = []
-        # Log entries below this position are in the position indexes.
-        self._indexed = 0
-        # Counters, bumped by both writers; ``_count`` is the logical length
-        # including pending batches.
+        self._times: list = []
+        self._receivers = array("i")
+        self._senders = array("i")
+        self._messages: list = []
+        self._direct = bytearray()
+        # The intern table: node id per index, and its inverse (left empty
+        # on adopting a kernel's ``ids`` until :meth:`_lookup` needs it).
+        self._nodes: list = []
+        self._node_index: Dict[Hashable, int] = {}
+        # The last kernel ``ids`` array seen, and its index map into the
+        # intern table (``None`` when the table adopted that array).
+        self._ids_map: tuple = (None, None)
+        # Segment ``n`` covers rows ``[starts[n], starts[n + 1])``.
+        self._segment_starts: List[int] = []
+        self._segment_pairs: List[Tuple[Hashable, str]] = []
+        self._payload_segments: Dict[Hashable, List[int]] = {}
+        self._last_payload: Hashable = None
+        self._last_kind: Optional[str] = None
         self._count = 0
         self._bytes_total = 0
         self._kind_counts: Dict[str, int] = {}
         self._pair_counts: Dict[Hashable, Dict[str, int]] = {}
-        # Position indexes, extended only by the lazy step.
-        self._by_pair: Dict[Tuple[Hashable, str], List[int]] = (
-            defaultdict(list)
-        )
-        self._by_receiver: Dict[Hashable, List[int]] = defaultdict(list)
-        self._first_hooks: Dict[
-            Tuple[Hashable, str], List[FirstObservationHook]
-        ] = {}
         #: The owning simulator's enabled recorder, if any.
         self.telemetry = None
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
-    def record(self, observation: Observation) -> int:
-        """Append one delivery.
-
-        Returns the observation's position in the log (its global sequence
-        number; positions are strictly increasing, so index lists are always
-        sorted and can be merged cheaply).
-        """
-        if self._pending:
-            self._sync()
-        log = self._log
-        position = len(log)
-        log.append(observation)
-        message = observation.message
-        payload_id = message.payload_id
-        kind = message.kind
+    def record(
+        self,
+        time: float,
+        receiver: Hashable,
+        sender: Optional[Hashable],
+        message,
+        direct: bool = False,
+    ) -> int:
+        """Append one delivery; returns its row (global sequence number)."""
+        position = self._count
         self._count = position + 1
+        index = self._node_index
+        to = index.get(receiver)
+        if to is None:
+            to = self._intern(receiver)
+        by = index.get(sender)
+        if by is None:
+            by = self._intern(sender)
+        self._times.append(time)
+        self._receivers.append(to)
+        self._senders.append(by)
+        self._messages.append(message)
+        self._direct.append(direct)
         self._bytes_total += message.size_bytes
+        kind = message.kind
         kind_counts = self._kind_counts
         kind_counts[kind] = kind_counts.get(kind, 0) + 1
+        payload_id = message.payload_id
         kinds = self._pair_counts.get(payload_id)
         if kinds is None:
             kinds = self._pair_counts[payload_id] = {}
-        earlier = kinds.get(kind, 0)
-        kinds[kind] = earlier + 1
-        if not earlier and self._first_hooks:
-            self._fire_first_hooks(payload_id, kind, position)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind != self._last_kind or payload_id != self._last_payload:
+            self._open_segment(position, payload_id, kind)
         return position
 
     def record_batch(
@@ -172,14 +174,11 @@ class ObservationStore:
         ``messages`` are parallel sequences in delivery order, the first
         two as integer index arrays into ``ids``, the object array of node
         identifiers a kernel addresses nodes by; ``bytes_total`` is the
-        summed message size.  Only the counters are updated here, so every
-        O(1) count query stays exact; resolving indexes to identifiers,
-        :class:`Observation` construction and indexing are deferred until
-        a reader needs log entries (:meth:`_sync`).  A 100k-node flood
-        whose metrics are all counts therefore never materialises its
-        ~1.5M observations.
+        summed message size.  The index arrays land in the same columns
+        ``record`` fills, remapped only when ``ids`` is not the intern
+        table itself.
 
-        Returns the position of the first appended observation.
+        Returns the row of the first appended delivery.
         """
         size = len(receivers)
         start = self._count
@@ -190,112 +189,64 @@ class ObservationStore:
         kind_counts = self._kind_counts
         kind_counts[kind] = kind_counts.get(kind, 0) + size
         kinds = self._pair_counts.setdefault(payload_id, {})
-        earlier = kinds.get(kind, 0)
-        kinds[kind] = earlier + size
-        self._pending.append(
-            (time, ids, receivers, senders, messages, payload_id, kind, direct)
-        )
-        if not earlier and self._first_hooks:
-            # (The simulator never takes the cohort path while a hook is
-            # pending; this covers direct store users.)
-            self._fire_first_hooks(payload_id, kind, start)
+        kinds[kind] = kinds.get(kind, 0) + size
+        receivers = np.ascontiguousarray(receivers, dtype=np.intc)
+        senders = np.ascontiguousarray(senders, dtype=np.intc)
+        seen, remap = self._ids_map
+        if ids is not seen:
+            remap = self._map_ids(ids)
+            self._ids_map = (ids, remap)
+        if remap is not None:
+            receivers = remap[receivers]
+            senders = remap[senders]
+        self._receivers.frombytes(memoryview(receivers).cast("B"))
+        self._senders.frombytes(memoryview(senders).cast("B"))
+        self._times.extend(repeat(time, size))
+        self._messages.extend(messages)
+        self._direct.extend(repeat(direct, size))
+        if kind != self._last_kind or payload_id != self._last_payload:
+            self._open_segment(start, payload_id, kind)
         return start
 
-    def _fire_first_hooks(
-        self, payload_id: Hashable, kind: str, position: int
-    ) -> None:
-        """Fire and drop the hooks waiting for this pair's first delivery."""
-        hooks = self._first_hooks.pop((payload_id, kind), ())
-        if hooks:
-            self._sync()
-            for hook in hooks:
-                hook(self._log[position])
+    def _intern(self, node: Hashable) -> int:
+        """The node's index in the intern table, appending it if new."""
+        lookup = self._lookup()
+        index = lookup.get(node)
+        if index is None:
+            index = lookup[node] = len(self._nodes)
+            self._nodes.append(node)
+        return index
 
-    def _sync(self) -> None:
-        """The lazy step: index new entries, materialise pending batches."""
-        if self._indexed < len(self._log):
-            self._index()
-        if self._pending:
-            self._materialise()
+    def _lookup(self) -> Dict[Hashable, int]:
+        """The intern table's inverse, completed after an adoption."""
+        lookup = self._node_index
+        if len(lookup) < len(self._nodes):
+            lookup.update(zip(self._nodes, range(len(self._nodes))))
+        return lookup
 
-    @collector_paused()
-    def _index(self) -> None:
-        """Index per-event records; builds no :class:`Observation`."""
-        # Like ``_materialise``, allocates per delivery and keeps all of it:
-        # nothing is garbage, so the collector sits both out.
-        log = self._log
-        by_pair = self._by_pair
-        by_receiver = self._by_receiver
-        for position in range(self._indexed, len(log)):
-            observation = log[position]
-            message = observation.message
-            by_pair[(message.payload_id, message.kind)].append(position)
-            by_receiver[observation.receiver].append(position)
-        self._indexed = len(log)
+    def _map_ids(self, ids) -> Optional[np.ndarray]:
+        """Index map from a kernel's ``ids`` into the intern table.
 
-    @collector_paused()
-    def _materialise(self) -> None:
-        log = self._log
-        by_pair = self._by_pair
-        by_receiver = self._by_receiver
-        pending, self._pending = self._pending, []
-        for time, ids, receivers, senders, messages, payload_id, kind, direct in pending:
-            start = len(log)
-            receivers = ids[receivers]
-            log.extend(
-                map(Observation, repeat(time), receivers, ids[senders], messages, repeat(direct))
-            )
-            by_pair[(payload_id, kind)].extend(range(start, len(log)))
-            for position, receiver in enumerate(receivers, start):
-                by_receiver[receiver].append(position)
-        if self.telemetry is not None:
-            rows = len(log) - self._indexed
-            self.telemetry.incr("observations_materialised", rows)
-        self._indexed = len(log)
-
-    @property
-    def has_pending_first_hooks(self) -> bool:
-        """Whether any :meth:`on_first` hook is still waiting to fire."""
-        return bool(self._first_hooks)
-
-    def on_first(
-        self, payload_id: Hashable, kind: str, hook: FirstObservationHook
-    ) -> Callable[[], None]:
-        """Invoke ``hook`` with the first observation of ``(payload, kind)``.
-
-        If such an observation already exists the hook fires immediately
-        (with the earliest one); otherwise it fires exactly once, from inside
-        the writer, the moment the first matching delivery happens.  This
-        replaces polling the log for phase transitions such as "the flood
-        phase has started".
-
-        Returns:
-            A cancel callable.  Calling it unregisters the hook if it has
-            not fired yet (and is a no-op otherwise); owners of hooks whose
-            condition can no longer legitimately occur — e.g. a finished
-            broadcast that never reached its flood phase — should cancel so
-            a later reuse of the same ``(payload, kind)`` pair cannot fire a
-            stale hook.
+        ``None`` when the table adopts ``ids`` outright (nothing was
+        interned yet), so the kernel's indexes are stored unchanged.
         """
-        pair = (payload_id, kind)
-        if self.count(kind, payload_id):
-            self._sync()
-            hook(self._log[self._by_pair[pair][0]])
-            return lambda: None
+        if not self._nodes:
+            self._nodes = list(ids)
+            return None
+        return np.fromiter(map(self._intern, ids), np.intc, len(ids))
 
-        def cancel() -> None:
-            pending = self._first_hooks.get(pair)
-            if pending is None or hook not in pending:
-                return
-            pending.remove(hook)
-            if not pending:
-                del self._first_hooks[pair]
-
-        self._first_hooks.setdefault(pair, []).append(hook)
-        return cancel
+    def _open_segment(self, start: int, payload_id: Hashable, kind: str) -> None:
+        self._last_payload = payload_id
+        self._last_kind = kind
+        segments = self._payload_segments.get(payload_id)
+        if segments is None:
+            segments = self._payload_segments[payload_id] = []
+        segments.append(len(self._segment_starts))
+        self._segment_starts.append(start)
+        self._segment_pairs.append((payload_id, kind))
 
     # ------------------------------------------------------------------
-    # Counting (all O(1), never materialises anything)
+    # Counting (all O(1))
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._count
@@ -343,99 +294,67 @@ class ObservationStore:
         return self._bytes_total
 
     # ------------------------------------------------------------------
-    # Querying (all O(result) once the lazy step has run)
+    # Column queries (build no Observation)
     # ------------------------------------------------------------------
-    def __iter__(self) -> Iterator[Observation]:
-        return self.iter_observations()
-
-    @property
-    def observations(self) -> List[Observation]:
-        """A copy of the full chronological log.
-
-        For read-only scans prefer :meth:`iter_observations`, which does not
-        copy anything.
-        """
-        return list(self.iter_observations())
-
-    def iter_observations(self) -> Iterator[Observation]:
-        """Lazily iterate the full chronological log without copying it.
-
-        The iterator is live over the append-only log: entries recorded
-        while iterating are yielded too, and already-yielded entries never
-        change.  This is the cheap path for whole-log consumers (reporting,
-        estimators, equivalence oracles) that previously paid a full-list
-        copy via :attr:`observations` per scan.
-        """
-        self._sync()
-        return iter(self._log)
-
-    def _positions(
+    def _ranges(
         self,
         payload_id: Optional[Hashable],
         kinds: Optional[Tuple[str, ...]],
-    ) -> Sequence[int]:
-        """Sorted, synced log positions matching a payload/kind filter."""
-        payloads = self._pair_counts if payload_id is None else (payload_id,)
-        return _merged(
-            [
-                self._by_pair[(payload, kind)]
-                for payload in payloads
-                for kind in self._pair_counts.get(payload, ())
-                if kinds is None or kind in kinds
-            ]
-        )
+        start: int = 0,
+    ) -> List[Tuple[int, int]]:
+        """Row ranges ``[a, b)`` of the matching segments, in log order."""
+        starts = self._segment_starts
+        pairs = self._segment_pairs
+        last = len(starts) - 1
+        if payload_id is None:
+            numbers = range(len(starts))
+        else:
+            numbers = self._payload_segments.get(payload_id, ())
+        ranges = []
+        for n in numbers:
+            if kinds is None or pairs[n][1] in kinds:
+                end = starts[n + 1] if n < last else self._count
+                if end > start:
+                    ranges.append((max(starts[n], start), end))
+        return ranges
 
-    def of_payload(
+    def rows(
         self,
-        payload_id: Hashable,
-        kinds: Optional[Tuple[str, ...]] = None,
-    ) -> List[Observation]:
-        """All deliveries of one payload in chronological order."""
-        self._sync()
-        log = self._log
-        return [log[i] for i in self._positions(payload_id, kinds)]
-
-    def for_receivers(
-        self,
-        receivers: Iterable[Hashable],
         payload_id: Optional[Hashable] = None,
         kinds: Optional[Tuple[str, ...]] = None,
-    ) -> List[Observation]:
-        """Deliveries received by any of ``receivers``, optionally filtered.
+        receivers: Optional[Iterable[Hashable]] = None,
+        start: int = 0,
+        include_direct: bool = True,
+    ) -> List[int]:
+        """Rows (log positions, ascending) matching every given filter.
 
-        This is the honest-but-curious adversary query: everything a set of
-        observer nodes saw.  When a payload/kind filter is present the method
-        walks whichever index side is smaller — the observers' traffic or the
-        payload's traffic — so the cost is bounded by the smaller of the two,
-        never by the full log.
+        Costs the matching payload's traffic when ``payload_id`` is given,
+        else the matching kinds' — never more than the log.
         """
-        self._sync()
-        return list(self._logged_for(set(receivers), payload_id, kinds))
-
-    def _logged_for(
-        self,
-        receiver_set: set,
-        payload_id: Optional[Hashable],
-        kinds: Optional[Tuple[str, ...]],
-    ) -> Iterator[Observation]:
-        """:meth:`for_receivers` over the indexed log entries alone."""
-        log = self._log
-        by_receiver = self._by_receiver
-        receiver_lists = [
-            by_receiver[r] for r in receiver_set if r in by_receiver
-        ]
-        if sum(map(len, receiver_lists)) <= self.count_for(payload_id, kinds):
-            return (
-                obs
-                for obs in (log[i] for i in _merged(receiver_lists))
-                if (payload_id is None or obs.message.payload_id == payload_id)
-                and (kinds is None or obs.message.kind in kinds)
-            )
-        return (
-            obs
-            for obs in (log[i] for i in self._positions(payload_id, kinds))
-            if obs.receiver in receiver_set
+        rows = list(
+            chain.from_iterable(starmap(range, self._ranges(payload_id, kinds, start)))
         )
+        if receivers is not None:
+            index = self._lookup()
+            wanted = {index[node] for node in receivers if node in index}
+            column = self._receivers
+            rows = [row for row in rows if column[row] in wanted]
+        if not include_direct:
+            direct = self._direct
+            rows = [row for row in rows if not direct[row]]
+        return rows
+
+    def column(self, name: str, rows: Iterable[int]) -> list:
+        """One column's values at ``rows``: ``"time"``, ``"receiver"``,
+        ``"sender"``, ``"message"`` or ``"direct"``."""
+        if name in ("receiver", "sender"):
+            nodes = self._nodes
+            values = self._receivers if name == "receiver" else self._senders
+            return [nodes[values[row]] for row in rows]
+        if name == "direct":
+            return [bool(self._direct[row]) for row in rows]
+        values = self._times if name == "time" else self._messages
+        return [values[row] for row in rows]
 
     def first_relay_times(
         self,
@@ -449,43 +368,121 @@ class ObservationStore:
         ``receivers`` that relayed the payload to one of them, the time of
         its earliest such delivery.  Keys come in order of first appearance
         in the log — part of the contract, because the privacy metrics sum
-        floats in posterior order.  Per-event records are walked through
-        the position indexes (the smaller side, as in
-        :meth:`for_receivers`); pending batches are answered from their
-        arrays, so a kernel-written log is never turned into objects.
+        floats in posterior order.  Answered from the payload's segments
+        as arrays.
         """
-        receiver_set = set(receivers)
         kinds = None if kinds is None else tuple(kinds)
-        if self._indexed < len(self._log):
-            self._index()
-        first_seen: Dict[Hashable, float] = {}
+        wanted = set(receivers)
+        nodes = self._nodes
+        observed = np.fromiter((node in wanted for node in nodes), bool, len(nodes))
+        # Senders that count as outside relays.
+        outside = ~observed & np.fromiter(
+            (node is not None for node in nodes), bool, len(nodes)
+        )
+        times = self._times
+        first: Dict[int, float] = {}
+        for a, b in self._ranges(payload_id, kinds):
+            for lo in range(a, b, _BLOCK):
+                hi = min(lo + _BLOCK, b)
+                by = np.frombuffer(self._senders[lo:hi], dtype=np.intc)
+                to = np.frombuffer(self._receivers[lo:hi], dtype=np.intc)
+                hit = np.flatnonzero(observed[to] & outside[by])
+                for relay, time in zip(
+                    by[hit].tolist(), map(times.__getitem__, (hit + lo).tolist())
+                ):
+                    if time < first.get(relay, np.inf):
+                        first[relay] = time
+        return {nodes[relay]: time for relay, time in first.items()}
 
-        def note(sender: Hashable, time: float) -> None:
-            if sender not in first_seen or time < first_seen[sender]:
-                first_seen[sender] = time
+    def row_reprs(self) -> Iterator[str]:
+        """The log as text, in chunks: each row formatted as the ``repr``
+        of ``(time, receiver, sender, kind, payload_id, size_bytes,
+        direct)``, concatenated in log order (what the log digest hashes).
 
-        for obs in self._logged_for(receiver_set, payload_id, kinds):
-            if obs.sender is not None and obs.sender not in receiver_set:
-                note(obs.sender, obs.time)
-        if self._pending:
-            import numpy as np  # loaded already: only kernels write batches
-        masked = mask = None
-        for time, ids, to, senders, _, payload, kind, _ in self._pending:
-            if payload != payload_id or not (kinds is None or kind in kinds):
-                continue
-            if ids is not masked:
-                masked = ids
-                mask = np.fromiter(
-                    (node in receiver_set for node in ids.tolist()),
-                    dtype=bool, count=len(ids),
-                )
-            relays = np.asarray(senders)[mask[to]]
-            relays = relays[~mask[relays]]
-            # First occurrences, back in delivery order.
-            unique, first = np.unique(relays, return_index=True)
-            for sender in ids[unique[np.argsort(first)]].tolist():
-                note(sender, time)
-        return first_seen
+        A cohort's rows share one time and one message object, so the
+        ``repr`` of each is reused while the object is.
+        """
+        node = list(map(repr, self._nodes))
+        flag = (", False)", ", True)")
+        starts = self._segment_starts + [self._count]
+        times, to, by = self._times, self._receivers, self._senders
+        messages, direct = self._messages, self._direct
+        for n, (payload_id, kind) in enumerate(self._segment_pairs):
+            tail = f", {kind!r}, {payload_id!r}, "
+            end = starts[n + 1]
+            time = message = None
+            for a in range(starts[n], end, _CHUNK):
+                b = min(a + _CHUNK, end)
+                parts = []
+                for t, r, s, m, d in zip(
+                    times[a:b], to[a:b], by[a:b], messages[a:b], direct[a:b]
+                ):
+                    if t is not time:
+                        time, head = t, f"({t!r}, "
+                    if m is not message:
+                        message, size = m, f"{tail}{m.size_bytes!r}"
+                    parts.append(f"{head}{node[r]}, {node[s]}{size}{flag[d]}")
+                yield "".join(parts)
+
+    # ------------------------------------------------------------------
+    # Observation views, for outside callers
+    # ------------------------------------------------------------------
+    def view(self, rows: Iterable[int]) -> List[Observation]:
+        """The given rows as :class:`Observation` objects."""
+        nodes, times = self._nodes, self._times
+        to, by = self._receivers, self._senders
+        messages, direct = self._messages, self._direct
+        viewed = [
+            Observation(
+                times[row], nodes[to[row]], nodes[by[row]], messages[row],
+                direct[row] == 1,
+            )
+            for row in rows
+        ]
+        if viewed and self.telemetry is not None:
+            self.telemetry.incr("observations_materialised", len(viewed))
+        return viewed
+
+    def __iter__(self) -> Iterator[Observation]:
+        return self.iter_observations()
+
+    @property
+    def observations(self) -> List[Observation]:
+        """The full chronological log as a new list of objects."""
+        return list(self.iter_observations())
+
+    def iter_observations(self) -> Iterator[Observation]:
+        """Iterate the full chronological log, viewed chunk by chunk.
+
+        The iterator is live over the append-only log: rows recorded while
+        iterating are yielded too, and already-yielded rows never change.
+        """
+        position = 0
+        while position < self._count:
+            end = min(self._count, position + _CHUNK)
+            yield from self.view(range(position, end))
+            position = end
+
+    def of_payload(
+        self,
+        payload_id: Hashable,
+        kinds: Optional[Tuple[str, ...]] = None,
+    ) -> List[Observation]:
+        """All deliveries of one payload in chronological order."""
+        return self.view(self.rows(payload_id, kinds))
+
+    def for_receivers(
+        self,
+        receivers: Iterable[Hashable],
+        payload_id: Optional[Hashable] = None,
+        kinds: Optional[Tuple[str, ...]] = None,
+    ) -> List[Observation]:
+        """Deliveries received by any of ``receivers``, optionally filtered.
+
+        This is the honest-but-curious adversary query: everything a set of
+        observer nodes saw.
+        """
+        return self.view(self.rows(payload_id, kinds, receivers))
 
     def first_observations(
         self,
@@ -494,10 +491,12 @@ class ObservationStore:
     ) -> Dict[Hashable, Observation]:
         """First delivery of the payload per receiving node.
 
-        Derived from the payload's chronological view, so the result matches
-        a scan of the log restricted to ``kinds`` at O(payload traffic) cost.
+        Only the first row per receiver is viewed as an object.
         """
-        first: Dict[Hashable, Observation] = {}
-        for observation in self.of_payload(payload_id, kinds):
-            first.setdefault(observation.receiver, observation)
-        return first
+        first: Dict[int, int] = {}
+        column = self._receivers
+        for row in self.rows(payload_id, kinds):
+            first.setdefault(column[row], row)
+        return {obs.receiver: obs for obs in self.view(first.values())}
+
+

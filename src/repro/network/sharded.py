@@ -32,9 +32,8 @@ have:
   cohort kernel already requires (loss consumes the dedicated link RNG per
   send in global send order, which is exactly the cross-process ordering
   problem again);
-* no ``until`` bound, no pending first-observation hooks, and an event
-  queue holding nothing but non-direct deliveries of the kernel's kind
-  between known endpoints — timers (churn schedules, protocol phases) may
+* no ``until`` bound, and an event queue holding nothing but non-direct
+  deliveries of the kernel's kind between known endpoints — timers (churn schedules, protocol phases) may
   fire between cohorts and observe global state, so any timer disables the
   split.
 
@@ -52,9 +51,8 @@ chunks of a window by rank reproduces the event engine's log order
 exactly.  After the last window the parent does that merge once per
 window — one vectorised ``argsort`` over the workers' concatenated ranks —
 and hands the result to :meth:`ObservationStore.record_batch`, the same
-bulk writer the in-process kernel uses; ``Observation`` materialisation
-stays deferred until a reader actually needs log entries, which a
-pure-counting benchmark never does.
+bulk writer the in-process kernel uses, so the index arrays land in the
+store's columns as they are.
 """
 
 from __future__ import annotations
@@ -373,7 +371,7 @@ def _run_windows(simulator, kernel, entries, shards, state, max_events) -> float
         simulator, kernel, topology, payload_list, results
     )
     if stopped_early:
-        _requeue_pending(
+        _requeue_unfinished(
             simulator, kernel, topology, payload_list, node_sizes,
             size_const, initial_raw, done_times, routed, results,
         )
@@ -398,19 +396,22 @@ def _adopt_results(simulator, kernel, topology, payload_list, results):
     same-payload run, exactly like the in-process kernel writes a cohort.
     Messages are shared per run where the size is — the digest surface
     (kind, payload, size) matches the kernel's one-message-per-sender
-    sharing.
+    sharing.  Records are drained as their window is written, so the
+    store's columns replace them rather than joining them at the peak.
     """
-    records = sorted(
-        (record for worker_records, _inbox, _counters in results
-         for record in worker_records),
-        key=lambda record: record[0],
-    )
+    records = []
+    for worker_records, _inbox, _counters in results:
+        records.extend(worker_records)
+        worker_records.clear()
+    records.sort(key=lambda record: record[0])
+    records.reverse()
+    drained = (records.pop() for _ in range(len(records)))
     ids_array = topology.ids_array
     store = simulator.store
     metrics = simulator.metrics
     nodes = simulator._nodes
     kind = kernel.kind
-    for time, window in itertools.groupby(records, key=lambda r: r[0]):
+    for time, window in itertools.groupby(drained, key=lambda r: r[0]):
         window = list(window)
         lengths = [len(record[2]) for record in window]
         order = np.argsort(np.concatenate([record[2] for record in window]))
@@ -469,7 +470,7 @@ def _messages(kind, payload_id, sizes, count) -> List[Message]:
     ]
 
 
-def _requeue_pending(
+def _requeue_unfinished(
     simulator, kernel, topology, payload_list, node_sizes, size_const,
     initial_raw, done_times, routed, results,
 ):
@@ -478,7 +479,7 @@ def _requeue_pending(
     Initial entries whose window never ran are re-pushed verbatim (their
     original ``Message`` objects survive); in-flight emissions — chunks the
     parent routed but never dispatched plus each worker's leftover inbox —
-    are materialised into delivery tuples and pushed in (time, rank)
+    are rebuilt as delivery tuples and pushed in (time, rank)
     order, so a follow-up ``run`` on any engine resumes exactly.
     """
     push_item = simulator._queue.push_item

@@ -3,8 +3,7 @@
 The simulator owns the overlay graph, the clock, the latency model and the
 metrics.  Protocol behaviour lives entirely in :class:`~repro.network.node.Node`
 subclasses; the simulator's job is to deliver their messages after the
-latency-model delay and to record every delivery as an
-:class:`~repro.network.message.Observation` in the indexed
+latency-model delay and to record every delivery as one row of the columnar
 :class:`~repro.network.observation_store.ObservationStore` so adversaries and
 benchmarks can analyse the run afterwards without scanning the full log.
 
@@ -15,9 +14,9 @@ nodes but dominant at 5,000:
 * a delivery is *data*, not code — ``send`` pushes a plain
   ``(receiver, sender, message, direct)`` tuple onto the event queue
   (:meth:`EventQueue.push_item`) instead of allocating a per-message closure
-  plus an ``Event`` object, and the run loop dispatches on the payload type,
-  building the :class:`Observation` inline and appending it through the
-  pre-bound ``store.record`` fast path;
+  plus an ``Event`` object, and the run loop dispatches on the payload type
+  and appends the delivery's columns through the pre-bound ``store.record``
+  fast path;
 * the conditions' ``loss_probability``/``jitter``, the latency model's
   ``delay`` method and the per-node adjacency sets are cached on the
   simulator at construction, so the per-event inner loop does no repeated
@@ -549,7 +548,7 @@ class Simulator:
         says what stopped it below the cap (``None`` at the cap); ``split``
         is ``(shard count, kernel.shard_state(...))`` on the sharded path,
         else ``None``.  Everything is read from what the run can observe —
-        latency model, jitter, loss, node population, queue contents, hooks,
+        latency model, jitter, loss, node population, queue contents,
         ``until``, platform — and nothing is consumed.  Each ``return`` is
         one row of the eligibility table in ``docs/ARCHITECTURE.md``.
         """
@@ -586,8 +585,6 @@ class Simulator:
             return "batched", "bounded run (until set)", None
         if self._loss_probability > 0.0:
             return "batched", "link loss enabled", None
-        if self.store.has_pending_first_hooks:
-            return "batched", "pending first-observation hooks", None
         from repro.network.sharded import default_shard_count
 
         node_count = self.graph.number_of_nodes()
@@ -641,10 +638,12 @@ class Simulator:
         of spinning on a stuck clock.  A ``max_events`` exit leaves the clock
         at the last executed event.
 
-        Engine note: on the cohort paths the ``max_events`` cap is checked
-        between cohorts (windows, when sharded), so a run may execute up to
-        one cohort past the cap before stopping; ``until`` semantics are
-        identical on every path.
+        Engine note: the event loop stops exactly at ``max_events``.  The
+        cohort paths check the cap between cohorts (windows, when sharded):
+        a run finishes the cohort in which the cap falls and starts no
+        other, so it executes exactly the events up to the first cohort
+        boundary at or past the cap — less than one cohort of overshoot.
+        ``until`` semantics are identical on every path.
         """
         if self._closed:
             self._raise_closed("run")
@@ -686,8 +685,8 @@ class Simulator:
         """Path dispatch + the per-message event loop (see :meth:`run`).
 
         Runs with the cycle collector paused on every path: a run allocates
-        one heap entry and one observation per delivery, none of them
-        garbage until the session goes.  On the sharded path the workers are
+        one heap entry and one log row per delivery, none of them garbage
+        until the session goes.  On the sharded path the workers are
         forked in here, so they inherit the pause and never write to the
         pages they share with the parent.
         """
@@ -752,9 +751,7 @@ class Simulator:
                     self._churn_dropped += 1
                     executed += 1
                     continue
-                record(
-                    Observation(self._now, receiver, sender, message, direct)
-                )
+                record(self._now, receiver, sender, message, direct)
                 nodes[receiver].on_message(sender, message)
             else:
                 item()

@@ -219,25 +219,14 @@ def experiment_metrics(result: ExperimentResult) -> Dict[str, float]:
 def observation_log_digest(simulator: Simulator) -> str:
     """Stable SHA-256 over everything a run's observation log contains.
 
-    The same digest definition as the fast-path golden tests: every
-    observation's time, endpoints, message kind/payload/size and
-    direct-flag, in log order.
+    The same digest definition as the fast-path golden tests: the
+    ``repr`` of every delivery's ``(time, receiver, sender, kind,
+    payload_id, size_bytes, direct)`` tuple, in log order — formatted
+    straight from the store's columns.
     """
     digest = hashlib.sha256()
-    for obs in simulator.iter_observations():
-        digest.update(
-            repr(
-                (
-                    obs.time,
-                    obs.receiver,
-                    obs.sender,
-                    obs.message.kind,
-                    obs.message.payload_id,
-                    obs.message.size_bytes,
-                    obs.direct,
-                )
-            ).encode()
-        )
+    for text in simulator.store.row_reprs():
+        digest.update(text.encode())
     return digest.hexdigest()
 
 

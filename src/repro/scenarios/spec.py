@@ -78,6 +78,7 @@ class TopologySpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "params", dict(self.params))
         if self.family not in TOPOLOGY_FAMILIES:
             known = ", ".join(sorted(TOPOLOGY_FAMILIES))
             raise ValueError(
@@ -159,7 +160,7 @@ class AdversarySpec:
     the serialized form, so pre-existing spec digests stay valid.
 
     Both the estimator and the model are validated at construction time:
-    unknown names raise ``KeyError`` listing the registered alternatives,
+    unknown names raise ``ValueError`` listing the registered alternatives,
     so a typo in a scenario file fails before anything runs.
     """
 
@@ -177,11 +178,11 @@ class AdversarySpec:
 
         if self.estimator not in ESTIMATORS:
             known = ", ".join(sorted(ESTIMATORS))
-            raise KeyError(
+            raise ValueError(
                 f"unknown estimator {self.estimator!r} (registered: {known})"
             )
         object.__setattr__(self, "model_params", dict(self.model_params))
-        # Raises KeyError for an unknown model name (registered names
+        # Raises ValueError for an unknown model name (registered names
         # listed) and TypeError for params the model does not accept.
         create_adversary_model(self.model, self.model_params)
 
@@ -202,7 +203,7 @@ class FaultSpec:
 
     ``model`` names a :class:`~repro.threat.base.FaultModel` from the
     :mod:`repro.threat` registry (``"regional_outage"``,
-    ``"flaky_links"``); unknown names raise ``KeyError`` listing the
+    ``"flaky_links"``); unknown names raise ``ValueError`` listing the
     registered alternatives at construction time.  Each fault compiles
     into a deterministic churn schedule per session from the run seed.
     """
@@ -401,7 +402,7 @@ class ScenarioSpec:
 
         if self.engine not in ENGINES:
             known = ", ".join(sorted(ENGINES))
-            raise KeyError(
+            raise ValueError(
                 f"unknown engine {self.engine!r} (registered: {known})"
             )
         if self.shards is not None and self.shards < 1:
@@ -411,9 +412,11 @@ class ScenarioSpec:
         # protocol does not accept, so a typo fails at load, not at compile.
         from repro.scenarios.runner import build_protocol
 
+        object.__setattr__(self, "protocol_options", dict(self.protocol_options))
         build_protocol(self.protocol, self.protocol_options)
-        # JSON round-trips deliver lists; store the canonical tuple.
+        # JSON round-trips deliver lists; store the canonical tuples.
         object.__setattr__(self, "faults", tuple(self.faults))
+        object.__setattr__(self, "tags", tuple(self.tags))
 
     # ------------------------------------------------------------------
     # Derivation
@@ -474,47 +477,48 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Reconstruct a spec from :meth:`to_dict` output."""
-        churn_data = data.get("churn")
-        churn = None
-        if churn_data is not None:
-            churn = ChurnSpec(
-                leave_fraction=churn_data.get("leave_fraction", 0.0),
-                leave_time=churn_data.get("leave_time", 0.25),
-                rejoin_after=churn_data.get("rejoin_after"),
-                seed_offset=churn_data.get("seed_offset", 0xC4A2),
-                events=tuple(
-                    ChurnEvent(time, node, action)
-                    for time, node, action in churn_data.get("events", ())
-                ),
+        """Reconstruct a spec from :meth:`to_dict` output.
+
+        Raises ``TypeError`` for a wrong type or an unknown or missing key
+        and ``ValueError`` for a wrong value, at any depth.
+        """
+        fields = dict(_object(data, "scenario"))
+        for key, section in _SECTIONS.items():
+            if key in fields:
+                fields[key] = section(**_object(fields[key], key))
+        if fields.get("churn") is not None:
+            churn = dict(_object(fields["churn"], "churn"))
+            churn["events"] = tuple(
+                ChurnEvent(*event) for event in churn.get("events", ())
             )
-        return cls(
-            name=data["name"],
-            topology=TopologySpec(
-                family=data["topology"]["family"],
-                params=dict(data["topology"].get("params", {})),
-            ),
-            conditions=ConditionsSpec(**data.get("conditions", {})),
-            protocol=data.get("protocol", "flood"),
-            protocol_options=dict(data.get("protocol_options", {})),
-            adversary=AdversarySpec(**data.get("adversary", {})),
-            workload=WorkloadSpec(**data.get("workload", {})),
-            seeds=SeedPolicy(**data.get("seeds", {})),
-            churn=churn,
-            faults=tuple(
-                FaultSpec(
-                    model=fault["model"], params=dict(fault.get("params", {}))
-                )
-                for fault in data.get("faults", ())
-            ),
-            privacy=PrivacySpec(**data.get("privacy", {})),
-            engine=data.get("engine", "event"),
-            shards=data.get("shards"),
-            description=data.get("description", ""),
-            tags=tuple(data.get("tags", ())),
+            fields["churn"] = ChurnSpec(**churn)
+        fields["faults"] = tuple(
+            FaultSpec(**_object(fault, "fault"))
+            for fault in fields.get("faults", ())
         )
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, payload: str) -> "ScenarioSpec":
         """Reconstruct a spec from :meth:`to_json` output."""
         return cls.from_dict(json.loads(payload))
+
+
+#: The sub-spec each nested JSON object of a scenario is loaded into.
+_SECTIONS = {
+    "topology": TopologySpec,
+    "conditions": ConditionsSpec,
+    "adversary": AdversarySpec,
+    "workload": WorkloadSpec,
+    "seeds": SeedPolicy,
+    "privacy": PrivacySpec,
+}
+
+
+def _object(value: Any, what: str) -> Mapping[str, Any]:
+    """``value`` if it is a JSON object, else a ``TypeError`` naming it."""
+    if not isinstance(value, Mapping):
+        raise TypeError(
+            f"{what} must be a JSON object, not {type(value).__name__}"
+        )
+    return value

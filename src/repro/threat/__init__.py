@@ -17,7 +17,7 @@ active side as two registries of named, declaratively-configurable models:
   :class:`~repro.threat.faults.FlakyLinksFault`.
 
 Scenario specs address both by name (``AdversarySpec.model``,
-``FaultSpec.model``); unknown names raise ``KeyError`` listing the
+``FaultSpec.model``); unknown names raise ``ValueError`` listing the
 registered alternatives at spec-validation time.  See
 ``docs/ADVERSARIES.md`` for the catalogue.
 """

@@ -185,23 +185,23 @@ def available_fault_models() -> Tuple[str, ...]:
 
 
 def validate_adversary_model(name: str) -> None:
-    """Raise ``KeyError`` (listing registered names) for an unknown model.
+    """Raise ``ValueError`` (listing registered names) for an unknown model.
 
     The spec layer calls this at validation time, so a typo in a scenario
     file fails before anything runs.
     """
     if name not in _ADVERSARY_MODELS:
         known = ", ".join(available_adversary_models()) or "none"
-        raise KeyError(
+        raise ValueError(
             f"unknown adversary model {name!r} (registered: {known})"
         )
 
 
 def validate_fault_model(name: str) -> None:
-    """Raise ``KeyError`` (listing registered names) for an unknown model."""
+    """Raise ``ValueError`` (listing registered names) for an unknown model."""
     if name not in _FAULT_MODELS:
         known = ", ".join(available_fault_models()) or "none"
-        raise KeyError(f"unknown fault model {name!r} (registered: {known})")
+        raise ValueError(f"unknown fault model {name!r} (registered: {known})")
 
 
 def create_adversary_model(
@@ -210,7 +210,7 @@ def create_adversary_model(
     """Instantiate a registered adversary model from flat options.
 
     Raises:
-        KeyError: for an unknown model name (registered names listed).
+        ValueError: for an unknown model name (registered names listed).
         TypeError: for options the model's constructor does not accept.
     """
     validate_adversary_model(name)

@@ -1,11 +1,11 @@
 """The timing adversary reads the kernel-written log as columns.
 
-A cohort kernel (in-process or sharded) leaves the log as pending arrays;
-``FirstSpyEstimator`` and the privacy report must be answerable from those
-arrays, so a run whose readers are the first-spy adversary and the privacy
-accumulator builds **no** ``Observation`` beyond what the per-event writer
-recorded — while a later reader that iterates still gets the full log, bit
-for bit.  The store-level equivalence (against the loop over objects that
+Every writer appends to the store's columns; ``FirstSpyEstimator``, the
+privacy report and the log digest must be answerable from those columns,
+so a run whose readers are the first-spy adversary, the privacy
+accumulator and the digest builds **no** ``Observation`` — while a later
+reader that iterates still gets the full log, bit for bit.  The
+store-level equivalence (against the loop over objects that
 ``AdversaryView.first_relayers`` used to run) and the cost guard on a
 shared session are in ``tests/network/test_observation_store.py``.
 """
@@ -77,14 +77,14 @@ def test_guess_rank_and_report_build_no_observations(
     result, simulator = _attacked_flood(peers, engine, shards)
     assert result.engine_effective == engine
     assert result.privacy is not None and result.privacy.broadcasts == 1
-    store = simulator.store
-    # Only what the per-event writer recorded exists as objects; the
-    # kernel's rows are still arrays.
-    assert len(constructed) == len(store._log) < len(store)
-    assert store._pending
-    # A reader that iterates still gets everything, exactly.
+    # The digest reads columns too: still no object.
     assert observation_log_digest(simulator) == PARENT_DIGESTS[peers]
-    assert len(constructed) == len(store) == len(store._log)
+    assert not constructed
+    # A reader that iterates still gets everything, exactly.
+    assert sum(1 for _ in simulator.iter_observations()) == len(
+        simulator.store
+    )
+    assert len(constructed) == len(simulator.store)
 
     event_result, event_simulator = _attacked_flood(peers, "event")
     assert event_result.detection == result.detection

@@ -11,8 +11,8 @@ engine's unit surface:
 * ``pending_events`` counting buffered cohort blocks;
 * ``run(max_events=...)`` cohort-granularity stop and the descriptive
   ``run_until_idle`` error naming the engine in use;
-* ``on_first`` hooks firing identically on both engines (the hook path
-  forces the engine off the vectorised cohort onto per-item processing);
+* the first flood row of a payload (the three-phase flood-start query)
+  identical on both engines;
 * path selection from what the run can observe: a kernel engages under a
   constant, jitter-free link delay (with or without loss) and the event
   loop runs, with a recorded reason, wherever delays vary per message.
@@ -191,27 +191,25 @@ class TestPendingEventsAndLimits:
             assert sim.now == 50.0
 
 
-class TestFirstHooks:
-    def test_on_first_fires_identically_on_both_engines(self):
-        fired = {}
+class TestFloodStart:
+    def test_first_flood_row_identical_on_both_engines(self):
+        first = {}
         for engine in ENGINES:
             overlay = random_regular_overlay(40, degree=4, seed=9)
             sim = Simulator(
                 overlay, latency=ConstantLatency(1.0), seed=0, engine=engine
             )
             sim.populate(FloodNode)
-            observed = []
-            sim.store.on_first(
-                "tx", FloodNode.MESSAGE_KIND, observed.append
-            )
             sim.node(0).originate("tx")
             sim.run_until_idle()
-            assert len(observed) == 1
-            obs = observed[0]
-            fired[engine] = (
-                obs.time, obs.receiver, obs.sender, obs.message.payload_id
+            assert sim.engine_effective == engine
+            rows = sim.store.rows("tx", (FloodNode.MESSAGE_KIND,))
+            (obs,) = sim.store.view(rows[:1])
+            first[engine] = (
+                rows[0], obs.time, obs.receiver, obs.sender,
+                obs.message.payload_id,
             )
-        assert fired["batched"] == fired["event"]
+        assert first["batched"] == first["event"]
 
 
 #: Conditions under which no two deliveries share a timestamp: jitter on a

@@ -16,7 +16,7 @@ import repro.network.sharded as sharded_mod
 from repro.broadcast.flood import FloodNode
 from repro.network.collector import collector_paused
 from repro.network.latency import ConstantLatency
-from repro.network.message import Message, Observation
+from repro.network.message import Message
 from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
 from repro.network.simulator import Simulator
@@ -136,7 +136,7 @@ class TestSimulatorRun:
         sim.run_until_idle()
         assert sim.engine_effective == engine
         assert _collector_state() == before
-        # Every reader below goes through the store's lazy step.
+        # Every reader below views the store's columns as objects.
         assert sum(1 for _ in sim.iter_observations()) == len(sim.store)
         assert _collector_state() == before
         sim.observations_for([1, 2, 3])
@@ -214,9 +214,7 @@ class TestStoreSync:
 
     def test_indexing_recorded_entries_restores_state(self, collector):
         store = ObservationStore()
-        store.record(
-            Observation(0.5, "b", "a", Message(kind="flood", payload_id="tx"))
-        )
+        store.record(0.5, "b", "a", Message(kind="flood", payload_id="tx"))
         before = _collector_state()
         assert len(store.for_receivers(["b"])) == 1
         assert _collector_state() == before

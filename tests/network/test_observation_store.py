@@ -1,6 +1,6 @@
-"""Equivalence tests for the indexed observation store.
+"""Equivalence tests for the columnar observation store.
 
-Every indexed query must return exactly what a naive scan over the full
+Every query must return exactly what a naive scan over the full
 chronological log returns — on randomized traffic, for every filter
 combination, and whichever of the store's two writers the traffic came
 through (``record`` per delivery, ``record_batch`` per same-time run, or
@@ -9,8 +9,10 @@ mirror the pre-index code paths (linear scans over ``sends``) that the store
 replaced.
 """
 
+import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -27,6 +29,8 @@ from repro.network.observation_store import ObservationStore
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
 from repro.protocols import create_protocol
+from repro.scenarios.runner import observation_log_digest
+from repro.telemetry import TelemetryRecorder
 
 KINDS = ("flood", "ad_payload", "ad_token", "dc_share")
 PAYLOADS = ("tx-0", "tx-1", "tx-2", "tx-3", "tx-4")
@@ -72,6 +76,13 @@ def random_log(seed, length=400):
 WRITERS = ("record", "record_batch", "interleaved")
 
 
+def record(store, obs):
+    """Append one ``Observation`` through the per-event writer."""
+    return store.record(
+        obs.time, obs.receiver, obs.sender, obs.message, obs.direct
+    )
+
+
 def write(store, log, writer="record"):
     """Feed ``log`` to ``store`` through the chosen writer, run by run."""
     runs = itertools.groupby(
@@ -82,7 +93,7 @@ def write(store, log, writer="record"):
         run = list(run)
         if writer == "record" or (writer == "interleaved" and index % 2):
             for obs in run:
-                store.record(obs)
+                record(store, obs)
         else:
             store.record_batch(
                 time,
@@ -145,6 +156,38 @@ def naive_for_receivers(log, receivers, payload_id=None, kinds=None):
         and (payload_id is None or obs.message.payload_id == payload_id)
         and (kinds is None or obs.message.kind in kinds)
     ]
+
+
+def naive_first_relay_times(log, observers, payload_id, kinds=None):
+    """The loop ``AdversaryView.first_relayers`` ran over ``Observation``s."""
+    first_seen = {}
+    for obs in naive_for_receivers(log, observers, payload_id, kinds):
+        sender = obs.sender
+        if sender is None or sender in observers:
+            continue
+        if sender not in first_seen or obs.time < first_seen[sender]:
+            first_seen[sender] = obs.time
+    return first_seen
+
+
+def naive_digest(log):
+    """``observation_log_digest``'s definition, one object at a time."""
+    digest = hashlib.sha256()
+    for obs in log:
+        digest.update(
+            repr(
+                (
+                    obs.time,
+                    obs.receiver,
+                    obs.sender,
+                    obs.message.kind,
+                    obs.message.payload_id,
+                    obs.message.size_bytes,
+                    obs.direct,
+                )
+            ).encode()
+        )
+    return digest.hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +261,7 @@ class TestQueryEquivalence:
                 float(index), receiver=index, sender=index + 1,
                 message=Message(kind="flood", payload_id="tx"),
             )
-            store.record(obs)
+            record(store, obs)
             log.append(obs)
         view = store.iter_observations()
         assert iter(view) is view  # an iterator, not a copy
@@ -229,7 +272,7 @@ class TestQueryEquivalence:
             99.0, receiver=0, sender=1,
             message=Message(kind="flood", payload_id="late"),
         )
-        store.record(extra)
+        record(store, extra)
         remaining = list(view)
         assert remaining == log[2:] + [extra]
 
@@ -260,92 +303,129 @@ class TestQueryEquivalence:
                         naive_for_receivers(log, receivers, payload_id, kinds)
                     ), (receivers, payload_id, kinds)
 
+    def test_digest(self, traffic):
+        log, store = traffic
+        assert observation_log_digest(SimpleNamespace(store=store)) == (
+            naive_digest(log)
+        )
+
+
+# ----------------------------------------------------------------------
+# The Hypothesis oracle: both writers interleaved, every reader checked
+# ----------------------------------------------------------------------
+#: Two kernel id tables over overlapping nodes (mixed ``int``/``str``
+#: ids): a batch addresses nodes by position in whichever it names.
+ID_TABLES = [np.empty(5, dtype=object), np.empty(4, dtype=object)]
+ID_TABLES[0][:] = [0, "a", 1, "b", 2]
+ID_TABLES[1][:] = ["b", 3, 0, "c"]
+EVENT_NODES = [0, "a", 1, "b", 2, 3, "c", "d"]
+
+_writes = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 0.25, 1.0]),  # time step: equal times too
+        st.sampled_from(PAYLOADS[:2]),  # few payloads: ids get reused
+        st.sampled_from(KINDS[:2]),
+        st.booleans(),  # direct?
+        st.sampled_from([None, 0, 0, 1]),  # per-event, or a batch's table
+        st.lists(
+            st.tuples(st.integers(0, 7), st.one_of(st.integers(0, 7), st.none())),
+            min_size=1, max_size=8,
+        ),
+    ),
+    max_size=14,
+)
+
+
+def write_random(store, writes):
+    """Apply Hypothesis-drawn writes; returns the log as objects."""
+    log = []
+    time = 0.0
+    for step, payload_id, kind, direct, table, pairs in writes:
+        time += step
+        message = Message(kind=kind, payload_id=payload_id, size_bytes=32)
+        if table is None:
+            for to, by in pairs:
+                obs = Observation(
+                    time, EVENT_NODES[to],
+                    None if by is None else EVENT_NODES[by], message, direct,
+                )
+                record(store, obs)
+                log.append(obs)
+            continue
+        ids = ID_TABLES[table]
+        # A batch has no ``None`` sender: fall back to the receiver's slot.
+        to = [a % len(ids) for a, _ in pairs]
+        by = [a if b is None else b % len(ids) for a, (_, b) in zip(to, pairs)]
+        store.record_batch(
+            time, ids, np.array(to), np.array(by), [message] * len(to),
+            payload_id, kind, message.size_bytes * len(to), direct,
+        )
+        log.extend(
+            Observation(time, ids[a], ids[b], message, direct)
+            for a, b in zip(to, by)
+        )
+    return log
+
+
+class TestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        writes=_writes,
+        observers=st.sets(st.sampled_from(EVENT_NODES + ["ghost"])),
+        kinds=st.one_of(st.none(), st.sets(st.sampled_from(KINDS[:3]))),
+        start=st.integers(0, 40),
+    )
+    def test_every_reader_matches_a_scan_of_the_log(
+        self, writes, observers, kinds, start
+    ):
+        store = ObservationStore()
+        expected = write_random(store, writes)
+        log = list(store.iter_observations())
+        assert log == expected
+        kinds = None if kinds is None else tuple(sorted(kinds))
+        assert len(store) == len(log)
+        assert store.bytes_total() == sum(o.message.size_bytes for o in log)
+        assert store.kind_counts() == {
+            kind: naive_count(log, kind)
+            for kind in dict.fromkeys(o.message.kind for o in log)
+        }
+        for payload_id in PAYLOADS[:3]:
+            for kind in (None,) + KINDS[:2]:
+                assert store.count(kind, payload_id) == (
+                    naive_count(log, kind, payload_id)
+                )
+            assert store.of_payload(payload_id, kinds) == (
+                naive_of_payload(log, payload_id, kinds)
+            )
+            assert store.for_receivers(observers, payload_id, kinds) == (
+                naive_for_receivers(log, observers, payload_id, kinds)
+            )
+            assert store.first_observations(payload_id, kinds) == (
+                naive_first_observations(log, payload_id, kinds)
+            )
+            got = store.first_relay_times(observers, payload_id, kinds)
+            want = naive_first_relay_times(log, observers, payload_id, kinds)
+            assert list(got.items()) == list(want.items())
+            # The flood-start query: first matching row at or after start.
+            rows = store.rows(payload_id, ("flood",), start=start)
+            scan = [
+                row for row, obs in enumerate(log)
+                if row >= start and obs.message.payload_id == payload_id
+                and obs.message.kind == "flood"
+            ]
+            assert rows == scan
+            assert store.column("time", rows[:1]) == [
+                log[row].time for row in scan[:1]
+            ]
+        assert observation_log_digest(SimpleNamespace(store=store)) == (
+            naive_digest(log)
+        )
+
 
 # ----------------------------------------------------------------------
 # The column query: first relay time per outside sender
 # ----------------------------------------------------------------------
-def first_relayers_by_loop(store, observers, payload_id, kinds=None):
-    """The loop ``AdversaryView.first_relayers`` ran over ``Observation``s."""
-    first_seen = {}
-    for obs in store.for_receivers(observers, payload_id, kinds):
-        sender = obs.sender
-        if sender is None or sender in observers:
-            continue
-        if sender not in first_seen or obs.time < first_seen[sender]:
-            first_seen[sender] = obs.time
-    return first_seen
-
-
-#: Mixed ``int``/``str`` ids; a batch addresses them by position.  Few ids
-#: and mostly-batched runs, so that several outside senders reaching an
-#: observer inside one pending batch — where key order is at stake — is
-#: the common case rather than a one-in-a-thousand draw.
-RELAY_IDS = np.empty(5, dtype=object)
-RELAY_IDS[:] = [0, "a", 1, "b", 2]
-_slots = st.integers(min_value=0, max_value=len(RELAY_IDS) - 1)
-_relay_runs = st.lists(
-    st.tuples(
-        st.sampled_from([0.0, 0.0, 0.25, 1.0]),  # time step: equal times too
-        st.sampled_from(PAYLOADS[:2]),
-        st.sampled_from(KINDS[:2]),
-        st.sampled_from([True, True, True, False]),  # through record_batch?
-        st.lists(
-            st.tuples(_slots, st.one_of(_slots, _slots, _slots, st.none())),
-            min_size=1, max_size=8,
-        ),
-    ),
-    max_size=12,
-)
-
-
 class TestFirstRelayTimes:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        runs=_relay_runs,
-        # Observers send too, and one ("ghost") is in no batch's id table.
-        observers=st.sets(st.sampled_from([0, "a", 1, "ghost"])),
-        kinds=st.one_of(
-            st.none(), st.lists(st.sampled_from(KINDS[:3]), max_size=3)
-        ),
-    )
-    def test_equals_the_loop_over_objects_key_order_included(
-        self, runs, observers, kinds
-    ):
-        store = ObservationStore()
-        time = 0.0
-        for step, payload_id, kind, batched, pairs in runs:
-            time += step
-            message = Message(kind=kind, payload_id=payload_id)
-            if batched:
-                # A batch has no ``None`` sender: fall back to the slot.
-                store.record_batch(
-                    time, RELAY_IDS,
-                    np.array([to for to, _ in pairs]),
-                    np.array([to if by is None else by for to, by in pairs]),
-                    [message] * len(pairs), payload_id, kind,
-                    message.size_bytes * len(pairs),
-                )
-            else:
-                for to, by in pairs:
-                    sender = None if by is None else RELAY_IDS[by]
-                    store.record(
-                        Observation(time, RELAY_IDS[to], sender, message)
-                    )
-        pending = len(store._pending)
-        got = [
-            store.first_relay_times(
-                observers, payload_id, None if kinds is None else iter(kinds)
-            )
-            for payload_id in PAYLOADS[:2]
-        ]
-        assert len(store._pending) == pending  # nothing was materialised
-        for payload_id, table in zip(PAYLOADS[:2], got):
-            want = first_relayers_by_loop(
-                store, observers, payload_id,
-                None if kinds is None else tuple(kinds),
-            )
-            assert list(table.items()) == list(want.items())
-
     @pytest.mark.parametrize("writer", WRITERS)
     def test_on_the_random_traffic_of_this_module(self, writer):
         log = random_log(seed=5)
@@ -353,29 +433,25 @@ class TestFirstRelayTimes:
         for observers in ([], [0], [3, 4, 5, 9], NODES):
             for kinds in KIND_FILTERS:
                 got = store.first_relay_times(observers, "tx-1", kinds)
-                want = first_relayers_by_loop(
-                    store_from(log), set(observers), "tx-1", kinds
+                want = naive_first_relay_times(
+                    log, set(observers), "tx-1", kinds
                 )
                 assert list(got.items()) == list(want.items())
 
-    def test_cost_is_the_smaller_index_side_not_the_log(self):
-        log = random_log(seed=8, length=2000)
-        store = store_from(log)
-        store.first_relay_times([0], "tx-0")  # indexes the log, once
-        touched = store._log = CountingLog(store._log)
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_builds_no_observation(self, writer):
+        store = store_from(random_log(seed=6), writer)
+        store.telemetry = TelemetryRecorder()
         for payload_id in PAYLOADS:
-            for observers in ([0], NODES):
-                touched.count = 0
-                store.first_relay_times(observers, payload_id)
-                assert touched.count == min(
-                    len(naive_for_receivers(log, observers)),
-                    len(naive_of_payload(log, payload_id)),
-                )
+            store.first_relay_times([0, 3, 4], payload_id)
+        assert "observations_materialised" not in store.telemetry.counters
 
-    def test_a_shared_session_is_read_per_payload_not_per_log(self):
+    def test_a_shared_session_is_read_per_payload_not_per_log(
+        self, monkeypatch
+    ):
         # three_phase keeps all broadcasts of an experiment on one store: a
-        # per-payload relay table must cost that payload's traffic (or the
-        # observers', whichever is smaller), or B broadcasts cost O(B * log).
+        # per-payload relay table must read that payload's rows only, or B
+        # broadcasts cost O(B * log).
         graph = random_regular_overlay(60, degree=4, seed=2)
         protocol = create_protocol("three_phase")
         session = protocol.build(
@@ -387,132 +463,23 @@ class TestFirstRelayTimes:
             protocol.broadcast(session, nodes[index], payload_id)
         store = session.simulator.store
         estimator = FirstSpyEstimator(session.simulator, nodes[40:52])
-        estimator.guess(payloads[0])  # indexes the per-event log, once
-        log = store._log = CountingLog(store._log)
-        for payload_id in payloads[1:]:
-            log.count = 0
+        read = []
+        ranges = ObservationStore._ranges
+
+        def counting(self, *args, **kwargs):
+            found = ranges(self, *args, **kwargs)
+            read.append(sum(b - a for a, b in found))
+            return found
+
+        monkeypatch.setattr(ObservationStore, "_ranges", counting)
+        for payload_id in payloads:
+            read.clear()
             assert estimator.rank(payload_id)
             estimator.guess(payload_id)  # shares rank's table
-            assert 0 < log.count <= store.count(payload_id=payload_id)
-        assert not store._pending and len(log) == len(store)
-
-
-class CountingLog(list):
-    """A log that counts the positions readers touch."""
-
-    count = 0
-
-    def __getitem__(self, position):
-        self.count += 1
-        return super().__getitem__(position)
-
-
-class TestFirstObservationHooks:
-    def test_hook_fires_once_on_first_match(self):
-        store = ObservationStore()
-        log = random_log(seed=7, length=100)
-        seen = []
-        store.on_first("tx-1", "flood", seen.append)
-        for obs in log:
-            store.record(obs)
-        expected = naive_of_payload(log, "tx-1", ("flood",))
-        assert seen == expected[:1]
-
-    def test_hook_fires_immediately_when_registered_late(self):
-        log = random_log(seed=8, length=100)
-        store = store_from(log)
-        seen = []
-        store.on_first("tx-2", "flood", seen.append)
-        assert seen == naive_of_payload(log, "tx-2", ("flood",))[:1]
-
-    @pytest.mark.parametrize("writer", WRITERS)
-    def test_hook_fires_once_at_its_position_for_every_writer(self, writer):
-        # Registered while earlier batches are still unmaterialised; the
-        # pair's first delivery arrives later.  Exactly one call, with the
-        # observation that sits at that log position.
-        log = random_log(seed=11, length=200)
-        expected = naive_of_payload(log, "tx-3", ("ad_token",))[0]
-        cut = log.index(expected)
-        store = store_from(log[:cut], writer)
-        seen = []
-        store.on_first("tx-3", "ad_token", seen.append)
-        assert seen == []
-        write(store, log[cut:], writer)
-        assert seen == [expected]
-        assert store.observations[cut] is seen[0]
-        assert not store.has_pending_first_hooks
-        # Registered after the fact, with batches pending: fires at once.
-        late = []
-        store.record_batch(
-            log[-1].time + 1.0, NODE_IDS, [0], [1], [log[-1].message],
-            log[-1].message.payload_id, log[-1].message.kind, 0,
-        )
-        store.on_first("tx-3", "ad_token", late.append)
-        assert late == [expected]
-
-    def test_hook_never_fires_without_match(self):
-        store = store_from(random_log(seed=9, length=50))
-        seen = []
-        store.on_first("tx-0", "no-such-kind", seen.append)
-        assert seen == []
-
-    def test_cancelled_hook_never_fires(self):
-        store = ObservationStore()
-        seen = []
-        cancel = store.on_first("tx", "flood", seen.append)
-        cancel()
-        store.record(
-            Observation(
-                time=1.0,
-                receiver=1,
-                sender=0,
-                message=Message(kind="flood", payload_id="tx"),
+            assert read and all(
+                0 < rows <= store.count(payload_id=payload_id)
+                for rows in read
             )
-        )
-        assert seen == []
-        cancel()  # cancelling twice is a harmless no-op
-
-    def test_cancel_after_fire_is_noop(self):
-        log = random_log(seed=10, length=50)
-        store = store_from(log)
-        payload_id = log[0].message.payload_id
-        kind = log[0].message.kind
-        seen = []
-        cancel = store.on_first(payload_id, kind, seen.append)
-        assert seen == [log[0]]
-        cancel()
-
-    def test_cancel_preserves_sibling_hooks(self):
-        store = ObservationStore()
-        first, second = [], []
-        cancel_first = store.on_first("tx", "flood", first.append)
-        store.on_first("tx", "flood", second.append)
-        cancel_first()
-        obs = Observation(
-            time=1.0,
-            receiver=1,
-            sender=0,
-            message=Message(kind="flood", payload_id="tx"),
-        )
-        store.record(obs)
-        assert first == []
-        assert second == [obs]
-
-    def test_multiple_hooks_all_fire(self):
-        store = ObservationStore()
-        first, second = [], []
-        store.on_first("tx", "flood", first.append)
-        store.on_first("tx", "flood", second.append)
-        obs = Observation(
-            time=1.0,
-            receiver=1,
-            sender=0,
-            message=Message(kind="flood", payload_id="tx"),
-        )
-        store.record(obs)
-        store.record(obs)
-        assert first == [obs]
-        assert second == [obs]
 
 
 class TestSimulatorIntegration:

@@ -59,10 +59,6 @@ def _direct_send(sim, monkeypatch):
     sim.send(0, 5, Message(kind="flood", payload_id="tx"), direct=True)
 
 
-def _pending_hook(sim, monkeypatch):
-    sim.store.on_first("tx", FloodNode.MESSAGE_KIND, lambda obs: None)
-
-
 def _no_fork(sim, monkeypatch):
     monkeypatch.setattr(
         multiprocessing, "get_all_start_methods", lambda: ["spawn"]
@@ -99,8 +95,6 @@ CASES = [
      ("batched", "bounded run (until set)")),
     ("loss", dict(engine="sharded", loss_probability=0.1), None, None,
      ("batched", "link loss enabled")),
-    ("hook", dict(engine="sharded"), _pending_hook, None,
-     ("batched", "pending first-observation hooks")),
     ("one-shard", dict(engine="sharded", shards=1), None, None,
      ("batched", "<2 shards")),
     ("timer", dict(engine="sharded"), _timer, None,

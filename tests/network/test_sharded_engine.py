@@ -442,21 +442,19 @@ class TestStoreAdoption:
         )
         assert observation_digest(sharded) == observation_digest(event)
 
-    def test_on_first_hook_forces_exact_fallback(self, window_calls):
-        # A pending first-observation hook must fire mid-run in log order;
-        # the sharded engine cannot guarantee that across processes, so
-        # the hook forces the in-process path — and fires identically.
-        fired = {}
+    def test_first_flood_row_identical_on_the_sharded_path(self):
+        # The flood-start query reads the merged log after the run, so it
+        # needs no in-process fallback and answers as the event path does.
+        first = {}
         for engine, shards in (("event", None), ("sharded", 2)):
             sim = _flood_sim(engine, shards=shards, size=40, degree=4)
-            observed = []
-            sim.store.on_first("tx", FloodNode.MESSAGE_KIND, observed.append)
             sim.node(0).originate("tx")
             sim.run_until_idle()
-            assert len(observed) == 1
-            obs = observed[0]
-            fired[engine] = (
-                obs.time, obs.receiver, obs.sender, obs.message.payload_id
+            assert sim.engine_effective == engine
+            rows = sim.store.rows("tx", (FloodNode.MESSAGE_KIND,))
+            (obs,) = sim.store.view(rows[:1])
+            first[engine] = (
+                rows[0], obs.time, obs.receiver, obs.sender,
+                obs.message.payload_id,
             )
-        assert fired["sharded"] == fired["event"]
-        assert window_calls == []
+        assert first["sharded"] == first["event"]

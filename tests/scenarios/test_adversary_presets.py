@@ -119,14 +119,14 @@ class TestAdaptiveSeedParity:
 
 class TestSpecValidation:
     def test_unknown_estimator_rejected_at_construction(self):
-        with pytest.raises(KeyError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             AdversarySpec(estimator="crystal_ball")
         message = str(excinfo.value)
         assert "crystal_ball" in message
         assert "first_spy" in message
 
     def test_unknown_adversary_model_rejected_at_construction(self):
-        with pytest.raises(KeyError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             AdversarySpec(model="quantum")
         message = str(excinfo.value)
         assert "quantum" in message
@@ -138,7 +138,7 @@ class TestSpecValidation:
             AdversarySpec(model="adaptive", model_params={"telepathy": True})
 
     def test_unknown_fault_model_rejected_at_construction(self):
-        with pytest.raises(KeyError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             FaultSpec(model="solar_flare")
         message = str(excinfo.value)
         assert "solar_flare" in message

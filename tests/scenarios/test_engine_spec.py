@@ -2,7 +2,7 @@
 
 The spec fields must be digest-neutral at their defaults (pre-existing
 spec serializations and run digests cannot change), validated like every
-other registry name (KeyError listing the alternatives), and — the whole
+other registry name (ValueError listing the alternatives), and — the whole
 point — behaviour-neutral: a preset runs to the identical observation
 digest on every engine, at any shard count.
 """
@@ -54,7 +54,7 @@ class TestSpecField:
         assert ScenarioSpec.from_json(spec.to_json()) == spec
 
     def test_unknown_engine_lists_registered(self):
-        with pytest.raises(KeyError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             _small_spec(engine="warp")
         message = excinfo.value.args[0]
         assert "unknown engine 'warp'" in message

@@ -120,25 +120,22 @@ class TestCounters:
         assert recorder.counters["cohorts"] == hist["count"]
         assert hist["sum"] == recorder.counters["events_dispatched"]
 
-    def test_materialised_rows_counted_once_per_lazy_step(self):
+    def test_only_rows_viewed_as_objects_are_counted(self):
         recorder = TelemetryRecorder()
         sim = _flood_sim("batched", telemetry=recorder)
         sim.run(max_events=150)
         spies = FirstSpyEstimator(sim, range(10, 30))
-        # The timing adversary reads columns: the run stayed columnar.
+        # The timing adversary and the log digest read columns.
         assert spies.guess("tx") is not None and spies.rank("tx")
+        assert observation_log_digest(sim)
         assert "observations_materialised" not in recorder.counters
-        # A reader that iterates turns every pending row into an object.
-        first = len(sim.store) - len(sim.store._log)
-        assert first > 0
+        # An outside reader's view is counted, row for row, per query.
         assert sum(1 for _ in sim.iter_observations()) == len(sim.store)
-        assert recorder.counters["observations_materialised"] == first
-        sim.iter_observations()
-        assert recorder.counters["observations_materialised"] == first
-        sim.run_until_idle()
-        rest = len(sim.store) - len(sim.store._log)
-        sim.iter_observations()
-        assert recorder.counters["observations_materialised"] == first + rest
+        assert recorder.counters["observations_materialised"] == len(sim.store)
+        first = sim.metrics.first_observations("tx")
+        assert recorder.counters["observations_materialised"] == (
+            len(sim.store) + len(first)
+        )
 
     def test_queue_depth_tracking_is_opt_in(self):
         default = TelemetryRecorder()

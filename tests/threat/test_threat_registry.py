@@ -22,8 +22,8 @@ class TestAdversaryRegistry:
         for expected in ("static", "adaptive", "eclipse", "byzantine_dcnet"):
             assert expected in names
 
-    def test_unknown_name_raises_keyerror_listing_registered(self):
-        with pytest.raises(KeyError) as excinfo:
+    def test_unknown_name_raises_valueerror_listing_registered(self):
+        with pytest.raises(ValueError) as excinfo:
             validate_adversary_model("quantum")
         message = str(excinfo.value)
         assert "quantum" in message
@@ -59,8 +59,8 @@ class TestFaultRegistry:
         assert "regional_outage" in names
         assert "flaky_links" in names
 
-    def test_unknown_name_raises_keyerror_listing_registered(self):
-        with pytest.raises(KeyError) as excinfo:
+    def test_unknown_name_raises_valueerror_listing_registered(self):
+        with pytest.raises(ValueError) as excinfo:
             validate_fault_model("solar_flare")
         message = str(excinfo.value)
         assert "solar_flare" in message
