@@ -11,7 +11,9 @@ deliveries that share a timestamp — a *cohort* — as numpy arrays:
   (stored sorted by index) enumerates neighbours in exactly the order
   ``Simulator.neighbours_of`` does.  Built once per topology-cache
   generation and cached on the graph itself, so repeated simulator
-  constructions over one overlay (the benchmark repeat loop) share it.
+  constructions over one overlay (the benchmark repeat loop) share it;
+  the random-regular generator seeds that cache for the large overlays it
+  builds from arrays.
 * :class:`DeliveryBlock` — a kernel-emitted fan-out stays one same-time
   struct-of-arrays block instead of being exploded into per-message heap
   tuples.  It is an ordinary :class:`~repro.network.events.EventQueue`
@@ -52,6 +54,7 @@ land before any of its fan-out deliveries.
 from __future__ import annotations
 
 import logging
+from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -78,7 +81,32 @@ class CSRTopology:
     __slots__ = ("n", "n_edges", "ids", "ids_array", "index", "indptr", "indices")
 
     def __init__(self, graph) -> None:
-        ids = sorted(graph.nodes, key=repr)
+        # Every arc of the adjacency, read in bulk, into the one builder.
+        nodes = list(graph)
+        rows = [neighbours for _, neighbours in graph.adjacency()]
+        position = {node_id: i for i, node_id in enumerate(nodes)}
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        tails = np.fromiter(
+            map(position.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=int(degrees.sum()),
+        )
+        self._build(nodes, np.repeat(np.arange(len(nodes)), degrees), tails)
+
+    @classmethod
+    def from_arcs(
+        cls, nodes: List[Hashable], heads: np.ndarray, tails: np.ndarray
+    ) -> "CSRTopology":
+        """The CSR of a graph given as its directed arcs, both ways round:
+        ``heads[i] -> tails[i]`` as positions into ``nodes``."""
+        topology = cls.__new__(cls)
+        topology._build(nodes, heads, tails)
+        return topology
+
+    def _build(
+        self, nodes: List[Hashable], heads: np.ndarray, tails: np.ndarray
+    ) -> None:
+        ids = sorted(nodes, key=repr)
         n = len(ids)
         self.n = n
         self.ids: List[Hashable] = ids
@@ -92,26 +120,25 @@ class CSRTopology:
         ids_array[:] = ids
         self.ids_array = ids_array
 
-        m = graph.number_of_edges()
-        self.n_edges = m
-        heads = np.empty(2 * m, dtype=np.int64)
-        tails = np.empty(2 * m, dtype=np.int64)
-        index = self.index
-        pos = 0
-        for a, b in graph.edges():
-            ia = index[a]
-            ib = index[b]
-            heads[pos] = ia
-            tails[pos] = ib
-            heads[pos + 1] = ib
-            tails[pos + 1] = ia
-            pos += 2
-        order = np.lexsort((tails, heads))
+        rank = np.fromiter(
+            map(self.index.__getitem__, nodes), dtype=np.int64, count=n
+        )
+        heads = rank[heads]
+        tails = rank[tails]
+        # A self-loop is one arc but, as networkx counts, one edge too.
+        self.n_edges = (len(heads) + int(np.count_nonzero(heads == tails))) // 2
+        # Rows in index order, each sorted by index: one sort of the keys.
+        self.indices = np.sort(heads * n + tails) % n
         counts = np.bincount(heads, minlength=n)
-        self.indices = tails[order]
         self.indptr = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
         )
+
+    def is_connected(self) -> bool:
+        """Whether a walk from any one node reaches all of them."""
+        visited = np.zeros(self.n, dtype=bool)
+        bfs_levels(self, 0, visited)
+        return bool(visited.all())
 
 
 def csr_topology(graph) -> CSRTopology:
@@ -119,7 +146,9 @@ def csr_topology(graph) -> CSRTopology:
 
     The cache lives on ``graph.graph`` so that every simulator constructed
     over the same overlay object (e.g. the benchmark repeat loop) shares one
-    build.  It is validated against the node/edge counts and popped by
+    build; a large random-regular overlay arrives with it already there,
+    from the arrays it was generated from.  It is validated against the
+    node/edge counts and popped by
     ``Simulator.invalidate_topology_caches`` — mutations that keep both
     counts identical must go through that invalidation hook, exactly as they
     already must for the event engine's neighbour caches.
@@ -171,6 +200,29 @@ def csr_row_positions(
         int(degrees.sum())
     )
     return flat, degrees, ends
+
+
+def bfs_levels(topology, root: int, visited: np.ndarray) -> List[np.ndarray]:
+    """Breadth-first levels of CSR indices reached from ``root``.
+
+    Visits neighbours in row order and marks every index it reaches in
+    ``visited``, skipping those already marked.  Walked a level at a time —
+    gather the frontier's rows in frontier order, drop visited nodes, keep
+    first occurrences in gather order — so the levels concatenated are the
+    order a FIFO walk gives.
+    """
+    indptr, indices = topology.indptr, topology.indices
+    levels = []
+    frontier = np.array([root])
+    while frontier.size:
+        visited[frontier] = True
+        levels.append(frontier)
+        reached = indices[csr_row_positions(indptr, frontier)[0]]
+        reached = reached[~visited[reached]]
+        _, first = np.unique(reached, return_index=True)
+        first.sort()
+        frontier = reached[first]
+    return levels
 
 
 def exclude_sender_fanout(

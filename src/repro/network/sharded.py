@@ -67,7 +67,7 @@ from typing import Dict, Hashable, List
 
 import numpy as np
 
-from repro.network.batched import csr_row_positions, exclude_sender_fanout
+from repro.network.batched import bfs_levels, exclude_sender_fanout
 from repro.network.message import Message
 
 logger = logging.getLogger(__name__)
@@ -93,25 +93,15 @@ def bfs_order(topology) -> np.ndarray:
 
     Starts from index 0 (the ``repr``-smallest node) and visits neighbours
     in row order (``repr`` order again), restarting from the smallest
-    unvisited index on a disconnected graph: the order a FIFO walk gives.
-    Walked a level at a time — gather the frontier's rows in frontier
-    order, drop visited nodes, keep first occurrences in gather order.
+    unvisited index on a disconnected graph: the order a FIFO walk gives
+    (:func:`~repro.network.batched.bfs_levels` walks each component).
     """
-    indptr, indices = topology.indptr, topology.indices
     visited = np.zeros(topology.n, dtype=bool)
     levels = [np.zeros(0, dtype=np.int64)]
     root = 0
     while not visited.all():
         root += int(np.argmin(visited[root:]))
-        frontier = np.array([root])
-        while frontier.size:
-            visited[frontier] = True
-            levels.append(frontier)
-            reached = indices[csr_row_positions(indptr, frontier)[0]]
-            reached = reached[~visited[reached]]
-            _, first = np.unique(reached, return_index=True)
-            first.sort()
-            frontier = reached[first]
+        levels.extend(bfs_levels(topology, root, visited))
     return np.concatenate(levels)
 
 
@@ -154,7 +144,7 @@ def shard_assignment(graph, topology, shards: int) -> np.ndarray:
     for shard, block in enumerate(bfs_partition(topology, shards)):
         assignment[block] = shard
     graph.graph[PARTITION_CACHE_KEY] = (
-        shards, topology.n, graph.number_of_edges(), assignment
+        shards, topology.n, topology.n_edges, assignment
     )
     return assignment
 

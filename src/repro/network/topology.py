@@ -13,10 +13,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import chain, islice
 from typing import List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
+
+from repro.network.batched import CSR_CACHE_KEY, CSRTopology
+from repro.network.collector import collector_paused
 
 #: ``_shuffle`` draws this many 32-bit words at a time.
 SHUFFLE_BLOCK = 1 << 12
@@ -156,6 +160,57 @@ def _regular_edges(
     return edges
 
 
+@collector_paused()
+def _connected_regular_graph(
+    degree: int, num_nodes: int, rng: random.Random
+) -> Optional[nx.Graph]:
+    """``nx.random_regular_graph(degree, num_nodes, rng)`` if it is
+    connected, else ``None``, built from one edge array.
+
+    The array is :func:`_regular_edges`'s set in its iteration order, the
+    order networkx's ``add_edges_from`` meets it in.  The CSR adjacency the
+    engines run on is built from it first and walked to test connectivity;
+    only a connected graph gets its networkx adjacency, filled a node at a
+    time, and leaves with the CSR cached under ``CSR_CACHE_KEY`` so no run
+    over it walks the networkx edges again.
+    """
+    nodes = list(range(num_nodes))
+    arcs = num_nodes * degree
+    # Arc 2k runs along the k-th edge, arc 2k + 1 back.
+    heads = np.fromiter(
+        chain.from_iterable(_regular_edges(degree, num_nodes, rng)),
+        dtype=np.int64,
+        count=arcs,
+    )
+    tails = heads.reshape(-1, 2)[:, ::-1].ravel()
+    csr = CSRTopology.from_arcs(nodes, heads, tails)
+    if not csr.is_connected():
+        return None
+    # A node's arcs in edge order are its neighbours in insertion order
+    # (sorting node * arcs + arc is a stable sort by node); both arcs of an
+    # edge share the edge's one data dict.
+    order = np.sort(heads * arcs + np.arange(arcs)) % arcs
+    del heads
+    neighbours = np.array(nodes, dtype=object)[tails[order]].tolist()
+    del tails
+    shared = np.empty(arcs // 2, dtype=object)
+    shared[:] = [{} for _ in range(arcs // 2)]
+    data = shared[order >> 1].tolist()
+    del order, shared
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    # Every node has ``degree`` arcs, and they come sorted by node.
+    rows = zip(neighbours, data)
+    for _, adjacent in graph.adjacency():
+        adjacent.update(islice(rows, degree))
+    # Written past networkx's mutators, so drop what it may have cached.
+    cache = getattr(graph, "__networkx_cache__", None)
+    if cache is not None:
+        cache.clear()
+    graph.graph[CSR_CACHE_KEY] = csr
+    return graph
+
+
 def random_regular_overlay(
     num_nodes: int, degree: int = 8, seed: Optional[int] = None
 ) -> nx.Graph:
@@ -165,7 +220,8 @@ def random_regular_overlay(
     setting used in the Dandelion analysis.  The generator retries with fresh
     seeds until the sampled graph is connected.  It is networkx's
     ``random_regular_graph`` at every size; large overlays get the same
-    graph from :func:`_regular_edges`.
+    graph, adjacency order included, from
+    :func:`_connected_regular_graph`, with the engines' CSR already cached.
     """
     if num_nodes <= degree:
         raise ValueError("need more nodes than the degree")
@@ -178,13 +234,14 @@ def random_regular_overlay(
             candidate = nx.random_regular_graph(
                 degree, num_nodes, seed=attempt_seed
             )
+            if nx.is_connected(candidate):
+                return candidate
         else:
-            candidate = nx.empty_graph(num_nodes)
-            candidate.add_edges_from(
-                _regular_edges(degree, num_nodes, random.Random(attempt_seed))
+            candidate = _connected_regular_graph(
+                degree, num_nodes, random.Random(attempt_seed)
             )
-        if nx.is_connected(candidate):
-            return candidate
+            if candidate is not None:
+                return candidate
     raise RuntimeError("failed to sample a connected random regular graph")
 
 

@@ -3,9 +3,15 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from repro.adversary.botnet import inject_supernodes
+from repro.broadcast.flood import FloodNode, run_flood
 from repro.network import topology
+from repro.network.batched import CSR_CACHE_KEY, CSRTopology, csr_topology
+from repro.network.latency import ConstantLatency
+from repro.network.simulator import Simulator
 from repro.network.topology import (
     barabasi_albert_overlay,
     bitcoin_like_overlay,
@@ -18,6 +24,7 @@ from repro.network.topology import (
     small_world_overlay,
     watts_strogatz_overlay,
 )
+from repro.scenarios.runner import observation_log_digest
 
 
 class TestRandomRegular:
@@ -64,19 +71,66 @@ class TestRandomRegular:
             )
             assert ours.getstate() == theirs.getstate()
 
-    @pytest.mark.parametrize("nodes,degree", [(60, 4), (16, 8), (1200, 8)])
+    @pytest.mark.parametrize(
+        "nodes,degree",
+        # Random 2-regular graphs are often several cycles: those attempts
+        # are disconnected and the generator must start over on the same ones.
+        [(60, 4), (16, 8), (1200, 8), (30, 2), (40, 2)],
+    )
     def test_same_overlay_whichever_side_of_the_size_switch(
         self, nodes, degree, monkeypatch
     ):
+        attempts = []
+
+        def counted(*args):
+            graph = bulk(*args)
+            attempts.append(graph is not None)
+            return graph
+
+        bulk = topology._connected_regular_graph
+        monkeypatch.setattr(topology, "_connected_regular_graph", counted)
         for seed in range(4):
             monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
-            paired_on_arrays = random_regular_overlay(nodes, degree, seed=seed)
+            built = random_regular_overlay(nodes, degree, seed=seed)
             monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 1 << 40)
             plain = random_regular_overlay(nodes, degree, seed=seed)
-            assert list(paired_on_arrays.edges) == list(plain.edges)
-            assert [list(paired_on_arrays.adj[node]) for node in plain] == [
+            assert list(built) == list(plain)
+            assert list(built.edges) == list(plain.edges)
+            assert [list(built.adj[node]) for node in plain] == [
                 list(plain.adj[node]) for node in plain
             ]
+            # Nothing networkx counts or caches is stale.
+            assert built.number_of_edges() == plain.number_of_edges()
+            assert nx.is_connected(built)
+            # One data dict per edge, shared by both ends.
+            for u, v in built.edges:
+                assert built.adj[u][v] is built.adj[v][u]
+            u, v = next(iter(built.edges))
+            built.edges[u, v]["weight"] = 3
+            assert built.adj[v][u] == {"weight": 3}
+        if degree == 2:
+            assert not all(attempts)
+
+    def test_bulk_build_clears_networkx_cache_only_where_it_exists(
+        self, monkeypatch
+    ):
+        """Graphs of networkx before 3.3 have no ``__networkx_cache__``; the
+        bulk build must not need one."""
+        plain = random_regular_overlay(60, 4, seed=0)
+
+        class CachelessGraph(nx.Graph):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                vars(self).pop("__networkx_cache__", None)
+
+        monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
+        monkeypatch.setattr(nx, "Graph", CachelessGraph)
+        graph = random_regular_overlay(60, 4, seed=0)
+        assert type(graph) is CachelessGraph
+        assert not hasattr(graph, "__networkx_cache__")
+        assert [list(graph.adj[node]) for node in plain] == [
+            list(plain.adj[node]) for node in plain
+        ]
 
     @pytest.mark.parametrize("block", [4, 64, topology.SHUFFLE_BLOCK])
     def test_block_shuffle_is_random_shuffle(self, block, monkeypatch):
@@ -91,6 +145,62 @@ class TestRandomRegular:
                 theirs.shuffle(expected)
                 assert items == expected, (length, seed)
                 assert ours.getstate() == theirs.getstate(), (length, seed)
+
+
+class TestSeededCSR:
+    """Above the size switch the overlay leaves its generator with the
+    engines' CSR adjacency already cached on it."""
+
+    @pytest.fixture
+    def overlay(self, monkeypatch):
+        monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
+        return random_regular_overlay(300, degree=4, seed=5)
+
+    def test_seeded_csr_is_the_one_the_graph_gives(self, overlay):
+        seeded = overlay.graph[CSR_CACHE_KEY]
+        assert csr_topology(overlay) is seeded
+        fresh = CSRTopology(overlay)
+        assert np.array_equal(seeded.indptr, fresh.indptr)
+        assert np.array_equal(seeded.indices, fresh.indices)
+        assert seeded.n_edges == fresh.n_edges == overlay.number_of_edges()
+        assert seeded.index == fresh.index
+        # The graph's own node objects, not equal copies of them.
+        assert all(a is b for a, b in zip(seeded.ids, fresh.ids))
+        assert all(a is b for a, b in zip(seeded.ids_array, fresh.ids_array))
+        assert all(a is b for a, b in zip(seeded.ids, sorted(overlay, key=repr)))
+
+    def test_mutated_and_invalidated_overlay_gets_a_new_csr(self, overlay):
+        seeded = overlay.graph[CSR_CACHE_KEY]
+        sim = Simulator(overlay, ConstantLatency(0.1), seed=0, engine="batched")
+        inject_supernodes(overlay, 2, 10, random.Random(0))
+        sim.invalidate_topology_caches()
+        sim.populate(FloodNode)
+        sim.node(0).originate("tx")
+        sim.run_until_idle()
+        assert sim.engine_effective == "batched"
+        rebuilt = overlay.graph[CSR_CACHE_KEY]
+        assert rebuilt is not seeded
+        assert rebuilt.n == 302
+        assert np.array_equal(rebuilt.indices, CSRTopology(overlay).indices)
+        edges = overlay.number_of_edges()
+        assert len(sim.store) == 2 * edges - overlay.number_of_nodes() + 1
+
+    @pytest.mark.parametrize(
+        "engine,shards", [("event", None), ("batched", None), ("sharded", 2)]
+    )
+    def test_same_log_with_the_seeded_csr_or_a_rebuilt_one(
+        self, overlay, engine, shards
+    ):
+        seeded = overlay.graph[CSR_CACHE_KEY]
+        first = run_flood(overlay, 0, seed=1, engine=engine, shards=shards)
+        assert first.simulator.engine_effective == engine
+        assert overlay.graph[CSR_CACHE_KEY] is seeded
+        overlay.graph.pop(CSR_CACHE_KEY)
+        again = run_flood(overlay, 0, seed=1, engine=engine, shards=shards)
+        assert again.simulator.engine_effective == engine
+        assert observation_log_digest(first.simulator) == observation_log_digest(
+            again.simulator
+        )
 
 
 class TestErdosRenyi:
