@@ -9,7 +9,7 @@ Two claims are measured:
   and close to the 1/n goal of perfect obfuscation.
 """
 
-from repro.adversary.collusion import group_collusion_posterior
+from repro.threat.collusion import group_collusion_posterior
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
 from repro.core.orchestrator import ThreePhaseBroadcast

@@ -52,7 +52,6 @@ from typing import Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.experiment import ESTIMATORS  # noqa: E402
 from repro.analysis.reporting import format_table  # noqa: E402
 from repro.scenarios import (  # noqa: E402
     PrivacySpec,
@@ -62,6 +61,7 @@ from repro.scenarios import (  # noqa: E402
     scenario,
 )
 from repro.telemetry import chrome_trace, write_json  # noqa: E402
+from repro.threat import ADVERSARY_MODELS, ESTIMATORS  # noqa: E402
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -234,12 +234,12 @@ def main(argv: Optional[list] = None) -> int:
     run_parser.add_argument(
         "--estimator", default=None,
         help="override the spec's source estimator "
-             f"({', '.join(sorted(ESTIMATORS))})",
+             f"({', '.join(ESTIMATORS)})",
     )
     run_parser.add_argument(
         "--adversary-model", default=None,
         help="override the spec's adversary behaviour model "
-             "(see `repro.threat`; e.g. adaptive, eclipse, byzantine_dcnet)",
+             f"({', '.join(ADVERSARY_MODELS)})",
     )
     run_parser.add_argument(
         "--engine", default=None,

@@ -12,18 +12,13 @@ runs serially, :class:`~repro.analysis.parallel.ParallelSweep` (or the
 same derived seeds, same aggregation — out over worker processes.
 """
 
-from repro.analysis.experiment import (
-    ESTIMATORS,
-    ExperimentResult,
-    run_attack_experiment,
-)
+from repro.analysis.experiment import ExperimentResult, run_attack_experiment
 from repro.analysis.parallel import ParallelSweep, run_parallel
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import Summary, confidence_interval, summarize
 from repro.analysis.sweep import aggregate_runs, derive_seed, sweep
 
 __all__ = [
-    "ESTIMATORS",
     "ExperimentResult",
     "run_attack_experiment",
     "format_table",

@@ -39,9 +39,6 @@ from typing import (
 
 import networkx as nx
 
-from repro.adversary.collusion import DcNetCollusionEstimator
-from repro.adversary.first_spy import FirstSpyEstimator
-from repro.adversary.rumor_centrality import RumorCentralityEstimator
 from repro.network.conditions import NetworkConditions
 from repro.network.simulator import Simulator
 from repro.privacy.detection import DetectionStats, evaluate_attack
@@ -55,22 +52,14 @@ from repro.privacy.metrics import (
 from repro.privacy.posterior import Scores, estimator_rank
 from repro.protocols import BroadcastProtocol, create_protocol
 from repro.telemetry.recorder import NULL_RECORDER, Recorder, recording
-from repro.threat.base import AdversaryModel, StaticBotnetAdversary
+from repro.threat.base import ESTIMATORS, AdversaryModel, StaticBotnetAdversary
 
 logger = logging.getLogger(__name__)
 
 #: An estimator factory: called once per attacked broadcast with the
-#: session's simulator and the adversary's observer set; the returned object
-#: answers ``guess(payload_id)`` (and, for posterior-capable estimators,
-#: ``rank(payload_id)`` — see :mod:`repro.privacy.posterior`).
+#: session's simulator and the adversary's observer set (the entries of
+#: :data:`repro.threat.ESTIMATORS` are the named ones).
 EstimatorFactory = Callable[[Simulator, Set[Hashable]], object]
-
-#: Named estimators selectable by string from every experiment driver.
-ESTIMATORS: Dict[str, EstimatorFactory] = {
-    "first_spy": FirstSpyEstimator,
-    "rumor_centrality": RumorCentralityEstimator,
-    "dc_collusion": DcNetCollusionEstimator,
-}
 
 
 def resolve_estimator(
@@ -83,13 +72,7 @@ def resolve_estimator(
     """
     if not isinstance(estimator, str):
         return getattr(estimator, "__name__", "custom"), estimator
-    try:
-        return estimator, ESTIMATORS[estimator]
-    except KeyError:
-        known = ", ".join(sorted(ESTIMATORS))
-        raise ValueError(
-            f"unknown estimator {estimator!r} (available: {known})"
-        ) from None
+    return estimator, ESTIMATORS.lookup(estimator)
 
 
 @dataclass

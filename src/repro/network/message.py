@@ -3,7 +3,7 @@
 A :class:`Message` is what protocol nodes send to each other; an
 :class:`Observation` is the simulator-side record of a delivery, which is the
 only information the honest-but-curious adversaries of
-:mod:`repro.adversary` are allowed to consume.
+:mod:`repro.threat` are allowed to consume.
 """
 
 from __future__ import annotations

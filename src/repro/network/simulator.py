@@ -343,7 +343,7 @@ class Simulator:
         The simulator caches each node's neighbour tuple (for fan-outs) and
         adjacency set (for overlay-edge validation in :meth:`send`).  Code
         that mutates :attr:`graph` *after* construction — e.g.
-        :func:`~repro.adversary.botnet.inject_supernodes` on a graph already
+        :func:`~repro.threat.botnet.inject_supernodes` on a graph already
         owned by a simulator — must call this, or sends along new edges will
         be rejected against the stale topology.  (All built-in experiment
         flows mutate the graph before building the simulator.)

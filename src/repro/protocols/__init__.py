@@ -10,7 +10,7 @@ that makes such comparisons honest:
   ``broadcast(session, source, payload_id)``, declared ``message_kinds``,
   ``anonymity_floor()``);
 * :mod:`~repro.protocols.registry` — the name-based registry
-  (:func:`create_protocol`, :func:`available_protocols`,
+  :data:`PROTOCOLS` (:func:`create_protocol`, :func:`available_protocols`,
   :func:`register_protocol`);
 * :mod:`~repro.protocols.adapters` — built-in adapters for ``three_phase``,
   ``flood``, ``dandelion``, ``gossip`` and ``adaptive_diffusion``.
@@ -44,6 +44,7 @@ from repro.protocols.base import (
     SessionBroadcast,
 )
 from repro.protocols.registry import (
+    PROTOCOLS,
     available_protocols,
     create_protocol,
     protocol_class,
@@ -59,6 +60,7 @@ __all__ = [
     "BroadcastProtocol",
     "ProtocolSession",
     "SessionBroadcast",
+    "PROTOCOLS",
     "available_protocols",
     "create_protocol",
     "protocol_class",

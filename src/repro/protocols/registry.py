@@ -15,50 +15,20 @@ Importing :mod:`repro.protocols` registers the five built-in adapters
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type, TypeVar
+from typing import Type
 
 from repro.protocols.base import BroadcastProtocol
+from repro.registry import Registry
 
-ProtocolClass = TypeVar("ProtocolClass", bound=Type[BroadcastProtocol])
+#: Adapter classes by their ``name``.
+PROTOCOLS: Registry[Type[BroadcastProtocol]] = Registry("protocol")
 
-_REGISTRY: Dict[str, Type[BroadcastProtocol]] = {}
-
-
-def register_protocol(cls: ProtocolClass) -> ProtocolClass:
-    """Class decorator adding a :class:`BroadcastProtocol` to the registry.
-
-    The class's ``name`` attribute is the registry key.
-
-    Raises:
-        ValueError: when the class declares no name or the name is taken.
-    """
-    name = cls.name
-    if not name:
-        raise ValueError(f"{cls.__name__} declares no protocol name")
-    if name in _REGISTRY:
-        raise ValueError(f"protocol {name!r} is already registered")
-    _REGISTRY[name] = cls
-    return cls
-
-
-def available_protocols() -> Tuple[str, ...]:
-    """Sorted names of every registered protocol."""
-    return tuple(sorted(_REGISTRY))
-
-
-def protocol_class(name: str) -> Type[BroadcastProtocol]:
-    """The adapter class registered under ``name``.
-
-    Raises:
-        ValueError: for an unknown protocol name.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "none"
-        raise ValueError(
-            f"unknown protocol {name!r} (registered: {known})"
-        ) from None
+#: Class decorator adding an adapter under its ``name``.
+register_protocol = PROTOCOLS.register
+#: Sorted names of every registered protocol.
+available_protocols = PROTOCOLS.names
+#: The adapter class registered under a name (``ValueError`` if unknown).
+protocol_class = PROTOCOLS.lookup
 
 
 def create_protocol(name: str, **options: object) -> BroadcastProtocol:
@@ -70,4 +40,4 @@ def create_protocol(name: str, **options: object) -> BroadcastProtocol:
     Raises:
         ValueError: for an unknown protocol name.
     """
-    return protocol_class(name)(**options)
+    return PROTOCOLS.create(name, options)

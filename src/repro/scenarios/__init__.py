@@ -15,6 +15,7 @@ presets.  Importing the package registers the built-in presets.
 """
 
 from repro.scenarios.registry import (
+    SCENARIOS,
     available_scenarios,
     register_scenario,
     scenario,
@@ -46,6 +47,7 @@ from repro.scenarios.spec import (
 from repro.scenarios import presets as _presets  # noqa: F401  (registers presets)
 
 __all__ = [
+    "SCENARIOS",
     "available_scenarios",
     "register_scenario",
     "scenario",

@@ -11,48 +11,23 @@ evaluation settings plus the stress scenarios (see
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
+from repro.registry import Registry
 from repro.scenarios.spec import ScenarioSpec
 
-_REGISTRY: Dict[str, ScenarioSpec] = {}
+#: Preset specs by their ``name``.
+SCENARIOS: Registry[ScenarioSpec] = Registry("scenario")
 
-
-def register_scenario(spec: ScenarioSpec) -> ScenarioSpec:
-    """Add ``spec`` to the registry under ``spec.name``.
-
-    Returns the spec so preset modules can register and bind in one line.
-
-    Raises:
-        ValueError: when the name is already taken.
-    """
-    if spec.name in _REGISTRY:
-        raise ValueError(f"scenario {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
+#: Add a spec under its name; returns it, so presets register and bind in
+#: one line.
+register_scenario = SCENARIOS.register
+#: The spec registered under a name (``ValueError`` if unknown).
+scenario = SCENARIOS.lookup
 
 
 def available_scenarios(tag: str = "") -> Tuple[str, ...]:
     """Sorted names of every registered scenario (optionally one tag only)."""
     return tuple(
-        sorted(
-            name
-            for name, spec in _REGISTRY.items()
-            if not tag or tag in spec.tags
-        )
+        name for name in SCENARIOS if not tag or tag in SCENARIOS[name].tags
     )
-
-
-def scenario(name: str) -> ScenarioSpec:
-    """The spec registered under ``name``.
-
-    Raises:
-        ValueError: for an unknown scenario name.
-    """
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "none"
-        raise ValueError(
-            f"unknown scenario {name!r} (registered: {known})"
-        ) from None

@@ -21,14 +21,13 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import networkx as nx
 
 from repro.network.churn import ChurnEvent, ChurnSchedule, random_churn_schedule
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
-from repro.privacy.metrics import DEFAULT_TOP_K, PrivacyConfig
 from repro.network.topology import (
     barabasi_albert_overlay,
     bitcoin_like_overlay,
@@ -41,22 +40,28 @@ from repro.network.topology import (
     small_world_overlay,
     watts_strogatz_overlay,
 )
+from repro.privacy.metrics import DEFAULT_TOP_K, PrivacyConfig
+from repro.registry import Registry
+from repro.threat import ADVERSARY_MODELS, ESTIMATORS, FAULT_MODELS
 
-#: Topology families addressable from a :class:`TopologySpec`.  Every value
+#: Topology families addressable from a :class:`TopologySpec`.  Every entry
 #: is a generator from :mod:`repro.network.topology` (all guarantee a
 #: connected overlay).
-TOPOLOGY_FAMILIES = {
-    "random_regular": random_regular_overlay,
-    "erdos_renyi": erdos_renyi_overlay,
-    "barabasi_albert": barabasi_albert_overlay,
-    "watts_strogatz": watts_strogatz_overlay,
-    "small_world": small_world_overlay,
-    "scale_free": scale_free_overlay,
-    "line": line_overlay,
-    "regular_tree": regular_tree_overlay,
-    "complete": complete_overlay,
-    "bitcoin_like": bitcoin_like_overlay,
-}
+TOPOLOGY_FAMILIES: Registry[Callable[..., nx.Graph]] = Registry(
+    "topology family",
+    {
+        "random_regular": random_regular_overlay,
+        "erdos_renyi": erdos_renyi_overlay,
+        "barabasi_albert": barabasi_albert_overlay,
+        "watts_strogatz": watts_strogatz_overlay,
+        "small_world": small_world_overlay,
+        "scale_free": scale_free_overlay,
+        "line": line_overlay,
+        "regular_tree": regular_tree_overlay,
+        "complete": complete_overlay,
+        "bitcoin_like": bitcoin_like_overlay,
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,10 @@ class TopologySpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))
-        if self.family not in TOPOLOGY_FAMILIES:
-            known = ", ".join(sorted(TOPOLOGY_FAMILIES))
-            raise ValueError(
-                f"unknown topology family {self.family!r} (known: {known})"
-            )
+        generator = TOPOLOGY_FAMILIES.lookup(self.family)
         # A misspelt parameter would otherwise surface only at build()
         # time, as a TypeError from inside the generator call.
-        accepted = inspect.signature(TOPOLOGY_FAMILIES[self.family]).parameters
+        accepted = inspect.signature(generator).parameters
         unknown = sorted(set(self.params) - set(accepted))
         if unknown:
             raise ValueError(
@@ -97,7 +98,7 @@ class TopologySpec:
 
     def build(self) -> nx.Graph:
         """Generate the overlay this spec describes."""
-        return TOPOLOGY_FAMILIES[self.family](**dict(self.params))
+        return TOPOLOGY_FAMILIES.create(self.family, self.params)
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,10 @@ class AdversarySpec:
     ``fraction=0.0`` means no adversary (pure dissemination scenarios, e.g.
     the message-overhead benchmarks); the estimator then always abstains.
 
-    ``model`` names an :class:`~repro.threat.base.AdversaryModel` from the
-    :mod:`repro.threat` registry (``"static"``, ``"adaptive"``,
+    ``estimator`` names a source estimator from
+    :data:`repro.threat.ESTIMATORS`.  ``model`` names an
+    :class:`~repro.threat.base.AdversaryModel` from
+    :data:`repro.threat.ADVERSARY_MODELS` (``"static"``, ``"adaptive"``,
     ``"eclipse"``, ``"byzantine_dcnet"``, ...), configured through the
     flat, JSON-serializable ``model_params``.  The default ``"static"``
     with empty params is the historical uniform botnet and is omitted from
@@ -172,19 +175,11 @@ class AdversarySpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
             raise ValueError("adversary fraction must be in [0, 1)")
-        # Late imports: the registries live above the scenario layer.
-        from repro.analysis.experiment import ESTIMATORS
-        from repro.threat import create_adversary_model
-
-        if self.estimator not in ESTIMATORS:
-            known = ", ".join(sorted(ESTIMATORS))
-            raise ValueError(
-                f"unknown estimator {self.estimator!r} (registered: {known})"
-            )
+        ESTIMATORS.lookup(self.estimator)
         object.__setattr__(self, "model_params", dict(self.model_params))
         # Raises ValueError for an unknown model name (registered names
         # listed) and TypeError for params the model does not accept.
-        create_adversary_model(self.model, self.model_params)
+        self.build()
 
     def build(self):
         """A fresh model instance for one run.
@@ -192,17 +187,15 @@ class AdversarySpec:
         Models are stateful across a run's broadcasts, so every run gets
         its own instance.
         """
-        from repro.threat import create_adversary_model
-
-        return create_adversary_model(self.model, self.model_params)
+        return ADVERSARY_MODELS.create(self.model, self.model_params)
 
 
 @dataclass(frozen=True)
 class FaultSpec:
     """One named correlated-fault model and its parameters.
 
-    ``model`` names a :class:`~repro.threat.base.FaultModel` from the
-    :mod:`repro.threat` registry (``"regional_outage"``,
+    ``model`` names a :class:`~repro.threat.base.FaultModel` from
+    :data:`repro.threat.FAULT_MODELS` (``"regional_outage"``,
     ``"flaky_links"``); unknown names raise ``ValueError`` listing the
     registered alternatives at construction time.  Each fault compiles
     into a deterministic churn schedule per session from the run seed.
@@ -212,16 +205,12 @@ class FaultSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        from repro.threat import create_fault_model
-
         object.__setattr__(self, "params", dict(self.params))
-        create_fault_model(self.model, self.params)
+        self.build()
 
     def build(self):
         """A fresh fault-model instance."""
-        from repro.threat import create_fault_model
-
-        return create_fault_model(self.model, self.params)
+        return FAULT_MODELS.create(self.model, self.params)
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from typing import Dict, Hashable, List, Optional, Set
 import networkx as nx
 
 from repro.privacy.posterior import Scores, normalize
-from repro.threat.base import AdversaryModel, register_adversary_model
+from repro.threat.base import ADVERSARY_MODELS, AdversaryModel
 
 
-@register_adversary_model
+@ADVERSARY_MODELS.register
 class AdaptiveMonitoringAdversary(AdversaryModel):
     """Re-positions the monitored set onto the highest-posterior nodes.
 

@@ -1,4 +1,4 @@
-"""Model interfaces and registries of the adversary & fault library.
+"""Model interfaces and the three name registries of the attacker package.
 
 Two kinds of composable, declaratively-configured models live in this
 package, mirroring the ``Attacker``/``FaultModel`` split of mature
@@ -12,14 +12,16 @@ source-location-privacy simulators:
   beyond independent churn, compiled into a deterministic
   :class:`~repro.network.churn.ChurnSchedule` of node and link events.
 
-Both are addressed by name from :class:`~repro.scenarios.spec.ScenarioSpec`
-(``AdversarySpec.model`` / ``FaultSpec.model``) through the registries
+Both, and the source estimators that read the observers' logs, are
+addressed by name from :class:`~repro.scenarios.spec.ScenarioSpec`
+(``AdversarySpec.model`` / ``AdversarySpec.estimator`` /
+``FaultSpec.model``) through the :class:`~repro.registry.Registry` tables
 below, so a scenario stays pure data and an unknown name fails loudly at
 spec-validation time with the registered alternatives listed.
 
 The default :class:`StaticBotnetAdversary` reproduces the historical
 experiment behaviour draw for draw: uniformly random observer placement
-via :func:`~repro.adversary.botnet.deploy_botnet`, no adaptation, no
+via :func:`~repro.threat.botnet.deploy_botnet`, no adaptation, no
 active behaviour.  Every other model degrades to it when its active
 features are disabled, which is what the seed-for-seed equivalence tests
 pin.
@@ -28,13 +30,27 @@ pin.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Hashable, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Optional, Set
 
 import networkx as nx
 
-from repro.adversary.botnet import deploy_botnet
 from repro.network.churn import ChurnSchedule
 from repro.privacy.posterior import Scores
+from repro.registry import Registry
+from repro.threat.botnet import deploy_botnet
+
+#: Adversary models by name (``AdversarySpec.model``).
+ADVERSARY_MODELS: Registry[Callable[..., AdversaryModel]] = Registry(
+    "adversary model"
+)
+#: Fault models by name (``FaultSpec.model``).
+FAULT_MODELS: Registry[Callable[..., FaultModel]] = Registry("fault model")
+#: Source estimators by name (``AdversarySpec.estimator``).  An estimator
+#: factory is called once per attacked broadcast with the session's
+#: simulator and the observer set; the returned object answers
+#: ``guess(payload_id)`` and, for posterior-capable estimators,
+#: ``rank(payload_id)`` (see :mod:`repro.privacy.posterior`).
+ESTIMATORS: Registry[Callable[..., object]] = Registry("estimator")
 
 
 class AdversaryModel:
@@ -46,7 +62,9 @@ class AdversaryModel:
     1. :meth:`begin_session` once per freshly built protocol session (once
        per experiment for shared-session protocols, once per broadcast for
        the per-broadcast baselines) — the seam for active behaviour that
-       needs the simulator, e.g. scheduling eclipse events;
+       needs the simulator, e.g. scheduling eclipse events.  A model keeps
+       what its later hooks need, never the session itself: the harness
+       closes and drops every session it builds;
     2. :meth:`place` whenever the harness deploys observers (same cadence
        as ``begin_session``), with the same RNG and protected set the
        static path uses, so a model that does not override placement is
@@ -114,6 +132,7 @@ class AdversaryModel:
         return {}
 
 
+@ADVERSARY_MODELS.register
 class StaticBotnetAdversary(AdversaryModel):
     """The historical attacker, as an explicit registry entry."""
 
@@ -136,93 +155,3 @@ class FaultModel:
     def schedule(self, graph: nx.Graph, rng: random.Random) -> ChurnSchedule:
         """The concrete event schedule for one session (empty here)."""
         return ChurnSchedule(())
-
-
-_ADVERSARY_MODELS: Dict[str, Callable[..., AdversaryModel]] = {}
-_FAULT_MODELS: Dict[str, Callable[..., FaultModel]] = {}
-
-
-def register_adversary_model(
-    factory: Callable[..., AdversaryModel],
-) -> Callable[..., AdversaryModel]:
-    """Register an adversary-model factory under ``factory.name``.
-
-    Returns the factory so modules can register and bind in one line.
-
-    Raises:
-        ValueError: for a missing name or a name already taken.
-    """
-    name = getattr(factory, "name", "")
-    if not name:
-        raise ValueError("adversary models need a non-empty name")
-    if name in _ADVERSARY_MODELS:
-        raise ValueError(f"adversary model {name!r} is already registered")
-    _ADVERSARY_MODELS[name] = factory
-    return factory
-
-
-def register_fault_model(
-    factory: Callable[..., FaultModel],
-) -> Callable[..., FaultModel]:
-    """Register a fault-model factory under ``factory.name``."""
-    name = getattr(factory, "name", "")
-    if not name:
-        raise ValueError("fault models need a non-empty name")
-    if name in _FAULT_MODELS:
-        raise ValueError(f"fault model {name!r} is already registered")
-    _FAULT_MODELS[name] = factory
-    return factory
-
-
-def available_adversary_models() -> Tuple[str, ...]:
-    """Sorted names of every registered adversary model."""
-    return tuple(sorted(_ADVERSARY_MODELS))
-
-
-def available_fault_models() -> Tuple[str, ...]:
-    """Sorted names of every registered fault model."""
-    return tuple(sorted(_FAULT_MODELS))
-
-
-def validate_adversary_model(name: str) -> None:
-    """Raise ``ValueError`` (listing registered names) for an unknown model.
-
-    The spec layer calls this at validation time, so a typo in a scenario
-    file fails before anything runs.
-    """
-    if name not in _ADVERSARY_MODELS:
-        known = ", ".join(available_adversary_models()) or "none"
-        raise ValueError(
-            f"unknown adversary model {name!r} (registered: {known})"
-        )
-
-
-def validate_fault_model(name: str) -> None:
-    """Raise ``ValueError`` (listing registered names) for an unknown model."""
-    if name not in _FAULT_MODELS:
-        known = ", ".join(available_fault_models()) or "none"
-        raise ValueError(f"unknown fault model {name!r} (registered: {known})")
-
-
-def create_adversary_model(
-    name: str, params: Optional[Dict[str, Any]] = None
-) -> AdversaryModel:
-    """Instantiate a registered adversary model from flat options.
-
-    Raises:
-        ValueError: for an unknown model name (registered names listed).
-        TypeError: for options the model's constructor does not accept.
-    """
-    validate_adversary_model(name)
-    return _ADVERSARY_MODELS[name](**dict(params or {}))
-
-
-def create_fault_model(
-    name: str, params: Optional[Dict[str, Any]] = None
-) -> FaultModel:
-    """Instantiate a registered fault model from flat options."""
-    validate_fault_model(name)
-    return _FAULT_MODELS[name](**dict(params or {}))
-
-
-register_adversary_model(StaticBotnetAdversary)

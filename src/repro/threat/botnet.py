@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable, List, Optional, Set
+from typing import Hashable, List, Optional, Set
 
 import networkx as nx
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.adversary.observer import AdversaryView
-    from repro.network.simulator import Simulator
+from repro.network.simulator import Simulator
+from repro.threat.observer import AdversaryView
 
 
 @dataclass
@@ -38,16 +37,14 @@ class BotnetDeployment:
         """Whether ``node`` is under adversary control."""
         return node in self.observers
 
-    def view(self, simulator: "Simulator") -> "AdversaryView":
+    def view(self, simulator: Simulator) -> AdversaryView:
         """The botnet's observation view of ``simulator``.
 
         A thin convenience wrapping
-        :class:`~repro.adversary.observer.AdversaryView`, which reads the
+        :class:`~repro.threat.observer.AdversaryView`, which reads the
         simulator's indexed observation store; the returned view is live and
         can be reused across broadcasts on the same simulator.
         """
-        from repro.adversary.observer import AdversaryView
-
         return AdversaryView(simulator, self.observers)
 
 

@@ -34,15 +34,16 @@ import networkx as nx
 from repro.crypto.pads import xor_bytes
 from repro.dcnet.blame import BlameProtocol
 from repro.dcnet.member import DCNetMember
+from repro.groups.directory import GroupDirectory
 from repro.privacy.posterior import Scores
-from repro.threat.base import AdversaryModel, register_adversary_model
+from repro.threat.base import ADVERSARY_MODELS, AdversaryModel
 
 #: Valid tamper modes and countermeasure policies.
 TAMPER_MODES = ("flip", "withhold")
 POLICIES = ("expel", "dissolve")
 
 
-@register_adversary_model
+@ADVERSARY_MODELS.register
 class ByzantineDCNetAdversary(AdversaryModel):
     """One DC-net group member disrupts every round the source sends in.
 
@@ -77,7 +78,8 @@ class ByzantineDCNetAdversary(AdversaryModel):
         self.tamper = tamper
         self.policy = policy
         self.frame_length = frame_length
-        self._session: Optional[object] = None
+        self._directory: Optional[GroupDirectory] = None
+        self._seed = 0
         self._rounds = 0
         self._blamed_total = 0
         self._correct = 0
@@ -88,7 +90,14 @@ class ByzantineDCNetAdversary(AdversaryModel):
         self.last_disruptor: Optional[Hashable] = None
 
     def begin_session(self, session: object) -> None:
-        self._session = session
+        """Keep the session's group directory and seed, not the session.
+
+        Holding the session would pin its simulator and observation log
+        for as long as the model lives, past the experiment that closed it.
+        """
+        system = getattr(session, "state", {}).get("system")
+        self._directory = getattr(system, "directory", None)
+        self._seed = getattr(session, "seed", 0) or 0
 
     def after_broadcast(
         self,
@@ -99,9 +108,7 @@ class ByzantineDCNetAdversary(AdversaryModel):
         protected: Set[Hashable],
     ) -> Optional[Set[Hashable]]:
         """Replay the source's group as a disrupted, committed round."""
-        session = self._session
-        system = getattr(session, "state", {}).get("system") if session else None
-        directory = getattr(system, "directory", None)
+        directory = self._directory
         if directory is None:
             return None  # not a group-based protocol; nothing to disrupt
         group: List[Hashable] = sorted(
@@ -111,9 +118,7 @@ class ByzantineDCNetAdversary(AdversaryModel):
         disruptor = next((m for m in active if m != true_source), None)
         if len(active) < 2 or true_source not in active or disruptor is None:
             return None  # countermeasure already removed the disruptor
-        rng = random.Random(
-            (getattr(session, "seed", 0) or 0) * 7919 + self._rounds
-        )
+        rng = random.Random(self._seed * 7919 + self._rounds)
         verdict = self._disrupted_round(active, true_source, disruptor, rng)
         self.last_verdict = verdict
         self.last_disruptor = disruptor

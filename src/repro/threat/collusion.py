@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
 
-from repro.adversary.observer import AdversaryView
 from repro.network.simulator import Simulator
+from repro.threat.base import ESTIMATORS
+from repro.threat.observer import AdversaryView
 
 
 def group_collusion_posterior(
@@ -66,6 +67,7 @@ def group_collusion_posterior(
     return {member: 1.0 / len(honest) for member in honest}
 
 
+@ESTIMATORS.register
 class DcNetCollusionEstimator:
     """Group-collusion attacker with the harness estimator interface.
 
@@ -81,8 +83,10 @@ class DcNetCollusionEstimator:
     blind: empty :meth:`rank`, abstaining :meth:`guess`.
     """
 
+    name = "dc_collusion"
+
     #: The wire kind of DC-net share traffic (``ThreePhaseNode.DC_KIND``;
-    #: kept literal so the adversary package does not import protocol code).
+    #: kept literal so the attacker package does not import protocol code).
     DC_KINDS: Tuple[str, ...] = ("dc_exchange",)
 
     def __init__(

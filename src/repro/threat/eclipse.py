@@ -18,10 +18,10 @@ from __future__ import annotations
 from typing import Dict, Hashable, List, Optional
 
 from repro.network.churn import RESTORE, SEVER, ChurnSchedule, LinkEvent
-from repro.threat.base import AdversaryModel, register_adversary_model
+from repro.threat.base import ADVERSARY_MODELS, AdversaryModel
 
 
-@register_adversary_model
+@ADVERSARY_MODELS.register
 class EclipseAdversary(AdversaryModel):
     """Cuts a victim's overlay links at a scheduled time.
 

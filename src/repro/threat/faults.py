@@ -32,10 +32,10 @@ from repro.network.churn import (
     ChurnSchedule,
     LinkEvent,
 )
-from repro.threat.base import FaultModel, register_fault_model
+from repro.threat.base import FAULT_MODELS, FaultModel
 
 
-@register_fault_model
+@FAULT_MODELS.register
 class RegionalOutageFault(FaultModel):
     """A BFS region around an epicenter fails (and recovers) together.
 
@@ -92,7 +92,7 @@ class RegionalOutageFault(FaultModel):
         return ChurnSchedule(tuple(events))
 
 
-@register_fault_model
+@FAULT_MODELS.register
 class FlakyLinksFault(FaultModel):
     """Bursts of link flapping: sampled links go down and come back.
 

@@ -17,7 +17,7 @@ anonymity-set and top-k numbers.  ``guess()`` remains the argmax of that
 surface, so detection statistics are unchanged by the richer output.
 
 The estimator reads through an index-backed
-:class:`~repro.adversary.observer.AdversaryView`, so guessing the source of
+:class:`~repro.threat.observer.AdversaryView`, so guessing the source of
 one payload costs O(traffic of that payload seen by spies) — it does not
 rescan the simulator's full send log, which matters when a sweep attacks
 hundreds of broadcasts on one simulator.
@@ -27,13 +27,17 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-from repro.adversary.observer import AdversaryView
 from repro.network.simulator import Simulator
 from repro.privacy.posterior import normalize
+from repro.threat.base import ESTIMATORS
+from repro.threat.observer import AdversaryView
 
 
+@ESTIMATORS.register
 class FirstSpyEstimator:
     """Guess the originator as the first relayer observed by any spy node."""
+
+    name = "first_spy"
 
     def __init__(
         self,

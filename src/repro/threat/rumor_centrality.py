@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tupl
 
 import networkx as nx
 
+from repro.threat.base import ESTIMATORS
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.network.metrics import MetricsCollector
     from repro.network.simulator import Simulator
@@ -122,6 +124,7 @@ def rumor_source_from_metrics(
     )
 
 
+@ESTIMATORS.register
 class RumorCentralityEstimator:
     """Snapshot adversary with the same interface as ``FirstSpyEstimator``.
 
@@ -139,6 +142,8 @@ class RumorCentralityEstimator:
     the argmax.  The centrality pass over the infected subgraph is computed
     once per payload and shared by both methods.
     """
+
+    name = "rumor_centrality"
 
     def __init__(
         self,

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.adversary.botnet import deploy_botnet
-from repro.adversary.collusion import group_collusion_posterior
-from repro.adversary.first_spy import FirstSpyEstimator
+from repro.threat.botnet import deploy_botnet
+from repro.threat.collusion import group_collusion_posterior
+from repro.threat.first_spy import FirstSpyEstimator
 from repro.core.config import ProtocolConfig
 from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.phases import Phase

@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from repro.adversary.botnet import deploy_botnet
-from repro.adversary.first_spy import FirstSpyEstimator
+from repro.threat.botnet import deploy_botnet
+from repro.threat.first_spy import FirstSpyEstimator
 from repro.analysis.experiment import run_attack_experiment
 from repro.blockchain import Blockchain, Mempool, Miner, Transaction, Wallet
 from repro.core import Phase, ProtocolConfig, ThreePhaseBroadcast

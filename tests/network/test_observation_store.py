@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.first_spy import FirstSpyEstimator
+from repro.threat.first_spy import FirstSpyEstimator
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.message import Message, Observation

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.adversary.botnet import inject_supernodes
+from repro.threat.botnet import inject_supernodes
 from repro.broadcast.flood import FloodNode, run_flood
 from repro.network import topology
 from repro.network.batched import CSR_CACHE_KEY, CSRTopology, csr_topology

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.adversary.botnet import deploy_botnet
-from repro.adversary.collusion import DcNetCollusionEstimator
-from repro.adversary.first_spy import FirstSpyEstimator
-from repro.adversary.rumor_centrality import RumorCentralityEstimator
+from repro.threat.botnet import deploy_botnet
+from repro.threat.collusion import DcNetCollusionEstimator
+from repro.threat.first_spy import FirstSpyEstimator
+from repro.threat.rumor_centrality import RumorCentralityEstimator
 from repro.network.conditions import NetworkConditions
 from repro.network.topology import random_regular_overlay
 from repro.privacy.posterior import (
@@ -107,7 +107,7 @@ class TestRumorCentralitySurface:
         assert estimator.guess("tx-1") == argmax(scores)
 
     def test_guess_matches_module_level_estimate(self, flood_attack):
-        from repro.adversary.rumor_centrality import rumor_source_from_metrics
+        from repro.threat.rumor_centrality import rumor_source_from_metrics
 
         session, _ = flood_attack
         estimator = RumorCentralityEstimator(session.simulator)
@@ -173,9 +173,10 @@ class TestDcCollusionSurface:
 
 class TestHarnessIntegration:
     def test_dc_collusion_estimator_registered(self):
-        from repro.analysis.experiment import ESTIMATORS, run_attack_experiment
+        from repro.analysis.experiment import run_attack_experiment
+        from repro.threat import ESTIMATORS
 
-        assert "dc_collusion" in ESTIMATORS
+        assert ESTIMATORS["dc_collusion"] is DcNetCollusionEstimator
         graph = random_regular_overlay(30, degree=6, seed=5)
         result = run_attack_experiment(
             graph, "three_phase", 0.3, broadcasts=2, seed=1,

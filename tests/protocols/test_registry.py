@@ -14,7 +14,7 @@ from repro.protocols import (
     protocol_class,
     register_protocol,
 )
-from repro.protocols.registry import _REGISTRY
+from repro.protocols.registry import PROTOCOLS
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +45,7 @@ class TestRegistry:
 
         with pytest.raises(ValueError, match="already registered"):
             register_protocol(Duplicate)
-        assert _REGISTRY["flood"] is FloodProtocol
+        assert PROTOCOLS["flood"] is FloodProtocol
 
     def test_unnamed_protocol_rejected(self):
         class Nameless(BroadcastProtocol):

@@ -18,7 +18,7 @@ import gc
 import json
 from pathlib import Path
 
-from repro.adversary.first_spy import FirstSpyEstimator
+from repro.threat.first_spy import FirstSpyEstimator
 from repro.analysis.experiment import run_attack_experiment
 from repro.broadcast.flood import FloodNode
 from repro.broadcast.gossip import run_gossip

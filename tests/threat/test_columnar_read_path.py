@@ -14,7 +14,7 @@ import multiprocessing
 
 import pytest
 
-from repro.adversary.first_spy import FirstSpyEstimator
+from repro.threat.first_spy import FirstSpyEstimator
 from repro.analysis.experiment import run_attack_experiment
 from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions

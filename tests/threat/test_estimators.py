@@ -5,11 +5,11 @@ import random
 import networkx as nx
 import pytest
 
-from repro.adversary.botnet import deploy_botnet, inject_supernodes
-from repro.adversary.collusion import group_collusion_posterior
-from repro.adversary.first_spy import FirstSpyEstimator
-from repro.adversary.observer import AdversaryView
-from repro.adversary.rumor_centrality import rumor_centrality, rumor_source_estimate
+from repro.threat.botnet import deploy_botnet, inject_supernodes
+from repro.threat.collusion import group_collusion_posterior
+from repro.threat.first_spy import FirstSpyEstimator
+from repro.threat.observer import AdversaryView
+from repro.threat.rumor_centrality import rumor_centrality, rumor_source_estimate
 from repro.broadcast.flood import FloodNode
 from repro.network.latency import PerEdgeLatency
 from repro.network.message import Message

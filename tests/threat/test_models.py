@@ -1,14 +1,18 @@
 """Behaviour of the built-in adversary and fault models."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
-from repro.adversary.botnet import deploy_botnet
+from repro.threat.botnet import deploy_botnet
+from repro.analysis.experiment import run_attack_experiment
 from repro.network.simulator import Simulator
 from repro.network.topology import line_overlay, random_regular_overlay
 from repro.protocols import create_protocol
 from repro.threat import (
+    ADVERSARY_MODELS,
     AdaptiveMonitoringAdversary,
     ByzantineDCNetAdversary,
     EclipseAdversary,
@@ -181,6 +185,26 @@ class TestByzantineModel:
             ByzantineDCNetAdversary(policy="forgive")
         with pytest.raises(ValueError):
             ByzantineDCNetAdversary(frame_length=0)
+
+
+@pytest.mark.parametrize("name", ADVERSARY_MODELS.names())
+def test_no_model_keeps_a_session_alive(name):
+    """Every session the experiment built is freed once it returns."""
+    model = ADVERSARY_MODELS.create(name)
+    simulators = []
+    run_attack_experiment(
+        random_regular_overlay(num_nodes=30, degree=4, seed=1),
+        "three_phase",
+        0.2,
+        broadcasts=2,
+        seed=1,
+        session_hook=lambda session: simulators.append(
+            weakref.ref(session.simulator)
+        ),
+        adversary=model,
+    )
+    gc.collect()
+    assert simulators and all(ref() is None for ref in simulators)
 
 
 class TestFaultModels:

@@ -1,73 +1,70 @@
-"""Registries of the adversary & fault library: lookup, errors, creation."""
+"""Registries of the attacker package: lookup, errors, creation."""
 
 import pytest
 
 from repro.threat import (
+    ADVERSARY_MODELS,
+    ESTIMATORS,
+    FAULT_MODELS,
     AdversaryModel,
+    DcNetCollusionEstimator,
     FaultModel,
-    available_adversary_models,
-    available_fault_models,
-    create_adversary_model,
-    create_fault_model,
-    register_adversary_model,
-    register_fault_model,
-    validate_adversary_model,
-    validate_fault_model,
+    FirstSpyEstimator,
+    RumorCentralityEstimator,
 )
 
 
 class TestAdversaryRegistry:
     def test_builtins_are_registered(self):
-        names = available_adversary_models()
+        names = ADVERSARY_MODELS.names()
         for expected in ("static", "adaptive", "eclipse", "byzantine_dcnet"):
             assert expected in names
 
     def test_unknown_name_raises_valueerror_listing_registered(self):
         with pytest.raises(ValueError) as excinfo:
-            validate_adversary_model("quantum")
+            ADVERSARY_MODELS.lookup("quantum")
         message = str(excinfo.value)
         assert "quantum" in message
-        for name in available_adversary_models():
+        for name in ADVERSARY_MODELS:
             assert name in message
 
     def test_create_instantiates_with_params(self):
-        model = create_adversary_model("adaptive", {"warmup": 4})
+        model = ADVERSARY_MODELS.create("adaptive", {"warmup": 4})
         assert model.warmup == 4
 
     def test_create_rejects_unknown_params(self):
         with pytest.raises(TypeError):
-            create_adversary_model("adaptive", {"telepathy": True})
+            ADVERSARY_MODELS.create("adaptive", {"telepathy": True})
 
     def test_duplicate_registration_rejected(self):
         class Dup(AdversaryModel):
             name = "static"
 
         with pytest.raises(ValueError):
-            register_adversary_model(Dup)
+            ADVERSARY_MODELS.register(Dup)
+        assert ADVERSARY_MODELS["static"] is not Dup
 
     def test_nameless_registration_rejected(self):
         class NoName(AdversaryModel):
             name = ""
 
         with pytest.raises(ValueError):
-            register_adversary_model(NoName)
+            ADVERSARY_MODELS.register(NoName)
 
 
 class TestFaultRegistry:
     def test_builtins_are_registered(self):
-        names = available_fault_models()
-        assert "regional_outage" in names
-        assert "flaky_links" in names
+        assert FAULT_MODELS.names() == ("flaky_links", "regional_outage")
 
     def test_unknown_name_raises_valueerror_listing_registered(self):
         with pytest.raises(ValueError) as excinfo:
-            validate_fault_model("solar_flare")
+            FAULT_MODELS.lookup("solar_flare")
         message = str(excinfo.value)
         assert "solar_flare" in message
         assert "regional_outage" in message
 
     def test_create_instantiates_with_params(self):
-        fault = create_fault_model("regional_outage", {"radius": 2})
+        fault = FAULT_MODELS.create("regional_outage", {"radius": 2})
         assert fault.radius == 2
 
     def test_duplicate_registration_rejected(self):
@@ -75,4 +72,27 @@ class TestFaultRegistry:
             name = "flaky_links"
 
         with pytest.raises(ValueError):
-            register_fault_model(Dup)
+            FAULT_MODELS.register(Dup)
+
+
+class TestEstimatorRegistry:
+    def test_builtins_are_registered_under_their_names(self):
+        assert dict(ESTIMATORS) == {
+            "dc_collusion": DcNetCollusionEstimator,
+            "first_spy": FirstSpyEstimator,
+            "rumor_centrality": RumorCentralityEstimator,
+        }
+
+    def test_unknown_name_raises_valueerror_listing_registered(self):
+        with pytest.raises(ValueError, match="unknown estimator 'oracle'") as excinfo:
+            ESTIMATORS.lookup("oracle")
+        assert "first_spy" in str(excinfo.value)
+
+    def test_the_harness_reads_the_same_table(self):
+        from repro.analysis.experiment import ESTIMATORS as harness_estimators
+        from repro.analysis.experiment import resolve_estimator
+
+        assert harness_estimators is ESTIMATORS
+        assert resolve_estimator("rumor_centrality") == (
+            "rumor_centrality", RumorCentralityEstimator,
+        )
