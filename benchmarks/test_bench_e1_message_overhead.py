@@ -48,9 +48,16 @@ def test_e1_message_overhead(benchmark, overlay_1000):
             title="E1: messages to reach all 1,000 peers",
         )
     )
-    # Shape checks: the flood cost matches the paper closely; adaptive
-    # diffusion needs additional control traffic on top of its payload
-    # deliveries and is never cheaper than a spanning tree.
-    assert 6000 <= flood_mean <= 8500
+    # A lossless exclude-sender flood crosses every edge once in each
+    # direction except the |V| - 1 edges of its delivery tree, which carry
+    # the payload one way only: 2|E| - |V| + 1 messages, whatever the
+    # source (7,001 on this overlay, the paper's ~7,000).  A flood that
+    # forwards twice, or prunes too early, misses it.
+    closed_form = (
+        2 * overlay_1000.number_of_edges() - overlay_1000.number_of_nodes() + 1
+    )
+    assert flood == [float(closed_form)] * REPETITIONS
+    # Adaptive diffusion needs additional control traffic on top of its
+    # payload deliveries and is never cheaper than a spanning tree.
     assert diffusion_mean > summarize(diffusion_payload).mean
     assert diffusion_mean >= 0.75 * flood_mean

@@ -13,7 +13,7 @@ same derived seeds, same aggregation — out over worker processes.
 """
 
 from repro.analysis.experiment import ExperimentResult, run_attack_experiment
-from repro.analysis.parallel import ParallelSweep, run_parallel
+from repro.analysis.parallel import ParallelSweep, SweepWorkerDied, run_parallel
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import Summary, confidence_interval, summarize
 from repro.analysis.sweep import aggregate_runs, derive_seed, sweep
@@ -23,6 +23,7 @@ __all__ = [
     "run_attack_experiment",
     "format_table",
     "ParallelSweep",
+    "SweepWorkerDied",
     "run_parallel",
     "Summary",
     "confidence_interval",

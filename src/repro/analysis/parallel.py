@@ -24,23 +24,29 @@ every existing runner already satisfies.  The pool is only used on Linux
 — or with ``processes=1`` — the engine transparently degrades to the serial
 path, producing identical results.
 
-Scheduling is built for throughput: tasks are streamed to the workers with
-``imap_unordered`` in chunks (one IPC round-trip per chunk instead of per
-run, and no head-of-line blocking on a slow run the way ``pool.map``'s
-ordered collection has), and the pool itself is kept alive on the
-:class:`ParallelSweep` instance, so consecutive ``run()`` calls — e.g. one
-per sweep point of an outer scan — reuse the forked workers instead of
-re-paying pool start-up per call.  Results are re-ordered by task index
-after collection, so the seed-for-seed equality with ``sweep()`` is
-unaffected by the unordered arrival.
+Scheduling: each worker holds one task at a time and gets the next one
+when it answers, so a slow run never holds up the others, and the workers
+are kept alive on the :class:`ParallelSweep` instance, so consecutive
+``run()`` calls — e.g. one per sweep point of an outer scan — reuse the
+forked workers instead of re-paying start-up per call.  Results are
+re-ordered by task index after collection, so the seed-for-seed equality
+with ``sweep()`` is unaffected by the unordered arrival.
+
+A worker that dies mid-task (killed, out of memory, a crash in native code)
+is noticed at once when its pipe closes, and otherwise within one poll
+(:data:`POLL_SECONDS`), after which the parent checks the exit code of every
+busy worker: :class:`SweepWorkerDied` names the task and the exit code,
+instead of the sweep waiting forever for an answer that cannot come.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -55,20 +61,53 @@ _Task = Tuple[int, ParameterValue, int]
 
 logger = logging.getLogger(__name__)
 
-# Module-level slot the fork-started workers inherit; holding the runner here
-# (instead of sending it through the task queue) is what allows closures.
-_WORKER_RUNNER: Optional[SweepRunner] = None
+#: Longest wait for a worker's answer before the parent checks whether the
+#: workers are still alive.
+POLL_SECONDS = 0.5
 
 
-def _init_worker(runner: SweepRunner) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner
+class SweepWorkerDied(RuntimeError):
+    """A sweep worker process exited while it was running a task.
+
+    Attributes:
+        task_index: the task it was running (value-major, repetition-minor).
+        exitcode: its exit code (negative: killed by that signal).
+    """
+
+    def __init__(self, task: _Task, exitcode: Optional[int]) -> None:
+        task_index, value, seed = task
+        super().__init__(
+            f"sweep worker died with exit code {exitcode} while running "
+            f"task {task_index} (value {value!r}, seed {seed})"
+        )
+        self.task_index = task_index
+        self.exitcode = exitcode
 
 
-def _execute_task(task: _Task) -> Tuple[int, Dict[str, float]]:
-    task_index, value, seed = task
-    assert _WORKER_RUNNER is not None
-    return task_index, _WORKER_RUNNER(value, seed)
+def _worker_main(conn, runner: SweepRunner) -> None:
+    """Run tasks from ``conn`` until it sends ``None`` or closes.
+
+    Each answer is ``(task index, ok, result or exception)``; the runner
+    arrives through fork inheritance, never through the pipe.
+    """
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        task_index, value, seed = task
+        try:
+            answer = (task_index, True, runner(value, seed))
+        except Exception as error:  # re-raised in the parent
+            answer = (task_index, False, error)
+        try:
+            conn.send(answer)
+        except Exception:
+            conn.send((
+                task_index, False, RuntimeError(traceback.format_exc())
+            ))
 
 
 @dataclass
@@ -231,32 +270,62 @@ class ParallelSweep:
             return [runner(value, seed) for _, value, seed in tasks]
         self.effective_processes = workers
         pool = self._ensure_pool(workers, runner)
-        # Tasks per IPC round-trip: keeps every worker busy while bounding
-        # the scheduling overhead.
-        chunk = max(1, len(tasks) // (workers * 4))
-        runs: List[Optional[Dict[str, float]]] = [None] * len(tasks)
         try:
-            for task_index, metrics in pool.imap_unordered(
-                _execute_task, tasks, chunksize=chunk
-            ):
-                runs[task_index] = metrics
+            return self._dispatch(pool, tasks)
         except BaseException:
-            # A failed worker leaves the pool in an undefined state; discard
-            # it so the next run() starts from a fresh fork.
+            # A failed or dead worker leaves the pool in an undefined
+            # state; discard it so the next run() starts from a fresh fork.
             self.close()
             raise
-        assert all(run is not None for run in runs)
-        return runs  # type: ignore[return-value]
+
+    @staticmethod
+    def _dispatch(pool: List[Any], tasks: List[_Task]) -> List[Any]:
+        """Hand each idle worker the next task until every task answered."""
+        runs: List[Any] = [None] * len(tasks)
+        queue = iter(tasks)
+        running: Dict[Any, Tuple[Any, _Task]] = {}  # conn -> (process, task)
+
+        def hand_out(process, conn) -> None:
+            task = next(queue, None)
+            if task is not None:
+                conn.send(task)
+                running[conn] = (process, task)
+
+        for process, conn in pool:
+            hand_out(process, conn)
+        while running:
+            ready = multiprocessing.connection.wait(
+                list(running), timeout=POLL_SECONDS
+            )
+            for conn in ready:
+                process, task = running.pop(conn)
+                try:
+                    task_index, ok, result = conn.recv()
+                except EOFError:
+                    process.join(timeout=5)
+                    raise SweepWorkerDied(task, process.exitcode) from None
+                if not ok:
+                    raise result
+                runs[task_index] = result
+                hand_out(process, conn)
+            if not ready:
+                # No answer within the poll: a worker that exited will
+                # never answer, so look for one.
+                for process, task in running.values():
+                    if process.exitcode is not None:
+                        raise SweepWorkerDied(task, process.exitcode)
+        return runs
 
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self, workers: int, runner: SweepRunner) -> Any:
-        """Return a live pool for ``runner``, reusing the previous one.
+    def _ensure_pool(self, workers: int, runner: SweepRunner) -> List[Any]:
+        """Return live workers for ``runner``, reusing the previous ones.
 
-        The runner reaches the workers through fork inheritance at pool
-        start-up, so a pool is only reusable for the *same* runner object
-        (and worker count); anything else forks a fresh pool.
+        The runner reaches the workers through fork inheritance at start-up,
+        so a pool is only reusable for the *same* runner object (and worker
+        count); anything else forks a fresh pool.  Workers are daemonic,
+        like a ``multiprocessing.Pool``'s.
         """
         if (
             self._pool is not None
@@ -266,23 +335,39 @@ class ParallelSweep:
             return self._pool
         self.close()
         context = multiprocessing.get_context("fork")
-        self._pool = context.Pool(
-            processes=workers, initializer=_init_worker, initargs=(runner,)
-        )
+        pool = []
+        for _ in range(workers):
+            parent_conn, child_conn = context.Pipe()
+            process = context.Process(
+                target=_worker_main, args=(child_conn, runner), daemon=True
+            )
+            process.start()
+            child_conn.close()
+            pool.append((process, parent_conn))
+        self._pool = pool
         self._pool_runner = runner
         self._pool_workers = workers
-        return self._pool
+        return pool
 
     def close(self) -> None:
-        """Shut down the cached worker pool (idempotent)."""
+        """Shut down the cached workers (idempotent)."""
         pool = self._pool
         if pool is None:
             return
         self._pool = None
         self._pool_runner = None
         self._pool_workers = 0
-        pool.terminate()
-        pool.join()
+        for process, conn in pool:
+            try:
+                conn.send(None)
+            except (OSError, ValueError):
+                pass
+            conn.close()
+        for process, _ in pool:
+            process.join(timeout=1)
+            if process.is_alive():
+                process.terminate()
+                process.join()
 
     def __enter__(self) -> "ParallelSweep":
         return self

@@ -10,7 +10,7 @@ guaranteed, at a cost of roughly ``2·|E| − |V| + 1`` messages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Set
+from typing import Hashable, Optional
 
 import networkx as nx
 import numpy as np
@@ -18,12 +18,16 @@ import numpy as np
 from repro.network.batched import CohortKernel, exclude_sender_fanout
 from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
-from repro.network.node import Node
+from repro.network.peers import PeerStateNode
 from repro.network.simulator import Simulator
 
 
-class FloodNode(Node):
-    """A peer performing flood-and-prune broadcasts."""
+class FloodNode(PeerStateNode):
+    """A peer performing flood-and-prune broadcasts.
+
+    Whether it holds a payload is its entry in ``simulator.peers``; the
+    object itself keeps only its id and payload size.
+    """
 
     #: Message kind used on the wire.
     MESSAGE_KIND = "flood"
@@ -31,13 +35,11 @@ class FloodNode(Node):
     def __init__(self, node_id: Hashable, payload_size_bytes: int = 256) -> None:
         super().__init__(node_id)
         self.payload_size_bytes = payload_size_bytes
-        self._seen: Set[Hashable] = set()
 
     def originate(self, payload_id: Hashable) -> None:
         """Introduce a payload and flood it to every neighbour."""
-        if payload_id in self._seen:
+        if not self._first_sight(payload_id):
             return
-        self._seen.add(payload_id)
         self.mark_delivered(payload_id)
         self._forward(payload_id, exclude=None)
 
@@ -45,9 +47,8 @@ class FloodNode(Node):
         if message.kind != self.MESSAGE_KIND:
             self.on_unhandled_message(sender, message)
             return
-        if message.payload_id in self._seen:
+        if not self._first_sight(message.payload_id):
             return  # prune
-        self._seen.add(message.payload_id)
         self.mark_delivered(message.payload_id)
         self._forward(message.payload_id, exclude=sender)
 
@@ -56,10 +57,6 @@ class FloodNode(Node):
         raise ValueError(
             f"unexpected message kind {message.kind!r} at node {self.node_id!r}"
         )
-
-    def has_seen(self, payload_id: Hashable) -> bool:
-        """Whether this node already processed the payload."""
-        return payload_id in self._seen
 
     def _forward(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
         message = Message(
@@ -87,32 +84,14 @@ class FloodCohortKernel(CohortKernel):
 
     def shard_state(self, payload_ids):
         # Flooding draws no randomness and its fan-out is the exclude-sender
-        # shape, so it can be split.  Every flood code path writes ``_seen``
-        # and ``mark_delivered`` together, so ``_seen`` holders are a subset
-        # of the delivered index; filtering that (usually tiny) index
-        # through the node state keeps the answer exact even if a caller
-        # marked a node delivered out of band.
-        nodes = self.simulator._nodes
-        topology = self._topology
-        index = topology.index
-        node_sizes = np.fromiter(
-            (nodes[node_id].payload_size_bytes for node_id in topology.ids),
-            dtype=np.int64,
-            count=topology.n,
-        )
-        delivered = self.simulator.metrics._deliveries_by_payload
-        priors = {
-            payload_id: np.array(
-                [
-                    index[node_id]
-                    for _, node_id in delivered.get(payload_id, ())
-                    if payload_id in nodes[node_id]._seen
-                ],
-                dtype=np.int64,
-            )
-            for payload_id in payload_ids
+        # shape, so it can be split.
+        size, sizes = self.per_peer("payload_size_bytes", np.int64)
+        if sizes is None:
+            sizes = np.full(self._topology.n, size, dtype=np.int64)
+        peers = self.simulator.peers
+        return sizes, {
+            payload_id: peers.holders(payload_id) for payload_id in payload_ids
         }
-        return node_sizes, priors
 
     def _fan_out(
         self,
@@ -128,17 +107,16 @@ class FloodCohortKernel(CohortKernel):
         )
         if not len(targets):
             return
-        nodes = self.simulator._nodes
-        ids = topology.ids
-        fresh_count = len(fresh_receivers)
-        node_messages = np.empty(fresh_count, dtype=object)
-        node_sizes = np.empty(fresh_count, dtype=np.int64)
-        for i, r in enumerate(fresh_receivers.tolist()):
-            size = nodes[ids[r]].payload_size_bytes
-            node_sizes[i] = size
-            node_messages[i] = Message(
-                kind=self.kind, payload_id=payload_id, size_bytes=size
-            )
+        size, sizes = self.per_peer("payload_size_bytes", np.int64)
+        if sizes is None:
+            node_sizes = np.full(len(fresh_receivers), size, dtype=np.int64)
+        else:
+            node_sizes = sizes[fresh_receivers]
+        node_messages = np.empty(len(fresh_receivers), dtype=object)
+        node_messages[:] = [
+            Message(kind=self.kind, payload_id=payload_id, size_bytes=size)
+            for size in node_sizes.tolist()
+        ]
         self._emit(
             time,
             np.repeat(fresh_receivers, counts),

@@ -9,8 +9,9 @@ protocol, but a standard point of comparison for dissemination cost).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Set
+from typing import Hashable, List, Optional
 
 import networkx as nx
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from repro.network.batched import CohortKernel
 from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
-from repro.network.node import Node
+from repro.network.peers import PeerStateNode
 from repro.network.simulator import Simulator
 
 
@@ -35,8 +36,12 @@ class GossipConfig:
     payload_size_bytes: int = 256
 
 
-class GossipNode(Node):
-    """A peer forwarding new payloads to ``fanout`` random neighbours."""
+class GossipNode(PeerStateNode):
+    """A peer forwarding new payloads to ``fanout`` random neighbours.
+
+    Whether it holds a payload is its entry in ``simulator.peers``; the
+    object itself keeps only its id and config.
+    """
 
     MESSAGE_KIND = "gossip"
 
@@ -45,22 +50,19 @@ class GossipNode(Node):
         self.config = config or GossipConfig()
         if self.config.fanout < 1:
             raise ValueError("gossip fanout must be at least 1")
-        self._seen: Set[Hashable] = set()
 
     def originate(self, payload_id: Hashable) -> None:
         """Introduce a payload and gossip it onwards."""
-        if payload_id in self._seen:
+        if not self._first_sight(payload_id):
             return
-        self._seen.add(payload_id)
         self.mark_delivered(payload_id)
         self._forward(payload_id, exclude=None)
 
     def on_message(self, sender: Hashable, message: Message) -> None:
         if message.kind != self.MESSAGE_KIND:
             raise ValueError(f"unexpected message kind {message.kind!r}")
-        if message.payload_id in self._seen:
+        if not self._first_sight(message.payload_id):
             return
-        self._seen.add(message.payload_id)
         self.mark_delivered(message.payload_id)
         self._forward(message.payload_id, exclude=sender)
 
@@ -105,9 +107,8 @@ class GossipCohortKernel(CohortKernel):
         indices = topology.indices
         ids = topology.ids
         index = topology.index
-        simulator = self.simulator
-        rng = simulator.rng
-        nodes = simulator._nodes
+        rng = self.simulator.rng
+        shared, configs = self.per_peer("config")
         online = self._online
         edge_ok = self._edge_ok
         send_list: List[int] = []
@@ -125,7 +126,7 @@ class GossipCohortKernel(CohortKernel):
             candidates = [ids[j] for j in row.tolist() if j != excluded]
             if not candidates:
                 continue
-            config = nodes[ids[r]].config
+            config = shared if configs is None else configs[r]
             count = min(config.fanout, len(candidates))
             message = Message(
                 kind=self.kind,
@@ -182,8 +183,9 @@ def run_gossip(
         engine=engine,
         shards=shards,
     )
-    config = config or GossipConfig()
-    simulator.populate(lambda node_id: GossipNode(node_id, config))
+    simulator.populate(
+        functools.partial(GossipNode, config=config or GossipConfig())
+    )
     origin = simulator.node(source)
     assert isinstance(origin, GossipNode)
     origin.originate(payload_id)

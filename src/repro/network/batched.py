@@ -106,20 +106,8 @@ class CSRTopology:
     def _build(
         self, nodes: List[Hashable], heads: np.ndarray, tails: np.ndarray
     ) -> None:
-        ids = sorted(nodes, key=repr)
-        n = len(ids)
-        self.n = n
-        self.ids: List[Hashable] = ids
-        self.index: Dict[Hashable, int] = {
-            node_id: i for i, node_id in enumerate(ids)
-        }
-        # dtype=object so fancy-indexing yields the original Python node ids
-        # (an int dtype would leak numpy scalars into the store's intern
-        # table and change every repr-based digest).
-        ids_array = np.empty(n, dtype=object)
-        ids_array[:] = ids
-        self.ids_array = ids_array
-
+        self.ids, self.ids_array, self.index = _numbering(nodes)
+        n = self.n = len(self.ids)
         rank = np.fromiter(
             map(self.index.__getitem__, nodes), dtype=np.int64, count=n
         )
@@ -163,6 +151,33 @@ def csr_topology(graph) -> CSRTopology:
     topology = CSRTopology(graph)
     graph.graph[CSR_CACHE_KEY] = topology
     return topology
+
+
+def _numbering(nodes) -> Tuple[List[Hashable], np.ndarray, Dict[Hashable, int]]:
+    """Node ids in ``repr`` order, the same as an object array, and their
+    inverse index."""
+    ids = sorted(nodes, key=repr)
+    # dtype=object so fancy-indexing yields the original Python node ids
+    # (an int dtype would leak numpy scalars into the store's intern
+    # table and change every repr-based digest).
+    ids_array = np.empty(len(ids), dtype=object)
+    ids_array[:] = ids
+    return ids, ids_array, {node_id: i for i, node_id in enumerate(ids)}
+
+
+def node_numbering(graph) -> Tuple[List[Hashable], np.ndarray, Dict[Hashable, int]]:
+    """The CSR numbering of the graph's nodes (``ids``, ``ids_array``,
+    ``index``) without the adjacency.
+
+    Read off the CSR cached on the graph when it numbers as many nodes,
+    else sorted afresh (the edge count, which a CSR needs, is not asked
+    for: networkx answers it through a view that ties the graph into a
+    reference cycle).
+    """
+    cached = graph.graph.get(CSR_CACHE_KEY)
+    if cached is not None and cached.n == graph.number_of_nodes():
+        return cached.ids, cached.ids_array, cached.index
+    return _numbering(graph)
 
 
 class DeliveryBlock:
@@ -259,8 +274,10 @@ class CohortKernel:
     class attribute on its node class, pointing at a subclass of this that
     declares ``node_type`` (the exact node class — subclasses do not
     inherit eligibility, their behaviour may differ) and ``kind`` (the wire
-    message kind the kernel understands).  Subclasses implement the
-    per-fresh-node state hooks and :meth:`_fan_out`.
+    message kind the kernel understands).  Subclasses implement
+    :meth:`_fan_out`; which node holds which payload is read from and
+    written to ``simulator.peers``, the same columns the event path's node
+    objects use.
     """
 
     #: The exact node class this kernel vectorises (identity-checked).
@@ -273,7 +290,7 @@ class CohortKernel:
         self.simulator = simulator
         self._topology: Optional[CSRTopology] = None
         self._generation = -1
-        self._seen: Dict[Hashable, np.ndarray] = {}
+        self._values: Dict[str, tuple] = {}
         self._online: Optional[np.ndarray] = None
         self._edge_ok: Optional[np.ndarray] = None
         self._constant_delay = simulator.latency.constant_delay()
@@ -294,6 +311,7 @@ class CohortKernel:
             topology.n,
         )
         self._topology = topology
+        simulator.peers.reindex(topology.ids, topology.index)
         offline = simulator._offline
         severed = simulator._severed
         if offline or severed:
@@ -341,19 +359,39 @@ class CohortKernel:
     # ------------------------------------------------------------------
     # Per-protocol hooks
     # ------------------------------------------------------------------
-    def _node_has_seen(self, node, payload_id: Hashable) -> bool:
-        """Whether the node already processed the payload out of band.
+    def per_peer(self, attribute: str, dtype=object) -> tuple:
+        """What every peer's node holds in ``attribute`` (e.g. its payload
+        size): ``(value, None)`` when all agree, else ``(None, values)``,
+        an array of ``dtype`` with one value per CSR index.
 
-        Consulted only for array-level first receptions, so originators
-        (and nodes served per-item while a first-observation hook was
-        pending) never fresh-process a payload twice.  The default reads
-        the ``_seen`` payload-id set that flood and gossip nodes both keep.
+        Nodes not built yet hold what the population's prototype holds;
+        built nodes answer for themselves (a factory may size each peer
+        differently).  Read once per kernel: a new node or population
+        resolves a new kernel.
         """
-        return payload_id in node._seen
-
-    def _mark_node_seen(self, node, payload_id: Hashable) -> None:
-        """Mirror a fresh reception into the node's own state."""
-        node._seen.add(payload_id)
+        answer = self._values.get(attribute)
+        if answer is None:
+            simulator = self.simulator
+            population = simulator._population
+            values = {
+                node_id: getattr(node, attribute)
+                for node_id, node in simulator._nodes.items()
+            }
+            if population is not None:
+                shared = getattr(population.prototype, attribute)
+            else:
+                shared = next(iter(values.values()))
+            if all(value == shared for value in values.values()):
+                answer = (shared, None)
+            else:
+                index = self._topology.index
+                column = np.empty(self._topology.n, dtype=dtype)
+                column[:] = [shared] * self._topology.n
+                for node_id, value in values.items():
+                    column[index[node_id]] = value
+                answer = (None, column)
+            self._values[attribute] = answer
+        return answer
 
     def shard_state(
         self, payload_ids: Iterable[Hashable]
@@ -367,8 +405,8 @@ class CohortKernel:
         workers implement.  The answer is ``(node_sizes, priors)``: the
         ``size_bytes`` each node puts on the wire, in CSR index order, and
         per queued payload the CSR indices of the nodes that already hold
-        it — workers seed a seen-bitmap from those once instead of calling
-        :meth:`_node_has_seen` per candidate.
+        it (``simulator.peers.holders``) — workers seed their copy of the
+        seen columns from those.
         """
         return None
 
@@ -436,35 +474,20 @@ class CohortKernel:
             int(sizes.sum()),
         )
 
-        seen = self._seen.get(payload_id)
-        if seen is None:
-            seen = np.zeros(topology.n, dtype=bool)
-            self._seen[payload_id] = seen
+        # First receptions: the earliest delivery to each node that does
+        # not hold the payload yet, in delivery order.
+        seen = simulator.peers.bitmap(payload_id)
         unique, first_pos = np.unique(recv_idx, return_index=True)
         mask = ~seen[unique]
         if not mask.any():
             return total
-        candidates = np.sort(first_pos[mask])
-
-        nodes = simulator._nodes
-        ids = topology.ids
-        fresh_positions: List[int] = []
-        fresh_ids: List[Hashable] = []
-        for pos, r in zip(
-            candidates.tolist(), recv_idx[candidates].tolist()
-        ):
-            node = nodes[ids[r]]
-            seen[r] = True
-            if self._node_has_seen(node, payload_id):
-                continue
-            self._mark_node_seen(node, payload_id)
-            fresh_positions.append(pos)
-            fresh_ids.append(ids[r])
-        if not fresh_positions:
-            return total
-        simulator.metrics.record_delivery_batch(payload_id, time, fresh_ids)
-        fresh = np.asarray(fresh_positions, dtype=np.int64)
-        self._fan_out(time, recv_idx[fresh], send_idx[fresh], payload_id)
+        fresh = np.sort(first_pos[mask])
+        receivers = recv_idx[fresh]
+        seen[receivers] = True
+        simulator.metrics.record_delivery_batch(
+            payload_id, time, topology.ids_array, receivers
+        )
+        self._fan_out(time, receivers, send_idx[fresh], payload_id)
         return total
 
     def _emit(
@@ -525,15 +548,24 @@ def kernel_for(simulator) -> Optional[CohortKernel]:
     Every registered node must be of exactly one type whose
     ``COHORT_KERNEL`` declares that same type as its ``node_type`` —
     subclasses may override behaviour the kernel hard-codes, so they do not
-    inherit eligibility.  ``None`` for every other population.
+    inherit eligibility.  A population whose factory declares its class
+    answers for the nodes it has not built; only built nodes are checked.
+    ``None`` for every other population.
     """
+    population = simulator._population
+    node_type = None if population is None else population.node_type
+    if population is not None and node_type is None:
+        simulator._materialise_all()
     nodes = simulator._nodes
-    first_type = type(next(iter(nodes.values()))) if nodes else None
-    kernel_cls = getattr(first_type, "COHORT_KERNEL", None)
+    if node_type is None:
+        if not nodes:
+            return None
+        node_type = type(next(iter(nodes.values())))
+    kernel_cls = getattr(node_type, "COHORT_KERNEL", None)
     if (
         kernel_cls is not None
-        and kernel_cls.node_type is first_type
-        and all(type(node) is first_type for node in nodes.values())
+        and kernel_cls.node_type is node_type
+        and all(type(node) is node_type for node in nodes.values())
     ):
         return kernel_cls(simulator)
     return None
@@ -603,7 +635,7 @@ def _deliver(simulator, time, receiver, sender, message, direct) -> None:
         simulator._churn_dropped += 1
         return
     simulator._record(time, receiver, sender, message, direct)
-    simulator._nodes[receiver].on_message(sender, message)
+    simulator.node(receiver).on_message(sender, message)
 
 
 def _step_single(simulator, kernel, item) -> int:

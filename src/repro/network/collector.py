@@ -11,10 +11,11 @@ Two stretches allocate many long-lived, acyclic objects in one go:
 The generational collector counts allocations, so it fires again and again
 inside exactly those stretches and each pass walks a heap that holds nothing
 collectable yet.  :func:`collector_paused` suspends it for them and for
-nothing else.  ``Simulator.populate`` is such a burst too and is left
-alone: pausing it pushed ``benchmarks/e2e``'s tiny-scale
-``trace.covered_share`` self-check under 0.9 on ``preset_sweep`` (0.88
-against 0.94 without it).  Sessions are freed by reference count
+nothing else.  ``Simulator.populate`` allocates nothing per peer for the
+flood and gossip populations; the other factories' first-touch build is a
+burst too and is left alone: pausing ``populate`` when it still built
+every node pushed ``benchmarks/e2e``'s tiny-scale ``trace.covered_share``
+self-check under 0.9 on ``preset_sweep`` (0.88 against 0.94 without it).  Sessions are freed by reference count
 (:meth:`~repro.network.simulator.Simulator.close`), so nothing here or
 elsewhere disables the collector for the whole process, freezes the heap or
 edits a threshold.

@@ -11,17 +11,26 @@ Message traffic is written by the simulator straight into an
 collector, so every traffic query (``message_count``, ``first_observations``)
 is answered from a counter or a column query instead of scanning the global
 send log.  Payload deliveries (the "node X now knows the payload" events) are
-indexed here per payload, so ``delivered_nodes``, ``reach`` and
-``completion_time`` are O(result) as well.
+one column per payload: the first-delivery time of every node, keyed through
+the store's intern table (``NaN`` while a node does not hold the payload),
+plus a reach counter and the latest first delivery.  ``reach`` and
+``completion_time`` are O(1), ``delivery_time`` one lookup, and
+``delivered_nodes`` a scan of one column.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Hashable, List, Optional, Tuple
+from array import array
+from collections.abc import Mapping
+from itertools import repeat
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.network.message import Observation
 from repro.network.observation_store import ObservationStore
+
+_NAN = float("nan")
 
 
 class MetricsCollector:
@@ -36,11 +45,32 @@ class MetricsCollector:
 
     def __init__(self, store: Optional[ObservationStore] = None) -> None:
         self.store = store if store is not None else ObservationStore()
-        self.deliveries: Dict[Tuple[Hashable, Hashable], float] = {}
-        self._deliveries_by_payload: Dict[
-            Hashable, List[Tuple[float, Hashable]]
-        ] = defaultdict(list)
+        self._times: Dict[Hashable, array] = {}
+        self._reach: Dict[Hashable, int] = {}
         self._completion: Dict[Hashable, float] = {}
+
+    @property
+    def deliveries(self) -> "Mapping[Tuple[Hashable, Hashable], float]":
+        """Read-only ``(node, payload_id) -> first-delivery time`` view."""
+        return _DeliveryView(self)
+
+    def _column(self, payload_id: Hashable) -> array:
+        """The payload's time column, one row per interned node (``NaN``
+        for the rows added here)."""
+        column = self._times.get(payload_id)
+        if column is None:
+            column = self._times[payload_id] = array("d")
+            self._reach[payload_id] = 0
+        missing = self.store.node_count() - len(column)
+        if missing > 0:
+            column.extend(repeat(_NAN, missing))
+        return column
+
+    def _delivered(self, payload_id: Hashable, time: float, count: int) -> None:
+        self._reach[payload_id] += count
+        previous = self._completion.get(payload_id)
+        if previous is None or time > previous:
+            self._completion[payload_id] = time
 
     def record_delivery(
         self, node: Hashable, payload_id: Hashable, time: float
@@ -50,38 +80,32 @@ class MetricsCollector:
         Only the first delivery per (node, payload) pair is kept; duplicates
         caused by redundant links do not change the delivery time.
         """
-        key = (node, payload_id)
-        if key not in self.deliveries:
-            self.deliveries[key] = time
-            self._deliveries_by_payload[payload_id].append((time, node))
-            previous = self._completion.get(payload_id)
-            if previous is None or time > previous:
-                self._completion[payload_id] = time
+        index = self.store.intern(node)
+        column = self._column(payload_id)
+        if column[index] == column[index]:  # not NaN: delivered before
+            return
+        column[index] = time
+        self._delivered(payload_id, time, 1)
 
     def record_delivery_batch(
-        self, payload_id: Hashable, time: float, nodes: List[Hashable]
+        self, payload_id: Hashable, time: float, ids, indexes: np.ndarray
     ) -> None:
         """Record first deliveries of one payload at one time for many nodes.
 
-        The batched engine's counterpart of :meth:`record_delivery`: one
-        call per cohort instead of one per freshly-infected node.  Nodes
-        that already obtained the payload are skipped, exactly like the
-        per-node path.
+        The cohort kernels' counterpart of :meth:`record_delivery`: one call
+        per cohort, nodes given as distinct integer ``indexes`` into a
+        kernel's ``ids`` array.  Nodes that already obtained the payload
+        are skipped, exactly like the per-node path.
         """
-        deliveries = self.deliveries
-        fresh = [
-            node for node in nodes if (node, payload_id) not in deliveries
-        ]
-        if not fresh:
+        if not len(indexes):
             return
-        for node in fresh:
-            deliveries[(node, payload_id)] = time
-        self._deliveries_by_payload[payload_id].extend(
-            (time, node) for node in fresh
-        )
-        previous = self._completion.get(payload_id)
-        if previous is None or time > previous:
-            self._completion[payload_id] = time
+        remap = self.store.intern_map(ids)
+        rows = indexes if remap is None else remap[indexes]
+        times = np.frombuffer(self._column(payload_id), dtype=np.float64)
+        fresh = rows[np.isnan(times[rows])]
+        if len(fresh):
+            times[fresh] = time
+            self._delivered(payload_id, time, len(fresh))
 
     # ------------------------------------------------------------------
     # Queries
@@ -107,19 +131,32 @@ class MetricsCollector:
         return self.store.kind_counts()
 
     def delivered_nodes(self, payload_id: Hashable) -> List[Hashable]:
-        """Nodes that received the payload content, in delivery order."""
-        entries = sorted(self._deliveries_by_payload.get(payload_id, []))
+        """Nodes that received the payload content, in ``(time, node)``
+        order."""
+        column = self._times.get(payload_id)
+        if column is None:
+            return []
+        times = np.frombuffer(column, dtype=np.float64)
+        held = np.flatnonzero(~np.isnan(times))
+        entries = sorted(
+            zip(times[held].tolist(), self.store.node_ids(held.tolist()))
+        )
         return [node for _, node in entries]
 
     def reach(self, payload_id: Hashable) -> int:
         """Number of distinct nodes that obtained the payload."""
-        return len(self._deliveries_by_payload.get(payload_id, ()))
+        return self._reach.get(payload_id, 0)
 
     def delivery_time(
         self, node: Hashable, payload_id: Hashable
     ) -> Optional[float]:
         """When ``node`` first obtained the payload, or ``None``."""
-        return self.deliveries.get((node, payload_id))
+        column = self._times.get(payload_id)
+        index = self.store.find(node)
+        if column is None or index is None or index >= len(column):
+            return None
+        time = column[index]
+        return None if time != time else time
 
     def completion_time(self, payload_id: Hashable) -> Optional[float]:
         """Time of the last first-delivery of the payload, or ``None``."""
@@ -141,5 +178,30 @@ class MetricsCollector:
             "messages": float(len(self.store)),
             "bytes": float(self.store.bytes_total()),
             "payloads": float(self.store.payload_count()),
-            "deliveries": float(len(self.deliveries)),
+            "deliveries": float(sum(self._reach.values())),
         }
+
+
+class _DeliveryView(Mapping):
+    """``(node, payload_id) -> time`` over a collector's delivery columns."""
+
+    __slots__ = ("_metrics",)
+
+    def __init__(self, metrics: MetricsCollector) -> None:
+        self._metrics = metrics
+
+    def __getitem__(self, key: Tuple[Hashable, Hashable]) -> float:
+        time = self._metrics.delivery_time(*key)
+        if time is None:
+            raise KeyError(key)
+        return time
+
+    def __iter__(self) -> Iterator[Tuple[Hashable, Hashable]]:
+        metrics = self._metrics
+        for payload_id, column in metrics._times.items():
+            held = np.flatnonzero(~np.isnan(np.frombuffer(column)))
+            for node in metrics.store.node_ids(held.tolist()):
+                yield node, payload_id
+
+    def __len__(self) -> int:
+        return sum(self._metrics._reach.values())

@@ -78,6 +78,8 @@ class ObservationStore:
         "_direct",
         "_nodes",
         "_node_index",
+        "_adopted",
+        "_adopted_index",
         "_ids_map",
         "_segment_starts",
         "_segment_pairs",
@@ -97,10 +99,15 @@ class ObservationStore:
         self._senders = array("i")
         self._messages: list = []
         self._direct = bytearray()
-        # The intern table: node id per index, and its inverse (left empty
-        # on adopting a kernel's ``ids`` until :meth:`_lookup` needs it).
+        # The intern table: node id per index.  Its inverse is the adopted
+        # kernel's index (rows ``[0, _adopted)``; shared with the kernel,
+        # never written, built from ``_nodes`` only if none was handed
+        # over) plus ``_node_index``, which caches every node interned one
+        # at a time.
         self._nodes: list = []
         self._node_index: Dict[Hashable, int] = {}
+        self._adopted = 0
+        self._adopted_index: Optional[Dict[Hashable, int]] = None
         # The last kernel ``ids`` array seen, and its index map into the
         # intern table (``None`` when the table adopted that array).
         self._ids_map: tuple = (None, None)
@@ -192,10 +199,7 @@ class ObservationStore:
         kinds[kind] = kinds.get(kind, 0) + size
         receivers = np.ascontiguousarray(receivers, dtype=np.intc)
         senders = np.ascontiguousarray(senders, dtype=np.intc)
-        seen, remap = self._ids_map
-        if ids is not seen:
-            remap = self._map_ids(ids)
-            self._ids_map = (ids, remap)
+        remap = self.intern_map(ids)
         if remap is not None:
             receivers = remap[receivers]
             senders = remap[senders]
@@ -208,21 +212,65 @@ class ObservationStore:
             self._open_segment(start, payload_id, kind)
         return start
 
-    def _intern(self, node: Hashable) -> int:
+    def adopt(self, ids, index: Optional[Dict[Hashable, int]] = None) -> None:
+        """Seed an empty intern table with a kernel's ``ids``, so the
+        kernel's indexes are stored unchanged.  ``index``, their inverse, is
+        shared and never written (without it one is built when first
+        needed).  A table that already holds nodes is left as it is."""
+        if not self._nodes:
+            self._nodes = list(ids)
+            self._adopted = len(self._nodes)
+            self._adopted_index = index
+            self._ids_map = (ids, None)
+
+    def intern_map(self, ids) -> Optional[np.ndarray]:
+        """Index map from a kernel's ``ids`` into the intern table, or
+        ``None`` when its indexes already are intern-table indexes.
+
+        The map of the last ``ids`` seen is kept, so a kernel pays for it
+        once per ``ids`` array, not once per batch.
+        """
+        seen, remap = self._ids_map
+        if ids is not seen:
+            remap = self._map_ids(ids)
+            self._ids_map = (ids, remap)
+        return remap
+
+    def intern(self, node: Hashable) -> int:
         """The node's index in the intern table, appending it if new."""
-        lookup = self._lookup()
-        index = lookup.get(node)
+        index = self._node_index.get(node)
         if index is None:
-            index = lookup[node] = len(self._nodes)
-            self._nodes.append(node)
+            index = self._intern(node)
         return index
 
-    def _lookup(self) -> Dict[Hashable, int]:
-        """The intern table's inverse, completed after an adoption."""
-        lookup = self._node_index
-        if len(lookup) < len(self._nodes):
-            lookup.update(zip(self._nodes, range(len(self._nodes))))
-        return lookup
+    def find(self, node: Hashable) -> Optional[int]:
+        """The node's index in the intern table, or ``None``."""
+        index = self._node_index.get(node)
+        if index is None and self._adopted:
+            adopted = self._adopted_index
+            if adopted is None:
+                adopted = self._adopted_index = dict(
+                    zip(self._nodes, range(self._adopted))
+                )
+            index = adopted.get(node)
+        return index
+
+    def node_count(self) -> int:
+        """Size of the intern table."""
+        return len(self._nodes)
+
+    def node_ids(self, indexes: Iterable[int]) -> list:
+        """The node ids at the given intern-table indexes."""
+        nodes = self._nodes
+        return [nodes[index] for index in indexes]
+
+    def _intern(self, node: Hashable) -> int:
+        index = self.find(node)
+        if index is None:
+            index = len(self._nodes)
+            self._nodes.append(node)
+        self._node_index[node] = index
+        return index
 
     def _map_ids(self, ids) -> Optional[np.ndarray]:
         """Index map from a kernel's ``ids`` into the intern table.
@@ -231,9 +279,11 @@ class ObservationStore:
         interned yet), so the kernel's indexes are stored unchanged.
         """
         if not self._nodes:
-            self._nodes = list(ids)
+            self.adopt(ids)
             return None
-        return np.fromiter(map(self._intern, ids), np.intc, len(ids))
+        if self._nodes[:len(ids)] == list(ids):
+            return None  # the table starts with these ids already
+        return np.fromiter(map(self.intern, ids), np.intc, len(ids))
 
     def _open_segment(self, start: int, payload_id: Hashable, kind: str) -> None:
         self._last_payload = payload_id
@@ -335,8 +385,7 @@ class ObservationStore:
             chain.from_iterable(starmap(range, self._ranges(payload_id, kinds, start)))
         )
         if receivers is not None:
-            index = self._lookup()
-            wanted = {index[node] for node in receivers if node in index}
+            wanted = set(map(self.find, receivers))
             column = self._receivers
             rows = [row for row in rows if column[row] in wanted]
         if not include_direct:

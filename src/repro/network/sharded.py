@@ -379,7 +379,8 @@ def _recv(conn):
 
 
 def _adopt_results(simulator, kernel, topology, payload_list, results):
-    """Replay the workers' per-window records into store/metrics/nodes.
+    """Replay the workers' per-window records into the store, the delivery
+    columns and the seen columns.
 
     Each window's chunks are interleaved back into the event engine's
     delivery order (ascending rank) and written as one ``record_batch`` per
@@ -399,7 +400,7 @@ def _adopt_results(simulator, kernel, topology, payload_list, results):
     ids_array = topology.ids_array
     store = simulator.store
     metrics = simulator.metrics
-    nodes = simulator._nodes
+    peers = simulator.peers
     kind = kernel.kind
     for time, window in itertools.groupby(drained, key=lambda r: r[0]):
         window = list(window)
@@ -433,19 +434,9 @@ def _adopt_results(simulator, kernel, topology, payload_list, results):
                 sizes * (end - start) if shared else int(run_sizes.sum()),
             )
         for _, pidx, _, _, _, _, fresh in window:
-            if not len(fresh):
-                continue
             payload_id = payload_list[pidx]
-            fresh_ids = ids_array[fresh].tolist()
-            metrics.record_delivery_batch(payload_id, time, fresh_ids)
-            seen = kernel._seen.get(payload_id)
-            if seen is None:
-                seen = np.zeros(topology.n, dtype=bool)
-                kernel._seen[payload_id] = seen
-            seen[fresh] = True
-            mark = kernel._mark_node_seen
-            for node_id in fresh_ids:
-                mark(nodes[node_id], payload_id)
+            metrics.record_delivery_batch(payload_id, time, ids_array, fresh)
+            peers.bitmap(payload_id)[fresh] = True
 
 
 def _messages(kind, payload_id, sizes, count) -> List[Message]:

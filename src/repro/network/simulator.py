@@ -49,11 +49,13 @@ counters, which the golden and property tests assert for every preset.
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import random
 import sys
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     FrozenSet,
@@ -78,6 +80,9 @@ from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
 from repro.telemetry.recorder import Recorder, current_recorder
 
+if TYPE_CHECKING:  # pragma: no cover - numpy-backed, imported on first use
+    from repro.network.peers import PeerColumns
+
 logger = logging.getLogger(__name__)
 
 #: The registered delivery engines (see the module docstring).
@@ -89,6 +94,37 @@ NO_COHORTS = (
     "no two deliveries share a timestamp"
 )
 NO_KERNEL = "no cohort kernel (mixed or non-cohort node types)"
+
+
+class _Population:
+    """The graph vertices one :meth:`Simulator.populate` call covered whose
+    node objects are not built yet.
+
+    ``node_type`` is the class the factory declares (the class itself, or a
+    keyword-only ``functools.partial`` of it) when its nodes keep their
+    protocol state in the simulator's :class:`~repro.network.peers.PeerColumns`
+    and do nothing on start: such nodes are built one at a time, when first
+    touched, and ``prototype`` (built once, never attached) stands for the
+    rest, e.g. for their wire parameters.  ``members`` is then the column
+    index.  For any other factory ``node_type`` is ``None`` and ``members``
+    lists the covered vertices in ``repr`` order: the first touch builds
+    them all, in that order, so the factory sees the calls it always saw.
+    """
+
+    __slots__ = ("factory", "node_type", "prototype", "members")
+
+    def __init__(self, factory, node_type, prototype, members) -> None:
+        self.factory = factory
+        self.node_type = node_type
+        self.prototype = prototype
+        self.members = members
+
+
+def _declared_type(factory: Callable[[Hashable], Node]) -> Optional[type]:
+    """The class of every node ``factory`` builds, when it says so."""
+    if isinstance(factory, functools.partial) and not factory.args:
+        factory = factory.func
+    return factory if isinstance(factory, type) else None
 
 
 class Simulator:
@@ -169,7 +205,10 @@ class Simulator:
         self.store = ObservationStore()
         self.metrics = MetricsCollector(store=self.store)
         self._queue = EventQueue()
+        # Node objects built so far; ``_population`` covers the rest.
         self._nodes: Dict[Hashable, Node] = {}
+        self._population: Optional[_Population] = None
+        self._peers: Optional["PeerColumns"] = None
         self._now = 0.0
         self._started = False
         self._neighbour_cache: Dict[Hashable, Tuple[Hashable, ...]] = {}
@@ -241,6 +280,11 @@ class Simulator:
         if self._closed:
             return
         self._closed = True
+        population = self._population
+        if population is not None and population.node_type is None:
+            # A pending factory may close over whoever owns this session;
+            # its nodes are built now (detached), so nothing refers back.
+            self._materialise_all()
         for node in self._nodes.values():
             node.detach()
         self._kernel = None
@@ -280,10 +324,9 @@ class Simulator:
         """Register a node behaviour for an existing graph vertex."""
         if node.node_id not in self.graph:
             raise ValueError(f"node {node.node_id!r} is not part of the overlay")
-        if node.node_id in self._nodes:
+        if node.node_id in self._nodes or self._covers(node.node_id):
             raise ValueError(f"node {node.node_id!r} is already registered")
-        node.attach(self)
-        self._nodes[node.node_id] = node
+        self._register(node)
         # The cohort kernel (if any) is resolved from the full node
         # population; adding a node of another type disqualifies it.
         self._kernel = None
@@ -291,19 +334,116 @@ class Simulator:
         return node
 
     def populate(self, factory: Callable[[Hashable], Node]) -> None:
-        """Create one node behaviour per graph vertex using ``factory``."""
-        for node_id in sorted(self.graph.nodes, key=repr):
-            if node_id not in self._nodes:
-                self.add_node(factory(node_id))
+        """Cover every graph vertex without a node behaviour with ``factory``.
+
+        Node objects are built when first touched (:meth:`node`, an
+        event-path delivery, :attr:`nodes`), not here.  A factory that
+        declares its class — the class itself, or ``functools.partial`` of
+        it with keywords only — whose nodes keep their state in
+        :attr:`peers` and do nothing on start (flood, gossip) builds one
+        node per touch, so a run on a cohort kernel builds almost none.  Any
+        other factory builds every node it covers, in ``repr`` order, on
+        the first touch.  A previous call's nodes are all built first.
+        """
+        from repro.network.peers import PeerStateNode
+
+        self._materialise_all()
+        node_type = _declared_type(factory)
+        if (
+            node_type is not None
+            and issubclass(node_type, PeerStateNode)
+            and node_type.on_start is Node.on_start
+        ):
+            population = _Population(
+                factory, node_type, factory(None), self.peers.index
+            )
+        else:
+            population = _Population(factory, None, None, [
+                node_id
+                for node_id in sorted(self.graph.nodes, key=repr)
+                if node_id not in self._nodes
+            ])
+        self._population = population
+        self._kernel = None
+        self._kernel_resolved = False
 
     def node(self, node_id: Hashable) -> Node:
         """Return the behaviour registered for ``node_id``."""
-        return self._nodes[node_id]
+        node = self._nodes.get(node_id)
+        if node is None:
+            node = self._materialise(node_id)
+            if node is None:
+                raise KeyError(node_id)
+        return node
 
     @property
     def nodes(self) -> Dict[Hashable, Node]:
-        """Mapping of node id to registered behaviour."""
+        """Mapping of node id to registered behaviour (builds every node)."""
+        self._materialise_all()
         return dict(self._nodes)
+
+    @property
+    def materialised_nodes(self) -> Tuple[Hashable, ...]:
+        """Ids of the node objects built so far, in the order they were."""
+        return tuple(self._nodes)
+
+    @property
+    def peers(self) -> "PeerColumns":
+        """Which peer holds which payload: the seen columns of the flood and
+        gossip nodes (:mod:`repro.network.peers`), created on first use."""
+        peers = self._peers
+        if peers is None:
+            from repro.network.batched import node_numbering
+            from repro.network.peers import PeerColumns
+
+            ids, ids_array, index = node_numbering(self.graph)
+            peers = self._peers = PeerColumns(ids, index)
+            # Number the log's nodes as the columns do, so kernels and the
+            # delivery columns share indexes without a remap.
+            self.store.adopt(ids_array, index)
+        return peers
+
+    def _register(self, node: Node) -> Node:
+        node.attach(self)
+        if self._closed:
+            # Built after close: it still reads the columns, but holds no
+            # back-reference.
+            node.detach()
+        self._nodes[node.node_id] = node
+        return node
+
+    def _covers(self, node_id: Hashable) -> bool:
+        """Whether ``populate`` covers ``node_id``; a pending factory
+        without a declared type builds its nodes to answer."""
+        population = self._population
+        if population is None:
+            return False
+        if population.node_type is None:
+            self._materialise_all()
+            return node_id in self._nodes
+        return node_id in population.members
+
+    def _materialise(self, node_id: Hashable) -> Optional[Node]:
+        """Build the populated node ``node_id``; ``None`` if not covered."""
+        population = self._population
+        if population is None:
+            return None
+        if population.node_type is None:
+            self._materialise_all()
+            return self._nodes.get(node_id)
+        if node_id not in population.members:
+            return None
+        return self._register(population.factory(node_id))
+
+    def _materialise_all(self) -> None:
+        """Build every node the pending population covers."""
+        population = self._population
+        if population is None:
+            return
+        self._population = None
+        for node_id in population.members:
+            if node_id not in self._nodes:
+                self.add_node(population.factory(node_id))
 
     def neighbours_of(self, node_id: Hashable) -> Tuple[Hashable, ...]:
         """Overlay neighbours of ``node_id`` in deterministic order.
@@ -361,6 +501,12 @@ class Simulator:
         # engine never imports numpy.
         self.graph.graph.pop("repro_csr_topology", None)
         self.graph.graph.pop("repro_sharded_partition", None)
+        peers = self._peers
+        if peers is not None and len(peers.ids) != self.graph.number_of_nodes():
+            from repro.network.batched import node_numbering
+
+            ids, _, index = node_numbering(self.graph)
+            peers.reindex(ids, index)
 
     # ------------------------------------------------------------------
     # Churn: node failures and rejoins
@@ -489,7 +635,7 @@ class Simulator:
         """
         if self._closed:
             self._raise_closed("send")
-        if receiver not in self._nodes:
+        if receiver not in self._nodes and not self._covers(receiver):
             raise ValueError(f"receiver {receiver!r} is not registered")
         if not direct:
             adjacent = self._adjacency.get(sender)
@@ -537,6 +683,10 @@ class Simulator:
         if self._started:
             return
         self._started = True
+        population = self._population
+        if population is not None and population.node_type is None:
+            self._materialise_all()
+        # Nodes a declared population has not built do nothing on start.
         for node_id in sorted(self._nodes, key=repr):
             self._nodes[node_id].on_start()
 
@@ -752,7 +902,11 @@ class Simulator:
                     executed += 1
                     continue
                 record(self._now, receiver, sender, message, direct)
-                nodes[receiver].on_message(sender, message)
+                try:
+                    node = nodes[receiver]
+                except KeyError:
+                    node = self.node(receiver)
+                node.on_message(sender, message)
             else:
                 item()
             executed += 1

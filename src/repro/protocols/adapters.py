@@ -6,7 +6,8 @@ setup that used to be inlined (and subtly inconsistent) in the experiment
 loop:
 
 * ``flood`` / ``gossip`` — populate the overlay with the respective node
-  behaviour and run one broadcast to quiescence;
+  behaviour, declared as a class so node objects are built only when
+  touched, and run one broadcast to quiescence;
 * ``dandelion`` — additionally draws the epoch's stem successors from the
   session RNG (before any other session randomness, preserving the historic
   draw order);
@@ -25,6 +26,7 @@ same object to each :meth:`build`.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Hashable, Optional
 
@@ -111,9 +113,9 @@ class FloodProtocol(BroadcastProtocol):
         session = _build_session(
             self, graph, conditions, seed, engine=engine, shards=shards
         )
-        session.simulator.populate(
-            lambda node_id: FloodNode(node_id, self.payload_size_bytes)
-        )
+        session.simulator.populate(functools.partial(
+            FloodNode, payload_size_bytes=self.payload_size_bytes
+        ))
         return session
 
     def broadcast(
@@ -150,7 +152,7 @@ class GossipProtocol(BroadcastProtocol):
             self, graph, conditions, seed, engine=engine, shards=shards
         )
         session.simulator.populate(
-            lambda node_id: GossipNode(node_id, self.config)
+            functools.partial(GossipNode, config=self.config)
         )
         return session
 

@@ -100,8 +100,8 @@ def infected_snapshot(
 
     This is the input a snapshot adversary feeds to
     :func:`rumor_source_estimate`.  It is served from the metrics collector's
-    per-payload delivery index, so taking a snapshot costs O(infected nodes)
-    rather than a scan over the whole send log.
+    per-payload delivery-time column, so taking a snapshot costs one pass
+    over that column rather than a scan over the whole send log.
     """
     if at_time is None:
         return metrics.delivered_nodes(payload_id)

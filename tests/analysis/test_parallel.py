@@ -168,3 +168,32 @@ class TestDegradeReporting:
         assert any(
             "degrading" in record.getMessage() for record in caplog.records
         )
+
+
+class TestDeadWorker:
+    def test_killed_worker_raises_instead_of_hanging(self):
+        import os
+        import signal
+        import time
+
+        from repro.analysis.parallel import SweepWorkerDied
+
+        def killing_runner(value, seed):
+            if value == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return {"m": float(value)}
+
+        engine = ParallelSweep(repetitions=1, processes=2)
+        start = time.monotonic()
+        with pytest.raises(SweepWorkerDied) as raised:
+            engine.run([0, 1, 2, 3, 4, 5], killing_runner)
+        assert time.monotonic() - start < 5.0
+        assert raised.value.task_index == 3
+        assert raised.value.exitcode == -signal.SIGKILL
+        assert "task 3" in str(raised.value)
+        # The broken pool was discarded: the next run forks afresh.
+        assert engine._pool is None
+        assert engine.run([0, 1], lambda value, seed: {"m": 1.0}) == sweep(
+            [0, 1], lambda value, seed: {"m": 1.0}, repetitions=1
+        )
+        engine.close()
