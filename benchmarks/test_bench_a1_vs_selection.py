@@ -31,7 +31,7 @@ def _measure(overlay_200):
         group = protocol.directory.members_of(source)
         selected = select_virtual_source(payload, group)
         hash_distances.append(
-            float(nx.shortest_path_length(overlay_200, source, selected))
+            float(nx.shortest_path_length(overlay_200.to_networkx(), source, selected))
         )
         # Baseline: adaptive diffusion alone starts at a direct neighbour.
         neighbour_distances.append(1.0)

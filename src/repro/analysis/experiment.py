@@ -37,10 +37,9 @@ from typing import (
     Union,
 )
 
-import networkx as nx
-
 from repro.network.conditions import NetworkConditions
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 from repro.privacy.detection import DetectionStats, evaluate_attack
 from repro.privacy.intersection import IntersectionAttack
 from repro.privacy.metrics import (
@@ -119,7 +118,7 @@ class ExperimentResult:
 
 
 def _pick_sources(
-    graph: nx.Graph,
+    graph: Overlay,
     count: int,
     rng: random.Random,
     sender_pool: Optional[int] = None,
@@ -146,7 +145,7 @@ def _collections() -> Tuple[int, int]:
 
 
 def run_attack_experiment(
-    graph: nx.Graph,
+    graph: Overlay,
     protocol: Union[str, BroadcastProtocol],
     adversary_fraction: float,
     broadcasts: int = 20,

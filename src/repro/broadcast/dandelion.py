@@ -19,12 +19,11 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Set
 
-import networkx as nx
-
 from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.node import Node
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 
 
 @dataclass
@@ -51,7 +50,7 @@ class DandelionConfig:
 
 
 def assign_stem_successors(
-    graph: nx.Graph, rng: random.Random
+    graph: Overlay, rng: random.Random
 ) -> Dict[Hashable, Hashable]:
     """Pick one stem successor per node, approximating a Hamiltonian path.
 
@@ -180,7 +179,7 @@ class DandelionRunResult:
 
 
 def run_dandelion(
-    graph: nx.Graph,
+    graph: Overlay,
     source: Hashable,
     payload_id: Hashable = "tx",
     config: Optional[DandelionConfig] = None,

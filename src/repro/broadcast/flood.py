@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.network.batched import CohortKernel, exclude_sender_fanout
@@ -20,6 +19,7 @@ from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.peers import PeerStateNode
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 
 
 class FloodNode(PeerStateNode):
@@ -141,7 +141,7 @@ class FloodRunResult:
 
 
 def run_flood(
-    graph: nx.Graph,
+    graph: Overlay,
     source: Hashable,
     payload_id: Hashable = "tx",
     seed: Optional[int] = None,

@@ -13,7 +13,6 @@ import functools
 from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.network.batched import CohortKernel
@@ -21,6 +20,7 @@ from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.peers import PeerStateNode
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 
 
 @dataclass
@@ -166,7 +166,7 @@ class GossipRunResult:
 
 
 def run_gossip(
-    graph: nx.Graph,
+    graph: Overlay,
     source: Hashable,
     payload_id: Hashable = "tx",
     config: Optional[GossipConfig] = None,

@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
-import networkx as nx
-
 from repro.core.config import ProtocolConfig
 from repro.core.phases import Phase, PhaseTimeline
 from repro.core.protocol import ThreePhaseNode
@@ -33,6 +31,7 @@ from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 
 
 @dataclass
@@ -88,7 +87,7 @@ class ThreePhaseBroadcast:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         config: Optional[ProtocolConfig] = None,
         seed: Optional[int] = None,
         latency: Optional[LatencyModel] = None,

@@ -32,14 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional
 
-import networkx as nx
-
 from repro.diffusion.spreading import InfectionState
 from repro.diffusion.virtual_source import VirtualSourceToken, keep_probability
 from repro.network.latency import ConstantLatency
 from repro.network.message import Message
 from repro.network.node import Node
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 
 
 @dataclass
@@ -352,7 +351,7 @@ class DiffusionRunResult:
 
 
 def run_adaptive_diffusion(
-    graph: nx.Graph,
+    graph: Overlay,
     source: Hashable,
     payload_id: Hashable = "tx",
     config: Optional[AdaptiveDiffusionConfig] = None,

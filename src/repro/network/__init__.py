@@ -4,8 +4,8 @@ All dissemination protocols in this library (flood-and-prune, gossip,
 Dandelion, adaptive diffusion and the paper's three-phase protocol) run on
 top of this package: a deterministic discrete-event simulator
 (:class:`~repro.network.simulator.Simulator`), node behaviours
-(:class:`~repro.network.node.Node`), overlay topology generators
-(:mod:`repro.network.topology`), link latency models
+(:class:`~repro.network.node.Node`), the overlay every layer reads and its
+generators (:mod:`repro.network.topology`), link latency models
 (:mod:`repro.network.latency`) and a metrics collector that records every
 message send and delivery (:mod:`repro.network.metrics`).
 
@@ -35,6 +35,7 @@ from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
 from repro.network.simulator import Simulator
 from repro.network.topology import (
+    Overlay,
     barabasi_albert_overlay,
     bitcoin_like_overlay,
     complete_overlay,
@@ -66,6 +67,7 @@ __all__ = [
     "Node",
     "ObservationStore",
     "Simulator",
+    "Overlay",
     "barabasi_albert_overlay",
     "bitcoin_like_overlay",
     "complete_overlay",

@@ -6,14 +6,12 @@ call.  That is invisible at 200 nodes and dominant at 100,000.  The batched
 engine keeps the exact same observable behaviour but processes all
 deliveries that share a timestamp — a *cohort* — as numpy arrays:
 
-* :class:`CSRTopology` — the overlay as an int-indexed CSR adjacency.
-  Node indices are assigned in global ``repr`` order, so each CSR row
-  (stored sorted by index) enumerates neighbours in exactly the order
-  ``Simulator.neighbours_of`` does.  Built once per topology-cache
-  generation and cached on the graph itself, so repeated simulator
-  constructions over one overlay (the benchmark repeat loop) share it;
-  the random-regular generator seeds that cache for the large overlays it
-  builds from arrays.
+* the overlay (:class:`~repro.network.topology.Overlay`) is the
+  int-indexed CSR adjacency the kernels walk.  Node indices are assigned
+  in global ``repr`` order, so each CSR row (stored sorted by index)
+  enumerates neighbours in exactly the order ``Simulator.neighbours_of``
+  does.  It is built once, with the overlay, so every simulator
+  constructed over one overlay (the benchmark repeat loop) shares it.
 * :class:`DeliveryBlock` — a kernel-emitted fan-out stays one same-time
   struct-of-arrays block instead of being exploded into per-message heap
   tuples.  It is an ordinary :class:`~repro.network.events.EventQueue`
@@ -54,131 +52,14 @@ land before any of its fan-out deliveries.
 from __future__ import annotations
 
 import logging
-from itertools import chain
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.network.events import Event
+from repro.network.topology import Overlay, csr_row_positions
 
 logger = logging.getLogger(__name__)
-
-#: Key under which the CSR adjacency is cached in ``graph.graph``.  The
-#: simulator pops it in ``invalidate_topology_caches`` (by the same literal,
-#: to keep the event-engine module numpy-free).
-CSR_CACHE_KEY = "repro_csr_topology"
-
-
-class CSRTopology:
-    """The overlay graph as an int-indexed CSR adjacency.
-
-    Indices are assigned in global ``repr`` order of the node ids, which
-    makes each integer-sorted CSR row automatically enumerate a node's
-    neighbours in ``Simulator.neighbours_of`` order — no per-row reorder
-    step is needed.
-    """
-
-    __slots__ = ("n", "n_edges", "ids", "ids_array", "index", "indptr", "indices")
-
-    def __init__(self, graph) -> None:
-        # Every arc of the adjacency, read in bulk, into the one builder.
-        nodes = list(graph)
-        rows = [neighbours for _, neighbours in graph.adjacency()]
-        position = {node_id: i for i, node_id in enumerate(nodes)}
-        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        tails = np.fromiter(
-            map(position.__getitem__, chain.from_iterable(rows)),
-            dtype=np.int64,
-            count=int(degrees.sum()),
-        )
-        self._build(nodes, np.repeat(np.arange(len(nodes)), degrees), tails)
-
-    @classmethod
-    def from_arcs(
-        cls, nodes: List[Hashable], heads: np.ndarray, tails: np.ndarray
-    ) -> "CSRTopology":
-        """The CSR of a graph given as its directed arcs, both ways round:
-        ``heads[i] -> tails[i]`` as positions into ``nodes``."""
-        topology = cls.__new__(cls)
-        topology._build(nodes, heads, tails)
-        return topology
-
-    def _build(
-        self, nodes: List[Hashable], heads: np.ndarray, tails: np.ndarray
-    ) -> None:
-        self.ids, self.ids_array, self.index = _numbering(nodes)
-        n = self.n = len(self.ids)
-        rank = np.fromiter(
-            map(self.index.__getitem__, nodes), dtype=np.int64, count=n
-        )
-        heads = rank[heads]
-        tails = rank[tails]
-        # A self-loop is one arc but, as networkx counts, one edge too.
-        self.n_edges = (len(heads) + int(np.count_nonzero(heads == tails))) // 2
-        # Rows in index order, each sorted by index: one sort of the keys.
-        self.indices = np.sort(heads * n + tails) % n
-        counts = np.bincount(heads, minlength=n)
-        self.indptr = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
-        )
-
-    def is_connected(self) -> bool:
-        """Whether a walk from any one node reaches all of them."""
-        visited = np.zeros(self.n, dtype=bool)
-        bfs_levels(self, 0, visited)
-        return bool(visited.all())
-
-
-def csr_topology(graph) -> CSRTopology:
-    """The graph's cached CSR adjacency, rebuilt when the graph changed.
-
-    The cache lives on ``graph.graph`` so that every simulator constructed
-    over the same overlay object (e.g. the benchmark repeat loop) shares one
-    build; a large random-regular overlay arrives with it already there,
-    from the arrays it was generated from.  It is validated against the
-    node/edge counts and popped by
-    ``Simulator.invalidate_topology_caches`` — mutations that keep both
-    counts identical must go through that invalidation hook, exactly as they
-    already must for the event engine's neighbour caches.
-    """
-    cached = graph.graph.get(CSR_CACHE_KEY)
-    if (
-        cached is not None
-        and cached.n == graph.number_of_nodes()
-        and cached.n_edges == graph.number_of_edges()
-    ):
-        return cached
-    topology = CSRTopology(graph)
-    graph.graph[CSR_CACHE_KEY] = topology
-    return topology
-
-
-def _numbering(nodes) -> Tuple[List[Hashable], np.ndarray, Dict[Hashable, int]]:
-    """Node ids in ``repr`` order, the same as an object array, and their
-    inverse index."""
-    ids = sorted(nodes, key=repr)
-    # dtype=object so fancy-indexing yields the original Python node ids
-    # (an int dtype would leak numpy scalars into the store's intern
-    # table and change every repr-based digest).
-    ids_array = np.empty(len(ids), dtype=object)
-    ids_array[:] = ids
-    return ids, ids_array, {node_id: i for i, node_id in enumerate(ids)}
-
-
-def node_numbering(graph) -> Tuple[List[Hashable], np.ndarray, Dict[Hashable, int]]:
-    """The CSR numbering of the graph's nodes (``ids``, ``ids_array``,
-    ``index``) without the adjacency.
-
-    Read off the CSR cached on the graph when it numbers as many nodes,
-    else sorted afresh (the edge count, which a CSR needs, is not asked
-    for: networkx answers it through a view that ties the graph into a
-    reference cycle).
-    """
-    cached = graph.graph.get(CSR_CACHE_KEY)
-    if cached is not None and cached.n == graph.number_of_nodes():
-        return cached.ids, cached.ids_array, cached.index
-    return _numbering(graph)
-
 
 class DeliveryBlock:
     """One same-time run of kernel-generated deliveries, kept as arrays."""
@@ -199,45 +80,6 @@ class DeliveryBlock:
         self.sizes = sizes
         self.payload_id = payload_id
         self.size = len(receivers)
-
-
-def csr_row_positions(
-    indptr: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat ``indices`` positions of the given CSR rows, row after row, plus
-    each row's degree and running end offset (what ``np.repeat`` needs to
-    line per-row values up with the positions)."""
-    starts = indptr[rows]
-    degrees = indptr[rows + 1] - starts
-    ends = np.cumsum(degrees)
-    # Each row's start, shifted so that adding one global ramp walks the row.
-    flat = np.repeat(starts - (ends - degrees), degrees) + np.arange(
-        int(degrees.sum())
-    )
-    return flat, degrees, ends
-
-
-def bfs_levels(topology, root: int, visited: np.ndarray) -> List[np.ndarray]:
-    """Breadth-first levels of CSR indices reached from ``root``.
-
-    Visits neighbours in row order and marks every index it reaches in
-    ``visited``, skipping those already marked.  Walked a level at a time —
-    gather the frontier's rows in frontier order, drop visited nodes, keep
-    first occurrences in gather order — so the levels concatenated are the
-    order a FIFO walk gives.
-    """
-    indptr, indices = topology.indptr, topology.indices
-    levels = []
-    frontier = np.array([root])
-    while frontier.size:
-        visited[frontier] = True
-        levels.append(frontier)
-        reached = indices[csr_row_positions(indptr, frontier)[0]]
-        reached = reached[~visited[reached]]
-        _, first = np.unique(reached, return_index=True)
-        first.sort()
-        frontier = reached[first]
-    return levels
 
 
 def exclude_sender_fanout(
@@ -288,7 +130,7 @@ class CohortKernel:
 
     def __init__(self, simulator) -> None:
         self.simulator = simulator
-        self._topology: Optional[CSRTopology] = None
+        self._topology: Optional[Overlay] = None
         self._generation = -1
         self._values: Dict[str, tuple] = {}
         self._online: Optional[np.ndarray] = None
@@ -304,7 +146,7 @@ class CohortKernel:
         generation = simulator._topology_generation
         if self._generation == generation and self._topology is not None:
             return
-        topology = csr_topology(simulator.graph)
+        topology = simulator.graph
         logger.debug(
             "cohort kernel refreshed CSR view: generation %d, %d nodes",
             generation,
@@ -339,7 +181,7 @@ class CohortKernel:
 
     @staticmethod
     def _mark_edge(
-        topology: CSRTopology, edge_ok: np.ndarray, a: Hashable, b: Hashable
+        topology: Overlay, edge_ok: np.ndarray, a: Hashable, b: Hashable
     ) -> None:
         """Mark both CSR directions of a severed link as unusable."""
         index = topology.index

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, Iterable, Optional, Tuple
 
-import networkx as nx
+from repro.network.topology import Overlay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.network.simulator import Simulator
@@ -162,7 +162,7 @@ class ChurnSchedule:
 
 
 def random_churn_schedule(
-    graph: nx.Graph,
+    graph: Overlay,
     leave_fraction: float,
     leave_time: float,
     rejoin_after: Optional[float] = None,
@@ -213,7 +213,7 @@ def random_churn_schedule(
 
 
 def random_link_schedule(
-    graph: nx.Graph,
+    graph: Overlay,
     sever_fraction: float,
     sever_time: float,
     restore_after: Optional[float] = None,

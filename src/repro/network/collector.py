@@ -1,21 +1,18 @@
 """The one place this library touches CPython's cycle collector.
 
-Two stretches allocate many long-lived, acyclic objects in one go:
-
-* a run — heap entries and the observation store's column rows,
-  O(deliveries) of them (``Simulator._run_impl``, every engine);
-* the bulk build of a large random-regular overlay — an adjacency dict per
-  peer and a data dict per edge
-  (``topology._connected_regular_graph``).
-
-The generational collector counts allocations, so it fires again and again
-inside exactly those stretches and each pass walks a heap that holds nothing
-collectable yet.  :func:`collector_paused` suspends it for them and for
-nothing else.  ``Simulator.populate`` allocates nothing per peer for the
-flood and gossip populations; the other factories' first-touch build is a
-burst too and is left alone: pausing ``populate`` when it still built
-every node pushed ``benchmarks/e2e``'s tiny-scale ``trace.covered_share``
-self-check under 0.9 on ``preset_sweep`` (0.88 against 0.94 without it).  Sessions are freed by reference count
+A run allocates many long-lived, acyclic objects in one go: heap entries
+and the observation store's column rows, O(deliveries) of them
+(``Simulator._run_impl``, every engine).  The generational collector counts
+allocations, so it fires again and again inside exactly that stretch and
+each pass walks a heap that holds nothing collectable yet.
+:func:`collector_paused` suspends it there and nowhere else.  Building an
+overlay allocates arrays, not a dict per peer, so it needs no pause.
+``Simulator.populate`` allocates nothing per peer for the flood and gossip
+populations; the other factories' first-touch build is a burst too and is
+left alone: pausing ``populate`` when it still built every node pushed
+``benchmarks/e2e``'s tiny-scale ``trace.covered_share`` self-check under
+0.9 on ``preset_sweep`` (0.88 against 0.94 without it).  Sessions are
+freed by reference count
 (:meth:`~repro.network.simulator.Simulator.close`), so nothing here or
 elsewhere disables the collector for the whole process, freezes the heap or
 edits a threshold.

@@ -104,8 +104,8 @@ class PerEdgeLatency(LatencyModel):
         self._delays: Dict[Tuple[str, str], float] = {}
 
     def _edge_key(self, a: Hashable, b: Hashable) -> Tuple[str, str]:
-        first, second = sorted([repr(a), repr(b)])
-        return (first, second)
+        first, second = repr(a), repr(b)
+        return (first, second) if first <= second else (second, first)
 
     def delay(self, sender: Hashable, receiver: Hashable) -> float:
         key = self._edge_key(sender, receiver)

@@ -4,7 +4,7 @@ Flood-and-prune and gossip keep one bit of state per peer and payload:
 whether the peer already holds the payload (a second copy is pruned).  That
 bit lives in exactly one place, a :class:`PeerColumns` owned by the
 simulator: one byte per peer and payload, in the overlay's CSR index order
-(:class:`~repro.network.batched.CSRTopology`, ``repr`` order of the node
+(:class:`~repro.network.topology.Overlay`, ``repr`` order of the node
 ids).  Every writer and reader uses the same column:
 
 * a :class:`PeerStateNode` (flood and gossip node objects) reads and writes

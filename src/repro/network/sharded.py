@@ -67,19 +67,15 @@ from typing import Dict, Hashable, List
 
 import numpy as np
 
-from repro.network.batched import bfs_levels, exclude_sender_fanout
+from repro.network.batched import exclude_sender_fanout
 from repro.network.message import Message
+from repro.network.topology import bfs_levels
 
 logger = logging.getLogger(__name__)
 
 #: Cap on the *default* worker count (``shards=None``); explicit shard
 #: counts are honoured up to the node count.
 MAX_DEFAULT_SHARDS = 8
-
-#: Key under which the (shards, nodes, edges, assignment) partition is
-#: cached on ``graph.graph``; popped by
-#: ``Simulator.invalidate_topology_caches`` (by the same literal).
-PARTITION_CACHE_KEY = "repro_sharded_partition"
 
 
 def default_shard_count(node_count: int) -> int:
@@ -94,7 +90,7 @@ def bfs_order(topology) -> np.ndarray:
     Starts from index 0 (the ``repr``-smallest node) and visits neighbours
     in row order (``repr`` order again), restarting from the smallest
     unvisited index on a disconnected graph: the order a FIFO walk gives
-    (:func:`~repro.network.batched.bfs_levels` walks each component).
+    (:func:`~repro.network.topology.bfs_levels` walks each component).
     """
     visited = np.zeros(topology.n, dtype=bool)
     levels = [np.zeros(0, dtype=np.int64)]
@@ -126,26 +122,19 @@ def bfs_partition(topology, parts: int) -> List[np.ndarray]:
     return np.array_split(bfs_order(topology), parts)
 
 
-def shard_assignment(graph, topology, shards: int) -> np.ndarray:
-    """CSR-indexed shard owner of every node, cached on the graph.
+def shard_assignment(topology, shards: int) -> np.ndarray:
+    """CSR-indexed shard owner of every node, kept on the overlay.
 
-    Built from :func:`bfs_partition` and cached like the CSR adjacency so
-    the benchmark repeat loop pays the partition walk once per overlay.
+    Built from :func:`bfs_partition` and kept in the overlay's
+    ``partitions`` (dropped when the overlay grows), so the benchmark
+    repeat loop pays the partition walk once per overlay.
     """
-    cached = graph.graph.get(PARTITION_CACHE_KEY)
-    if (
-        cached is not None
-        and cached[0] == shards
-        and cached[1] == graph.number_of_nodes()
-        and cached[2] == graph.number_of_edges()
-    ):
-        return cached[3]
-    assignment = np.empty(topology.n, dtype=np.int32)
-    for shard, block in enumerate(bfs_partition(topology, shards)):
-        assignment[block] = shard
-    graph.graph[PARTITION_CACHE_KEY] = (
-        shards, topology.n, topology.n_edges, assignment
-    )
+    assignment = topology.partitions.get(shards)
+    if assignment is None:
+        assignment = np.empty(topology.n, dtype=np.int32)
+        for shard, block in enumerate(bfs_partition(topology, shards)):
+            assignment[block] = shard
+        topology.partitions[shards] = assignment
     return assignment
 
 
@@ -169,7 +158,7 @@ def _run_windows(simulator, kernel, entries, shards, state, max_events) -> float
     delay = kernel._constant_delay
     node_sizes, priors = state
     index = topology.index
-    shard_of = shard_assignment(simulator.graph, topology, shards)
+    shard_of = shard_assignment(topology, shards)
 
     # Route the initial queue entries: delivery-time churn drops are
     # applied up front (churn is static during a sharded run — timers are

@@ -68,8 +68,6 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
-
 from repro.network.collector import collector_paused
 from repro.network.conditions import NetworkConditions
 from repro.network.events import Event, EventQueue
@@ -78,6 +76,7 @@ from repro.network.message import Message, Observation
 from repro.network.metrics import MetricsCollector
 from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
+from repro.network.topology import Overlay
 from repro.telemetry.recorder import Recorder, current_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - numpy-backed, imported on first use
@@ -131,12 +130,14 @@ class Simulator:
     """Discrete-event simulation of a peer-to-peer overlay.
 
     Example:
-        >>> import networkx as nx
-        >>> from repro.network import Simulator
-        >>> sim = Simulator(nx.path_graph(3), seed=1)
+        >>> from repro.network import Simulator, line_overlay
+        >>> sim = Simulator(line_overlay(3), seed=1)
 
     Args:
-        graph: the overlay topology; node ids become simulator node ids.
+        graph: the overlay topology (:class:`~repro.network.topology.Overlay`,
+            or a networkx graph, which is converted and kept as the source
+            :meth:`invalidate_topology_caches` reads again); node ids
+            become simulator node ids.
         latency: link latency model; defaults to one time unit per hop, or to
             the conditions' latency when ``conditions`` is given.
         seed: seed of the simulator's RNG (used by protocols for coin flips).
@@ -164,7 +165,7 @@ class Simulator:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         latency: Optional[LatencyModel] = None,
         seed: Optional[int] = None,
         conditions: Optional[NetworkConditions] = None,
@@ -180,7 +181,12 @@ class Simulator:
                 f"(registered: {', '.join(sorted(ENGINES))})"
             )
         self._engine = engine
-        self.graph = graph
+        # A networkx graph handed in is read again on invalidation: the
+        # growth contract is "mutate the graph, then invalidate".
+        self._source = None if isinstance(graph, Overlay) else graph
+        self.graph = (
+            graph if self._source is None else Overlay.from_networkx(graph)
+        )
         if latency is not None:
             self.latency = latency
         elif conditions is not None:
@@ -360,7 +366,7 @@ class Simulator:
         else:
             population = _Population(factory, None, None, [
                 node_id
-                for node_id in sorted(self.graph.nodes, key=repr)
+                for node_id in self.graph.ids
                 if node_id not in self._nodes
             ])
         self._population = population
@@ -393,14 +399,13 @@ class Simulator:
         gossip nodes (:mod:`repro.network.peers`), created on first use."""
         peers = self._peers
         if peers is None:
-            from repro.network.batched import node_numbering
             from repro.network.peers import PeerColumns
 
-            ids, ids_array, index = node_numbering(self.graph)
-            peers = self._peers = PeerColumns(ids, index)
+            graph = self.graph
+            peers = self._peers = PeerColumns(graph.ids, graph.index)
             # Number the log's nodes as the columns do, so kernels and the
             # delivery columns share indexes without a remap.
-            self.store.adopt(ids_array, index)
+            self.store.adopt(graph.ids_array, graph.index)
         return peers
 
     def _register(self, node: Node) -> Node:
@@ -459,7 +464,7 @@ class Simulator:
             severed = self._severed
             cached = tuple(
                 peer
-                for peer in sorted(self.graph.neighbors(node_id), key=repr)
+                for peer in self.graph.neighbors(node_id)
                 if peer not in offline
                 and (not severed or frozenset((node_id, peer)) not in severed)
             )
@@ -478,35 +483,34 @@ class Simulator:
         return adjacent
 
     def invalidate_topology_caches(self) -> None:
-        """Drop the cached neighbour tuples and adjacency sets.
+        """Make a change to the overlay visible to this simulator.
 
         The simulator caches each node's neighbour tuple (for fan-outs) and
         adjacency set (for overlay-edge validation in :meth:`send`).  Code
-        that mutates :attr:`graph` *after* construction — e.g.
-        :func:`~repro.threat.botnet.inject_supernodes` on a graph already
-        owned by a simulator — must call this, or sends along new edges will
-        be rejected against the stale topology.  (All built-in experiment
-        flows mutate the graph before building the simulator.)
+        that grows :attr:`graph` *after* construction — e.g.
+        :func:`~repro.threat.botnet.inject_supernodes` on an overlay
+        already owned by a simulator — must call this, or sends along new
+        edges will be rejected against the stale topology.  A simulator
+        built from a networkx graph converts that graph again here, so
+        mutating it and then calling this works too.  (All built-in
+        experiment flows build the overlay before the simulator.)
 
-        Also bumps the topology generation the batched engine's cohort
-        kernels track, and drops the CSR adjacency cached on the graph
-        object (keyed as in :mod:`repro.network.batched`), so both engines
-        see the change.
+        Also bumps the topology generation the cohort kernels track, so
+        every engine sees the change.
         """
+        if self._source is not None:
+            self.graph = Overlay.from_networkx(self._source)
+        self._drop_topology_caches()
+        peers = self._peers
+        if peers is not None and len(peers.ids) != self.graph.number_of_nodes():
+            peers.reindex(self.graph.ids, self.graph.index)
+
+    def _drop_topology_caches(self) -> None:
+        """Forget the neighbour tuples, adjacency sets and kernel masks
+        (churn changed who is reachable, not the overlay)."""
         self._neighbour_cache.clear()
         self._adjacency.clear()
         self._topology_generation += 1
-        # Same literals as batched.CSR_CACHE_KEY and
-        # sharded.PARTITION_CACHE_KEY; popped here by name so the event
-        # engine never imports numpy.
-        self.graph.graph.pop("repro_csr_topology", None)
-        self.graph.graph.pop("repro_sharded_partition", None)
-        peers = self._peers
-        if peers is not None and len(peers.ids) != self.graph.number_of_nodes():
-            from repro.network.batched import node_numbering
-
-            ids, _, index = node_numbering(self.graph)
-            peers.reindex(ids, index)
 
     # ------------------------------------------------------------------
     # Churn: node failures and rejoins
@@ -532,7 +536,7 @@ class Simulator:
         if node_id in self._offline:
             return
         self._offline.add(node_id)
-        self.invalidate_topology_caches()
+        self._drop_topology_caches()
 
     def restore_node(self, node_id: Hashable) -> None:
         """Bring a failed node back online (idempotent).
@@ -545,7 +549,7 @@ class Simulator:
         if node_id not in self._offline:
             return
         self._offline.discard(node_id)
-        self.invalidate_topology_caches()
+        self._drop_topology_caches()
 
     @property
     def offline_nodes(self) -> FrozenSet[Hashable]:
@@ -576,7 +580,7 @@ class Simulator:
         if link in self._severed:
             return
         self._severed.add(link)
-        self.invalidate_topology_caches()
+        self._drop_topology_caches()
 
     def restore_link(self, a: Hashable, b: Hashable) -> None:
         """Bring a severed link back up (idempotent)."""
@@ -584,7 +588,7 @@ class Simulator:
         if link not in self._severed:
             return
         self._severed.discard(link)
-        self.invalidate_topology_caches()
+        self._drop_topology_caches()
 
     @property
     def severed_links(self) -> FrozenSet[FrozenSet[Hashable]]:

@@ -1,4 +1,4 @@
-"""Overlay topology generators.
+"""Overlay topology: the :class:`Overlay` every run reads, and its generators.
 
 The privacy of topological spreading mechanisms depends strongly on the shape
 of the peer-to-peer overlay: adaptive diffusion is analysed on d-regular
@@ -7,6 +7,14 @@ and the paper's own simulation uses a 1,000-peer network.  This module wraps
 the generators needed by the experiments and guarantees that every returned
 overlay is connected (privacy and delivery guarantees are meaningless on a
 partitioned graph).
+
+Every generator returns an :class:`Overlay`: the node ids and one
+int-indexed CSR adjacency, which is what the engines, the churn and fault
+models and the adversaries read.  Random-regular overlays are paired on
+arrays and never exist as a networkx graph; the other families convert
+right after their networkx generator.  networkx stays the random-number
+contract of those generators and, through :meth:`Overlay.to_networkx`, the
+graph rumor centrality walks.
 """
 
 from __future__ import annotations
@@ -14,30 +22,380 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain, islice
-from typing import List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
-from repro.network.batched import CSR_CACHE_KEY, CSRTopology
-from repro.network.collector import collector_paused
-
 #: ``_shuffle`` draws this many 32-bit words at a time.
 SHUFFLE_BLOCK = 1 << 12
-#: Stubs (nodes x degree) from which a random-regular overlay is paired on
-#: arrays: an attempt networkx's loop throws away costs 0.13 s there and
-#: grows with the size.  Below, it is too short to matter, the loop is as
-#: fast up to 16,000 stubs, and at 80,000 the arrays' allocations leave the
-#: process's peak RSS 1.7 MiB higher.
-ARRAY_PAIRING_STUBS = 1 << 18
 
 
-def _require_connected(graph: nx.Graph, description: str) -> nx.Graph:
+def _numbering(nodes) -> Tuple[List[Hashable], np.ndarray, Dict[Hashable, int]]:
+    """Node ids in ``repr`` order, the same as an object array, and their
+    inverse index."""
+    ids = sorted(nodes, key=repr)
+    # dtype=object so fancy-indexing yields the original Python node ids
+    # (an int dtype would leak numpy scalars into the store's intern
+    # table and change every repr-based digest).
+    ids_array = np.empty(len(ids), dtype=object)
+    ids_array[:] = ids
+    return ids, ids_array, {node_id: i for i, node_id in enumerate(ids)}
+
+
+def csr_row_positions(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``indices`` positions of the given CSR rows, row after row, plus
+    each row's degree and running end offset (what ``np.repeat`` needs to
+    line per-row values up with the positions)."""
+    starts = indptr[rows]
+    degrees = indptr[rows + 1] - starts
+    ends = np.cumsum(degrees)
+    # Each row's start, shifted so that adding one global ramp walks the row.
+    flat = np.repeat(starts - (ends - degrees), degrees) + np.arange(
+        int(degrees.sum())
+    )
+    return flat, degrees, ends
+
+
+def bfs_levels(
+    topology, root: int, visited: np.ndarray, depth: Optional[int] = None
+) -> List[np.ndarray]:
+    """Breadth-first levels of CSR indices reached from ``root``.
+
+    Visits neighbours in row order and marks every index it reaches in
+    ``visited``, skipping those already marked.  Walked a level at a time —
+    gather the frontier's rows in frontier order, drop visited nodes, keep
+    first occurrences in gather order — so the levels concatenated are the
+    order a FIFO walk gives.  ``depth`` stops the walk that many hops from
+    ``root`` (``None``: the whole component).
+    """
+    indptr, indices = topology.indptr, topology.indices
+    levels = []
+    frontier = np.array([root])
+    while frontier.size:
+        visited[frontier] = True
+        levels.append(frontier)
+        if depth is not None and len(levels) > depth:
+            break
+        reached = indices[csr_row_positions(indptr, frontier)[0]]
+        reached = reached[~visited[reached]]
+        _, first = np.unique(reached, return_index=True)
+        first.sort()
+        frontier = reached[first]
+    return levels
+
+
+class NodeView:
+    """``overlay.nodes``: the node ids in insertion order, as networkx's
+    node view reads — iterable, sized, ``in``, ``nodes[n]`` for the
+    attribute dict and ``nodes(data=True)`` for ``(node, dict)`` pairs."""
+
+    __slots__ = ("_overlay",)
+
+    def __init__(self, overlay: "Overlay") -> None:
+        self._overlay = overlay
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._overlay._nodes)
+
+    def __len__(self) -> int:
+        return self._overlay.n
+
+    def __contains__(self, node: Hashable) -> bool:
+        return node in self._overlay
+
+    def __getitem__(self, node: Hashable) -> dict:
+        if node not in self._overlay:
+            raise KeyError(node)
+        return self._overlay._data.setdefault(node, {})
+
+    def __call__(self, data: bool = False):
+        if not data:
+            return self
+        attributes = self._overlay._data
+        return [(node, attributes.get(node, {})) for node in self]
+
+
+class Overlay:
+    """An undirected overlay: its node ids and one CSR adjacency.
+
+    ``ids`` are the node ids in ``repr`` order and ``index`` their inverse;
+    row ``i`` of ``indptr``/``indices`` lists node ``ids[i]``'s neighbours
+    as indices, ascending, which is ``Simulator.neighbours_of`` order.
+    ``ids_array`` is ``ids`` as an object array, so fancy indexing hands out
+    the Python ids themselves.  The overlay reads like a networkx graph —
+    ``nodes`` and iteration in insertion order, ``in``, ``len``,
+    ``number_of_nodes()``, ``number_of_edges()``, ``neighbors()`` (in row
+    order), ``degree()``, ``has_edge()`` and ``edges`` in networkx's
+    orientation and order — and :meth:`to_networkx` rebuilds the graph
+    networkx would have built, adjacency order included.
+
+    A run only reads it.  It grows through :meth:`add_node`,
+    :meth:`add_nodes_from`, :meth:`add_edge` and :meth:`add_edges_from`,
+    which rebuild the CSR as new arrays (anyone holding the old ones keeps
+    a consistent snapshot); a simulator that already owns the overlay must
+    then be told (``Simulator.invalidate_topology_caches``).
+
+    Args:
+        nodes: the node ids in insertion order.
+        heads, tails: every arc ``heads[k] -> tails[k]``, as positions into
+            ``nodes``: both directions of each edge, a self-loop once.
+            Grouped stably by head they are each node's networkx adjacency
+            in insertion order.
+        data: node attribute dicts, by node (nodes without any may be
+            left out).
+        from_set: the arcs come in pairs ``2k, 2k + 1`` along and back
+            each edge, ``low -> high`` first, and networkx would add the
+            edges from a set of those pairs (a random-regular overlay,
+            whose positions are its node ids).  The set's order is worked
+            out only when something asks for it (:meth:`to_networkx`,
+            ``edges``, growing).
+    """
+
+    __slots__ = (
+        "n", "n_edges", "ids", "ids_array", "index", "indptr", "indices",
+        "partitions", "_nodes", "_rank", "_heads", "_tails", "_from_set",
+        "_grouped", "_data", "_networkx",
+    )
+
+    def __init__(
+        self,
+        nodes: List[Hashable],
+        heads: np.ndarray,
+        tails: np.ndarray,
+        data: Optional[Dict[Hashable, dict]] = None,
+        from_set: bool = False,
+    ) -> None:
+        self._nodes = nodes
+        self._heads = heads
+        self._tails = tails
+        self._data = data if data is not None else {}
+        self._from_set = from_set
+        self._build()
+
+    @classmethod
+    def from_networkx(cls, graph) -> "Overlay":
+        """The overlay of a networkx graph: its nodes, adjacency order and
+        node attributes (edge attributes are not kept)."""
+        nodes = list(graph)
+        rows = [neighbours for _, neighbours in graph.adjacency()]
+        position = {node_id: i for i, node_id in enumerate(nodes)}
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        tails = np.fromiter(
+            map(position.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=int(degrees.sum()),
+        )
+        heads = np.repeat(np.arange(len(nodes)), degrees)
+        data = {node: dict(attrs) for node, attrs in graph.nodes(data=True) if attrs}
+        return cls(nodes, heads, tails, data)
+
+    def _build(self) -> None:
+        """The CSR of the current arcs; drops everything derived from it."""
+        nodes = self._nodes
+        self.ids, self.ids_array, self.index = _numbering(nodes)
+        n = self.n = len(nodes)
+        self._rank = np.fromiter(
+            map(self.index.__getitem__, nodes), dtype=np.int64, count=n
+        )
+        heads = self._rank[self._heads]
+        tails = self._rank[self._tails]
+        # A self-loop is one arc but, as networkx counts, one edge too.
+        self.n_edges = (len(heads) + int(np.count_nonzero(heads == tails))) // 2
+        # Rows in index order, each sorted by index: one sort of the keys.
+        self.indices = np.sort(heads * n + tails) % max(n, 1)
+        counts = np.bincount(heads, minlength=n)
+        self.indptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
+        )
+        #: Shard count -> CSR-indexed owner of every node (``sharded``).
+        self.partitions: Dict[int, np.ndarray] = {}
+        self._grouped: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._networkx = None
+
+    # ------------------------------------------------------------------
+    # Reading, with networkx's names
+    # ------------------------------------------------------------------
+    @property
+    def nodes(self) -> NodeView:
+        return NodeView(self)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __contains__(self, node: Hashable) -> bool:
+        try:
+            return node in self.index
+        except TypeError:
+            return False
+
+    def number_of_nodes(self) -> int:
+        return self.n
+
+    def number_of_edges(self) -> int:
+        return self.n_edges
+
+    def neighbors(self, node: Hashable) -> List[Hashable]:
+        """``node``'s neighbours in row (``repr``) order."""
+        i = self.index[node]
+        return self.ids_array[self.indices[self.indptr[i]:self.indptr[i + 1]]].tolist()
+
+    def degree(self, node: Optional[Hashable] = None):
+        """``node``'s degree, or every ``(node, degree)`` pair in insertion
+        order (a self-loop counts twice, as networkx counts it)."""
+        if node is not None:
+            i = self.index[node]
+            row = self.indices[self.indptr[i]:self.indptr[i + 1]]
+            return len(row) + int(np.count_nonzero(row == i))
+        return [(other, self.degree(other)) for other in self._nodes]
+
+    def has_edge(self, u: Hashable, v: Hashable) -> bool:
+        i = self.index.get(u)
+        j = self.index.get(v)
+        if i is None or j is None:
+            return False
+        row = self.indices[self.indptr[i]:self.indptr[i + 1]]
+        at = int(np.searchsorted(row, j))
+        return at < len(row) and row[at] == j
+
+    @property
+    def edges(self) -> List[Tuple[Hashable, Hashable]]:
+        """Every edge once, as networkx lists them: ``(u, v)`` with ``u``
+        the earlier in insertion order, by ``u`` and then ``u``'s
+        adjacency."""
+        heads, tails = self._adjacency_arcs()
+        keep = tails >= heads
+        nodes = self.ids_array[self._rank]
+        return list(zip(nodes[heads[keep]].tolist(), nodes[tails[keep]].tolist()))
+
+    def is_connected(self) -> bool:
+        """Whether a walk from any one node reaches all of them."""
+        visited = np.zeros(self.n, dtype=bool)
+        bfs_levels(self, 0, visited)
+        return bool(visited.all())
+
+    def to_networkx(self) -> nx.Graph:
+        """The networkx graph this overlay stands for, built once.
+
+        Same nodes with their attributes, same adjacency order and one data
+        dict per edge shared by both ends, as networkx builds it — so an
+        algorithm whose result depends on adjacency order gives the same
+        answer on it.  Growing the overlay drops it.
+        """
+        if self._networkx is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(self._nodes)
+            for node, attrs in self._data.items():
+                graph.nodes[node].update(attrs)
+            heads, tails = self._adjacency_arcs()
+            nodes = self.ids_array[self._rank]
+            # Both arcs of an edge carry the edge's one data dict.
+            low = np.minimum(heads, tails)
+            _, edge = np.unique(
+                low * self.n + (heads + tails - low), return_inverse=True
+            )
+            shared = np.empty(self.n_edges, dtype=object)
+            shared[:] = [{} for _ in range(self.n_edges)]
+            rows = zip(nodes[tails].tolist(), shared[edge].tolist())
+            degrees = np.bincount(heads, minlength=self.n).tolist()
+            # Written past networkx's mutators; nothing is cached yet.
+            for (_, adjacent), degree in zip(graph.adjacency(), degrees):
+                adjacent.update(islice(rows, degree))
+            self._networkx = graph
+        return self._networkx
+
+    def _adjacency_arcs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every arc, grouped by its head in insertion order and each group
+        in the head's networkx adjacency order."""
+        if self._grouped is None:
+            heads, tails = self._heads, self._tails
+            if self._from_set:
+                pairs = np.array(
+                    list(set(zip(heads[0::2].tolist(), heads[1::2].tolist()))),
+                    dtype=np.int64,
+                ).reshape(-1, 2)
+                heads = pairs.ravel()
+                tails = pairs[:, ::-1].ravel()
+            order = np.argsort(heads, kind="stable")
+            self._grouped = heads[order], tails[order]
+        return self._grouped
+
+    # ------------------------------------------------------------------
+    # Growing
+    # ------------------------------------------------------------------
+    def add_node(self, node: Hashable, **attrs) -> None:
+        self.add_nodes_from((node,), **attrs)
+
+    def add_nodes_from(self, nodes: Iterable[Hashable], **attrs) -> None:
+        self._grow(nodes, (), attrs)
+
+    def add_edge(self, u: Hashable, v: Hashable) -> None:
+        self.add_edges_from(((u, v),))
+
+    def add_edges_from(self, edges: Iterable[Tuple[Hashable, Hashable]]) -> None:
+        """Add the edges, and any endpoint not in the overlay yet, in order;
+        an edge already there changes nothing (as in networkx)."""
+        self._grow((), edges, {})
+
+    def _grow(self, nodes, edges, attrs) -> None:
+        heads, tails = self._adjacency_arcs()
+        order = list(self._nodes)
+        position = {node: i for i, node in enumerate(order)}
+
+        def place(node: Hashable) -> int:
+            at = position.get(node)
+            if at is None:
+                if node is None:
+                    raise ValueError("None cannot be a node")
+                at = position[node] = len(order)
+                order.append(node)
+            return at
+
+        for node in nodes:
+            place(node)
+            if attrs:
+                self._data.setdefault(node, {}).update(attrs)
+                self._networkx = None
+        added = set()
+        arcs: List[int] = []
+        for u, v in edges:
+            i, j = place(u), place(v)
+            key = (min(i, j), max(i, j))
+            if key in added or self.has_edge(u, v):
+                continue
+            added.add(key)
+            arcs.extend((i, j) if i == j else (i, j, j, i))
+        if len(order) == self.n and not arcs:
+            return
+        extra = np.array(arcs, dtype=np.int64).reshape(-1, 2)
+        self._nodes = order
+        self._heads = np.concatenate((heads, extra[:, 0]))
+        self._tails = np.concatenate((tails, extra[:, 1]))
+        self._from_set = False
+        self._build()
+
+
+def as_overlay(graph) -> Overlay:
+    """``graph`` itself if it is an :class:`Overlay`, else its overlay."""
+    if isinstance(graph, Overlay):
+        return graph
+    return Overlay.from_networkx(graph)
+
+
+def _require_connected(graph: nx.Graph, description: str) -> Overlay:
+    """The overlay of a freshly generated networkx graph, which must be
+    connected."""
     if graph.number_of_nodes() == 0:
         raise ValueError(f"{description}: generated an empty graph")
-    if not nx.is_connected(graph):
+    overlay = Overlay.from_networkx(graph)
+    if not overlay.is_connected():
         raise ValueError(f"{description}: generated graph is not connected")
-    return graph
+    return overlay
 
 
 def _seeded(seed: Optional[int]) -> random.Random:
@@ -84,21 +442,23 @@ def _shuffle(rng: random.Random, items: list) -> None:
 
 def _regular_edges(
     degree: int, num_nodes: int, rng: random.Random
-) -> Set[Tuple[int, int]]:
-    """The edge set ``nx.random_regular_graph(degree, num_nodes, rng)`` adds.
+) -> np.ndarray:
+    """The edges ``nx.random_regular_graph(degree, num_nodes, rng)`` adds,
+    as ``(low, high)`` rows.
 
     networkx's algorithm (Steger–Wormald: shuffle ``degree`` stubs per node,
     pair them off, re-pair those that made a loop or a repeated edge; start
     over when what is left cannot be paired), the same draws from ``rng``
-    and the same set, built in the same order.  The pairing is done on
-    arrays and the set only once an attempt has succeeded: how many attempts
-    a seed needs is chance, so a thrown-away one has to be cheap for build
-    times to be comparable across seeds.
+    and the same edges, done on arrays: how many attempts a seed needs is
+    chance, so a thrown-away one has to be cheap for build times to be
+    comparable across seeds.  networkx adds the edges from a set of these
+    pairs, so its adjacency order is the set's (:meth:`Overlay.to_networkx`
+    builds that set); the rows here come in pairing order.
     """
 
     nodes = list(range(num_nodes))
 
-    def attempt() -> Optional[Set[Tuple[int, int]]]:
+    def attempt() -> Optional[np.ndarray]:
         stubs = nodes * degree
         seen: List[np.ndarray] = []  # sorted pair keys, one array per round
         # The (low, high) pairs each round kept, in the order it met them.
@@ -149,10 +509,7 @@ def _regular_edges(
             if left and not can_pair(left):
                 return None
             stubs = list(left.elements())
-        # Tuples of the stubs' own ``int`` objects, as networkx makes them:
-        # a graph of 800,000 fresh ones is 20 MiB larger.
-        low, high = np.array(nodes, dtype=object)[np.concatenate(added).T]
-        return set(zip(low.tolist(), high.tolist()))
+        return np.concatenate(added)
 
     edges = attempt()
     while edges is None:
@@ -160,94 +517,40 @@ def _regular_edges(
     return edges
 
 
-@collector_paused()
-def _connected_regular_graph(
-    degree: int, num_nodes: int, rng: random.Random
-) -> Optional[nx.Graph]:
-    """``nx.random_regular_graph(degree, num_nodes, rng)`` if it is
-    connected, else ``None``, built from one edge array.
-
-    The array is :func:`_regular_edges`'s set in its iteration order, the
-    order networkx's ``add_edges_from`` meets it in.  The CSR adjacency the
-    engines run on is built from it first and walked to test connectivity;
-    only a connected graph gets its networkx adjacency, filled a node at a
-    time, and leaves with the CSR cached under ``CSR_CACHE_KEY`` so no run
-    over it walks the networkx edges again.
-    """
-    nodes = list(range(num_nodes))
-    arcs = num_nodes * degree
-    # Arc 2k runs along the k-th edge, arc 2k + 1 back.
-    heads = np.fromiter(
-        chain.from_iterable(_regular_edges(degree, num_nodes, rng)),
-        dtype=np.int64,
-        count=arcs,
-    )
-    tails = heads.reshape(-1, 2)[:, ::-1].ravel()
-    csr = CSRTopology.from_arcs(nodes, heads, tails)
-    if not csr.is_connected():
-        return None
-    # A node's arcs in edge order are its neighbours in insertion order
-    # (sorting node * arcs + arc is a stable sort by node); both arcs of an
-    # edge share the edge's one data dict.
-    order = np.sort(heads * arcs + np.arange(arcs)) % arcs
-    del heads
-    neighbours = np.array(nodes, dtype=object)[tails[order]].tolist()
-    del tails
-    shared = np.empty(arcs // 2, dtype=object)
-    shared[:] = [{} for _ in range(arcs // 2)]
-    data = shared[order >> 1].tolist()
-    del order, shared
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    # Every node has ``degree`` arcs, and they come sorted by node.
-    rows = zip(neighbours, data)
-    for _, adjacent in graph.adjacency():
-        adjacent.update(islice(rows, degree))
-    # Written past networkx's mutators, so drop what it may have cached.
-    cache = getattr(graph, "__networkx_cache__", None)
-    if cache is not None:
-        cache.clear()
-    graph.graph[CSR_CACHE_KEY] = csr
-    return graph
-
-
 def random_regular_overlay(
     num_nodes: int, degree: int = 8, seed: Optional[int] = None
-) -> nx.Graph:
+) -> Overlay:
     """A connected random d-regular graph, the standard Bitcoin-like overlay.
 
     Bitcoin nodes maintain 8 outgoing connections, so ``degree=8`` mirrors the
     setting used in the Dandelion analysis.  The generator retries with fresh
     seeds until the sampled graph is connected.  It is networkx's
-    ``random_regular_graph`` at every size; large overlays get the same
-    graph, adjacency order included, from
-    :func:`_connected_regular_graph`, with the engines' CSR already cached.
+    ``random_regular_graph``, draw for draw, built straight into an
+    :class:`Overlay` from the pairing's arrays: no networkx graph exists
+    unless :meth:`Overlay.to_networkx` is asked for one.
     """
     if num_nodes <= degree:
         raise ValueError("need more nodes than the degree")
     if (num_nodes * degree) % 2 != 0:
         raise ValueError("num_nodes * degree must be even for a regular graph")
     rng = _seeded(seed)
+    nodes = list(range(num_nodes))
     for _ in range(100):
-        attempt_seed = rng.randrange(2**31)
-        if num_nodes * degree < ARRAY_PAIRING_STUBS:
-            candidate = nx.random_regular_graph(
-                degree, num_nodes, seed=attempt_seed
-            )
-            if nx.is_connected(candidate):
-                return candidate
-        else:
-            candidate = _connected_regular_graph(
-                degree, num_nodes, random.Random(attempt_seed)
-            )
-            if candidate is not None:
-                return candidate
+        edges = _regular_edges(
+            degree, num_nodes, random.Random(rng.randrange(2**31))
+        )
+        # Arc 2k runs along the k-th edge, arc 2k + 1 back.
+        candidate = Overlay(
+            nodes, edges.ravel(), edges[:, ::-1].ravel(), from_set=True
+        )
+        if candidate.is_connected():
+            return candidate
     raise RuntimeError("failed to sample a connected random regular graph")
 
 
 def erdos_renyi_overlay(
     num_nodes: int, avg_degree: float = 8.0, seed: Optional[int] = None
-) -> nx.Graph:
+) -> Overlay:
     """A connected Erdős–Rényi graph with the requested average degree."""
     if num_nodes < 2:
         raise ValueError("need at least two nodes")
@@ -258,7 +561,7 @@ def erdos_renyi_overlay(
             num_nodes, probability, seed=rng.randrange(2**31)
         )
         if candidate.number_of_nodes() and nx.is_connected(candidate):
-            return candidate
+            return Overlay.from_networkx(candidate)
     raise RuntimeError(
         "failed to sample a connected Erdos-Renyi graph; increase avg_degree"
     )
@@ -266,7 +569,7 @@ def erdos_renyi_overlay(
 
 def barabasi_albert_overlay(
     num_nodes: int, attachments: int = 4, seed: Optional[int] = None
-) -> nx.Graph:
+) -> Overlay:
     """A scale-free Barabási–Albert overlay (hub-heavy degree distribution)."""
     if num_nodes <= attachments:
         raise ValueError("need more nodes than attachments per step")
@@ -279,7 +582,7 @@ def watts_strogatz_overlay(
     neighbours: int = 8,
     rewire_probability: float = 0.1,
     seed: Optional[int] = None,
-) -> nx.Graph:
+) -> Overlay:
     """A small-world Watts–Strogatz overlay."""
     graph = nx.connected_watts_strogatz_graph(
         num_nodes, neighbours, rewire_probability, seed=seed
@@ -292,7 +595,7 @@ def small_world_overlay(
     neighbours: int = 8,
     shortcut_probability: float = 0.1,
     seed: Optional[int] = None,
-) -> nx.Graph:
+) -> Overlay:
     """A Newman–Watts small-world overlay (ring lattice plus shortcuts).
 
     Unlike the rewiring Watts–Strogatz construction, Newman–Watts only
@@ -315,7 +618,7 @@ def scale_free_overlay(
     attachments: int = 4,
     triangle_probability: float = 0.3,
     seed: Optional[int] = None,
-) -> nx.Graph:
+) -> Overlay:
     """A clustered scale-free overlay (Holme–Kim powerlaw cluster graph).
 
     Preferential attachment produces the hub-heavy degree distribution of
@@ -335,18 +638,18 @@ def scale_free_overlay(
             seed=rng.randrange(2**31),
         )
         if nx.is_connected(candidate):
-            return candidate
+            return Overlay.from_networkx(candidate)
     raise RuntimeError("failed to sample a connected scale-free graph")
 
 
-def line_overlay(num_nodes: int) -> nx.Graph:
+def line_overlay(num_nodes: int) -> Overlay:
     """A simple path graph; the idealised Dandelion stem topology."""
     if num_nodes < 2:
         raise ValueError("need at least two nodes")
-    return nx.path_graph(num_nodes)
+    return Overlay.from_networkx(nx.path_graph(num_nodes))
 
 
-def regular_tree_overlay(branching: int, depth: int) -> nx.Graph:
+def regular_tree_overlay(branching: int, depth: int) -> Overlay:
     """A rooted tree where every internal node has ``branching`` children.
 
     Adaptive diffusion's analysis (Fanti et al.) is exact on regular trees,
@@ -356,14 +659,14 @@ def regular_tree_overlay(branching: int, depth: int) -> nx.Graph:
         raise ValueError("branching factor must be at least 2")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    return nx.balanced_tree(branching, depth)
+    return Overlay.from_networkx(nx.balanced_tree(branching, depth))
 
 
-def complete_overlay(num_nodes: int) -> nx.Graph:
+def complete_overlay(num_nodes: int) -> Overlay:
     """A fully connected graph; the logical topology of one DC-net group."""
     if num_nodes < 2:
         raise ValueError("need at least two nodes")
-    return nx.complete_graph(num_nodes)
+    return Overlay.from_networkx(nx.complete_graph(num_nodes))
 
 
 def bitcoin_like_overlay(
@@ -371,7 +674,7 @@ def bitcoin_like_overlay(
     num_unreachable: int,
     outgoing: int = 8,
     seed: Optional[int] = None,
-) -> nx.Graph:
+) -> Overlay:
     """A two-tier overlay of reachable and unreachable nodes.
 
     Reachable nodes accept incoming connections and form a random-regular

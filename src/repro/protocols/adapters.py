@@ -30,8 +30,6 @@ import functools
 import random
 from typing import Hashable, Optional
 
-import networkx as nx
-
 from repro.broadcast.dandelion import (
     DandelionConfig,
     DandelionNode,
@@ -45,6 +43,7 @@ from repro.core.protocol import ThreePhaseNode
 from repro.diffusion.adaptive import AdaptiveDiffusionConfig, AdaptiveDiffusionNode
 from repro.network.conditions import NetworkConditions
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 from repro.protocols.base import (
     BroadcastProtocol,
     ProtocolSession,
@@ -59,7 +58,7 @@ _AD_KINDS = ("ad_payload", "ad_spread", "ad_token", "ad_final")
 
 def _build_session(
     protocol: BroadcastProtocol,
-    graph: nx.Graph,
+    graph: Overlay,
     conditions: Optional[NetworkConditions],
     seed: Optional[int],
     rng: Optional[random.Random] = None,
@@ -104,7 +103,7 @@ class FloodProtocol(BroadcastProtocol):
 
     def build(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         conditions: Optional[NetworkConditions] = None,
         seed: Optional[int] = None,
         engine: str = "event",
@@ -142,7 +141,7 @@ class GossipProtocol(BroadcastProtocol):
 
     def build(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         conditions: Optional[NetworkConditions] = None,
         seed: Optional[int] = None,
         engine: str = "event",
@@ -180,7 +179,7 @@ class DandelionProtocol(BroadcastProtocol):
 
     def build(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         conditions: Optional[NetworkConditions] = None,
         seed: Optional[int] = None,
         engine: str = "event",
@@ -239,7 +238,7 @@ class AdaptiveDiffusionProtocol(BroadcastProtocol):
 
     def build(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         conditions: Optional[NetworkConditions] = None,
         seed: Optional[int] = None,
         engine: str = "event",
@@ -295,7 +294,7 @@ class ThreePhaseProtocol(BroadcastProtocol):
 
     def build(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         conditions: Optional[NetworkConditions] = None,
         seed: Optional[int] = None,
         engine: str = "event",

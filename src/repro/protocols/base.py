@@ -31,10 +31,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Hashable, Optional, Tuple
 
-import networkx as nx
-
 from repro.network.conditions import NetworkConditions
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 
 
 @dataclass
@@ -57,7 +56,7 @@ class ProtocolSession:
     """
 
     protocol: "BroadcastProtocol"
-    graph: nx.Graph
+    graph: Overlay
     simulator: Simulator
     rng: random.Random
     conditions: NetworkConditions
@@ -139,7 +138,7 @@ class BroadcastProtocol(abc.ABC):
     @abc.abstractmethod
     def build(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         conditions: Optional[NetworkConditions] = None,
         seed: Optional[int] = None,
         engine: str = "event",

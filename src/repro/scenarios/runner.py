@@ -29,12 +29,11 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.analysis.experiment import ExperimentResult, run_attack_experiment
 from repro.analysis.parallel import ParallelSweep
 from repro.network.conditions import NetworkConditions
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 from repro.protocols import BroadcastProtocol, protocol_class
 from repro.protocols.base import ProtocolSession
 from repro.scenarios.spec import ScenarioSpec
@@ -71,7 +70,7 @@ class CompiledScenario:
     """
 
     spec: ScenarioSpec
-    graph: nx.Graph
+    graph: Overlay
     conditions: NetworkConditions
     protocol: BroadcastProtocol
     session_hook: Optional[Callable[[ProtocolSession], None]] = None

@@ -23,12 +23,11 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.network.churn import ChurnEvent, ChurnSchedule, random_churn_schedule
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.topology import (
+    Overlay,
     barabasi_albert_overlay,
     bitcoin_like_overlay,
     complete_overlay,
@@ -47,7 +46,7 @@ from repro.threat import ADVERSARY_MODELS, ESTIMATORS, FAULT_MODELS
 #: Topology families addressable from a :class:`TopologySpec`.  Every entry
 #: is a generator from :mod:`repro.network.topology` (all guarantee a
 #: connected overlay).
-TOPOLOGY_FAMILIES: Registry[Callable[..., nx.Graph]] = Registry(
+TOPOLOGY_FAMILIES: Registry[Callable[..., Overlay]] = Registry(
     "topology family",
     {
         "random_regular": random_regular_overlay,
@@ -96,7 +95,7 @@ class TopologySpec:
                 f"(accepted: {', '.join(accepted)})"
             )
 
-    def build(self) -> nx.Graph:
+    def build(self) -> Overlay:
         """Generate the overlay this spec describes."""
         return TOPOLOGY_FAMILIES.create(self.family, self.params)
 
@@ -311,7 +310,7 @@ class ChurnSpec:
         if self.rejoin_after is not None and self.rejoin_after <= 0:
             raise ValueError("rejoin_after must be positive when given")
 
-    def compile(self, graph: nx.Graph, run_seed: int) -> ChurnSchedule:
+    def compile(self, graph: Overlay, run_seed: int) -> ChurnSchedule:
         """The concrete schedule for one session."""
         import random
 

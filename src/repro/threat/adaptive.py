@@ -21,8 +21,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Hashable, List, Optional, Set
 
-import networkx as nx
-
+from repro.network.topology import Overlay
 from repro.privacy.posterior import Scores, normalize
 from repro.threat.base import ADVERSARY_MODELS, AdversaryModel
 
@@ -72,7 +71,7 @@ class AdaptiveMonitoringAdversary(AdversaryModel):
 
     def place(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         fraction: float,
         rng: random.Random,
         protected: Set[Hashable],
@@ -105,7 +104,7 @@ class AdaptiveMonitoringAdversary(AdversaryModel):
         payload_id: Hashable,
         true_source: Hashable,
         scores: Scores,
-        graph: nx.Graph,
+        graph: Overlay,
         protected: Set[Hashable],
     ) -> Optional[Set[Hashable]]:
         """Fold one posterior into the suspicion mass; maybe re-position."""
@@ -133,7 +132,7 @@ class AdaptiveMonitoringAdversary(AdversaryModel):
         return set(monitored)
 
     def _select(
-        self, graph: nx.Graph, protected: Set[Hashable]
+        self, graph: Overlay, protected: Set[Hashable]
     ) -> Set[Hashable]:
         """The budgeted monitored set: prime suspects plus neighbourhoods."""
         ranked: List[Hashable] = [

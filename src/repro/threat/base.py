@@ -32,9 +32,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Hashable, Optional, Set
 
-import networkx as nx
-
 from repro.network.churn import ChurnSchedule
+from repro.network.topology import Overlay
 from repro.privacy.posterior import Scores
 from repro.registry import Registry
 from repro.threat.botnet import deploy_botnet
@@ -92,7 +91,7 @@ class AdversaryModel:
 
     def place(
         self,
-        graph: nx.Graph,
+        graph: Overlay,
         fraction: float,
         rng: random.Random,
         protected: Set[Hashable],
@@ -109,7 +108,7 @@ class AdversaryModel:
         payload_id: Hashable,
         true_source: Hashable,
         scores: Scores,
-        graph: nx.Graph,
+        graph: Overlay,
         protected: Set[Hashable],
     ) -> Optional[Set[Hashable]]:
         """Posterior feedback after one attacked broadcast.
@@ -152,6 +151,6 @@ class FaultModel:
     #: Registry name (set by subclasses / registration).
     name = ""
 
-    def schedule(self, graph: nx.Graph, rng: random.Random) -> ChurnSchedule:
+    def schedule(self, graph: Overlay, rng: random.Random) -> ChurnSchedule:
         """The concrete event schedule for one session (empty here)."""
         return ChurnSchedule(())

@@ -12,9 +12,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Set
 
-import networkx as nx
-
 from repro.network.simulator import Simulator
+from repro.network.topology import Overlay
 from repro.threat.observer import AdversaryView
 
 
@@ -49,7 +48,7 @@ class BotnetDeployment:
 
 
 def deploy_botnet(
-    graph: nx.Graph,
+    graph: Overlay,
     fraction: float,
     rng: random.Random,
     protected: Optional[Set[Hashable]] = None,
@@ -77,7 +76,7 @@ def deploy_botnet(
 
 
 def inject_supernodes(
-    graph: nx.Graph,
+    graph: Overlay,
     count: int,
     connections_per_node: int,
     rng: random.Random,
@@ -94,13 +93,14 @@ def inject_supernodes(
     existing = sorted(graph.nodes, key=repr)
     if connections_per_node > len(existing):
         raise ValueError("more connections requested than existing nodes")
-    supernodes: List[Hashable] = []
-    for index in range(count):
-        node_id = f"{prefix}-{index}"
-        graph.add_node(node_id, reachable=True, adversarial=True)
-        for peer in rng.sample(existing, connections_per_node):
-            graph.add_edge(node_id, peer)
-        supernodes.append(node_id)
+    supernodes = [f"{prefix}-{index}" for index in range(count)]
+    # One batch, so an overlay rebuilds its CSR once.
+    graph.add_nodes_from(supernodes, reachable=True, adversarial=True)
+    graph.add_edges_from(
+        (node_id, peer)
+        for node_id in supernodes
+        for peer in rng.sample(existing, connections_per_node)
+    )
     fraction = count / graph.number_of_nodes()
     return BotnetDeployment(
         observers=set(supernodes), fraction=fraction, supernodes=supernodes

@@ -29,12 +29,11 @@ from __future__ import annotations
 import random
 from typing import Dict, Hashable, List, Optional, Set
 
-import networkx as nx
-
 from repro.crypto.pads import xor_bytes
 from repro.dcnet.blame import BlameProtocol
 from repro.dcnet.member import DCNetMember
 from repro.groups.directory import GroupDirectory
+from repro.network.topology import Overlay
 from repro.privacy.posterior import Scores
 from repro.threat.base import ADVERSARY_MODELS, AdversaryModel
 
@@ -104,7 +103,7 @@ class ByzantineDCNetAdversary(AdversaryModel):
         payload_id: Hashable,
         true_source: Hashable,
         scores: Scores,
-        graph: nx.Graph,
+        graph: Overlay,
         protected: Set[Hashable],
     ) -> Optional[Set[Hashable]]:
         """Replay the source's group as a disrupted, committed round."""

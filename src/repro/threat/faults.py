@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Hashable, List, Optional, Tuple
 
-import networkx as nx
+import numpy as np
 
 from repro.network.churn import (
     LEAVE,
@@ -32,6 +32,7 @@ from repro.network.churn import (
     ChurnSchedule,
     LinkEvent,
 )
+from repro.network.topology import Overlay, as_overlay, bfs_levels
 from repro.threat.base import FAULT_MODELS, FaultModel
 
 
@@ -67,19 +68,23 @@ class RegionalOutageFault(FaultModel):
         self.start = start
         self.duration = duration
 
-    def region(self, graph: nx.Graph, rng: random.Random) -> List[Hashable]:
+    def region(self, graph: Overlay, rng: random.Random) -> List[Hashable]:
         """The failed region, sorted by ``repr`` (deterministic)."""
+        overlay = as_overlay(graph)
         epicenter = self.epicenter
         if epicenter is None:
-            epicenter = rng.choice(sorted(graph.nodes, key=repr))
-        elif epicenter not in graph:
+            epicenter = rng.choice(overlay.ids)
+        elif epicenter not in overlay:
             raise ValueError(f"epicenter {epicenter!r} is not in the overlay")
-        reached = nx.single_source_shortest_path_length(
-            graph, epicenter, cutoff=self.radius
+        reached = bfs_levels(
+            overlay,
+            overlay.index[epicenter],
+            np.zeros(overlay.n, dtype=bool),
+            depth=self.radius,
         )
-        return sorted(reached, key=repr)
+        return overlay.ids_array[np.sort(np.concatenate(reached))].tolist()
 
-    def schedule(self, graph: nx.Graph, rng: random.Random) -> ChurnSchedule:
+    def schedule(self, graph: Overlay, rng: random.Random) -> ChurnSchedule:
         nodes = self.region(graph, rng)
         events: List[object] = [
             ChurnEvent(self.start, node, LEAVE) for node in nodes
@@ -132,7 +137,7 @@ class FlakyLinksFault(FaultModel):
         self.period = period
         self.down_time = down_time
 
-    def schedule(self, graph: nx.Graph, rng: random.Random) -> ChurnSchedule:
+    def schedule(self, graph: Overlay, rng: random.Random) -> ChurnSchedule:
         edges: List[Tuple[Hashable, Hashable]] = sorted(
             graph.edges, key=repr
         )

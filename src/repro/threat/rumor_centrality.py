@@ -19,15 +19,33 @@ the standard heuristic from the original paper.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import networkx as nx
 
+from repro.network.topology import Overlay
 from repro.threat.base import ESTIMATORS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.network.metrics import MetricsCollector
     from repro.network.simulator import Simulator
+
+
+def _networkx(graph: Union[Overlay, nx.Graph]) -> nx.Graph:
+    """The networkx graph the centralities walk: an overlay's
+    :meth:`~repro.network.topology.Overlay.to_networkx` (built once per
+    overlay — BFS parents and the log-sum order follow its adjacency
+    order), or the networkx graph itself."""
+    return graph.to_networkx() if isinstance(graph, Overlay) else graph
 
 
 def _subtree_sizes(tree: nx.Graph, root: Hashable) -> Dict[Hashable, int]:
@@ -47,7 +65,9 @@ def _subtree_sizes(tree: nx.Graph, root: Hashable) -> Dict[Hashable, int]:
 
 
 def rumor_centrality(
-    graph: nx.Graph, infected: Iterable[Hashable], candidate: Hashable
+    graph: Union[Overlay, nx.Graph],
+    infected: Iterable[Hashable],
+    candidate: Hashable,
 ) -> float:
     """Log rumor centrality of ``candidate`` within the infected subgraph.
 
@@ -57,7 +77,7 @@ def rumor_centrality(
     infected_set = set(infected)
     if candidate not in infected_set:
         return float("-inf")
-    subgraph = graph.subgraph(infected_set)
+    subgraph = _networkx(graph).subgraph(infected_set)
     if not nx.is_connected(subgraph):
         # An infection snapshot should be connected; fall back to the
         # candidate's component (other components cannot contain the source).
@@ -73,7 +93,7 @@ def rumor_centrality(
 
 
 def rumor_source_estimate(
-    graph: nx.Graph, infected: Iterable[Hashable]
+    graph: Union[Overlay, nx.Graph], infected: Iterable[Hashable]
 ) -> Optional[Hashable]:
     """The infected node with maximal rumor centrality (ties: smallest repr).
 
@@ -113,7 +133,7 @@ def infected_snapshot(
 
 
 def rumor_source_from_metrics(
-    graph: nx.Graph,
+    graph: Union[Overlay, nx.Graph],
     metrics: "MetricsCollector",
     payload_id: Hashable,
     at_time: Optional[float] = None,

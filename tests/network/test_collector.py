@@ -14,7 +14,6 @@ import pytest
 
 import repro.network.sharded as sharded_mod
 from repro.broadcast.flood import FloodNode
-from repro.network import topology
 from repro.network.collector import collector_paused
 from repro.network.latency import ConstantLatency
 from repro.network.message import Message
@@ -190,26 +189,6 @@ class TestSimulatorRun:
         before = _collector_state()
         with pytest.raises(RuntimeError, match="sharded worker died"):
             sim.run_until_idle()
-        assert _collector_state() == before
-
-
-class TestOverlayBuild:
-    """Building a large random-regular overlay runs under the pause and
-    restores the state."""
-
-    def test_bulk_overlay_build(self, collector, monkeypatch):
-        seen = []
-        pair = topology._regular_edges
-
-        def recording_pair(*args):
-            seen.append(gc.isenabled())
-            return pair(*args)
-
-        monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
-        monkeypatch.setattr(topology, "_regular_edges", recording_pair)
-        before = _collector_state()
-        random_regular_overlay(40, degree=2, seed=0)
-        assert seen and not any(seen)
         assert _collector_state() == before
 
 

@@ -39,14 +39,12 @@ from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.sharded import (
-    PARTITION_CACHE_KEY,
     bfs_order,
     bfs_partition,
     default_shard_count,
     shard_assignment,
 )
-from repro.network.batched import csr_topology
-from repro.network.topology import random_regular_overlay
+from repro.network.topology import as_overlay, random_regular_overlay
 
 
 def observation_digest(sim: Simulator) -> str:
@@ -345,7 +343,7 @@ def naive_bfs_order(graph):
 
 def _disconnected_mixed_ids():
     graph = nx.relabel_nodes(
-        random_regular_overlay(24, degree=3, seed=7),
+        random_regular_overlay(24, degree=3, seed=7).to_networkx(),
         lambda n: f"peer-{n}" if n % 3 == 0 else n,
     )
     graph.add_edges_from([("x", "y"), ("y", 99), ("z", 98)])
@@ -355,7 +353,7 @@ def _disconnected_mixed_ids():
 
 class TestPartition:
     def test_blocks_cover_every_node_once(self):
-        topology = csr_topology(random_regular_overlay(50, degree=4, seed=2))
+        topology = random_regular_overlay(50, degree=4, seed=2)
         for parts in (1, 2, 3, 7):
             blocks = bfs_partition(topology, parts)
             assert len(blocks) == parts
@@ -377,20 +375,19 @@ class TestPartition:
         ids=["regular-40", "regular-300", "path", "edgeless", "disconnected"],
     )
     def test_csr_walk_is_the_deque_walk(self, overlay):
-        topology = csr_topology(overlay)
+        topology = as_overlay(overlay)
         order = bfs_order(topology)
         assert topology.ids_array[order].tolist() == naive_bfs_order(overlay)
         blocks = bfs_partition(topology, 3)
         assert [i for block in blocks for i in block.tolist()] == order.tolist()
 
     def test_partition_is_deterministic(self):
-        overlay = random_regular_overlay(40, degree=4, seed=5)
-        first = bfs_partition(csr_topology(overlay), 4)
-        again = bfs_partition(csr_topology(overlay.copy()), 4)
+        first = bfs_partition(random_regular_overlay(40, degree=4, seed=5), 4)
+        again = bfs_partition(random_regular_overlay(40, degree=4, seed=5), 4)
         assert [b.tolist() for b in first] == [b.tolist() for b in again]
 
     def test_invalid_part_counts_rejected(self):
-        topology = csr_topology(random_regular_overlay(10, degree=3, seed=1))
+        topology = random_regular_overlay(10, degree=3, seed=1)
         with pytest.raises(ValueError):
             bfs_partition(topology, 0)
         with pytest.raises(ValueError):
@@ -398,26 +395,25 @@ class TestPartition:
 
     def test_assignment_follows_the_blocks(self):
         overlay = _disconnected_mixed_ids()
-        topology = csr_topology(overlay)
-        assignment = shard_assignment(overlay, topology, 3)
+        topology = as_overlay(overlay)
+        assignment = shard_assignment(topology, 3)
         for shard, block in enumerate(bfs_partition(topology, 3)):
             assert (assignment[block] == shard).all()
 
     def test_default_shard_count_bounds(self):
         assert 2 <= default_shard_count(100_000) <= 8
 
-    def test_assignment_cached_and_invalidated(self):
+    def test_assignment_kept_on_the_overlay_until_it_grows(self):
         overlay = random_regular_overlay(30, degree=4, seed=4)
-        topology = csr_topology(overlay)
-        first = shard_assignment(overlay, topology, 3)
-        assert PARTITION_CACHE_KEY in overlay.graph
-        assert shard_assignment(overlay, topology, 3) is first
-        # A different shard count rebuilds instead of serving stale data.
-        other = shard_assignment(overlay, topology, 2)
-        assert other is not first
-        sim = Simulator(overlay, engine="sharded", shards=3)
-        sim.invalidate_topology_caches()
-        assert PARTITION_CACHE_KEY not in overlay.graph
+        first = shard_assignment(overlay, 3)
+        assert overlay.partitions[3] is first
+        assert shard_assignment(overlay, 3) is first
+        # Another shard count is another partition, not stale data.
+        assert shard_assignment(overlay, 2) is not first
+        overlay.add_edge(0, "newcomer")
+        assert overlay.partitions == {}
+        again = shard_assignment(overlay, 3)
+        assert again is not first and len(again) == 31
 
 
 class TestStoreAdoption:

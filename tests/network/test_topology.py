@@ -9,10 +9,10 @@ import pytest
 from repro.threat.botnet import inject_supernodes
 from repro.broadcast.flood import FloodNode, run_flood
 from repro.network import topology
-from repro.network.batched import CSR_CACHE_KEY, CSRTopology, csr_topology
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.topology import (
+    Overlay,
     barabasi_albert_overlay,
     bitcoin_like_overlay,
     complete_overlay,
@@ -27,6 +27,58 @@ from repro.network.topology import (
 from repro.scenarios.runner import observation_log_digest
 
 
+def oracle_csr(graph):
+    """The CSR an overlay of ``graph`` must hold, read off networkx: ids in
+    ``repr`` order, each row the neighbours' indices ascending."""
+    ids = sorted(graph, key=repr)
+    index = {node: i for i, node in enumerate(ids)}
+    rows = [sorted(index[peer] for peer in graph.adj[node]) for node in ids]
+    indptr = np.cumsum([0] + [len(row) for row in rows])
+    indices = np.array([i for row in rows for i in row], dtype=np.int64)
+    return ids, indptr, indices
+
+
+def networkx_random_regular(num_nodes, degree, seed):
+    """What ``random_regular_overlay`` stands for: networkx's generator,
+    retried with fresh seeds until connected."""
+    rng = random.Random(seed)
+    while True:
+        graph = nx.random_regular_graph(
+            degree, num_nodes, seed=rng.randrange(2**31)
+        )
+        if nx.is_connected(graph):
+            return graph
+
+
+def assert_overlay_is(overlay, graph):
+    """``overlay`` reads as ``graph`` and rebuilds it exactly."""
+    rebuilt = overlay.to_networkx()
+    assert list(overlay) == list(rebuilt) == list(graph)
+    assert [list(rebuilt.adj[node]) for node in graph] == [
+        list(graph.adj[node]) for node in graph
+    ]
+    assert overlay.edges == list(rebuilt.edges) == list(graph.edges)
+    assert dict(rebuilt.nodes(data=True)) == dict(graph.nodes(data=True))
+    # One data dict per edge, shared by both ends.
+    assert all(rebuilt.adj[u][v] is rebuilt.adj[v][u] for u, v in graph.edges)
+    ids, indptr, indices = oracle_csr(graph)
+    assert overlay.ids == ids
+    assert overlay.ids_array.tolist() == ids
+    assert overlay.index == {node: i for i, node in enumerate(ids)}
+    assert np.array_equal(overlay.indptr, indptr)
+    assert np.array_equal(overlay.indices, indices)
+    assert overlay.number_of_nodes() == graph.number_of_nodes()
+    assert overlay.number_of_edges() == graph.number_of_edges()
+    assert overlay.degree() == list(graph.degree())
+    for node in graph:
+        assert overlay.neighbors(node) == sorted(graph.adj[node], key=repr)
+        assert overlay.degree(node) == graph.degree(node)
+    for u, v in list(graph.edges)[:3]:
+        assert overlay.has_edge(u, v) and overlay.has_edge(v, u)
+    assert not overlay.has_edge(next(iter(graph)), "absent")
+    assert overlay.is_connected() == nx.is_connected(graph)
+
+
 class TestRandomRegular:
     def test_size_and_degree(self):
         graph = random_regular_overlay(100, degree=8, seed=0)
@@ -34,7 +86,7 @@ class TestRandomRegular:
         assert all(degree == 8 for _, degree in graph.degree())
 
     def test_connected(self):
-        assert nx.is_connected(random_regular_overlay(50, degree=4, seed=1))
+        assert random_regular_overlay(50, degree=4, seed=1).is_connected()
 
     def test_seed_reproducibility(self):
         a = random_regular_overlay(60, degree=6, seed=42)
@@ -62,7 +114,8 @@ class TestRandomRegular:
         for seed in range(12 if nodes < 1000 else 3):
             ours, theirs = random.Random(seed), random.Random(seed)
             graph = nx.empty_graph(nodes)
-            graph.add_edges_from(topology._regular_edges(degree, nodes, ours))
+            pairs = topology._regular_edges(degree, nodes, ours)
+            graph.add_edges_from(set(map(tuple, pairs.tolist())))
             reference = nx.random_regular_graph(degree, nodes, seed=theirs)
             assert list(graph.edges) == list(reference.edges)
             assert all(
@@ -71,66 +124,39 @@ class TestRandomRegular:
             )
             assert ours.getstate() == theirs.getstate()
 
-    @pytest.mark.parametrize(
-        "nodes,degree",
+    @pytest.mark.parametrize("nodes", [10, 60, 400, 2000, 10_000])
+    def test_is_networkx_random_regular_graph(self, nodes):
+        """networkx is the oracle: same nodes, adjacency and edge order,
+        orientation and counts, and the CSR read off its graph."""
+        for seed in range(5):
+            overlay = random_regular_overlay(nodes, degree=8, seed=seed)
+            assert_overlay_is(overlay, networkx_random_regular(nodes, 8, seed))
+
+    @pytest.mark.parametrize("nodes,degree", [(30, 2), (40, 2), (16, 8)])
+    def test_disconnected_attempts_are_drawn_again(self, nodes, degree):
         # Random 2-regular graphs are often several cycles: those attempts
-        # are disconnected and the generator must start over on the same ones.
-        [(60, 4), (16, 8), (1200, 8), (30, 2), (40, 2)],
-    )
-    def test_same_overlay_whichever_side_of_the_size_switch(
-        self, nodes, degree, monkeypatch
-    ):
-        attempts = []
-
-        def counted(*args):
-            graph = bulk(*args)
-            attempts.append(graph is not None)
-            return graph
-
-        bulk = topology._connected_regular_graph
-        monkeypatch.setattr(topology, "_connected_regular_graph", counted)
+        # are disconnected and the generator must start over on the same
+        # ones networkx does.
+        retried = False
         for seed in range(4):
-            monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
-            built = random_regular_overlay(nodes, degree, seed=seed)
-            monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 1 << 40)
-            plain = random_regular_overlay(nodes, degree, seed=seed)
-            assert list(built) == list(plain)
-            assert list(built.edges) == list(plain.edges)
-            assert [list(built.adj[node]) for node in plain] == [
-                list(plain.adj[node]) for node in plain
-            ]
-            # Nothing networkx counts or caches is stale.
-            assert built.number_of_edges() == plain.number_of_edges()
-            assert nx.is_connected(built)
-            # One data dict per edge, shared by both ends.
-            for u, v in built.edges:
-                assert built.adj[u][v] is built.adj[v][u]
-            u, v = next(iter(built.edges))
-            built.edges[u, v]["weight"] = 3
-            assert built.adj[v][u] == {"weight": 3}
-        if degree == 2:
-            assert not all(attempts)
+            first = nx.random_regular_graph(
+                degree, nodes, seed=random.Random(seed).randrange(2**31)
+            )
+            retried |= not nx.is_connected(first)
+            overlay = random_regular_overlay(nodes, degree, seed=seed)
+            assert_overlay_is(
+                overlay, networkx_random_regular(nodes, degree, seed)
+            )
+        assert retried or degree != 2
 
-    def test_bulk_build_clears_networkx_cache_only_where_it_exists(
-        self, monkeypatch
-    ):
-        """Graphs of networkx before 3.3 have no ``__networkx_cache__``; the
-        bulk build must not need one."""
-        plain = random_regular_overlay(60, 4, seed=0)
+    def test_no_networkx_graph_is_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a networkx graph was built")
 
-        class CachelessGraph(nx.Graph):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                vars(self).pop("__networkx_cache__", None)
-
-        monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
-        monkeypatch.setattr(nx, "Graph", CachelessGraph)
-        graph = random_regular_overlay(60, 4, seed=0)
-        assert type(graph) is CachelessGraph
-        assert not hasattr(graph, "__networkx_cache__")
-        assert [list(graph.adj[node]) for node in plain] == [
-            list(plain.adj[node]) for node in plain
-        ]
+        monkeypatch.setattr(nx.Graph, "__init__", refuse)
+        overlay = random_regular_overlay(2000, degree=8, seed=3)
+        assert overlay.is_connected() and overlay.n_edges == 8000
+        assert len(overlay.edges) == 8000
 
     @pytest.mark.parametrize("block", [4, 64, topology.SHUFFLE_BLOCK])
     def test_block_shuffle_is_random_shuffle(self, block, monkeypatch):
@@ -147,30 +173,60 @@ class TestRandomRegular:
                 assert ours.getstate() == theirs.getstate(), (length, seed)
 
 
-class TestSeededCSR:
-    """Above the size switch the overlay leaves its generator with the
-    engines' CSR adjacency already cached on it."""
+class TestOverlay:
+    """The overlay reads like the networkx graph it stands for, grows under
+    the documented contract, and the engines run alike on it or on the
+    overlay converted from its networkx graph."""
 
     @pytest.fixture
-    def overlay(self, monkeypatch):
-        monkeypatch.setattr(topology, "ARRAY_PAIRING_STUBS", 0)
+    def overlay(self):
         return random_regular_overlay(300, degree=4, seed=5)
 
-    def test_seeded_csr_is_the_one_the_graph_gives(self, overlay):
-        seeded = overlay.graph[CSR_CACHE_KEY]
-        assert csr_topology(overlay) is seeded
-        fresh = CSRTopology(overlay)
-        assert np.array_equal(seeded.indptr, fresh.indptr)
-        assert np.array_equal(seeded.indices, fresh.indices)
-        assert seeded.n_edges == fresh.n_edges == overlay.number_of_edges()
-        assert seeded.index == fresh.index
-        # The graph's own node objects, not equal copies of them.
-        assert all(a is b for a, b in zip(seeded.ids, fresh.ids))
-        assert all(a is b for a, b in zip(seeded.ids_array, fresh.ids_array))
-        assert all(a is b for a, b in zip(seeded.ids, sorted(overlay, key=repr)))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: nx.erdos_renyi_graph(120, 0.08, seed=1),
+            lambda: nx.barabasi_albert_graph(150, 3, seed=2),
+            lambda: nx.connected_watts_strogatz_graph(100, 6, 0.3, seed=3),
+            lambda: nx.newman_watts_strogatz_graph(100, 6, 0.2, seed=4),
+            lambda: nx.powerlaw_cluster_graph(120, 3, 0.3, seed=5),
+            lambda: nx.path_graph(9),
+            lambda: nx.balanced_tree(3, 3),
+            lambda: nx.complete_graph(7),
+            lambda: bitcoin_like_overlay(40, 15, outgoing=3, seed=6).to_networkx(),
+        ],
+        ids=["erdos_renyi", "barabasi_albert", "watts_strogatz",
+             "small_world", "scale_free", "line", "regular_tree",
+             "complete", "bitcoin_like"],
+    )
+    def test_converted_graph_is_its_networkx_graph(self, build):
+        assert_overlay_is(Overlay.from_networkx(build()), build())
+
+    def test_mixed_ids_self_loops_and_removed_edges_survive_conversion(self):
+        graph = nx.Graph()
+        graph.add_edges_from([(2, "b"), ("a", 2), (1, 1), ("b", "a")])
+        graph.add_node("alone", tier=3)
+        graph.add_edge(3, 2)
+        graph.remove_edge(2, "b")
+        graph.add_edge("b", 2)
+        assert_overlay_is(Overlay.from_networkx(graph), graph)
+
+    def test_families_return_overlays(self):
+        assert isinstance(line_overlay(4), Overlay)
+        assert isinstance(small_world_overlay(30, neighbours=4, seed=0), Overlay)
+
+    def test_growing_is_what_networkx_does(self, overlay):
+        graph = overlay.to_networkx()
+        edges = [(0, "new"), ("new", 7), (0, 1), (5, 5), ("other", 3)]
+        for target in (overlay, graph):
+            target.add_node("new", kind="late")
+            target.add_edges_from(edges)
+            target.add_edge(5, 5)
+        assert_overlay_is(overlay, graph)
+        assert overlay.nodes["new"] == {"kind": "late"}
 
     def test_mutated_and_invalidated_overlay_gets_a_new_csr(self, overlay):
-        seeded = overlay.graph[CSR_CACHE_KEY]
+        seeded = overlay.indices
         sim = Simulator(overlay, ConstantLatency(0.1), seed=0, engine="batched")
         inject_supernodes(overlay, 2, 10, random.Random(0))
         sim.invalidate_topology_caches()
@@ -178,25 +234,25 @@ class TestSeededCSR:
         sim.node(0).originate("tx")
         sim.run_until_idle()
         assert sim.engine_effective == "batched"
-        rebuilt = overlay.graph[CSR_CACHE_KEY]
-        assert rebuilt is not seeded
-        assert rebuilt.n == 302
-        assert np.array_equal(rebuilt.indices, CSRTopology(overlay).indices)
+        assert overlay.indices is not seeded
+        assert overlay.n == 302
+        assert np.array_equal(overlay.indices, oracle_csr(overlay.to_networkx())[2])
         edges = overlay.number_of_edges()
         assert len(sim.store) == 2 * edges - overlay.number_of_nodes() + 1
 
     @pytest.mark.parametrize(
         "engine,shards", [("event", None), ("batched", None), ("sharded", 2)]
     )
-    def test_same_log_with_the_seeded_csr_or_a_rebuilt_one(
+    def test_same_log_on_the_overlay_or_its_networkx_graph(
         self, overlay, engine, shards
     ):
-        seeded = overlay.graph[CSR_CACHE_KEY]
+        indptr, indices = overlay.indptr, overlay.indices
         first = run_flood(overlay, 0, seed=1, engine=engine, shards=shards)
         assert first.simulator.engine_effective == engine
-        assert overlay.graph[CSR_CACHE_KEY] is seeded
-        overlay.graph.pop(CSR_CACHE_KEY)
-        again = run_flood(overlay, 0, seed=1, engine=engine, shards=shards)
+        assert overlay.indptr is indptr and overlay.indices is indices
+        again = run_flood(
+            overlay.to_networkx(), 0, seed=1, engine=engine, shards=shards
+        )
         assert again.simulator.engine_effective == engine
         assert observation_log_digest(first.simulator) == observation_log_digest(
             again.simulator
@@ -205,7 +261,7 @@ class TestSeededCSR:
 
 class TestErdosRenyi:
     def test_connected(self):
-        assert nx.is_connected(erdos_renyi_overlay(200, avg_degree=8, seed=0))
+        assert erdos_renyi_overlay(200, avg_degree=8, seed=0).is_connected()
 
     def test_average_degree_roughly_matches(self):
         graph = erdos_renyi_overlay(500, avg_degree=10, seed=1)
@@ -219,10 +275,10 @@ class TestErdosRenyi:
 
 class TestOtherTopologies:
     def test_barabasi_albert_connected(self):
-        assert nx.is_connected(barabasi_albert_overlay(100, attachments=3, seed=0))
+        assert barabasi_albert_overlay(100, attachments=3, seed=0).is_connected()
 
     def test_watts_strogatz_connected(self):
-        assert nx.is_connected(watts_strogatz_overlay(100, neighbours=6, seed=0))
+        assert watts_strogatz_overlay(100, neighbours=6, seed=0).is_connected()
 
     def test_line_is_a_path(self):
         graph = line_overlay(10)
@@ -232,7 +288,7 @@ class TestOtherTopologies:
 
     def test_regular_tree_structure(self):
         graph = regular_tree_overlay(branching=3, depth=3)
-        assert nx.is_tree(graph)
+        assert nx.is_tree(graph.to_networkx())
         # 1 + 3 + 9 + 27 nodes for branching 3, depth 3
         assert graph.number_of_nodes() == 40
 
@@ -274,14 +330,14 @@ class TestBitcoinLike:
             assert graph.nodes[u]["reachable"] or graph.nodes[v]["reachable"]
 
     def test_connected(self):
-        assert nx.is_connected(bitcoin_like_overlay(30, 10, outgoing=3, seed=3))
+        assert bitcoin_like_overlay(30, 10, outgoing=3, seed=3).is_connected()
 
 
 class TestSmallWorld:
     def test_connected_and_sized(self):
         graph = small_world_overlay(120, neighbours=8, seed=0)
         assert graph.number_of_nodes() == 120
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
 
     def test_shortcuts_added_not_rewired(self):
         # Newman–Watts only adds edges to the ring lattice, so every lattice
@@ -307,7 +363,7 @@ class TestScaleFree:
     def test_connected_and_sized(self):
         graph = scale_free_overlay(150, attachments=4, seed=0)
         assert graph.number_of_nodes() == 150
-        assert nx.is_connected(graph)
+        assert graph.is_connected()
 
     def test_hub_heavy_degree_distribution(self):
         # Preferential attachment: the busiest node carries far more links

@@ -184,7 +184,7 @@ class TestRumorCentrality:
         infected = [
             node
             for node in graph.nodes
-            if nx.shortest_path_length(graph, source, node) <= 2
+            if nx.shortest_path_length(graph.to_networkx(), source, node) <= 2
         ]
         assert rumor_source_estimate(graph, infected) == source
 
