@@ -161,9 +161,9 @@ class DandelionNode(Node):
             payload_id=payload_id,
             size_bytes=self.config.payload_size_bytes,
         )
-        for peer in self.neighbours:
-            if peer != exclude:
-                self.send(peer, message)
+        self.send_all(
+            [peer for peer in self.neighbours if peer != exclude], message
+        )
 
 
 @dataclass

@@ -64,9 +64,9 @@ class FloodNode(PeerStateNode):
             payload_id=payload_id,
             size_bytes=self.payload_size_bytes,
         )
-        for peer in self.neighbours:
-            if peer != exclude:
-                self.send(peer, message)
+        self.send_all(
+            [peer for peer in self.neighbours if peer != exclude], message
+        )
 
 
 class FloodCohortKernel(CohortKernel):

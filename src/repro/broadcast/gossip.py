@@ -76,8 +76,7 @@ class GossipNode(PeerStateNode):
             payload_id=payload_id,
             size_bytes=self.config.payload_size_bytes,
         )
-        for peer in self.simulator.rng.sample(candidates, count):
-            self.send(peer, message)
+        self.send_all(self.simulator.rng.sample(candidates, count), message)
 
 
 class GossipCohortKernel(CohortKernel):

@@ -91,9 +91,9 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
             payload_id=payload_id,
             size_bytes=self.protocol_config.payload_size_bytes,
         )
-        for peer in self.neighbours:
-            if peer != exclude:
-                self.send(peer, message)
+        self.send_all(
+            [peer for peer in self.neighbours if peer != exclude], message
+        )
 
     def has_flooded(self, payload_id: Hashable) -> bool:
         """Whether this node already flooded the payload (Phase 3)."""

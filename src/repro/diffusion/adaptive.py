@@ -258,8 +258,7 @@ class AdaptiveDiffusionNode(Node):
             body=body,
             size_bytes=self.config.control_size_bytes,
         )
-        for child in state.children:
-            self.send(child, request)
+        self.send_all(state.children, request)
         self.on_diffusion_finished(payload_id)
 
     # ------------------------------------------------------------------
@@ -287,13 +286,9 @@ class AdaptiveDiffusionNode(Node):
             body={"wave": wave},
             size_bytes=self.config.control_size_bytes,
         )
-        for link in tree_links:
-            if link != exclude:
-                self.send(link, spread)
+        self.send_all([link for link in tree_links if link != exclude], spread)
         targets = state.spread_targets(self.neighbours, exclude=exclude)
-        payload = self._payload_message(payload_id)
-        for target in targets:
-            self.send(target, payload)
+        self.send_all(targets, self._payload_message(payload_id))
         state.add_children(targets)
 
     def _payload_message(self, payload_id: Hashable) -> Message:

@@ -495,8 +495,14 @@ def _step_single(simulator, kernel, item) -> int:
         return item.size
     queue.pop_entry()
     if item.__class__ is tuple:
-        _deliver(simulator, simulator._now, *item)
-    elif item.__class__ is Event:
+        receivers, sender, message, direct = item
+        # The pop counted off one delivery; each counts off itself.
+        queue._live += 1
+        for receiver in receivers:
+            queue._live -= 1
+            _deliver(simulator, simulator._now, receiver, sender, message, direct)
+        return len(receivers)
+    if item.__class__ is Event:
         item.action()
     else:
         item()
@@ -534,23 +540,24 @@ def _process_cohort(simulator, kernel, time: float) -> int:
             continue
         if item.__class__ is not tuple or item[3] or item[2].kind != kind:
             break
-        receiver, sender, message, _ = item
-        r = index.get(receiver)
+        receivers, sender, message, _ = item
+        r = [index.get(receiver) for receiver in receivers]
         s = index.get(sender)
-        if r is None or s is None:
+        if s is None or None in r:
             break
         queue.pop_entry()
+        # The pop counted off one delivery; the cohort takes them all.
+        size = len(r)
+        queue._live -= size - 1
         payload_id = message.payload_id
         last = segments[-1] if segments else None
-        if last is not None and not last[5] and last[0] == payload_id:
-            last[1].append(r)
-            last[2].append(s)
-            last[3].append(message)
-            last[4].append(message.size_bytes)
-        else:
-            segments.append(
-                (payload_id, [r], [s], [message], [message.size_bytes], False)
-            )
+        if last is None or last[5] or last[0] != payload_id:
+            last = (payload_id, [], [], [], [], False)
+            segments.append(last)
+        last[1].extend(r)
+        last[2].extend([s] * size)
+        last[3].extend([message] * size)
+        last[4].extend([message.size_bytes] * size)
 
     if not segments:
         # The head was same-time but not assemblable after all (unknown

@@ -9,9 +9,10 @@ for allocation economy: heap entries are plain ``(time, sequence, item)``
 tuples (one small tuple per entry instead of an order-compared dataclass),
 and only :meth:`EventQueue.push` — the cancellable path used by
 ``Simulator.schedule`` — allocates an :class:`Event` handle.  The
-simulator's message deliveries go through :meth:`EventQueue.push_item`,
-which stores an arbitrary payload with no per-event handle at all; the
-simulator's run loop dispatches on the payload type.  Because sequence
+simulator's message deliveries go through :meth:`EventQueue.push_item` and
+:meth:`EventQueue.push_entry`, which store an arbitrary payload with no
+per-event handle at all; the simulator's run loop dispatches on the
+payload type.  Because sequence
 numbers are unique, tuple comparison never reaches the third element, so
 payloads need not be comparable.
 
@@ -22,12 +23,12 @@ makes ``Simulator.pending_events`` trustworthy for the "is the simulation
 idle?" checks in the protocol runners.
 
 There is one heap and one sequence counter for everything a run delivers.
-A cohort kernel's vectorised fan-out enters as a single
-:meth:`EventQueue.push_block` entry that stands for ``block.size``
-same-time deliveries: it occupies that many consecutive sequence numbers
-(:meth:`EventQueue.reserve_sequences`) and counts that many towards
-:func:`len`, so it orders against tuple and timer entries exactly as the
-same deliveries pushed one by one would.
+A fan-out enters as a single :meth:`EventQueue.push_entry` entry that
+stands for ``size`` same-time deliveries — a simulator delivery tuple with
+``size`` receivers, or a cohort kernel's block: it occupies that many
+consecutive sequence numbers (:meth:`EventQueue.reserve_sequences`) and
+counts that many towards :func:`len`, so it orders against every other
+entry exactly as the same deliveries pushed one by one would.
 """
 
 from __future__ import annotations
@@ -92,13 +93,16 @@ class EventQueue:
     * :meth:`push` returns an :class:`Event` handle that can be cancelled —
       this is what ``Simulator.schedule`` (protocol timers) uses;
     * :meth:`push_item` stores an opaque payload without allocating a
-      handle — the simulator's delivery fast path;
-    * :meth:`push_block` stores one entry that stands for many same-time
-      deliveries — a cohort kernel's fan-out.
+      handle — one delivery;
+    * :meth:`push_entry` stores one entry that stands for ``size``
+      same-time deliveries — a fan-out (:meth:`push_block` is its form for
+      a cohort kernel's block, which knows its own size).
 
     ``len(queue)`` is the number of events that will still fire (cancelled
-    entries are excluded the moment they are cancelled; a block counts its
-    deliveries).
+    entries are excluded the moment they are cancelled; a fan-out counts
+    its deliveries).  Every pop but :meth:`pop_block` counts off one
+    delivery: whoever pops a fan-out counts off the rest as it delivers
+    them, so the count falls per delivery, as if each had its own entry.
     """
 
     def __init__(self) -> None:
@@ -156,18 +160,24 @@ class EventQueue:
         heapq.heappush(self._heap, (time, self._next_sequence(), item))
         self._live += 1
 
+    def push_entry(self, time: float, item: Any, size: int) -> None:
+        """Schedule ``item``, which stands for ``size`` same-time
+        deliveries, as one heap entry on ``size`` consecutive sequences."""
+        if time < 0:
+            raise ValueError("events cannot be scheduled at negative times")
+        heapq.heappush(
+            self._heap, (time, self.reserve_sequences(size), item)
+        )
+        self._live += size
+
     def push_block(self, time: float, block: Any) -> None:
-        """Schedule ``block.size`` same-time deliveries as one heap entry.
+        """Schedule a cohort kernel's ``block`` of ``block.size`` deliveries.
 
         Blocks are consumed through :meth:`peek_entry` + :meth:`pop_block`
         only (the cohort run loop), so the per-event pops never pay for
         their accounting.
         """
-        size = block.size
-        heapq.heappush(
-            self._heap, (time, self.reserve_sequences(size), block)
-        )
-        self._live += size
+        self.push_entry(time, block, block.size)
 
     def pop_block(self) -> Any:
         """Pop the head entry, which :meth:`peek_entry` showed to be a block."""
@@ -175,16 +185,27 @@ class EventQueue:
         self._live -= block.size
         return block
 
+    def push_back(self, entry: tuple) -> None:
+        """Put the undelivered rest of a popped fan-out back on the heap.
+
+        ``entry`` keeps the sequence of its first undelivered delivery, so
+        it orders as before; its deliveries were never counted off, so the
+        live count does not change.
+        """
+        heapq.heappush(self._heap, entry)
+
     def enable_depth_tracking(self) -> None:
         """Track the peak number of live entries (telemetry opt-in).
 
-        Shadows :meth:`push`/:meth:`push_item` with counting wrappers on
-        this instance, so queues without tracking — the default — pay
-        nothing.  The peak is exposed as :attr:`peak_live`.
+        Shadows :meth:`push`/:meth:`push_item`/:meth:`push_entry` (and so
+        :meth:`push_block`) with counting wrappers on this instance, so
+        queues without tracking — the default — pay nothing.  A fan-out
+        counts its deliveries.  The peak is exposed as :attr:`peak_live`.
         """
         self.peak_live = self._live
         self.push = self._tracked_push  # type: ignore[method-assign]
         self.push_item = self._tracked_push_item  # type: ignore[method-assign]
+        self.push_entry = self._tracked_push_entry  # type: ignore[method-assign]
 
     def _tracked_push(self, time: float, action: Callable[[], None]) -> Event:
         event = EventQueue.push(self, time, action)
@@ -194,6 +215,11 @@ class EventQueue:
 
     def _tracked_push_item(self, time: float, item: Any) -> None:
         EventQueue.push_item(self, time, item)
+        if self._live > self.peak_live:
+            self.peak_live = self._live
+
+    def _tracked_push_entry(self, time: float, item: Any, size: int) -> None:
+        EventQueue.push_entry(self, time, item, size)
         if self._live > self.peak_live:
             self.peak_live = self._live
 
@@ -219,7 +245,13 @@ class EventQueue:
         ``action`` callable; for :meth:`push_item` entries it is the stored
         item, verbatim.  Returns ``None`` when nothing live remains.
         """
-        entry = self.pop_entry()
+        return self.pop_item_until(None)
+
+    def pop_item_until(
+        self, limit: Optional[float]
+    ) -> Optional[Tuple[float, Any]]:
+        """Like :meth:`pop_item`, but leave entries after ``limit`` queued."""
+        entry = self.pop_entry_until(limit)
         if entry is None:
             return None
         time, _, item = entry
@@ -227,15 +259,14 @@ class EventQueue:
             return time, item.action
         return time, item
 
-    def pop_item_until(
-        self, limit: Optional[float]
-    ) -> Optional[Tuple[float, Any]]:
-        """Like :meth:`pop_item`, but leave entries after ``limit`` queued.
+    def pop_entry_until(self, limit: Optional[float]) -> Optional[tuple]:
+        """Remove and return the next live ``(time, sequence, item)`` entry,
+        or ``None`` when none is due at or before ``limit`` (``None``: no
+        bound).
 
-        Returns ``None`` when the queue has no live entry at time ``<=
-        limit`` (with ``limit=None`` meaning "no bound").  This fuses the
-        peek-then-pop pair of the simulator's run loop into one heap
-        inspection per event.
+        Fuses the peek-then-pop pair of the simulator's run loop into one
+        heap inspection per entry.  ``push`` entries come back as their
+        :class:`Event`, already detached; one delivery is counted off.
         """
         heap = self._heap
         while heap:
@@ -247,15 +278,14 @@ class EventQueue:
                     continue
                 if limit is not None and head[0] > limit:
                     return None
-                heapq.heappop(heap)
+                # Detach so a late cancel() cannot decrement the live count
+                # for an event that already fired.
                 item._queue = None
-                self._live -= 1
-                return head[0], item.action
-            if limit is not None and head[0] > limit:
+            elif limit is not None and head[0] > limit:
                 return None
             heapq.heappop(heap)
             self._live -= 1
-            return head[0], item
+            return head
         return None
 
     def peek_entry(self) -> Optional[tuple]:
@@ -293,20 +323,7 @@ class EventQueue:
     def pop_entry(self) -> Optional[tuple]:
         """Remove and return the next live ``(time, sequence, item)`` entry.
 
-        The raw-payload counterpart of :meth:`pop_item` (``push`` entries
-        come back as their :class:`Event`, already detached); the sharded
-        engine keeps the sequence numbers as delivery ranks.
+        The raw-payload counterpart of :meth:`pop_item`; the sharded engine
+        keeps the sequence numbers as delivery ranks.
         """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            item = entry[2]
-            if item.__class__ is Event:
-                if item.cancelled:
-                    continue
-                # Detach so a late cancel() cannot decrement the live count
-                # for an event that already fired.
-                item._queue = None
-            self._live -= 1
-            return entry
-        return None
+        return self.pop_entry_until(None)

@@ -8,7 +8,15 @@ adaptive diffusion, the three-phase protocol) subclasses :class:`Node`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Hashable, NoReturn, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    NoReturn,
+    Optional,
+    Tuple,
+)
 
 from repro.network.events import Event
 from repro.network.message import Message
@@ -22,7 +30,7 @@ class Node:
 
     Subclasses override :meth:`on_message` (mandatory) and optionally
     :meth:`on_start`.  Outgoing traffic goes through :meth:`send` /
-    :meth:`send_direct`, timers through :meth:`schedule`.
+    :meth:`send_all` / :meth:`send_direct`, timers through :meth:`schedule`.
     """
 
     def __init__(self, node_id: Hashable) -> None:
@@ -75,7 +83,15 @@ class Node:
         simulator = self._simulator
         if simulator is None:
             self._raise_unattached()
-        simulator.send(self.node_id, receiver, message, direct=False)
+        simulator.send_all(self.node_id, (receiver,), message)
+
+    def send_all(self, receivers: Iterable[Hashable], message: Message) -> None:
+        """Send one ``message`` to each of ``receivers`` (overlay
+        neighbours), in order: a fan-out is one queue entry."""
+        simulator = self._simulator
+        if simulator is None:
+            self._raise_unattached()
+        simulator.send_all(self.node_id, receivers, message)
 
     def send_direct(self, receiver: Hashable, message: Message) -> None:
         """Send ``message`` to any node, bypassing the overlay.
@@ -87,7 +103,7 @@ class Node:
         simulator = self._simulator
         if simulator is None:
             self._raise_unattached()
-        simulator.send(self.node_id, receiver, message, direct=True)
+        simulator.send_all(self.node_id, (receiver,), message, True)
 
     def schedule(self, delay: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` to run ``delay`` time units from now."""

@@ -38,10 +38,11 @@ have:
   split.
 
 Ordering is reproduced through explicit *delivery ranks*.  Every delivery
-carries an ``int64`` rank; initial queue entries keep their heap sequence
-numbers, and each window's emissions are ranked by a parent-side merge:
-workers report per fresh node the triggering delivery's rank and the
-number of surviving forwards, the parent argsorts the triggers globally
+carries an ``int64`` rank; the receivers of an initial queue entry keep
+their heap sequence numbers (the entry's first plus their position), and
+each window's emissions are ranked by a parent-side merge: workers report
+per fresh node the triggering delivery's rank and the number of surviving
+forwards, the parent argsorts the triggers globally
 (across shards and payloads), prefix-sums the counts into contiguous rank
 blocks, and hands each worker its block bases.  Because the batched engine
 reserves sequence ranges in exactly ascending trigger order, ranks are
@@ -145,7 +146,11 @@ def run_sharded(simulator, kernel, shards, state, max_events) -> float:
     the module docstring), with the ``(shards, state)`` it returned; so
     every queue entry is an overlay delivery of the kernel's kind.
     """
-    entries = list(iter(simulator._queue.pop_entry, None))
+    queue = simulator._queue
+    entries = list(iter(queue.pop_entry, None))
+    # Each pop counted off one delivery; the fan-outs' others are in hand
+    # too, so nothing is pending any more.
+    queue.clear()
     if not entries:
         simulator._last_executed = 0
         return simulator._now
@@ -172,37 +177,43 @@ def _run_windows(simulator, kernel, entries, shards, state, max_events) -> float
     drops_at: Dict[float, int] = {}
     initial_raw: Dict[float, List[tuple]] = {}
     groups: Dict[tuple, List[List]] = {}
-    for time, seq, item in entries:
-        receiver, sender, message, _direct = item
-        if offline and receiver in offline:
-            simulator._churn_dropped += 1
-            drops_at[time] = drops_at.get(time, 0) + 1
-            continue
-        if severed and frozenset((sender, receiver)) in severed:
-            simulator._churn_dropped += 1
-            drops_at[time] = drops_at.get(time, 0) + 1
-            continue
-        initial_raw.setdefault(time, []).append((time, item))
-        pidx = payload_index.get(message.payload_id)
-        if pidx is None:
-            pidx = len(payload_list)
-            payload_index[message.payload_id] = pidx
-            payload_list.append(message.payload_id)
-        r = index[receiver]
-        group = groups.get((time, int(shard_of[r]), pidx))
-        if group is None:
-            group = [[], [], [], []]
-            groups[(time, int(shard_of[r]), pidx)] = group
-        group[0].append(seq)
-        group[1].append(r)
-        group[2].append(index[sender])
-        group[3].append(message.size_bytes)
+    for time, first_seq, item in entries:
+        receivers, sender, message, direct = item
+        kept = []
+        for seq, receiver in enumerate(receivers, first_seq):
+            if offline and receiver in offline:
+                simulator._churn_dropped += 1
+                drops_at[time] = drops_at.get(time, 0) + 1
+                continue
+            if severed and frozenset((sender, receiver)) in severed:
+                simulator._churn_dropped += 1
+                drops_at[time] = drops_at.get(time, 0) + 1
+                continue
+            kept.append(receiver)
+            pidx = payload_index.get(message.payload_id)
+            if pidx is None:
+                pidx = len(payload_list)
+                payload_index[message.payload_id] = pidx
+                payload_list.append(message.payload_id)
+            r = index[receiver]
+            group = groups.get((time, int(shard_of[r]), pidx))
+            if group is None:
+                group = [[], [], [], []]
+                groups[(time, int(shard_of[r]), pidx)] = group
+            group[0].append(seq)
+            group[1].append(r)
+            group[2].append(index[sender])
+            group[3].append(message.size_bytes)
+        if kept:
+            initial_raw.setdefault(time, []).append(
+                (tuple(kept), sender, message, direct)
+            )
     for payload_id in priors:
         if payload_id not in payload_index:
             payload_index[payload_id] = len(payload_list)
             payload_list.append(payload_id)
 
-    rank_base = max(seq for _, seq, _ in entries) + 1
+    rank_base = max(seq + len(item[0]) for _, seq, item in entries)
     size_const = (
         int(node_sizes[0])
         if node_sizes.size and bool((node_sizes == node_sizes[0]).all())
@@ -446,18 +457,19 @@ def _requeue_unfinished(
 ):
     """Put unprocessed work back on the heap after a ``max_events`` stop.
 
-    Initial entries whose window never ran are re-pushed verbatim (their
-    original ``Message`` objects survive); in-flight emissions — chunks the
+    Initial entries whose window never ran are re-pushed with the
+    receivers that survived the up-front churn drops (their original
+    ``Message`` objects survive); in-flight emissions — chunks the
     parent routed but never dispatched plus each worker's leftover inbox —
     are rebuilt as delivery tuples and pushed in (time, rank)
     order, so a follow-up ``run`` on any engine resumes exactly.
     """
-    push_item = simulator._queue.push_item
+    queue = simulator._queue
     for time in sorted(initial_raw):
         if time in done_times:
             continue
-        for push_time, item in initial_raw[time]:
-            push_item(push_time, item)
+        for item in initial_raw[time]:
+            queue.push_entry(time, item, len(item[0]))
 
     leftovers = []
     for (time, _owner), chunk_list in routed.items():
@@ -488,7 +500,7 @@ def _requeue_unfinished(
         )
     rows.sort(key=lambda row: (row[0], row[1]))
     for time, _rank, target, sender, message in rows:
-        push_item(time, (ids[target], ids[sender], message, False))
+        queue.push_item(time, ((ids[target],), ids[sender], message, False))
 
 
 # ----------------------------------------------------------------------

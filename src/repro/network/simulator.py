@@ -11,12 +11,18 @@ Hot-path design.  ``send`` and the run loop dominate the wall-clock of every
 benchmark, so they avoid Python overhead that would be invisible at 100
 nodes but dominant at 5,000:
 
-* a delivery is *data*, not code — ``send`` pushes a plain
-  ``(receiver, sender, message, direct)`` tuple onto the event queue
-  (:meth:`EventQueue.push_item`) instead of allocating a per-message closure
-  plus an ``Event`` object, and the run loop dispatches on the payload type
-  and appends the delivery's columns through the pre-bound ``store.record``
+* a delivery is *data*, not code — :meth:`send_all`, the one send
+  primitive, pushes a plain ``(receivers, sender, message, direct)`` tuple
+  onto the event queue instead of allocating a per-message closure plus an
+  ``Event`` object, and the run loop dispatches on the payload type and
+  appends each delivery's columns through the pre-bound ``store.record``
   fast path;
+* a fan-out is one queue entry — when every receiver's delivery lands at
+  the same time (constant latency, no jitter), the survivors share one
+  tuple on a consecutive block of sequence numbers
+  (:meth:`EventQueue.push_entry`), so a flood pays one heap push and pop
+  per forward, not one per neighbour, in exactly the order per-receiver
+  entries would have;
 * the conditions' ``loss_probability``/``jitter``, the latency model's
   ``delay`` method and the per-node adjacency sets are cached on the
   simulator at construction, so the per-event inner loop does no repeated
@@ -219,6 +225,9 @@ class Simulator:
         self._started = False
         self._neighbour_cache: Dict[Hashable, Tuple[Hashable, ...]] = {}
         self._adjacency: Dict[Hashable, FrozenSet[Hashable]] = {}
+        # One ``(receiver,)`` per receiver, shared by every one-receiver
+        # entry to it, so in-flight deliveries hold no tuple of their own.
+        self._singles: Dict[Hashable, Tuple[Hashable]] = {}
         self._dropped_total = 0
         self._dropped_by_payload: Dict[Hashable, int] = {}
         # Churn: nodes currently offline.  The set is shared (never
@@ -253,8 +262,10 @@ class Simulator:
         self._loss_probability = self.conditions.loss_probability
         self._jitter = self.conditions.jitter
         self._delay = self.latency.delay
+        self._constant_delay = self.latency.constant_delay()
         self._record = self.store.record
         self._push_item = self._queue.push_item
+        self._push_entry = self._queue.push_entry
         # Bumped by every topology-cache invalidation so cohort kernels
         # know when to rebuild their CSR view and churn masks; the kernel
         # itself (or its absence) is resolved lazily by ``_choose_path``.
@@ -624,7 +635,18 @@ class Simulator:
         message: Message,
         direct: bool = False,
     ) -> None:
-        """Send ``message`` from ``sender`` to ``receiver``.
+        """Send ``message`` from ``sender`` to ``receiver``: the one-receiver
+        case of :meth:`send_all`."""
+        self.send_all(sender, (receiver,), message, direct)
+
+    def send_all(
+        self,
+        sender: Hashable,
+        receivers: Iterable[Hashable],
+        message: Message,
+        direct: bool = False,
+    ) -> None:
+        """Send one ``message`` from ``sender`` to each of ``receivers``.
 
         Overlay sends (``direct=False``) require an edge between the two
         nodes; direct sends model out-of-band pairwise channels such as the
@@ -636,49 +658,77 @@ class Simulator:
         delivered, no observation recorded) and a uniform extra delay in
         ``[0, jitter]`` is added to every delivery.  Direct sends model
         reliable out-of-band channels and bypass both.
+
+        Every receiver is handled in order exactly as a send of its own:
+        the registration and edge checks (a ``ValueError`` leaves the
+        receivers before it sent), the churn drops, then its delay, loss
+        and jitter draws.  When every delivery takes the same time the
+        survivors form one queue entry; otherwise each gets its own.
         """
         if self._closed:
             self._raise_closed("send")
-        if receiver not in self._nodes and not self._covers(receiver):
-            raise ValueError(f"receiver {receiver!r} is not registered")
+        nodes = self._nodes
         if not direct:
             adjacent = self._adjacency.get(sender)
             if adjacent is None:
                 adjacent = self._adjacent_to(sender)
-            if receiver not in adjacent:
-                raise ValueError(
-                    f"no overlay edge between {sender!r} and {receiver!r}"
-                )
         offline = self._offline
-        if offline and (sender in offline or receiver in offline):
-            self._churn_dropped += 1
-            return
         severed = self._severed
-        if severed and not direct and frozenset((sender, receiver)) in severed:
-            self._churn_dropped += 1
-            return
-        delay = self._delay(sender, receiver)
-        if not direct:
-            loss = self._loss_probability
-            if loss > 0.0:
-                # Draw counters live inside the already-conditional
-                # branches, so lossless runs pay nothing for them.
-                self._loss_draws += 1
-                if self._link_rng.random() < loss:
-                    self._dropped_total += 1
-                    self._dropped_by_payload[message.payload_id] = (
-                        self._dropped_by_payload.get(message.payload_id, 0) + 1
+        loss = 0.0 if direct else self._loss_probability
+        jitter = 0.0 if direct else self._jitter
+        # One delay for the whole fan-out, or ``None`` when every receiver
+        # draws its own.
+        shared_delay = self._constant_delay if jitter == 0.0 else None
+        now = self._now
+        survivors: List[Hashable] = []
+        try:
+            for receiver in receivers:
+                if receiver not in nodes and not self._covers(receiver):
+                    raise ValueError(f"receiver {receiver!r} is not registered")
+                if not direct and receiver not in adjacent:
+                    raise ValueError(
+                        f"no overlay edge between {sender!r} and {receiver!r}"
                     )
-                    return
-            jitter = self._jitter
-            if jitter > 0.0:
-                self._jitter_draws += 1
-                delay += self._link_rng.uniform(0.0, jitter)
-        # A delivery is data, not code: the run loop recognises the 4-tuple
-        # and performs the observation + dispatch inline.
-        self._push_item(
-            self._now + delay, (receiver, sender, message, direct)
-        )
+                if offline and (sender in offline or receiver in offline):
+                    self._churn_dropped += 1
+                    continue
+                if severed and not direct and frozenset((sender, receiver)) in severed:
+                    self._churn_dropped += 1
+                    continue
+                if shared_delay is None:
+                    delay = self._delay(sender, receiver)
+                if loss > 0.0:
+                    # Draw counters live inside the already-conditional
+                    # branches, so lossless runs pay nothing for them.
+                    self._loss_draws += 1
+                    if self._link_rng.random() < loss:
+                        self._dropped_total += 1
+                        self._dropped_by_payload[message.payload_id] = (
+                            self._dropped_by_payload.get(message.payload_id, 0) + 1
+                        )
+                        continue
+                if shared_delay is None:
+                    if jitter > 0.0:
+                        self._jitter_draws += 1
+                        delay += self._link_rng.uniform(0.0, jitter)
+                    single = self._singles.get(receiver)
+                    if single is None:
+                        single = self._singles[receiver] = (receiver,)
+                    self._push_item(now + delay, (single, sender, message, direct))
+                else:
+                    survivors.append(receiver)
+        finally:
+            # Also when a receiver is rejected: the ones before it are sent.
+            if len(survivors) == 1:
+                self._push_item(
+                    now + shared_delay, ((survivors[0],), sender, message, direct)
+                )
+            elif survivors:
+                self._push_entry(
+                    now + shared_delay,
+                    (tuple(survivors), sender, message, direct),
+                    len(survivors),
+                )
 
     # ------------------------------------------------------------------
     # Execution
@@ -755,8 +805,8 @@ class Simulator:
                 item.__class__ is not tuple
                 or item[3]
                 or item[2].kind != kernel.kind
-                or item[0] not in index
                 or item[1] not in index
+                or any(receiver not in index for receiver in item[0])
             ):
                 return "batched", (
                     "foreign queue entry (direct send, foreign kind, "
@@ -864,7 +914,7 @@ class Simulator:
         event_cap = float("inf") if max_events is None else max_events
         hit_event_limit = False
         queue = self._queue
-        pop_item_until = queue.pop_item_until
+        pop_entry_until = queue.pop_entry_until
         nodes = self._nodes
         record = self._record
         # The offline/severed sets are mutated in place (never rebound), so
@@ -872,28 +922,45 @@ class Simulator:
         # delivery pays only one falsy check per set for churn support.
         offline = self._offline
         severed = self._severed
-        while True:
-            if executed >= event_cap:
-                # Only counts as hitting the limit if something within the
-                # time bound was actually still due.
-                next_time = queue.peek_time()
-                hit_event_limit = next_time is not None and (
-                    until is None or next_time <= until
-                )
-                break
-            entry = pop_item_until(until)
-            if entry is None:
-                break
-            time, item = entry
-            if time > self._now:
-                self._now = time
-            if item.__class__ is tuple:
-                receiver, sender, message, direct = item
+        # How many receivers of the last popped fan-out are still to be
+        # delivered: they precede everything on the heap (their sequences
+        # are consecutive), so they go before the next pop.
+        rest = 0
+        try:
+            while True:
+                if executed >= event_cap:
+                    # Only counts as hitting the limit if something within
+                    # the time bound was actually still due.
+                    next_time = time if rest else queue.peek_time()
+                    hit_event_limit = next_time is not None and (
+                        until is None or next_time <= until
+                    )
+                    break
+                if rest:
+                    receiver = receivers[-rest]
+                    rest -= 1
+                    # Counted off per delivery, as if each had its own entry.
+                    queue._live -= 1
+                else:
+                    entry = pop_entry_until(until)
+                    if entry is None:
+                        break
+                    time, sequence, item = entry
+                    if time > self._now:
+                        self._now = time
+                    if item.__class__ is not tuple:
+                        # A timer: an ``Event`` handle, or a bare callable.
+                        (item.action if item.__class__ is Event else item)()
+                        executed += 1
+                        continue
+                    receivers, sender, message, direct = item
+                    receiver = receivers[0]
+                    rest = len(receivers) - 1
+                executed += 1
                 if offline and receiver in offline:
                     # In flight when the receiver went down: dropped, never
                     # observed — a crashed node records nothing.
                     self._churn_dropped += 1
-                    executed += 1
                     continue
                 if (
                     severed
@@ -903,7 +970,6 @@ class Simulator:
                     # In flight when the link went down: the transmission
                     # dies on the wire, exactly like node churn.
                     self._churn_dropped += 1
-                    executed += 1
                     continue
                 record(self._now, receiver, sender, message, direct)
                 try:
@@ -911,9 +977,14 @@ class Simulator:
                 except KeyError:
                     node = self.node(receiver)
                 node.on_message(sender, message)
-            else:
-                item()
-            executed += 1
+        finally:
+            if rest:
+                # Stopped inside a fan-out (the cap, or a handler raised):
+                # the rest goes back at its first receiver's sequence.
+                queue.push_back((
+                    time, sequence + len(receivers) - rest,
+                    (receivers[-rest:], sender, message, direct),
+                ))
         self._last_executed = executed
         if until is not None and not hit_event_limit:
             self._now = max(self._now, until)

@@ -90,14 +90,15 @@ def test_churn_dropped_accounts_for_every_lost_send(
     )).apply(simulator)
 
     sends = 0
-    real_send = simulator.send
+    real_send_all = simulator.send_all
 
-    def counting_send(sender, receiver, message, direct=False):
+    def counting_send_all(sender, receivers, message, direct=False):
         nonlocal sends
-        sends += 1
-        return real_send(sender, receiver, message, direct=direct)
+        receivers = list(receivers)
+        sends += len(receivers)
+        return real_send_all(sender, receivers, message, direct=direct)
 
-    simulator.send = counting_send
+    simulator.send_all = counting_send_all
     for index, origin in enumerate(origins):
         simulator.node(origin).originate(f"tx-{index}")
     simulator.run_until_idle()

@@ -31,15 +31,15 @@ def _run_with_send_snapshots(name):
     session = protocol.build(overlay, NetworkConditions.ideal(), seed=7)
     simulator = session.simulator
     sent = {}
-    real_send = simulator.send
+    real_send_all = simulator.send_all
 
-    def send(sender, receiver, message, direct=False):
+    def send_all(sender, receivers, message, direct=False):
         # Keyed by identity; the dict keeps the message alive, so an id is
         # never reused for another instance.
         sent.setdefault(id(message), (message, _snapshot(message)))
-        real_send(sender, receiver, message, direct)
+        real_send_all(sender, receivers, message, direct)
 
-    simulator.send = send
+    simulator.send_all = send_all
     for index, source in enumerate((0, 17)):
         protocol.broadcast(session, source, f"tx-{index}")
     return simulator, sent

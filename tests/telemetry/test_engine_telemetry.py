@@ -148,6 +148,20 @@ class TestCounters:
         sim.run_until_idle()
         assert tracking.gauges["queue_depth_peak"] >= 1
 
+    def test_queue_depth_counts_cohort_blocks(self):
+        # The batched path queues its fan-outs as blocks; each counts its
+        # deliveries, so the peak can be no lower than the live count the
+        # run loop samples between cohorts.
+        recorder = TelemetryRecorder(queue_depth=True)
+        sim = _flood_sim("batched", size=2000, telemetry=recorder)
+        sim.run_until_idle()
+        assert sim.engine_effective == "batched"
+        assert recorder.gauges["live_events_peak"] > 1000
+        assert (
+            recorder.gauges["queue_depth_peak"]
+            >= recorder.gauges["live_events_peak"]
+        )
+
 
 class TestSpans:
     def test_span_tree_well_formed_across_stop_and_resume(self):
