@@ -8,18 +8,24 @@ each phase of the combined protocol is responsible for.
 """
 
 from repro.analysis.reporting import format_table
-from repro.broadcast.dandelion import run_dandelion
-from repro.broadcast.flood import run_flood
 from repro.core.config import ProtocolConfig
 from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.phases import Phase
-from repro.diffusion.adaptive import run_adaptive_diffusion
+from repro.network.conditions import NetworkConditions
+from repro.protocols import create_protocol
 
 
 def _measure(overlay_200):
-    flood = run_flood(overlay_200, source=0, seed=1)
-    dandelion = run_dandelion(overlay_200, source=0, seed=1)
-    diffusion = run_adaptive_diffusion(overlay_200, source=0, seed=1)
+    flood, dandelion, diffusion = (
+        protocol.broadcast(
+            protocol.build(overlay_200, NetworkConditions.ideal(), seed=1),
+            0,
+            "tx",
+        )
+        for protocol in map(
+            create_protocol, ("flood", "dandelion", "adaptive_diffusion")
+        )
+    )
     protocol = ThreePhaseBroadcast(
         overlay_200, ProtocolConfig(group_size=5, diffusion_depth=3), seed=1
     )

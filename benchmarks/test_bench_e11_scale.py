@@ -24,8 +24,9 @@ import pytest
 from repro.analysis.parallel import run_parallel
 from repro.analysis.reporting import format_table
 from repro.analysis.sweep import sweep
-from repro.broadcast.flood import run_flood
+from repro.network.conditions import NetworkConditions
 from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
 
 SIZES = [2000, 5000]
 REPETITIONS = 2
@@ -35,7 +36,9 @@ BASE_SEED = 7
 def _flood_at_scale(size, seed):
     """One flood broadcast on a ``size``-node Bitcoin-like overlay."""
     overlay = random_regular_overlay(int(size), degree=8, seed=seed)
-    result = run_flood(overlay, source=0, seed=seed)
+    protocol = create_protocol("flood")
+    session = protocol.build(overlay, NetworkConditions.ideal(), seed=seed)
+    result = protocol.broadcast(session, 0, "tx")
     assert result.reach == overlay.number_of_nodes()
     return {
         "messages": float(result.messages),
@@ -75,8 +78,10 @@ def test_e11_parallel_sweep_at_scale(benchmark):
 
 
 def test_e11_indexed_queries_at_scale(overlay_2000):
-    result = run_flood(overlay_2000, source=0, seed=0)
-    simulator = result.simulator
+    protocol = create_protocol("flood")
+    session = protocol.build(overlay_2000, NetworkConditions.ideal(), seed=0)
+    protocol.broadcast(session, 0, "tx")
+    simulator = session.simulator
     metrics = simulator.metrics
     # The naive oracles below genuinely scan the whole log — the exact use
     # case of the lazy ``iter_observations()`` view (no full-list copy per

@@ -2,31 +2,53 @@
 
 Paper claim: reaching all 1,000 peers took on average ~12,500 messages with
 adaptive diffusion against ~7,000 messages for a regular flood-and-prune
-broadcast.  The benchmark reproduces the flood figure directly and measures
-the adaptive-diffusion overhead with this library's accounting (payload
-messages plus token/spread control traffic, stopping at full coverage).
+broadcast.  Both protocols run through their registered adapters under
+ideal conditions (constant 0.1 delay, no loss), one broadcast per seed.
+
+What is checked, and how tightly:
+
+* **flood** — exactly ``2|E| - |V| + 1`` messages on every seed, the closed
+  form of a lossless exclude-sender flood;
+* **adaptive diffusion** — only a shape: control traffic on top of the
+  payload deliveries, and at least 75 % of the flood's cost.  The library
+  counts every delivered message of the four wire kinds (``ad_payload``,
+  ``ad_spread``, ``ad_token``, ``ad_final``) until the payload reached
+  every peer; it measures ~7,000-8,000 here, not the paper's ~12,500, and
+  no closed form for adaptive diffusion's cost on a general graph is known
+  (Fanti et al., "Spy vs. Spy", SIGMETRICS 2015, analyse regular trees).
+  ``docs/BENCHMARKS.md`` records the per-kind counts.
 """
 
 from repro.analysis.reporting import format_table
 from repro.analysis.stats import summarize
-from repro.broadcast.flood import run_flood
-from repro.diffusion.adaptive import run_adaptive_diffusion
+from repro.network.conditions import NetworkConditions
+from repro.protocols import create_protocol
 
 REPETITIONS = 3
 
 
 def _measure(overlay_1000):
+    flood = create_protocol("flood")
+    diffusion = create_protocol("adaptive_diffusion")
     flood_counts = []
     diffusion_counts = []
     diffusion_payload = []
     for seed in range(REPETITIONS):
-        flood_counts.append(
-            float(run_flood(overlay_1000, source=seed, seed=seed).messages)
+        session = flood.build(overlay_1000, NetworkConditions.ideal(), seed=seed)
+        flood_counts.append(float(flood.broadcast(session, seed, "tx").messages))
+        session = diffusion.build(
+            overlay_1000, NetworkConditions.ideal(), seed=seed
         )
-        result = run_adaptive_diffusion(overlay_1000, source=seed, seed=seed)
+        result = diffusion.broadcast(session, seed, "tx")
         assert result.reach == overlay_1000.number_of_nodes()
         diffusion_counts.append(float(result.messages))
-        diffusion_payload.append(float(result.payload_messages))
+        diffusion_payload.append(
+            float(
+                session.simulator.metrics.message_count(
+                    kind="ad_payload", payload_id="tx"
+                )
+            )
+        )
     return flood_counts, diffusion_counts, diffusion_payload
 
 
@@ -36,18 +58,6 @@ def test_e1_message_overhead(benchmark, overlay_1000):
     )
     flood_mean = summarize(flood).mean
     diffusion_mean = summarize(diffusion).mean
-    print()
-    print(
-        format_table(
-            ["protocol", "messages (mean)", "paper"],
-            [
-                ["flood-and-prune", flood_mean, 7000],
-                ["adaptive diffusion (total)", diffusion_mean, 12500],
-                ["adaptive diffusion (payload only)", summarize(diffusion_payload).mean, "-"],
-            ],
-            title="E1: messages to reach all 1,000 peers",
-        )
-    )
     # A lossless exclude-sender flood crosses every edge once in each
     # direction except the |V| - 1 edges of its delivery tree, which carry
     # the payload one way only: 2|E| - |V| + 1 messages, whatever the
@@ -55,6 +65,21 @@ def test_e1_message_overhead(benchmark, overlay_1000):
     # forwards twice, or prunes too early, misses it.
     closed_form = (
         2 * overlay_1000.number_of_edges() - overlay_1000.number_of_nodes() + 1
+    )
+    print()
+    print(
+        format_table(
+            ["protocol", "messages (mean)", "paper", "checked against"],
+            [
+                ["flood-and-prune", flood_mean, 7000,
+                 f"2|E| - |V| + 1 = {closed_form}, exactly"],
+                ["adaptive diffusion (total)", diffusion_mean, 12500,
+                 ">= 0.75 x flood (no closed form)"],
+                ["adaptive diffusion (payload only)",
+                 summarize(diffusion_payload).mean, "-", "< total"],
+            ],
+            title="E1: messages to reach all 1,000 peers",
+        )
     )
     assert flood == [float(closed_form)] * REPETITIONS
     # Adaptive diffusion needs additional control traffic on top of its

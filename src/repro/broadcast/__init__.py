@@ -9,19 +9,24 @@ These are the comparison points of the paper's evaluation:
 * Dandelion (:mod:`repro.broadcast.dandelion`) is the topological privacy
   mechanism of Section III-A: a stem phase along a line graph followed by a
   fluff phase using plain flooding.
+
+This package holds the node behaviours only.  A broadcast is run through
+the registered adapters of :mod:`repro.protocols` (``flood``, ``gossip``,
+``dandelion``), the same harness that runs the three-phase protocol::
+
+    protocol = create_protocol("flood")
+    session = protocol.build(overlay, NetworkConditions.ideal(), seed=0)
+    outcome = protocol.broadcast(session, source, "tx")
 """
 
-from repro.broadcast.dandelion import DandelionConfig, DandelionNode, run_dandelion
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import GossipConfig, GossipNode, run_gossip
+from repro.broadcast.dandelion import DandelionConfig, DandelionNode
+from repro.broadcast.flood import FloodNode
+from repro.broadcast.gossip import GossipConfig, GossipNode
 
 __all__ = [
     "DandelionConfig",
     "DandelionNode",
-    "run_dandelion",
     "FloodNode",
-    "run_flood",
     "GossipConfig",
     "GossipNode",
-    "run_gossip",
 ]

@@ -19,10 +19,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Set
 
-from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.node import Node
-from repro.network.simulator import Simulator
 from repro.network.topology import Overlay
 
 
@@ -164,52 +162,3 @@ class DandelionNode(Node):
         self.send_all(
             [peer for peer in self.neighbours if peer != exclude], message
         )
-
-
-@dataclass
-class DandelionRunResult:
-    """Outcome of a standalone Dandelion run."""
-
-    messages: int
-    stem_messages: int
-    fluff_messages: int
-    reach: int
-    completion_time: Optional[float]
-    simulator: Simulator
-
-
-def run_dandelion(
-    graph: Overlay,
-    source: Hashable,
-    payload_id: Hashable = "tx",
-    config: Optional[DandelionConfig] = None,
-    seed: Optional[int] = None,
-    latency: Optional[LatencyModel] = None,
-) -> DandelionRunResult:
-    """Broadcast one payload with Dandelion and report traffic statistics."""
-    config = config or DandelionConfig()
-    rng = random.Random(seed)
-    simulator = Simulator(graph, latency=latency or ConstantLatency(0.1), seed=seed)
-    successors = assign_stem_successors(graph, rng)
-    simulator.populate(
-        lambda node_id: DandelionNode(node_id, config, successors[node_id])
-    )
-    origin = simulator.node(source)
-    assert isinstance(origin, DandelionNode)
-    origin.originate(payload_id)
-    simulator.run_until_idle()
-    reach = simulator.metrics.reach(payload_id)
-    return DandelionRunResult(
-        messages=simulator.metrics.message_count(payload_id=payload_id),
-        stem_messages=simulator.metrics.message_count(
-            kind=DandelionNode.STEM_KIND, payload_id=payload_id
-        ),
-        fluff_messages=simulator.metrics.message_count(
-            kind=DandelionNode.FLUFF_KIND, payload_id=payload_id
-        ),
-        reach=reach,
-        completion_time=simulator.metrics.completion_time(payload_id)
-        if reach == graph.number_of_nodes()
-        else None,
-        simulator=simulator,
-    )

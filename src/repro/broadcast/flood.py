@@ -9,17 +9,13 @@ guaranteed, at a cost of roughly ``2·|E| − |V| + 1`` messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Optional
 
 import numpy as np
 
 from repro.network.batched import CohortKernel, exclude_sender_fanout
-from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.peers import PeerStateNode
-from repro.network.simulator import Simulator
-from repro.network.topology import Overlay
 
 
 class FloodNode(PeerStateNode):
@@ -128,46 +124,3 @@ class FloodCohortKernel(CohortKernel):
 
 
 FloodNode.COHORT_KERNEL = FloodCohortKernel
-
-
-@dataclass
-class FloodRunResult:
-    """Outcome of a standalone flood-and-prune run."""
-
-    messages: int
-    reach: int
-    completion_time: Optional[float]
-    simulator: Simulator
-
-
-def run_flood(
-    graph: Overlay,
-    source: Hashable,
-    payload_id: Hashable = "tx",
-    seed: Optional[int] = None,
-    latency: Optional[LatencyModel] = None,
-    engine: str = "event",
-    shards: Optional[int] = None,
-) -> FloodRunResult:
-    """Broadcast one payload with flood-and-prune and report the cost."""
-    simulator = Simulator(
-        graph,
-        latency=latency or ConstantLatency(0.1),
-        seed=seed,
-        engine=engine,
-        shards=shards,
-    )
-    simulator.populate(FloodNode)
-    origin = simulator.node(source)
-    assert isinstance(origin, FloodNode)
-    origin.originate(payload_id)
-    simulator.run_until_idle()
-    reach = simulator.metrics.reach(payload_id)
-    return FloodRunResult(
-        messages=simulator.metrics.message_count(payload_id=payload_id),
-        reach=reach,
-        completion_time=simulator.metrics.completion_time(payload_id)
-        if reach == graph.number_of_nodes()
-        else None,
-        simulator=simulator,
-    )

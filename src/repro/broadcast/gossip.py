@@ -9,18 +9,14 @@ protocol, but a standard point of comparison for dissemination cost).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
 import numpy as np
 
 from repro.network.batched import CohortKernel
-from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.peers import PeerStateNode
-from repro.network.simulator import Simulator
-from repro.network.topology import Overlay
 
 
 @dataclass
@@ -152,47 +148,3 @@ class GossipCohortKernel(CohortKernel):
 
 
 GossipNode.COHORT_KERNEL = GossipCohortKernel
-
-
-@dataclass
-class GossipRunResult:
-    """Outcome of a standalone gossip run."""
-
-    messages: int
-    reach: int
-    delivered_fraction: float
-    simulator: Simulator
-
-
-def run_gossip(
-    graph: Overlay,
-    source: Hashable,
-    payload_id: Hashable = "tx",
-    config: Optional[GossipConfig] = None,
-    seed: Optional[int] = None,
-    latency: Optional[LatencyModel] = None,
-    engine: str = "event",
-    shards: Optional[int] = None,
-) -> GossipRunResult:
-    """Broadcast one payload with gossip and report reach and cost."""
-    simulator = Simulator(
-        graph,
-        latency=latency or ConstantLatency(0.1),
-        seed=seed,
-        engine=engine,
-        shards=shards,
-    )
-    simulator.populate(
-        functools.partial(GossipNode, config=config or GossipConfig())
-    )
-    origin = simulator.node(source)
-    assert isinstance(origin, GossipNode)
-    origin.originate(payload_id)
-    simulator.run_until_idle()
-    reach = simulator.metrics.reach(payload_id)
-    return GossipRunResult(
-        messages=simulator.metrics.message_count(payload_id=payload_id),
-        reach=reach,
-        delivered_fraction=reach / graph.number_of_nodes(),
-        simulator=simulator,
-    )

@@ -28,7 +28,6 @@ from repro.core.transitions import select_virtual_source
 from repro.dcnet.group_session import DCNetGroupSession
 from repro.groups.directory import GroupDirectory
 from repro.network.conditions import NetworkConditions
-from repro.network.latency import ConstantLatency, LatencyModel
 from repro.network.message import Message
 from repro.network.simulator import Simulator
 from repro.network.topology import Overlay
@@ -70,8 +69,10 @@ class ThreePhaseBroadcast:
     """The three-phase privacy-preserving broadcast over one overlay.
 
     An instance is a long-lived *session*: construct it once per overlay
-    (optionally under shared :class:`~repro.network.conditions.NetworkConditions`)
-    and call :meth:`broadcast` any number of times.  The protocol registry
+    (optionally under shared :class:`~repro.network.conditions.NetworkConditions`;
+    without them, :meth:`NetworkConditions.ideal
+    <repro.network.conditions.NetworkConditions.ideal>`) and call
+    :meth:`broadcast` any number of times.  The protocol registry
     (:mod:`repro.protocols`) builds exactly such sessions, so the three-phase
     protocol runs in the same harness as every baseline.
 
@@ -90,8 +91,6 @@ class ThreePhaseBroadcast:
         graph: Overlay,
         config: Optional[ProtocolConfig] = None,
         seed: Optional[int] = None,
-        latency: Optional[LatencyModel] = None,
-        directory: Optional[GroupDirectory] = None,
         conditions: Optional[NetworkConditions] = None,
         engine: str = "event",
         shards: Optional[int] = None,
@@ -99,20 +98,16 @@ class ThreePhaseBroadcast:
         self.config = config or ProtocolConfig()
         self.rng = random.Random(seed)
         self.graph = graph
-        if latency is None:
-            if conditions is not None:
-                # Build the latency from a dedicated RNG so that lazily
-                # drawing models (PerEdgeLatency) never perturb the protocol
-                # stream ``self.rng``.
-                latency = conditions.build_latency(
-                    random.Random(None if seed is None else seed + 2)
-                )
-            else:
-                latency = ConstantLatency(0.1)
+        if conditions is None:
+            conditions = NetworkConditions.ideal()
         self.conditions = conditions
         self.simulator = Simulator(
             graph,
-            latency=latency,
+            # Built from a dedicated RNG so that lazily drawing models
+            # (PerEdgeLatency) never perturb the protocol stream ``self.rng``.
+            latency=conditions.build_latency(
+                random.Random(None if seed is None else seed + 2)
+            ),
             seed=None if seed is None else seed + 1,
             conditions=conditions,
             engine=engine,
@@ -127,7 +122,7 @@ class ThreePhaseBroadcast:
         self.simulator.populate(
             lambda node_id: ThreePhaseNode(node_id, self.config)
         )
-        self.directory = directory or GroupDirectory(
+        self.directory = GroupDirectory(
             sorted(graph.nodes, key=repr), self.config.group_size, self.rng
         )
         self._results: List[BroadcastResult] = []
@@ -151,17 +146,15 @@ class ThreePhaseBroadcast:
         source: Hashable,
         payload: bytes,
         payload_id: Optional[Hashable] = None,
-        run_to_completion: bool = True,
     ) -> BroadcastResult:
-        """Broadcast ``payload`` from ``source`` through all three phases.
+        """Broadcast ``payload`` from ``source`` through all three phases and
+        run the simulator until idle.
 
         Args:
             source: the originating node.
             payload: transaction bytes (also the input of the virtual-source
                 hash selection).
             payload_id: explicit identifier; generated when omitted.
-            run_to_completion: when ``True`` the simulator runs until idle
-                before the result is computed.
 
         Returns:
             The :class:`BroadcastResult` for this broadcast.
@@ -182,8 +175,7 @@ class ThreePhaseBroadcast:
             payload_id, group, virtual_source, phase_one_end, timeline
         )
 
-        if run_to_completion:
-            self.simulator.run_until_idle()
+        self.simulator.run_until_idle()
 
         result = self._collect_result(
             payload_id, source, group, virtual_source, dc_rounds, timeline,

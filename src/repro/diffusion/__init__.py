@@ -13,15 +13,18 @@ This package provides
   probability ``alpha`` for d-regular trees (and its general-graph use),
 * :mod:`repro.diffusion.spreading` — per-node infection bookkeeping used to
   drive spread waves through the infection tree on arbitrary graphs,
-* :mod:`repro.diffusion.adaptive` — the event-driven protocol node and the
-  convenience runner used by the paper's message-overhead experiment (E1).
+* :mod:`repro.diffusion.adaptive` — the event-driven protocol node.
+
+Adaptive diffusion run alone (the paper's message-overhead experiment, E1)
+goes through the registered ``adaptive_diffusion`` adapter of
+:mod:`repro.protocols`, which polls the unbounded diffusion in
+round-interval steps until every node holds the payload or its
+``max_time`` passes.
 """
 
 from repro.diffusion.adaptive import (
     AdaptiveDiffusionConfig,
     AdaptiveDiffusionNode,
-    DiffusionRunResult,
-    run_adaptive_diffusion,
 )
 from repro.diffusion.spreading import InfectionState
 from repro.diffusion.virtual_source import (
@@ -33,8 +36,6 @@ from repro.diffusion.virtual_source import (
 __all__ = [
     "AdaptiveDiffusionConfig",
     "AdaptiveDiffusionNode",
-    "DiffusionRunResult",
-    "run_adaptive_diffusion",
     "InfectionState",
     "VirtualSourceToken",
     "keep_probability",

@@ -34,11 +34,8 @@ from typing import Dict, Hashable, Optional
 
 from repro.diffusion.spreading import InfectionState
 from repro.diffusion.virtual_source import VirtualSourceToken, keep_probability
-from repro.network.latency import ConstantLatency
 from repro.network.message import Message
 from repro.network.node import Node
-from repro.network.simulator import Simulator
-from repro.network.topology import Overlay
 
 
 @dataclass
@@ -321,67 +318,3 @@ class AdaptiveDiffusionNode(Node):
     def holds_token(self, payload_id: Hashable) -> bool:
         """Whether this node is currently the virtual source."""
         return payload_id in self._tokens
-
-
-@dataclass
-class DiffusionRunResult:
-    """Outcome of a standalone adaptive-diffusion run.
-
-    Attributes:
-        messages: total messages sent (payload + control).
-        payload_messages: only ``ad_payload`` transmissions.
-        reach: number of nodes that obtained the payload.
-        completion_time: simulated time when the last node was infected
-            (``None`` if the run stopped before reaching everyone).
-        rounds_executed: upper bound on virtual-source rounds (from the clock).
-        simulator: the simulator, for further inspection by callers.
-    """
-
-    messages: int
-    payload_messages: int
-    reach: int
-    completion_time: Optional[float]
-    rounds_executed: int
-    simulator: Simulator
-
-
-def run_adaptive_diffusion(
-    graph: Overlay,
-    source: Hashable,
-    payload_id: Hashable = "tx",
-    config: Optional[AdaptiveDiffusionConfig] = None,
-    seed: Optional[int] = None,
-    max_time: float = 10_000.0,
-) -> DiffusionRunResult:
-    """Run adaptive diffusion until the payload reached every node.
-
-    This is the harness behind the paper's Section V-A measurement: adaptive
-    diffusion is not normally used to reach all nodes, but measuring the cost
-    of doing so gives the 12,500-vs-7,000-messages comparison against flood
-    and prune.  The simulation advances in round-interval steps and stops as
-    soon as every node is infected (or ``max_time`` passes).
-    """
-    config = config or AdaptiveDiffusionConfig()
-    simulator = Simulator(graph, latency=ConstantLatency(0.1), seed=seed)
-    simulator.populate(lambda node_id: AdaptiveDiffusionNode(node_id, config))
-    origin = simulator.node(source)
-    assert isinstance(origin, AdaptiveDiffusionNode)
-    origin.originate(payload_id)
-
-    total_nodes = graph.number_of_nodes()
-    while simulator.metrics.reach(payload_id) < total_nodes:
-        if simulator.now >= max_time or simulator.pending_events == 0:
-            break
-        simulator.run(until=simulator.now + config.round_interval)
-
-    metrics = simulator.metrics
-    return DiffusionRunResult(
-        messages=metrics.message_count(payload_id=payload_id),
-        payload_messages=metrics.message_count(kind="ad_payload", payload_id=payload_id),
-        reach=metrics.reach(payload_id),
-        completion_time=metrics.completion_time(payload_id)
-        if metrics.reach(payload_id) == total_nodes
-        else None,
-        rounds_executed=int(simulator.now / config.round_interval),
-        simulator=simulator,
-    )

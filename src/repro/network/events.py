@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Any, Callable, Iterator, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional
 
 
 class Event:
@@ -152,7 +152,7 @@ class EventQueue:
         """Schedule an opaque, non-cancellable ``item`` at ``time``.
 
         The fast path of the simulator: one tuple on the heap, no handle.
-        The caller of :meth:`pop_item` is responsible for knowing what the
+        The caller of :meth:`pop_entry` is responsible for knowing what the
         payload means.
         """
         if time < 0:
@@ -223,42 +223,6 @@ class EventQueue:
         if self._live > self.peak_live:
             self.peak_live = self._live
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the next live event's handle, or ``None``.
-
-        Items stored through :meth:`push_item` are returned wrapped in a
-        fresh (already-detached) handle so the legacy ``pop().action()``
-        idiom keeps working for callable payloads.
-        """
-        entry = self.pop_entry()
-        if entry is None:
-            return None
-        time, sequence, item = entry
-        if item.__class__ is Event:
-            return item
-        return Event(time, sequence, item)
-
-    def pop_item(self) -> Optional[Tuple[float, Any]]:
-        """Remove and return ``(time, payload)`` of the next live entry.
-
-        For entries made by :meth:`push`, the payload is the event's
-        ``action`` callable; for :meth:`push_item` entries it is the stored
-        item, verbatim.  Returns ``None`` when nothing live remains.
-        """
-        return self.pop_item_until(None)
-
-    def pop_item_until(
-        self, limit: Optional[float]
-    ) -> Optional[Tuple[float, Any]]:
-        """Like :meth:`pop_item`, but leave entries after ``limit`` queued."""
-        entry = self.pop_entry_until(limit)
-        if entry is None:
-            return None
-        time, _, item = entry
-        if item.__class__ is Event:
-            return time, item.action
-        return time, item
-
     def pop_entry_until(self, limit: Optional[float]) -> Optional[tuple]:
         """Remove and return the next live ``(time, sequence, item)`` entry,
         or ``None`` when none is due at or before ``limit`` (``None``: no
@@ -321,9 +285,12 @@ class EventQueue:
         return None if head is None else head[0]
 
     def pop_entry(self) -> Optional[tuple]:
-        """Remove and return the next live ``(time, sequence, item)`` entry.
+        """Remove and return the next live ``(time, sequence, item)`` entry,
+        or ``None`` when nothing live remains.
 
-        The raw-payload counterpart of :meth:`pop_item`; the sharded engine
-        keeps the sequence numbers as delivery ranks.
+        ``push`` entries come back as their :class:`Event`, already
+        detached, and ``push_item``/``push_entry`` ones as the stored item,
+        verbatim; the sharded engine keeps the sequence numbers as delivery
+        ranks.
         """
         return self.pop_entry_until(None)

@@ -7,13 +7,12 @@ loop:
 
 * ``flood`` / ``gossip`` — populate the overlay with the respective node
   behaviour, declared as a class so node objects are built only when
-  touched, and run one broadcast to quiescence;
+  touched; a broadcast runs to quiescence (the base class's default);
 * ``dandelion`` — additionally draws the epoch's stem successors from the
   session RNG (before any other session randomness, preserving the historic
   draw order);
-* ``adaptive_diffusion`` — drives the unbounded diffusion with the same
-  polling loop as :func:`repro.diffusion.adaptive.run_adaptive_diffusion`,
-  bounded by ``max_time``;
+* ``adaptive_diffusion`` — drives the unbounded diffusion in round-interval
+  steps, bounded by ``max_time``;
 * ``three_phase`` — wraps a long-lived
   :class:`~repro.core.orchestrator.ThreePhaseBroadcast` session
   (``shared_session = True``: the group directory is drawn once and reused
@@ -21,7 +20,9 @@ loop:
 
 All adapters accept the same :class:`~repro.network.conditions.NetworkConditions`,
 so "run every protocol under identical conditions" is simply passing the
-same object to each :meth:`build`.
+same object to each :meth:`build`.  The adapters are the one way to run a
+protocol: tests, claim benchmarks and the scenario layer all go through
+``create_protocol(name, **options)``, ``build`` and ``broadcast``.
 """
 
 from __future__ import annotations
@@ -117,16 +118,6 @@ class FloodProtocol(BroadcastProtocol):
         ))
         return session
 
-    def broadcast(
-        self,
-        session: ProtocolSession,
-        source: Hashable,
-        payload_id: Hashable,
-    ) -> SessionBroadcast:
-        session.simulator.node(source).originate(payload_id)
-        session.simulator.run_until_idle()
-        return self._collect(session, source, payload_id)
-
 
 @register_protocol
 class GossipProtocol(BroadcastProtocol):
@@ -154,16 +145,6 @@ class GossipProtocol(BroadcastProtocol):
             functools.partial(GossipNode, config=self.config)
         )
         return session
-
-    def broadcast(
-        self,
-        session: ProtocolSession,
-        source: Hashable,
-        payload_id: Hashable,
-    ) -> SessionBroadcast:
-        session.simulator.node(source).originate(payload_id)
-        session.simulator.run_until_idle()
-        return self._collect(session, source, payload_id)
 
 
 @register_protocol
@@ -198,16 +179,6 @@ class DandelionProtocol(BroadcastProtocol):
         )
         session.state["stem_successors"] = successors
         return session
-
-    def broadcast(
-        self,
-        session: ProtocolSession,
-        source: Hashable,
-        payload_id: Hashable,
-    ) -> SessionBroadcast:
-        session.simulator.node(source).originate(payload_id)
-        session.simulator.run_until_idle()
-        return self._collect(session, source, payload_id)
 
 
 @register_protocol

@@ -153,14 +153,22 @@ class BroadcastProtocol(abc.ABC):
         only affects wall-clock performance.
         """
 
-    @abc.abstractmethod
     def broadcast(
         self,
         session: ProtocolSession,
         source: Hashable,
         payload_id: Hashable,
     ) -> SessionBroadcast:
-        """Broadcast one payload from ``source`` and run it to quiescence."""
+        """Broadcast one payload from ``source`` and run it to quiescence.
+
+        The default originates at ``source``'s node, runs the simulator
+        until its queue drains and reads the outcome off the session's
+        metrics; adapters whose broadcast does not end by itself override
+        it.
+        """
+        session.simulator.node(source).originate(payload_id)
+        session.simulator.run_until_idle()
+        return self._collect(session, source, payload_id)
 
     # ------------------------------------------------------------------
     # Shared helpers for concrete adapters
@@ -170,7 +178,6 @@ class BroadcastProtocol(abc.ABC):
         session: ProtocolSession,
         source: Hashable,
         payload_id: Hashable,
-        messages: Optional[int] = None,
     ) -> SessionBroadcast:
         """Assemble a :class:`SessionBroadcast` from the session's metrics."""
         metrics = session.simulator.metrics
@@ -181,11 +188,7 @@ class BroadcastProtocol(abc.ABC):
             source=source,
             reach=reach,
             delivered_fraction=reach / total,
-            messages=(
-                metrics.message_count(payload_id=payload_id)
-                if messages is None
-                else messages
-            ),
+            messages=metrics.message_count(payload_id=payload_id),
             completion_time=(
                 metrics.completion_time(payload_id) if reach == total else None
             ),

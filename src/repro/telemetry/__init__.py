@@ -6,11 +6,15 @@ counter glossary and the trace-export workflow.
 
 Quick start::
 
+    from repro.network import NetworkConditions
+    from repro.protocols import create_protocol
     from repro.telemetry import TelemetryRecorder, recording
 
+    protocol = create_protocol("flood")
     recorder = TelemetryRecorder()
     with recording(recorder):
-        result = run_flood(overlay, source=0, seed=0)
+        session = protocol.build(overlay, NetworkConditions.ideal(), seed=0)
+        protocol.broadcast(session, 0, "tx")
     print(recorder.counters["events_dispatched"])
 """
 

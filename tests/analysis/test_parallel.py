@@ -12,8 +12,9 @@ import pytest
 
 from repro.analysis.parallel import ParallelSweep, run_parallel
 from repro.analysis.sweep import derive_seed, sweep
-from repro.broadcast.flood import run_flood
+from repro.network.conditions import NetworkConditions
 from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
 
 
 def seeded_runner(value, seed):
@@ -84,7 +85,11 @@ class TestParallelMatchesSerial:
 
         def flood_runner(size, seed):
             overlay = random_regular_overlay(int(size), degree=4, seed=seed)
-            result = run_flood(overlay, source=0, seed=seed)
+            protocol = create_protocol("flood")
+            session = protocol.build(
+                overlay, NetworkConditions.ideal(), seed=seed
+            )
+            result = protocol.broadcast(session, 0, "tx")
             return {
                 "messages": float(result.messages),
                 "reach": float(result.reach),

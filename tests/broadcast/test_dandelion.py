@@ -9,10 +9,14 @@ from repro.broadcast.dandelion import (
     DandelionConfig,
     DandelionNode,
     assign_stem_successors,
-    run_dandelion,
 )
+from repro.network.conditions import NetworkConditions
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
+
+IDEAL = NetworkConditions.ideal()
+STEM, FLUFF = DandelionNode.STEM_KIND, DandelionNode.FLUFF_KIND
 
 
 class TestConfig:
@@ -51,38 +55,55 @@ class TestStemSuccessors:
 class TestDandelionRun:
     def test_reaches_all_nodes(self):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_dandelion(graph, source=0, seed=1)
+        protocol = create_protocol("dandelion")
+        result = protocol.broadcast(protocol.build(graph, IDEAL, seed=1), 0, "tx")
         assert result.reach == 200
         assert result.completion_time is not None
 
     def test_has_stem_and_fluff_traffic(self):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_dandelion(
-            graph, source=0, config=DandelionConfig(fluff_probability=0.2), seed=3
+        protocol = create_protocol(
+            "dandelion", config=DandelionConfig(fluff_probability=0.2)
         )
-        assert result.fluff_messages > 0
-        assert result.stem_messages + result.fluff_messages == result.messages
+        session = protocol.build(graph, IDEAL, seed=3)
+        result = protocol.broadcast(session, 0, "tx")
+        metrics = session.simulator.metrics
+        stem = metrics.message_count(kind=STEM, payload_id="tx")
+        fluff = metrics.message_count(kind=FLUFF, payload_id="tx")
+        assert fluff > 0
+        assert stem + fluff == result.messages
 
     def test_stem_length_bounded(self):
         graph = random_regular_overlay(100, degree=6, seed=4)
         config = DandelionConfig(fluff_probability=0.01, max_stem_length=5)
-        result = run_dandelion(graph, source=0, config=config, seed=5)
+        protocol = create_protocol("dandelion", config=config)
+        session = protocol.build(graph, IDEAL, seed=5)
+        result = protocol.broadcast(session, 0, "tx")
         assert result.reach == 100
-        assert result.stem_messages <= 3 * 5  # a few stems may run concurrently
+        stem = session.simulator.metrics.message_count(kind=STEM, payload_id="tx")
+        assert stem <= 3 * 5  # a few stems may run concurrently
 
     def test_immediate_fluff_when_probability_one(self):
         graph = random_regular_overlay(50, degree=4, seed=6)
         config = DandelionConfig(fluff_probability=1.0)
-        result = run_dandelion(graph, source=0, config=config, seed=7)
-        assert result.stem_messages == 0
+        protocol = create_protocol("dandelion", config=config)
+        session = protocol.build(graph, IDEAL, seed=7)
+        result = protocol.broadcast(session, 0, "tx")
+        metrics = session.simulator.metrics
+        assert metrics.message_count(kind=STEM, payload_id="tx") == 0
         assert result.reach == 50
 
     def test_deterministic(self):
         graph = random_regular_overlay(100, degree=6, seed=8)
-        a = run_dandelion(graph, source=0, seed=9)
-        b = run_dandelion(graph, source=0, seed=9)
-        assert a.messages == b.messages
-        assert a.stem_messages == b.stem_messages
+        protocol = create_protocol("dandelion")
+        runs = []
+        for _ in range(2):
+            session = protocol.build(graph, IDEAL, seed=9)
+            result = protocol.broadcast(session, 0, "tx")
+            metrics = session.simulator.metrics
+            stem = metrics.message_count(kind=STEM, payload_id="tx")
+            runs.append((result.messages, stem))
+        assert runs[0] == runs[1]
 
 
 class TestDandelionNode:

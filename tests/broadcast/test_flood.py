@@ -3,22 +3,28 @@
 import networkx as nx
 import pytest
 
-from repro.broadcast.flood import FloodNode, run_flood
+from repro.broadcast.flood import FloodNode
+from repro.network.conditions import NetworkConditions
 from repro.network.message import Message
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
+
+IDEAL = NetworkConditions.ideal()
 
 
 class TestFloodNode:
     def test_reaches_all_nodes(self):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_flood(graph, source=0, seed=1)
+        protocol = create_protocol("flood")
+        result = protocol.broadcast(protocol.build(graph, IDEAL, seed=1), 0, "tx")
         assert result.reach == 200
         assert result.completion_time is not None
 
     def test_message_count_close_to_2e(self):
         graph = random_regular_overlay(200, degree=8, seed=0)
-        result = run_flood(graph, source=0, seed=1)
+        protocol = create_protocol("flood")
+        result = protocol.broadcast(protocol.build(graph, IDEAL, seed=1), 0, "tx")
         edges = graph.number_of_edges()
         assert graph.number_of_nodes() - 1 <= result.messages <= 2 * edges
 
@@ -62,6 +68,9 @@ class TestFloodNode:
 
     def test_deterministic(self):
         graph = random_regular_overlay(100, degree=6, seed=3)
-        a = run_flood(graph, source=5, seed=4)
-        b = run_flood(graph, source=5, seed=4)
+        protocol = create_protocol("flood")
+        a, b = (
+            protocol.broadcast(protocol.build(graph, IDEAL, seed=4), 5, "tx")
+            for _ in range(2)
+        )
         assert a.messages == b.messages

@@ -3,13 +3,13 @@
 import networkx as nx
 import pytest
 
-from repro.diffusion.adaptive import (
-    AdaptiveDiffusionConfig,
-    AdaptiveDiffusionNode,
-    run_adaptive_diffusion,
-)
+from repro.diffusion.adaptive import AdaptiveDiffusionConfig, AdaptiveDiffusionNode
+from repro.network.conditions import NetworkConditions
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay, regular_tree_overlay
+from repro.protocols import create_protocol
+
+IDEAL = NetworkConditions.ideal()
 
 
 def make_sim(graph, config=None, seed=0):
@@ -21,27 +21,36 @@ def make_sim(graph, config=None, seed=0):
 class TestAdaptiveDiffusionProtocol:
     def test_reaches_all_nodes_on_regular_graph(self):
         graph = random_regular_overlay(100, degree=6, seed=1)
-        result = run_adaptive_diffusion(graph, source=0, seed=2)
+        protocol = create_protocol("adaptive_diffusion")
+        result = protocol.broadcast(protocol.build(graph, IDEAL, seed=2), 0, "tx")
         assert result.reach == 100
         assert result.completion_time is not None
 
     def test_reaches_all_nodes_on_tree(self):
         graph = regular_tree_overlay(branching=3, depth=4)
-        result = run_adaptive_diffusion(graph, source=5, seed=3)
+        protocol = create_protocol("adaptive_diffusion")
+        result = protocol.broadcast(protocol.build(graph, IDEAL, seed=3), 5, "tx")
         assert result.reach == graph.number_of_nodes()
 
     def test_costs_more_messages_than_spanning_tree(self):
         graph = random_regular_overlay(100, degree=6, seed=1)
-        result = run_adaptive_diffusion(graph, source=0, seed=2)
+        protocol = create_protocol("adaptive_diffusion")
+        session = protocol.build(graph, IDEAL, seed=2)
+        result = protocol.broadcast(session, 0, "tx")
+        payload_messages = session.simulator.metrics.message_count(
+            kind="ad_payload", payload_id="tx"
+        )
         # At the very least every node but the source must receive the
         # payload once; adaptive diffusion adds control and duplicate traffic.
-        assert result.payload_messages >= 99
-        assert result.messages > result.payload_messages
+        assert payload_messages >= 99
+        assert result.messages > payload_messages
 
     def test_message_kinds_present(self):
         graph = random_regular_overlay(60, degree=4, seed=4)
-        result = run_adaptive_diffusion(graph, source=0, seed=5)
-        kinds = result.simulator.metrics.kinds()
+        protocol = create_protocol("adaptive_diffusion")
+        session = protocol.build(graph, IDEAL, seed=5)
+        protocol.broadcast(session, 0, "tx")
+        kinds = session.simulator.metrics.kinds()
         assert kinds.get("ad_payload", 0) > 0
         assert kinds.get("ad_spread", 0) > 0
         # The token must have been created at least once (originator hand-off).
@@ -49,8 +58,11 @@ class TestAdaptiveDiffusionProtocol:
 
     def test_deterministic_under_seed(self):
         graph = random_regular_overlay(60, degree=4, seed=4)
-        a = run_adaptive_diffusion(graph, source=0, seed=7)
-        b = run_adaptive_diffusion(graph, source=0, seed=7)
+        protocol = create_protocol("adaptive_diffusion")
+        a, b = (
+            protocol.broadcast(protocol.build(graph, IDEAL, seed=7), 0, "tx")
+            for _ in range(2)
+        )
         assert a.messages == b.messages
         assert a.completion_time == b.completion_time
 
@@ -117,5 +129,6 @@ class TestAdaptiveDiffusionProtocol:
 
     def test_run_respects_max_time(self):
         graph = random_regular_overlay(100, degree=4, seed=15)
-        result = run_adaptive_diffusion(graph, source=0, seed=16, max_time=0.5)
+        protocol = create_protocol("adaptive_diffusion", max_time=0.5)
+        result = protocol.broadcast(protocol.build(graph, IDEAL, seed=16), 0, "tx")
         assert result.reach < 100

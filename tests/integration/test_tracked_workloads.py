@@ -16,21 +16,21 @@ count, in the plain test run:
   Byzantine blame rounds) gives the same result when run twice on one
   overlay object, so a timed repeat measures the same work;
 * **ambient recording** — the recorder the telemetry-overhead step
-  installs with :func:`~repro.telemetry.recording` reaches ``run_flood``
-  and changes nothing it logs, so the overhead figure is neither hollow
-  nor bought with a different run.
+  installs with :func:`~repro.telemetry.recording` reaches a broadcast run
+  through the ``flood`` adapter and changes nothing it logs, so the
+  overhead figure is neither hollow nor bought with a different run.
 """
 
 import pytest
 
 from repro.analysis.experiment import run_attack_experiment
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import GossipConfig, run_gossip
+from repro.broadcast.flood import FloodNode
+from repro.broadcast.gossip import GossipConfig
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
-from repro.protocols import protocol_class
+from repro.protocols import create_protocol, protocol_class
 from repro.scenarios.runner import observation_log_digest
 from repro.telemetry import TelemetryRecorder, recording
 from repro.threat import AdaptiveMonitoringAdversary, ByzantineDCNetAdversary
@@ -92,31 +92,37 @@ class TestRepeatableWorkloads:
     )
     def test_flood(self, engine, shards):
         overlay = random_regular_overlay(300, degree=8, seed=9)
-        runs = [
-            run_flood(overlay, source=0, seed=0, engine=engine, shards=shards)
-            for _ in range(2)
-        ]
-        assert runs[0].simulator.engine_effective == engine
+        protocol = create_protocol("flood")
+        sessions, runs = [], []
+        for _ in range(2):
+            session = protocol.build(
+                overlay, NetworkConditions.ideal(), seed=0, engine=engine,
+                shards=shards,
+            )
+            runs.append(protocol.broadcast(session, 0, "tx"))
+            sessions.append(session)
+        assert sessions[0].simulator.engine_effective == engine
         assert runs[0].messages == runs[1].messages
         assert observation_log_digest(
-            runs[0].simulator
-        ) == observation_log_digest(runs[1].simulator)
+            sessions[0].simulator
+        ) == observation_log_digest(sessions[1].simulator)
 
     @pytest.mark.parametrize("engine", ["event", "batched"])
     def test_gossip(self, engine):
         overlay = random_regular_overlay(300, degree=8, seed=9)
-        runs = [
-            run_gossip(
-                overlay, source=0, config=GossipConfig(fanout=4), seed=0,
-                engine=engine,
+        protocol = create_protocol("gossip", config=GossipConfig(fanout=4))
+        sessions = []
+        for _ in range(2):
+            session = protocol.build(
+                overlay, NetworkConditions.ideal(), seed=0, engine=engine
             )
-            for _ in range(2)
-        ]
-        assert runs[0].simulator.engine_effective == engine
-        assert len(runs[0].simulator.store) == len(runs[1].simulator.store)
+            protocol.broadcast(session, 0, "tx")
+            sessions.append(session)
+        assert sessions[0].simulator.engine_effective == engine
+        assert len(sessions[0].simulator.store) == len(sessions[1].simulator.store)
         assert observation_log_digest(
-            runs[0].simulator
-        ) == observation_log_digest(runs[1].simulator)
+            sessions[0].simulator
+        ) == observation_log_digest(sessions[1].simulator)
 
     def test_attack_with_privacy_metrics(self):
         overlay = random_regular_overlay(120, degree=8, seed=43)
@@ -173,16 +179,22 @@ class TestAmbientRecording:
         [("event", None), ("batched", None), ("sharded", 2)],
         ids=["event", "batched", "sharded2"],
     )
-    def test_recording_reaches_run_flood_and_changes_nothing(
+    def test_recording_reaches_the_flood_adapter_and_changes_nothing(
         self, engine, shards
     ):
         overlay = random_regular_overlay(300, degree=8, seed=9)
-        plain = run_flood(overlay, source=0, seed=0, engine=engine,
-                          shards=shards)
+        protocol = create_protocol("flood")
+        conditions = NetworkConditions.ideal()
+        plain = protocol.build(
+            overlay, conditions, seed=0, engine=engine, shards=shards
+        )
+        protocol.broadcast(plain, 0, "tx")
         recorder = TelemetryRecorder()
         with recording(recorder):
-            recorded = run_flood(overlay, source=0, seed=0, engine=engine,
-                                 shards=shards)
+            recorded = protocol.build(
+                overlay, conditions, seed=0, engine=engine, shards=shards
+            )
+            protocol.broadcast(recorded, 0, "tx")
         assert recorded.simulator.engine_effective == engine
         assert recorder.counters["deliveries_recorded"] == len(
             recorded.simulator.store

@@ -22,8 +22,7 @@ import hashlib
 
 import pytest
 
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import run_gossip
+from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import (
     ConstantLatency,
@@ -33,6 +32,7 @@ from repro.network.latency import (
 )
 from repro.network.simulator import ENGINES, NO_COHORTS, Simulator
 from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
 
 
 def observation_digest(sim: Simulator) -> str:
@@ -84,15 +84,23 @@ class TestGoldenLogsBatched:
 
     def test_flood_log_unchanged(self):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_flood(overlay, source=0, seed=11, engine="batched")
-        assert observation_digest(result.simulator) == (
+        protocol = create_protocol("flood")
+        session = protocol.build(
+            overlay, NetworkConditions.ideal(), seed=11, engine="batched"
+        )
+        protocol.broadcast(session, 0, "tx")
+        assert observation_digest(session.simulator) == (
             "f4f67c74e1ab6a66909eea87966d0c547ef2bae70d1c9e5d50cc996786577723"
         )
 
     def test_gossip_log_unchanged(self):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_gossip(overlay, source=5, seed=12, engine="batched")
-        assert observation_digest(result.simulator) == (
+        protocol = create_protocol("gossip")
+        session = protocol.build(
+            overlay, NetworkConditions.ideal(), seed=12, engine="batched"
+        )
+        protocol.broadcast(session, 5, "tx")
+        assert observation_digest(session.simulator) == (
             "a7e2ffccad25a793a845c35ef15ac6dfe411d28e79a197fec790ce57899b47a7"
         )
 

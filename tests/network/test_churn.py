@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from repro.broadcast.flood import FloodNode, run_flood
+from repro.broadcast.flood import FloodNode
 from repro.network.churn import (
     ChurnEvent,
     ChurnSchedule,
     random_churn_schedule,
 )
+from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.message import Message
 from repro.network.simulator import Simulator
 from repro.network.topology import line_overlay, random_regular_overlay
+from repro.protocols import create_protocol
 
 
 def _flood_simulator(graph, seed=0):
@@ -211,7 +213,9 @@ class TestChurnDeterminism:
             ]
 
         overlay = random_regular_overlay(80, degree=8, seed=3)
-        plain = run_flood(overlay, source=0, seed=11)
+        protocol = create_protocol("flood")
+        plain = protocol.build(overlay, NetworkConditions.ideal(), seed=11)
+        protocol.broadcast(plain, 0, "tx")
 
         churned = Simulator(overlay, latency=ConstantLatency(0.1), seed=11)
         churned.populate(FloodNode)

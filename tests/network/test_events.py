@@ -15,7 +15,7 @@ class TestEventQueue:
         queue.push(2.0, lambda: fired.append("late"))
         queue.push(1.0, lambda: fired.append("early"))
         while queue:
-            queue.pop().action()
+            queue.pop_entry()[2].action()
         assert fired == ["early", "late"]
 
     def test_ties_broken_by_insertion_order(self):
@@ -24,7 +24,7 @@ class TestEventQueue:
         queue.push(1.0, lambda: fired.append("first"))
         queue.push(1.0, lambda: fired.append("second"))
         while queue:
-            queue.pop().action()
+            queue.pop_entry()[2].action()
         assert fired == ["first", "second"]
 
     def test_cancelled_events_are_skipped(self):
@@ -34,10 +34,10 @@ class TestEventQueue:
         queue.push(2.0, lambda: fired.append("kept"))
         event.cancel()
         while queue:
-            popped = queue.pop()
+            popped = queue.pop_entry()
             if popped is None:
                 break
-            popped.action()
+            popped[2].action()
         assert fired == ["kept"]
 
     def test_peek_time(self):
@@ -56,7 +56,7 @@ class TestEventQueue:
     def test_empty_queue(self):
         queue = EventQueue()
         assert not queue
-        assert queue.pop() is None
+        assert queue.pop_entry() is None
         assert queue.peek_time() is None
 
     def test_negative_time_rejected(self):
@@ -90,7 +90,7 @@ class TestLiveCount:
             event.cancel()
         assert len(queue) == 0
         assert not queue
-        assert queue.pop() is None
+        assert queue.pop_entry() is None
 
     def test_double_cancel_counts_once(self):
         queue = EventQueue()
@@ -104,11 +104,11 @@ class TestLiveCount:
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push(2.0, lambda: None)
-        popped = queue.pop()
-        assert popped is event
+        popped = queue.pop_entry()
+        assert popped[2] is event
         event.cancel()  # too late: it already fired
         assert len(queue) == 1
-        assert queue.pop() is not None
+        assert queue.pop_entry() is not None
         assert len(queue) == 0
 
     def test_pop_decrements(self):
@@ -116,9 +116,9 @@ class TestLiveCount:
         queue.push(1.0, lambda: None)
         queue.push_item(2.0, ("payload",))
         assert len(queue) == 2
-        queue.pop_item()
+        queue.pop_entry()
         assert len(queue) == 1
-        queue.pop_item()
+        queue.pop_entry()
         assert len(queue) == 0
 
 
@@ -128,34 +128,38 @@ class TestFastPathEntries:
         payload = ("receiver", "sender", "message", False)
         queue.push_item(1.5, payload)
         assert queue.peek_time() == 1.5
-        time, item = queue.pop_item()
+        time, _, item = queue.pop_entry()
         assert time == 1.5
         assert item is payload
 
-    def test_pop_wraps_item_in_handle(self):
+    def test_pop_entry_returns_item_verbatim(self):
+        # A callable item is the stored payload, not wrapped in a handle.
         queue = EventQueue()
         fired = []
-        queue.push_item(1.0, lambda: fired.append("ran"))
-        handle = queue.pop()
-        handle.action()
-        assert fired == ["ran"]
 
-    def test_pop_item_until_respects_limit(self):
+        def action():
+            fired.append("ran")
+
+        queue.push_item(1.0, action)
+        assert queue.pop_entry() == (1.0, 0, action)
+        assert fired == []
+
+    def test_pop_entry_until_respects_limit(self):
         queue = EventQueue()
         queue.push_item(1.0, "early")
         queue.push_item(3.0, "late")
-        assert queue.pop_item_until(2.0) == (1.0, "early")
-        assert queue.pop_item_until(2.0) is None
+        assert queue.pop_entry_until(2.0) == (1.0, 0, "early")
+        assert queue.pop_entry_until(2.0) is None
         assert len(queue) == 1  # the late entry is untouched
-        assert queue.pop_item_until(None) == (3.0, "late")
+        assert queue.pop_entry_until(None) == (3.0, 1, "late")
 
-    def test_pop_item_until_skips_cancelled(self):
+    def test_pop_entry_until_skips_cancelled(self):
         queue = EventQueue()
         event = queue.push(1.0, lambda: None)
         queue.push_item(2.0, "kept")
         event.cancel()
-        assert queue.pop_item_until(5.0) == (2.0, "kept")
-        assert queue.pop_item_until(5.0) is None
+        assert queue.pop_entry_until(5.0) == (2.0, 1, "kept")
+        assert queue.pop_entry_until(5.0) is None
 
     def test_negative_time_rejected_on_fast_path(self):
         queue = EventQueue()

@@ -10,6 +10,9 @@ observation logs.  Three layers of guard:
   (commit ``d067cb0``), so the engine swap is provably log-identical.  The
   scenarios avoid the DC-net pad generator, whose RNG stream intentionally
   changed (see ``repro/crypto/pads.py``); everything else is bit-for-bit.
+  The broadcasts run through the registered protocol adapters; the
+  dandelion and adaptive-diffusion digests were captured from the
+  standalone runners the adapters replaced (commit ``5beb1fb``).
 * **reference queue** — a verbatim copy of the old dataclass-based event
   queue is driven with the same randomized push/cancel schedule as the
   tuple-heap queue and must pop in the same order, ties and all.
@@ -23,12 +26,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import run_gossip
+import pytest
+
+from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
 from repro.network.events import EventQueue
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
 
 
 def observation_digest(simulator: Simulator) -> str:
@@ -52,21 +57,28 @@ def observation_digest(simulator: Simulator) -> str:
 
 
 class TestGoldenLogs:
-    """Digests captured on the pre-fast-path engine (seed commit d067cb0)."""
+    """Digests captured on the pre-fast-path engine (seed commit d067cb0),
+    and for dandelion and adaptive diffusion at commit 5beb1fb."""
 
-    def test_flood_log_unchanged(self):
+    @pytest.mark.parametrize(
+        ("name", "source", "seed", "expected"),
+        [
+            ("flood", 0, 11,
+             "f4f67c74e1ab6a66909eea87966d0c547ef2bae70d1c9e5d50cc996786577723"),
+            ("gossip", 5, 12,
+             "a7e2ffccad25a793a845c35ef15ac6dfe411d28e79a197fec790ce57899b47a7"),
+            ("dandelion", 0, 13,
+             "9f5fabae53541ce60f2509a343b60f033ea89c489b7ac792bb58855a844d47f6"),
+            ("adaptive_diffusion", 0, 14,
+             "edd0b605feb587c5a1242ba5a5d968998698f694b041c1da865028da7cc732cd"),
+        ],
+    )
+    def test_protocol_log_unchanged(self, name, source, seed, expected):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_flood(overlay, source=0, seed=11)
-        assert observation_digest(result.simulator) == (
-            "f4f67c74e1ab6a66909eea87966d0c547ef2bae70d1c9e5d50cc996786577723"
-        )
-
-    def test_gossip_log_unchanged(self):
-        overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_gossip(overlay, source=5, seed=12)
-        assert observation_digest(result.simulator) == (
-            "a7e2ffccad25a793a845c35ef15ac6dfe411d28e79a197fec790ce57899b47a7"
-        )
+        protocol = create_protocol(name)
+        session = protocol.build(overlay, NetworkConditions.ideal(), seed=seed)
+        protocol.broadcast(session, source, "tx")
+        assert observation_digest(session.simulator) == expected
 
     def test_lossy_jittery_log_unchanged(self):
         # Pins the dedicated link-RNG stream: loss and jitter draws must
@@ -141,22 +153,22 @@ class TestTupleHeapMatchesReferenceQueue:
                 fast_handles[victim][0].cancel()
                 reference_handles[victim][0].cancel()
             else:
-                fast_event = fast.pop()
+                fast_entry = fast.pop_entry()
                 reference_event = reference.pop()
-                if fast_event is None:
+                if fast_entry is None:
                     assert reference_event is None
                     continue
-                assert (fast_event.time, fast_event.sequence) == (
+                assert fast_entry[:2] == (
                     reference_event.time,
                     reference_event.sequence,
                 )
         # Drain: remaining live events must come out in the same order.
         while True:
-            fast_event, reference_event = fast.pop(), reference.pop()
-            if fast_event is None:
+            fast_entry, reference_event = fast.pop_entry(), reference.pop()
+            if fast_entry is None:
                 assert reference_event is None
                 break
-            assert (fast_event.time, fast_event.sequence) == (
+            assert fast_entry[:2] == (
                 reference_event.time,
                 reference_event.sequence,
             )
@@ -173,13 +185,13 @@ class TestTupleHeapMatchesReferenceQueue:
         queue.push_item(1.0, ("delivery", "tied-after-timer"))
         popped = []
         while True:
-            entry = queue.pop_item()
+            entry = queue.pop_entry()
             if entry is None:
                 break
             popped.append(entry)
-        assert [time for time, _ in popped] == [1.0, 1.0, 2.0]
-        assert popped[0][1] is handle.action
-        assert popped[1][1] == ("delivery", "tied-after-timer")
+        assert [time for time, _, _ in popped] == [1.0, 1.0, 2.0]
+        assert popped[0][2] is handle
+        assert popped[1][2] == ("delivery", "tied-after-timer")
 
 
 class TestSeedForSeedRepeatability:
@@ -187,11 +199,13 @@ class TestSeedForSeedRepeatability:
 
     def test_flood_runs_identical(self):
         overlay = random_regular_overlay(150, degree=6, seed=2)
-        first = run_flood(overlay, source=0, seed=5)
-        second = run_flood(overlay, source=0, seed=5)
-        assert observation_digest(first.simulator) == observation_digest(
-            second.simulator
-        )
+        protocol = create_protocol("flood")
+        digests = []
+        for _ in range(2):
+            session = protocol.build(overlay, NetworkConditions.ideal(), seed=5)
+            protocol.broadcast(session, 0, "tx")
+            digests.append(observation_digest(session.simulator))
+        assert digests[0] == digests[1]
 
     def test_lossy_runs_identical(self):
         overlay = random_regular_overlay(80, degree=6, seed=4)

@@ -33,8 +33,7 @@ import networkx as nx
 import pytest
 
 import repro.network.sharded as sharded_mod
-from repro.broadcast.flood import FloodNode, run_flood
-from repro.broadcast.gossip import run_gossip
+from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
@@ -45,6 +44,7 @@ from repro.network.sharded import (
     shard_assignment,
 )
 from repro.network.topology import as_overlay, random_regular_overlay
+from repro.protocols import create_protocol
 
 
 def observation_digest(sim: Simulator) -> str:
@@ -107,10 +107,13 @@ class TestGoldenLogsSharded:
 
     def test_flood_log_unchanged(self):
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_flood(
-            overlay, source=0, seed=11, engine="sharded", shards=2
+        protocol = create_protocol("flood")
+        session = protocol.build(
+            overlay, NetworkConditions.ideal(), seed=11, engine="sharded",
+            shards=2,
         )
-        assert observation_digest(result.simulator) == (
+        protocol.broadcast(session, 0, "tx")
+        assert observation_digest(session.simulator) == (
             "f4f67c74e1ab6a66909eea87966d0c547ef2bae70d1c9e5d50cc996786577723"
         )
 
@@ -118,10 +121,13 @@ class TestGoldenLogsSharded:
         # Gossip consumes per-node RNG, so the sharded engine must decline
         # the split and still hit the exact same golden in-process.
         overlay = random_regular_overlay(200, degree=8, seed=3)
-        result = run_gossip(
-            overlay, source=5, seed=12, engine="sharded", shards=2
+        protocol = create_protocol("gossip")
+        session = protocol.build(
+            overlay, NetworkConditions.ideal(), seed=12, engine="sharded",
+            shards=2,
         )
-        assert observation_digest(result.simulator) == (
+        protocol.broadcast(session, 5, "tx")
+        assert observation_digest(session.simulator) == (
             "a7e2ffccad25a793a845c35ef15ac6dfe411d28e79a197fec790ce57899b47a7"
         )
 
@@ -173,7 +179,12 @@ class TestPathSelection:
 
     def test_protocol_rng_falls_back(self, window_calls):
         overlay = random_regular_overlay(80, degree=4, seed=3)
-        run_gossip(overlay, source=0, seed=4, engine="sharded", shards=2)
+        protocol = create_protocol("gossip")
+        session = protocol.build(
+            overlay, NetworkConditions.ideal(), seed=4, engine="sharded",
+            shards=2,
+        )
+        protocol.broadcast(session, 0, "tx")
         assert window_calls == []
 
     def test_single_shard_falls_back(self, window_calls):

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from repro.threat.botnet import inject_supernodes
-from repro.broadcast.flood import FloodNode, run_flood
+from repro.broadcast.flood import FloodNode
 from repro.network import topology
+from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.topology import (
@@ -24,6 +25,7 @@ from repro.network.topology import (
     small_world_overlay,
     watts_strogatz_overlay,
 )
+from repro.protocols import create_protocol
 from repro.scenarios.runner import observation_log_digest
 
 
@@ -247,13 +249,18 @@ class TestOverlay:
         self, overlay, engine, shards
     ):
         indptr, indices = overlay.indptr, overlay.indices
-        first = run_flood(overlay, 0, seed=1, engine=engine, shards=shards)
-        assert first.simulator.engine_effective == engine
-        assert overlay.indptr is indptr and overlay.indices is indices
-        again = run_flood(
-            overlay.to_networkx(), 0, seed=1, engine=engine, shards=shards
-        )
-        assert again.simulator.engine_effective == engine
+        protocol = create_protocol("flood")
+        sessions = []
+        for graph in (overlay, overlay.to_networkx()):
+            session = protocol.build(
+                graph, NetworkConditions.ideal(), seed=1, engine=engine,
+                shards=shards,
+            )
+            protocol.broadcast(session, 0, "tx")
+            assert session.simulator.engine_effective == engine
+            assert overlay.indptr is indptr and overlay.indices is indices
+            sessions.append(session)
+        first, again = sessions
         assert observation_log_digest(first.simulator) == observation_log_digest(
             again.simulator
         )

@@ -21,10 +21,11 @@ from pathlib import Path
 from repro.threat.first_spy import FirstSpyEstimator
 from repro.analysis.experiment import run_attack_experiment
 from repro.broadcast.flood import FloodNode
-from repro.broadcast.gossip import run_gossip
+from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
+from repro.protocols import create_protocol
 from repro.scenarios import ScenarioRunner, scenario
 from repro.scenarios.runner import build_session, observation_log_digest
 from repro.telemetry import (
@@ -184,22 +185,28 @@ class TestFallbackSurface:
         # cannot split; the decline must be visible, not silent.
         recorder = TelemetryRecorder()
         overlay = random_regular_overlay(60, degree=4, seed=3)
+        protocol = create_protocol("gossip")
         with recording(recorder):
-            result = run_gossip(
-                overlay, source=0, seed=1, engine="sharded", shards=2
+            session = protocol.build(
+                overlay, NetworkConditions.ideal(), seed=1, engine="sharded",
+                shards=2,
             )
-        sim = result.simulator
+            protocol.broadcast(session, 0, "tx")
+        sim = session.simulator
         assert sim.engine_effective == "batched"
         assert sim.fallback_reason is not None
         assert recorder.fallbacks  # reason string counted
 
     def test_effective_engine_reported_without_telemetry(self):
         overlay = random_regular_overlay(60, degree=4, seed=3)
-        result = run_gossip(
-            overlay, source=0, seed=1, engine="sharded", shards=2
+        protocol = create_protocol("gossip")
+        session = protocol.build(
+            overlay, NetworkConditions.ideal(), seed=1, engine="sharded",
+            shards=2,
         )
-        assert result.simulator.engine_effective == "batched"
-        assert "rng" in result.simulator.fallback_reason
+        protocol.broadcast(session, 0, "tx")
+        assert session.simulator.engine_effective == "batched"
+        assert "rng" in session.simulator.fallback_reason
 
     def test_scenario_aggregate_carries_engine_effective(self):
         spec = scenario("e1_message_overhead")
