@@ -108,23 +108,24 @@ class DandelionNode(Node):
         self.mark_delivered(payload_id)
         self._stem_or_fluff(payload_id, hops=0)
 
-    def on_message(self, sender: Hashable, message: Message) -> None:
+    def _on_stem(self, sender: Hashable, message: Message) -> None:
         payload_id = message.payload_id
-        if message.kind == self.STEM_KIND:
-            if payload_id not in self._seen:
-                self._seen.add(payload_id)
-                self.mark_delivered(payload_id)
-            self._stem_or_fluff(payload_id, hops=message.body["hops"])
-        elif message.kind == self.FLUFF_KIND:
-            if payload_id in self._seen and payload_id in self.fluff_started:
-                return  # prune
-            if payload_id not in self._seen:
-                self._seen.add(payload_id)
-                self.mark_delivered(payload_id)
-            self.fluff_started.setdefault(payload_id, sender)
-            self._flood(payload_id, exclude=sender)
-        else:
-            raise ValueError(f"unexpected message kind {message.kind!r}")
+        if payload_id not in self._seen:
+            self._seen.add(payload_id)
+            self.mark_delivered(payload_id)
+        self._stem_or_fluff(payload_id, hops=message.body["hops"])
+
+    def _on_fluff(self, sender: Hashable, message: Message) -> None:
+        payload_id = message.payload_id
+        if payload_id in self._seen and payload_id in self.fluff_started:
+            return  # prune
+        if payload_id not in self._seen:
+            self._seen.add(payload_id)
+            self.mark_delivered(payload_id)
+        self.fluff_started.setdefault(payload_id, sender)
+        self._flood(payload_id, exclude=sender)
+
+    HANDLERS = {STEM_KIND: _on_stem, FLUFF_KIND: _on_fluff}
 
     # ------------------------------------------------------------------
     # Internals

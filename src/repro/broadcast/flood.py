@@ -39,20 +39,13 @@ class FloodNode(PeerStateNode):
         self.mark_delivered(payload_id)
         self._forward(payload_id, exclude=None)
 
-    def on_message(self, sender: Hashable, message: Message) -> None:
-        if message.kind != self.MESSAGE_KIND:
-            self.on_unhandled_message(sender, message)
-            return
+    def _on_flood(self, sender: Hashable, message: Message) -> None:
         if not self._first_sight(message.payload_id):
             return  # prune
         self.mark_delivered(message.payload_id)
         self._forward(message.payload_id, exclude=sender)
 
-    def on_unhandled_message(self, sender: Hashable, message: Message) -> None:
-        """Hook for subclasses that mix flooding with other message kinds."""
-        raise ValueError(
-            f"unexpected message kind {message.kind!r} at node {self.node_id!r}"
-        )
+    HANDLERS = {MESSAGE_KIND: _on_flood}
 
     def _forward(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
         message = Message(

@@ -54,13 +54,13 @@ class GossipNode(PeerStateNode):
         self.mark_delivered(payload_id)
         self._forward(payload_id, exclude=None)
 
-    def on_message(self, sender: Hashable, message: Message) -> None:
-        if message.kind != self.MESSAGE_KIND:
-            raise ValueError(f"unexpected message kind {message.kind!r}")
+    def _on_gossip(self, sender: Hashable, message: Message) -> None:
         if not self._first_sight(message.payload_id):
             return
         self.mark_delivered(message.payload_id)
         self._forward(message.payload_id, exclude=sender)
+
+    HANDLERS = {MESSAGE_KIND: _on_gossip}
 
     def _forward(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
         candidates = [peer for peer in self.neighbours if peer != exclude]

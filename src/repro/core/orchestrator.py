@@ -26,6 +26,7 @@ from repro.core.phases import Phase, PhaseTimeline
 from repro.core.protocol import ThreePhaseNode
 from repro.core.transitions import select_virtual_source
 from repro.dcnet.group_session import DCNetGroupSession
+from repro.diffusion.adaptive import AdaptiveDiffusionNode
 from repro.groups.directory import GroupDirectory
 from repro.network.conditions import NetworkConditions
 from repro.network.message import Message
@@ -305,7 +306,7 @@ class ThreePhaseBroadcast:
             ),
             Phase.ADAPTIVE_DIFFUSION: sum(
                 metrics.message_count(kind=kind, payload_id=payload_id)
-                for kind in ("ad_payload", "ad_spread", "ad_token", "ad_final")
+                for kind in AdaptiveDiffusionNode.HANDLERS
             ),
             Phase.FLOOD: metrics.message_count(
                 kind=ThreePhaseNode.FLOOD_KIND, payload_id=payload_id

@@ -10,6 +10,9 @@ pieces the combined protocol adds on top:
   the node switches to flood-and-prune and pushes the payload to all its
   neighbours; plain ``flood`` messages are handled with the usual
   first-reception-forwards rule.
+
+:attr:`ThreePhaseNode.HANDLERS` is the adaptive-diffusion table between
+the Phase-1 and Phase-3 kinds: the protocol's wire kinds, in phase order.
 """
 
 from __future__ import annotations
@@ -57,30 +60,26 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
     # ------------------------------------------------------------------
     # Message handling for the kinds adaptive diffusion does not know
     # ------------------------------------------------------------------
-    def on_unhandled_message(self, sender: Hashable, message: Message) -> None:
-        if message.kind == self.DC_KIND:
-            # Phase-1 share traffic: indistinguishable random bytes to anyone
-            # but the group members, who obtain the payload through
-            # :meth:`learn_from_group`.  Nothing to do here.
-            return
-        if message.kind == self.FLOOD_KIND:
-            self._handle_flood(sender, message)
-            return
-        super().on_unhandled_message(sender, message)
+    def _handle_dc(self, sender: Hashable, message: Message) -> None:
+        """Phase-1 share traffic: indistinguishable random bytes to anyone
+        but the group members, who obtain the payload through
+        :meth:`learn_from_group`.  Nothing to do here."""
 
     def _handle_flood(self, sender: Hashable, message: Message) -> None:
         payload_id = message.payload_id
-        state = self._state(payload_id)
-        first_delivery = state.note_received(sender, self.now)
-        if first_delivery:
+        if self._state(payload_id).note_received(sender, self.now):
             self.mark_delivered(payload_id)
-        if payload_id in self._flooded:
-            return  # prune
-        if first_delivery:
             self._start_flood(payload_id, exclude=sender)
-        # Nodes that already obtained the payload in an earlier phase do not
-        # re-flood on reception: the nodes that must switch to flooding are
-        # reached by the final spreading request instead.
+        # Nodes that already obtained the payload in an earlier phase (every
+        # node that flooded did) do not re-flood on reception: the nodes
+        # that must switch to flooding are reached by the final spreading
+        # request instead.
+
+    HANDLERS = {
+        DC_KIND: _handle_dc,
+        **AdaptiveDiffusionNode.HANDLERS,
+        FLOOD_KIND: _handle_flood,
+    }
 
     def _start_flood(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
         if payload_id in self._flooded:

@@ -25,6 +25,8 @@ Message kinds used on the wire:
 * ``ad_final`` — the "final spreading request" the last virtual source emits
   after ``d`` rounds; subclasses (the three-phase protocol) switch to flood
   and prune when it arrives.
+
+:attr:`AdaptiveDiffusionNode.HANDLERS` maps each of them to its handler.
 """
 
 from __future__ import annotations
@@ -126,24 +128,6 @@ class AdaptiveDiffusionNode(Node):
     # ------------------------------------------------------------------
     # Message handling
     # ------------------------------------------------------------------
-    def on_message(self, sender: Hashable, message: Message) -> None:
-        if message.kind == "ad_payload":
-            self._handle_payload(sender, message)
-        elif message.kind == "ad_spread":
-            self._handle_spread(sender, message)
-        elif message.kind == "ad_token":
-            self._handle_token(sender, message)
-        elif message.kind == "ad_final":
-            self._handle_final(sender, message)
-        else:
-            self.on_unhandled_message(sender, message)
-
-    def on_unhandled_message(self, sender: Hashable, message: Message) -> None:
-        """Hook for subclasses adding further message kinds."""
-        raise ValueError(
-            f"unexpected message kind {message.kind!r} at node {self.node_id!r}"
-        )
-
     def _handle_payload(self, sender: Hashable, message: Message) -> None:
         state = self._state(message.payload_id)
         if state.note_received(sender, self.now):
@@ -190,6 +174,13 @@ class AdaptiveDiffusionNode(Node):
             state.note_received(sender, self.now)
             self.mark_delivered(payload_id)
         self._send_final(payload_id, state, dict(message.body))
+
+    HANDLERS = {
+        "ad_payload": _handle_payload,
+        "ad_spread": _handle_spread,
+        "ad_token": _handle_token,
+        "ad_final": _handle_final,
+    }
 
     # ------------------------------------------------------------------
     # Virtual source rounds

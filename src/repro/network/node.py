@@ -3,7 +3,8 @@
 A :class:`Node` encapsulates *what a peer does* when a message arrives; the
 :class:`~repro.network.simulator.Simulator` owns time, topology and delivery.
 Every dissemination protocol in this library (flood, gossip, Dandelion,
-adaptive diffusion, the three-phase protocol) subclasses :class:`Node`.
+adaptive diffusion, the three-phase protocol) subclasses :class:`Node` and
+declares its wire kinds once, as the keys of its ``HANDLERS`` table.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Callable,
+    ClassVar,
+    Dict,
     Hashable,
     Iterable,
     NoReturn,
@@ -28,10 +31,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 class Node:
     """A peer participating in the overlay.
 
-    Subclasses override :meth:`on_message` (mandatory) and optionally
-    :meth:`on_start`.  Outgoing traffic goes through :meth:`send` /
-    :meth:`send_all` / :meth:`send_direct`, timers through :meth:`schedule`.
+    Subclasses declare ``HANDLERS``, one ``{kind: function}`` entry per
+    message kind they accept (a subclass extends its parent's table with a
+    dict merge), and optionally override :meth:`on_start`.  Outgoing
+    traffic goes through :meth:`send` / :meth:`send_all` /
+    :meth:`send_direct`, timers through :meth:`schedule`.
     """
+
+    #: Message kind -> ``handler(node, sender, message)``; the keys are the
+    #: node's wire kinds, in the order its protocol declares them.
+    HANDLERS: ClassVar[Dict[str, Callable[..., None]]] = {}
 
     def __init__(self, node_id: Hashable) -> None:
         self.node_id = node_id
@@ -120,8 +129,15 @@ class Node:
         """Called once when the simulation starts.  Default: do nothing."""
 
     def on_message(self, sender: Hashable, message: Message) -> None:
-        """Handle a delivered message.  Subclasses must override this."""
-        raise NotImplementedError
+        """Hand a delivered message to the handler of its kind."""
+        try:
+            handler = self.HANDLERS[message.kind]
+        except KeyError:
+            raise ValueError(
+                f"unexpected message kind {message.kind!r} at node "
+                f"{self.node_id!r}"
+            ) from None
+        handler(self, sender, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(node_id={self.node_id!r})"

@@ -52,10 +52,6 @@ from repro.protocols.base import (
 )
 from repro.protocols.registry import register_protocol
 
-#: Message kinds of the adaptive-diffusion wire protocol (also reused by the
-#: three-phase protocol for its Phase 2).
-_AD_KINDS = ("ad_payload", "ad_spread", "ad_token", "ad_final")
-
 
 def _build_session(
     protocol: BroadcastProtocol,
@@ -97,7 +93,7 @@ class FloodProtocol(BroadcastProtocol):
     """Flood-and-prune: the efficiency baseline (and Phase 3 semantics)."""
 
     name = "flood"
-    message_kinds = (FloodNode.MESSAGE_KIND,)
+    message_kinds = tuple(FloodNode.HANDLERS)
 
     def __init__(self, payload_size_bytes: int = 256) -> None:
         self.payload_size_bytes = payload_size_bytes
@@ -124,7 +120,7 @@ class GossipProtocol(BroadcastProtocol):
     """Probabilistic gossip: the low-overhead, incomplete-delivery baseline."""
 
     name = "gossip"
-    message_kinds = (GossipNode.MESSAGE_KIND,)
+    message_kinds = tuple(GossipNode.HANDLERS)
     config_class = GossipConfig
 
     def __init__(self, config: Optional[GossipConfig] = None) -> None:
@@ -152,7 +148,7 @@ class DandelionProtocol(BroadcastProtocol):
     """Dandelion stem/fluff: the topological privacy baseline."""
 
     name = "dandelion"
-    message_kinds = (DandelionNode.STEM_KIND, DandelionNode.FLUFF_KIND)
+    message_kinds = tuple(DandelionNode.HANDLERS)
     config_class = DandelionConfig
 
     def __init__(self, config: Optional[DandelionConfig] = None) -> None:
@@ -193,7 +189,7 @@ class AdaptiveDiffusionProtocol(BroadcastProtocol):
     """
 
     name = "adaptive_diffusion"
-    message_kinds = _AD_KINDS
+    message_kinds = tuple(AdaptiveDiffusionNode.HANDLERS)
     config_class = AdaptiveDiffusionConfig
     extra_option_keys = ("max_time",)
 
@@ -250,9 +246,7 @@ class ThreePhaseProtocol(BroadcastProtocol):
     """
 
     name = "three_phase"
-    message_kinds = (ThreePhaseNode.DC_KIND,) + _AD_KINDS + (
-        ThreePhaseNode.FLOOD_KIND,
-    )
+    message_kinds = tuple(ThreePhaseNode.HANDLERS)
     shared_session = True
     config_class = ProtocolConfig
 

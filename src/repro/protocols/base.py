@@ -92,7 +92,8 @@ class BroadcastProtocol(abc.ABC):
 
     #: Registry name of the protocol (set by concrete adapters).
     name: ClassVar[str] = ""
-    #: Message kinds the protocol emits on the wire.
+    #: Message kinds the protocol emits on the wire: the keys of its node
+    #: class's ``HANDLERS`` table.
     message_kinds: ClassVar[Tuple[str, ...]] = ()
     #: Whether many broadcasts share one session (see module docstring).
     shared_session: ClassVar[bool] = False

@@ -128,6 +128,16 @@ class ConditionsSpec:
                 f"unknown conditions kind {self.kind!r} "
                 "(expected 'ideal' or 'internet_like')"
             )
+        # The checks ``build()`` would make, so a bad value fails at load,
+        # not after the topology of a run was built.
+        if self.kind == "ideal" and self.delay <= 0:
+            raise ValueError("latency must be positive")
+        if self.kind == "internet_like" and not 0 < self.low <= self.high:
+            raise ValueError("need 0 < low <= high")
+        if not 0.0 <= self.loss_probability <= 1.0:
+            raise ValueError("loss probability must be in [0, 1]")
+        if self.jitter < 0.0:
+            raise ValueError("jitter must be non-negative")
 
     def build(self) -> NetworkConditions:
         """Instantiate the :class:`NetworkConditions` this spec describes."""

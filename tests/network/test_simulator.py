@@ -377,8 +377,10 @@ class TestMessage:
             assert copy.deepcopy(msg) == msg
 
     def test_unimplemented_on_message(self):
+        # A bare Node declares no kinds: every message is undeclared.
         node = Node("x")
-        with pytest.raises(NotImplementedError):
+        assert Node.HANDLERS == {}
+        with pytest.raises(ValueError, match="kind 'a' at node 'x'"):
             node.on_message(None, Message(kind="a", payload_id="t"))
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import NetworkConditions
+from repro.network.message import Message
 from repro.network.topology import random_regular_overlay
 from repro.protocols import (
     BroadcastProtocol,
@@ -78,6 +79,31 @@ class TestAdapterInterface:
         three_phase = create_protocol("three_phase")
         assert "dc_exchange" in three_phase.message_kinds
         assert "flood" in three_phase.message_kinds
+
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_undeclared_kind_fails_loudly(self, overlay, name):
+        session = create_protocol(name).build(
+            overlay, NetworkConditions.ideal(), seed=1
+        )
+        with pytest.raises(ValueError) as excinfo:
+            session.simulator.node(7).on_message(
+                3, Message(kind="bogus", payload_id="tx")
+            )
+        assert "'bogus'" in str(excinfo.value)
+        assert "node 7" in str(excinfo.value)
+
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_every_logged_kind_is_declared(self, name):
+        protocol = create_protocol(name)
+        session = protocol.build(
+            random_regular_overlay(60, degree=4, seed=2),
+            NetworkConditions.ideal(), seed=3,
+        )
+        protocol.broadcast(session, 0, "tx")
+        logged = set(session.simulator.store.kind_counts())
+        assert logged <= set(protocol.message_kinds)
+        if name == "three_phase":
+            assert "dc_exchange" in logged  # the Phase-1 rows
 
     def test_anonymity_floors(self):
         assert create_protocol("flood").anonymity_floor() == 1

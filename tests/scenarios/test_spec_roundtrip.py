@@ -91,6 +91,32 @@ class TestConditionsSpec:
         with pytest.raises(ValueError):
             ConditionsSpec(kind="quantum")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"kind": "ideal", "delay": 0}, "latency must be positive"),
+            ({"kind": "ideal", "delay": -1.0}, "latency must be positive"),
+            ({"low": 0.0}, "need 0 < low <= high"),
+            ({"low": 0.3, "high": 0.05}, "need 0 < low <= high"),
+            ({"loss_probability": -0.1}, "loss probability must be in"),
+            ({"loss_probability": 1.5}, "loss probability must be in"),
+            ({"jitter": -0.01}, "jitter must be non-negative"),
+        ],
+    )
+    def test_bad_field_rejected_at_load(self, fields, message):
+        # The same check build() makes, but before a run builds its topology.
+        with pytest.raises(ValueError, match=message):
+            ConditionsSpec(**fields)
+        data = FULL_SPEC.to_dict()
+        data["conditions"] = {**data["conditions"], **fields}
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec.from_dict(data)
+
+    def test_fields_of_the_other_kind_are_not_checked(self):
+        # ``delay`` is unused by internet_like, ``low``/``high`` by ideal.
+        assert ConditionsSpec(kind="internet_like", delay=0).build()
+        assert ConditionsSpec(kind="ideal", low=0.3, high=0.05).build()
+
     def test_internet_like_matches_default_conditions_draws(self):
         # The spec's "internet_like" must be draw-for-draw equal to the
         # historical NetworkConditions() default — that equivalence is what
