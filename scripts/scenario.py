@@ -104,8 +104,30 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _input_error(error: Exception) -> int:
+    """Report a bad name or spec as one ``error:`` line, not a traceback."""
+    print(f"error: {error.args[0]}", file=sys.stderr)
+    return 2
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}"
+        )
+    return value
+
+
 def _cmd_describe(args: argparse.Namespace) -> int:
-    print(scenario(args.name).to_json(indent=2))
+    try:
+        spec = scenario(args.name)
+    except ValueError as error:
+        return _input_error(error)
+    print(spec.to_json(indent=2))
     return 0
 
 
@@ -145,8 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.shards is not None:
             spec = spec.derive(shards=args.shards)
     except (ValueError, TypeError) as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
+        return _input_error(error)
     if args.no_privacy:
         spec = spec.derive(privacy=PrivacySpec(enabled=False))
     runner = ScenarioRunner(
@@ -224,7 +245,7 @@ def main(argv: Optional[list] = None) -> int:
         help="write the structured result (spec, runs, digest) here",
     )
     run_parser.add_argument(
-        "--repetitions", type=int, default=None,
+        "--repetitions", type=_positive_int, default=None,
         help="override the spec's repetition count",
     )
     run_parser.add_argument(
@@ -265,7 +286,7 @@ def main(argv: Optional[list] = None) -> int:
         help="skip the anonymity metrics (detection metrics only)",
     )
     run_parser.add_argument(
-        "--processes", type=int, default=None,
+        "--processes", type=_positive_int, default=None,
         help="worker processes for the repetition fan-out (1 = serial)",
     )
     run_parser.set_defaults(func=_cmd_run)

@@ -1,38 +1,20 @@
-"""Table-driven CRC-32 used to detect DC-net collisions.
+"""CRC-32 framing used to detect DC-net collisions.
 
 The paper notes (Section III-B and V-A) that DC-net payloads *"should carry
 CRC bits or a similar protection"* so that simultaneous senders — whose XORed
-payloads produce garbage — are detected and can retry with a backoff.  This
-module implements the standard CRC-32 (IEEE 802.3, reflected polynomial
-``0xEDB88320``) from scratch so the library carries no hidden dependencies
-for its integrity checks.
+payloads produce garbage — are detected and can retry with a backoff.  The
+checksum is the standard CRC-32 (IEEE 802.3, reflected polynomial
+``0xEDB88320``) as the standard library's :func:`zlib.crc32` computes it;
+this module adds the incremental interface and the 4-byte framing.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-#: Reflected generator polynomial of CRC-32 (IEEE 802.3).
-_POLYNOMIAL = 0xEDB88320
+import zlib
+from typing import Tuple
 
 #: Number of bytes a CRC-32 checksum occupies when framed onto a payload.
 CRC_BYTES = 4
-
-
-def _build_table() -> List[int]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _POLYNOMIAL
-            else:
-                crc >>= 1
-        table.append(crc)
-    return table
-
-
-_TABLE = _build_table()
 
 
 class CRC32:
@@ -47,18 +29,15 @@ class CRC32:
     """
 
     def __init__(self) -> None:
-        self._value = 0xFFFFFFFF
+        self._value = 0
 
     def update(self, data: bytes) -> None:
         """Feed ``data`` into the running checksum."""
-        value = self._value
-        for byte in data:
-            value = _TABLE[(value ^ byte) & 0xFF] ^ (value >> 8)
-        self._value = value
+        self._value = zlib.crc32(data, self._value)
 
     def digest(self) -> int:
         """Return the checksum of all data fed so far."""
-        return self._value ^ 0xFFFFFFFF
+        return self._value
 
 
 def crc32(data: bytes) -> int:

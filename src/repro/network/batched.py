@@ -25,6 +25,9 @@ deliveries that share a timestamp — a *cohort* — as numpy arrays:
   implemented per protocol (``FloodCohortKernel`` in
   :mod:`repro.broadcast.flood`, ``GossipCohortKernel`` in
   :mod:`repro.broadcast.gossip`).
+* :func:`process_cohort` — the cohort branch of ``Simulator._run_impl``'s
+  one run loop: it gathers the kernel deliveries due at one timestamp, in
+  queue order, into per-payload runs for the kernel.
 
 Where cohorts can form.  Deliveries share a timestamp only when every
 overlay send takes the same time, so a kernel engages only under a
@@ -56,7 +59,6 @@ from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.events import Event
 from repro.network.topology import Overlay, csr_row_positions
 
 logger = logging.getLogger(__name__)
@@ -413,113 +415,24 @@ def kernel_for(simulator) -> Optional[CohortKernel]:
     return None
 
 
-# ----------------------------------------------------------------------
-# The batched run loop
-# ----------------------------------------------------------------------
-def run_batched(simulator, kernel, until, max_events) -> float:
-    """The batched counterpart of ``Simulator.run``'s event loop.
-
-    Walks the one event queue in ``(time, sequence)`` order.  Contiguous
-    kernel-eligible deliveries — delivery blocks and overlay tuples of the
-    kernel's kind — are assembled into cohorts and handed to the kernel;
-    timers, direct sends and foreign message kinds are processed per item,
-    event-engine style, so every interleaving (churn timers firing between
-    same-time deliveries) is preserved exactly.
-    """
-    executed = 0
-    event_cap = float("inf") if max_events is None else max_events
-    hit_event_limit = False
-    queue = simulator._queue
-    kind = kernel.kind
-    # One attribute load per run; the disabled path then pays a single
-    # ``is not None`` test per *cohort* (not per event).
-    telemetry = simulator._telemetry
-    while True:
-        entry = queue.peek_entry()
-        if entry is None:
-            break
-        time, _, item = entry
-        if until is not None and time > until:
-            break
-        if executed >= event_cap:
-            hit_event_limit = True
-            break
-        if time > simulator._now:
-            simulator._now = time
-        batchable = item.__class__ is DeliveryBlock or (
-            item.__class__ is tuple and not item[3] and item[2].kind == kind
-        )
-        if batchable:
-            consumed = _process_cohort(simulator, kernel, time)
-            executed += consumed
-            if telemetry is not None:
-                telemetry.incr("cohorts")
-                telemetry.observe("cohort_size", consumed)
-                telemetry.gauge_max(
-                    "live_events_peak", simulator.pending_events
-                )
-        else:
-            executed += _step_single(simulator, kernel, item)
-    simulator._last_executed = executed
-    if until is not None and not hit_event_limit:
-        simulator._now = max(simulator._now, until)
-    return simulator._now
-
-
-def _deliver(simulator, time, receiver, sender, message, direct) -> None:
-    """Deliver one message event-engine style: churn drops, record, dispatch."""
-    offline = simulator._offline
-    if offline and receiver in offline:
-        simulator._churn_dropped += 1
-        return
-    severed = simulator._severed
-    if severed and not direct and frozenset((sender, receiver)) in severed:
-        simulator._churn_dropped += 1
-        return
-    simulator._record(time, receiver, sender, message, direct)
-    simulator.node(receiver).on_message(sender, message)
-
-
-def _step_single(simulator, kernel, item) -> int:
-    """Pop the head entry (``item``, as peeked) and process it per message."""
-    queue = simulator._queue
-    if item.__class__ is DeliveryBlock:
-        queue.pop_block()
-        kernel.refresh()
-        ids = kernel._topology.ids
-        for r, s, message in zip(
-            item.receivers.tolist(), item.senders.tolist(),
-            item.messages.tolist(),
-        ):
-            _deliver(simulator, simulator._now, ids[r], ids[s], message, False)
-        return item.size
-    queue.pop_entry()
-    if item.__class__ is tuple:
-        receivers, sender, message, direct = item
-        # The pop counted off one delivery; each counts off itself.
-        queue._live += 1
-        for receiver in receivers:
-            queue._live -= 1
-            _deliver(simulator, simulator._now, receiver, sender, message, direct)
-        return len(receivers)
-    if item.__class__ is Event:
-        item.action()
-    else:
-        item()
-    return 1
-
-
-def _process_cohort(simulator, kernel, time: float) -> int:
-    """Assemble and process every batchable entry at ``time``.
+def process_cohort(simulator, kernel, until: Optional[float]) -> int:
+    """The cohort branch of ``Simulator._run_impl``'s loop: assemble and
+    process every batchable entry due at the head entry's time.
 
     Entries are consumed strictly in queue order and stop at the first
     timer, direct send, foreign kind or unknown endpoint — those are
-    handled per item by the caller on its next iteration, preserving the
-    event engine's interleaving.
+    delivered per item by the loop, preserving the event path's
+    interleaving.  Returns the deliveries consumed (churn drops included);
+    0 when the head is not due by ``until`` or cannot join a cohort, and
+    the loop then takes it per item.
     """
+    queue = simulator._queue
+    head = queue.peek_entry()
+    if head is None or (until is not None and head[0] > until):
+        return 0
+    time = head[0]
     kernel.refresh()
     index = kernel.index
-    queue = simulator._queue
     kind = kernel.kind
 
     # Each segment: (payload_id, receivers, senders, messages, sizes,
@@ -560,9 +473,9 @@ def _process_cohort(simulator, kernel, time: float) -> int:
         last[4].extend([message.size_bytes] * size)
 
     if not segments:
-        # The head was same-time but not assemblable after all (unknown
-        # endpoint on the very first entry): fall back to one single step.
-        return _step_single(simulator, kernel, entry[2])
+        return 0
+    if time > simulator._now:
+        simulator._now = time
 
     executed = 0
     count = len(segments)

@@ -14,8 +14,9 @@ by construction.
 Exactness, not approximation.  The sharded engine must be seed-for-seed
 identical to the event and batched engines, so the multi-process path only
 runs for configurations where that can be guaranteed and *everything else
-stays in-process* on :func:`repro.network.batched.run_batched` (which is
-itself exact).  ``Simulator._choose_path`` makes that call before anything
+stays in-process* on ``Simulator``'s one run loop with its cohort branch
+(:func:`repro.network.batched.process_cohort`) bound, which is itself
+exact.  ``Simulator._choose_path`` makes that call before anything
 is consumed; by the time :func:`run_sharded` is entered the run is known to
 have:
 

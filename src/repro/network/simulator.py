@@ -842,12 +842,13 @@ class Simulator:
         of spinning on a stuck clock.  A ``max_events`` exit leaves the clock
         at the last executed event.
 
-        Engine note: the event loop stops exactly at ``max_events``.  The
-        cohort paths check the cap between cohorts (windows, when sharded):
-        a run finishes the cohort in which the cap falls and starts no
-        other, so it executes exactly the events up to the first cohort
-        boundary at or past the cap — less than one cohort of overshoot.
-        ``until`` semantics are identical on every path.
+        Engine note: one loop runs the ``event`` and ``batched`` paths, and
+        it checks ``max_events`` before every per-message delivery and
+        every cohort, so per-message work stops exactly at the cap.  A
+        cohort (a window, when sharded) is never split: a run finishes the
+        one in which the cap falls and starts nothing else — less than one
+        cohort of overshoot.  ``until`` semantics are identical on every
+        path.
         """
         if self._closed:
             self._raise_closed("run")
@@ -886,7 +887,14 @@ class Simulator:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> float:
-        """Path dispatch + the per-message event loop (see :meth:`run`).
+        """Path dispatch + the one in-process run loop (see :meth:`run`).
+
+        The loop delivers per message; on the batched path, whenever no
+        fan-out is half delivered and the head entry is a kernel delivery
+        (a block, or an overlay send of the kernel's kind), it hands the
+        whole same-time run to :func:`~repro.network.batched.process_cohort`
+        instead.  Timers, direct sends and foreign kinds stay per item, so
+        every interleaving is the event path's exactly.
 
         Runs with the cycle collector paused on every path: a run allocates
         one heap entry and one log row per delivery, none of them garbage
@@ -906,10 +914,15 @@ class Simulator:
             from repro.network.sharded import run_sharded
 
             return run_sharded(self, self._kernel, *split, max_events)
+        # No kernel bound: the per-message event loop, the oracle every
+        # path must match.
+        kernel = telemetry = None
         if path == "batched":
-            from repro.network.batched import run_batched
+            from repro.network.batched import process_cohort
 
-            return run_batched(self, self._kernel, until, max_events)
+            kernel = self._kernel
+            # Tested once per cohort, not per event.
+            telemetry = self._telemetry
         executed = 0
         event_cap = float("inf") if max_events is None else max_events
         hit_event_limit = False
@@ -942,6 +955,18 @@ class Simulator:
                     # Counted off per delivery, as if each had its own entry.
                     queue._live -= 1
                 else:
+                    if kernel is not None:
+                        consumed = process_cohort(self, kernel, until)
+                        if consumed:
+                            executed += consumed
+                            if telemetry is not None:
+                                telemetry.incr("cohorts")
+                                telemetry.observe("cohort_size", consumed)
+                                telemetry.gauge_max(
+                                    "live_events_peak", self.pending_events
+                                )
+                            continue
+                        # The head is not a kernel delivery: per item.
                     entry = pop_entry_until(until)
                     if entry is None:
                         break

@@ -531,6 +531,11 @@ def random_regular_overlay(
     """
     if num_nodes <= degree:
         raise ValueError("need more nodes than the degree")
+    if degree < 2 and num_nodes > degree + 1:
+        # Isolated nodes, or disjoint edges: no draw is ever connected.
+        raise ValueError(
+            f"a {degree}-regular graph on {num_nodes} nodes is never connected"
+        )
     if (num_nodes * degree) % 2 != 0:
         raise ValueError("num_nodes * degree must be even for a regular graph")
     rng = _seeded(seed)

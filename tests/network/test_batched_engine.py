@@ -11,6 +11,8 @@ engine's unit surface:
 * ``pending_events`` counting buffered cohort blocks;
 * ``run(max_events=...)`` cohort-granularity stop and the descriptive
   ``run_until_idle`` error naming the engine in use;
+* the loop's hand-over between cohorts and per-item delivery (timers, a
+  direct send) at one timestamp;
 * the first flood row of a payload (the three-phase flood-start query)
   identical on both engines;
 * path selection from what the run can observe: a kernel engages under a
@@ -24,6 +26,7 @@ import pytest
 
 from repro.broadcast.flood import FloodNode
 from repro.network.conditions import NetworkConditions
+from repro.network.message import Message
 from repro.network.latency import (
     ConstantLatency,
     ExponentialLatency,
@@ -218,6 +221,48 @@ class TestFloodStart:
                 obs.message.payload_id,
             )
         assert first["batched"] == first["event"]
+
+
+class TestHandOverAtOneTimestamp:
+    """Timers, a cohort and a direct send due at one timestamp: the loop
+    hands over between its cohort branch and per-item delivery in queue
+    order, exactly where the event path interleaves them."""
+
+    @staticmethod
+    def _run(engine):
+        overlay = random_regular_overlay(60, degree=4, seed=2)
+        sim = Simulator(
+            overlay, latency=ConstantLatency(1.0), seed=0, engine=engine
+        )
+        sim.populate(FloodNode)
+        seen = []
+
+        def timer(label):
+            return lambda: seen.append((label, len(sim.store)))
+
+        far = next(
+            node for node in sorted(overlay.nodes)
+            if node != 0 and not overlay.has_edge(0, node)
+        )
+        sim.schedule(1.0, timer("early"))
+        sim.node(0).originate("tx")
+        sim.schedule(1.0, timer("late"))
+        message = Message(kind=FloodNode.MESSAGE_KIND, payload_id="tx")
+        sim.send(0, far, message, direct=True)
+        sim.schedule(2.0, timer("t2"))
+        sim.run_until_idle()
+        return sim, seen
+
+    def test_same_log_and_timer_views_on_both_paths(self):
+        event, event_seen = self._run("event")
+        batched, batched_seen = self._run("batched")
+        assert batched.engine_effective == "batched"
+        assert list(batched.store.row_reprs()) == list(
+            event.store.row_reprs()
+        )
+        assert batched_seen == event_seen == [
+            ("early", 0), ("late", 4), ("t2", 5),
+        ]
 
 
 #: Conditions under which no two deliveries share a timestamp: jitter on a

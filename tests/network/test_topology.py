@@ -26,6 +26,7 @@ from repro.network.topology import (
     watts_strogatz_overlay,
 )
 from repro.protocols import create_protocol
+from repro.scenarios import TopologySpec
 from repro.scenarios.runner import observation_log_digest
 
 
@@ -102,6 +103,34 @@ class TestRandomRegular:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
             random_regular_overlay(4, degree=8)
+
+    @pytest.mark.parametrize("build", ["function", "spec"])
+    @pytest.mark.parametrize("nodes,degree", [(2, 0), (10, 0), (4, 1), (100, 1)])
+    def test_never_connected_degree_rejected_up_front(
+        self, build, nodes, degree, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a graph that is never connected")
+
+        monkeypatch.setattr(topology, "_regular_edges", refuse)
+        with pytest.raises(ValueError, match="never connected"):
+            if build == "function":
+                random_regular_overlay(nodes, degree=degree, seed=0)
+            else:
+                TopologySpec(
+                    "random_regular",
+                    {"num_nodes": nodes, "degree": degree, "seed": 0},
+                ).build()
+
+    @pytest.mark.parametrize("build", ["function", "spec"])
+    def test_one_valid_degree_one_overlay(self, build):
+        if build == "function":
+            overlay = random_regular_overlay(2, degree=1, seed=0)
+        else:
+            overlay = TopologySpec(
+                "random_regular", {"num_nodes": 2, "degree": 1, "seed": 0}
+            ).build()
+        assert list(overlay.edges) == [(0, 1)]
 
     @pytest.mark.parametrize(
         "degree,nodes",

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 SCRIPT = REPO_ROOT / "scripts" / "scenario.py"
 
@@ -108,6 +110,22 @@ class TestCli:
     def test_unknown_scenario_fails(self):
         proc = _run("run", "does_not_exist")
         assert proc.returncode != 0
+
+    def test_describe_unknown_scenario_is_one_error_line(self):
+        proc = _run("describe", "does_not_exist")
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--repetitions", "--processes"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_non_positive_counts_are_refused(self, flag, value):
+        proc = _run("run", "e1_message_overhead", flag, value)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert f"argument {flag}: expected a positive integer" in proc.stderr
+        assert proc.stdout == ""
 
     def test_run_adversary_model_override(self, tmp_path):
         out = tmp_path / "adaptive.json"
