@@ -133,7 +133,13 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
     if args.spec_file:
-        return ScenarioSpec.from_json(Path(args.spec_file).read_text())
+        try:
+            text = Path(args.spec_file).read_text()
+        except OSError as error:
+            raise ValueError(
+                f"cannot read spec file '{args.spec_file}': {error.strerror}"
+            ) from error
+        return ScenarioSpec.from_json(text)
     if not args.name:
         raise SystemExit("run: give a scenario name or --spec-file")
     return scenario(args.name)
@@ -142,8 +148,9 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
 def _cmd_run(args: argparse.Namespace) -> int:
     # Spec construction validates every registry name (estimator, adversary
     # model, fault model) and raises ValueError listing the registered
-    # alternatives (TypeError for a malformed spec file); surface that as a
-    # clean CLI error, not a traceback.
+    # alternatives (TypeError for a malformed spec file, and a spec file
+    # that cannot be read names itself); surface that as a clean CLI error,
+    # not a traceback.
     try:
         spec = _load_spec(args)
         if args.seed is not None:

@@ -274,7 +274,10 @@ class Overlay:
         return list(zip(nodes[heads[keep]].tolist(), nodes[tails[keep]].tolist()))
 
     def is_connected(self) -> bool:
-        """Whether a walk from any one node reaches all of them."""
+        """Whether a walk from any one node reaches all of them (undefined,
+        as networkx has it, for an overlay without nodes)."""
+        if self.n == 0:
+            raise ValueError("connectivity is undefined for an empty overlay")
         visited = np.zeros(self.n, dtype=bool)
         bfs_levels(self, 0, visited)
         return bool(visited.all())
@@ -402,8 +405,9 @@ def _seeded(seed: Optional[int]) -> random.Random:
     return random.Random(seed)
 
 
-def _shuffle(rng: random.Random, items: list) -> None:
-    """``rng.shuffle(items)`` — same draws, same order — drawn in blocks.
+def _shuffle(rng: random.Random, items: np.ndarray) -> np.ndarray:
+    """``items`` in the order ``rng.shuffle`` leaves them, same draws, as
+    a new array.
 
     ``shuffle`` exchanges ``items[i]``, for ``i = len - 1 ... 1``, with
     ``items[_randbelow(i + 1)]``, and ``_randbelow(n)`` takes the top
@@ -415,29 +419,94 @@ def _shuffle(rng: random.Random, items: list) -> None:
     turn.  A block never reaches past a power of two (the bit length holds
     for all of it) and every word of it is used, so ``rng`` ends where
     ``shuffle`` leaves it; the last ``SHUFFLE_BLOCK`` items are its own.
+    The swaps of the block steps are not made one at a time but resolved
+    at once (:func:`_swap_sources`).
     """
     n = len(items)
+    blocks = []
     while n > SHUFFLE_BLOCK:
         bits = n.bit_length()
         size = min(SHUFFLE_BLOCK, n - (1 << (bits - 1)) + 1)
         words = np.frombuffer(
             rng.getrandbits(32 * size).to_bytes(4 * size, "little"), dtype="<u4"
         )
-        draws = (words >> (32 - bits)).astype(np.int64)
+        draws = (words >> (32 - bits)).astype(np.int32)
         kept = draws <= n - size
-        before = np.cumsum(kept) - kept
+        unsure = np.flatnonzero(~kept & (draws < n))
+        # How many draws were kept before each unsure one.
+        before = np.cumsum(kept)[unsure]
         late = 0
-        for at in np.flatnonzero(~kept & (draws < n)).tolist():
-            if draws[at] < n - before[at] - late:
+        for at, draw, ahead in zip(
+            unsure.tolist(), draws[unsure].tolist(), before.tolist()
+        ):
+            if draw < n - ahead - late:
                 kept[at] = True
                 late += 1
-        partners = draws[kept].tolist()
-        for i, j in zip(range(n - 1, -1, -1), partners):
-            items[i], items[j] = items[j], items[i]
-        n -= len(partners)
-    head = items[:n]
+        blocks.append(draws[kept])
+        n -= len(blocks[-1])
+    if blocks:
+        shuffled = items[_swap_sources(np.concatenate(blocks), n)]
+    else:
+        shuffled = items.copy()
+    head = shuffled[:n].tolist()
     rng.shuffle(head)
-    items[:n] = head
+    shuffled[:n] = head
+    return shuffled
+
+
+def _swap_sources(partners: np.ndarray, n: int) -> np.ndarray:
+    """Which slot each slot's item comes from after the Fisher–Yates steps
+    ``i = total - 1 ... n``, step ``i`` swapping slot ``i`` with slot
+    ``partners[total - 1 - i] <= i``.
+
+    What slot ``x`` holds before its own step (or, below ``n``, after the
+    last one) is what the lowest step above ``x`` with partner ``x``
+    brought there, which is what that step's slot held before it.  One
+    sort of the steps by partner names that step for every slot, and
+    following it on to a slot no step had changed (pointer jumping, a
+    handful of rounds at a million items) gives what each slot held
+    before its step.  A step's slot ends with what its partner held then:
+    what the next step up on that partner brought, or the partner's own
+    item.  A step whose partner is its own slot moves nothing and is left
+    out.
+    """
+    total = n + len(partners)
+    source = np.arange(total, dtype=np.int32)
+    steps = source[n:]
+    partners = partners[::-1].astype(np.int64)
+    # The steps that move anything, by partner and each partner's in
+    # order: one sort of ``partner << shift | step``, all different.
+    shift = total.bit_length()
+    keys = (partners << shift | steps)[partners != steps]
+    del partners
+    keys.sort()
+    on = (keys >> shift).astype(np.int32)
+    step = (keys & ((1 << shift) - 1)).astype(np.int32)
+    del keys
+    again = on[1:] == on[:-1]  # the next step has the same partner
+    lead = np.flatnonzero(np.concatenate(([True], ~again)))
+    split = int(np.searchsorted(on[lead], n))
+    # What a step's slot held before it: the lowest step on the slot,
+    # followed on to a slot no step had changed (as offsets from n).
+    held = steps - n
+    held[on[lead[split:]] - n] = step[lead[split:]] - n
+    while True:
+        jumped = held[held]
+        if np.array_equal(jumped, held):
+            break
+        held = jumped
+    del jumped
+    held += n
+    brought = held[step - n]  # what each step moves onto its partner
+    source[n:] = held
+    # A step's slot takes what its partner held then: what the next step
+    # on the partner brought, else the partner's own item.
+    taken = on.copy()
+    np.copyto(taken[:-1], brought[1:], where=again)
+    source[step] = taken
+    # A head slot keeps what the first step on it brought.
+    source[on[lead[:split]]] = brought[lead[:split]]
+    return source
 
 
 def _regular_edges(
@@ -456,13 +525,11 @@ def _regular_edges(
     builds that set); the rows here come in pairing order.
     """
 
-    nodes = list(range(num_nodes))
-
     def attempt() -> Optional[np.ndarray]:
-        stubs = nodes * degree
+        stubs = np.tile(np.arange(num_nodes, dtype=np.int32), degree)
         seen: List[np.ndarray] = []  # sorted pair keys, one array per round
         # The (low, high) pairs each round kept, in the order it met them.
-        added = [np.zeros((0, 2), dtype=np.int64)]
+        added = [np.zeros((0, 2), dtype=np.int32)]
 
         def is_edge(key: int) -> bool:
             for keys in seen:
@@ -485,11 +552,13 @@ def _regular_edges(
                         return True
             return False
 
-        while stubs:
-            _shuffle(rng, stubs)
-            pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
-            pairs.sort(axis=1)
-            keys = pairs[:, 0] * num_nodes + pairs[:, 1]
+        while len(stubs):
+            shuffled = _shuffle(rng, stubs)
+            del stubs
+            a, b = shuffled[0::2], shuffled[1::2]
+            pairs = np.column_stack((np.minimum(a, b), np.maximum(a, b)))
+            del shuffled, a, b
+            keys = pairs[:, 0].astype(np.int64) * num_nodes + pairs[:, 1]
             ordered = np.sort(keys)
             # Kept: no loop, not met before in this round (a plain sort
             # names the few keys met twice) nor an edge of an earlier one.
@@ -505,10 +574,13 @@ def _regular_edges(
             # loop, and nobody asks about loops.
             seen.append(ordered)
             added.append(pairs[fresh])
-            left = Counter(pairs[~fresh].ravel().tolist())
+            unpaired = pairs[~fresh].ravel()
+            left = Counter(unpaired.tolist())
             if left and not can_pair(left):
                 return None
-            stubs = list(left.elements())
+            stubs = np.fromiter(
+                left.elements(), dtype=np.int32, count=len(unpaired)
+            )
         return np.concatenate(added)
 
     edges = attempt()

@@ -1,5 +1,6 @@
 """Tests for overlay topology generators."""
 
+import hashlib
 import random
 
 import networkx as nx
@@ -28,6 +29,12 @@ from repro.network.topology import (
 from repro.protocols import create_protocol
 from repro.scenarios import TopologySpec
 from repro.scenarios.runner import observation_log_digest
+
+
+# Shuffle lengths around powers of two (where a block must stop) and the
+# block size.
+AROUND_BLOCKS = (0, 1, 2, 5, 63, 64, 65, 127, 128, 129, 1000, 4095, 4096,
+                 4097, 8191, 8192, 8193, 20_000, 65_537)
 
 
 def oracle_csr(graph):
@@ -189,19 +196,58 @@ class TestRandomRegular:
         assert overlay.is_connected() and overlay.n_edges == 8000
         assert len(overlay.edges) == 8000
 
-    @pytest.mark.parametrize("block", [4, 64, topology.SHUFFLE_BLOCK])
-    def test_block_shuffle_is_random_shuffle(self, block, monkeypatch):
+    @pytest.mark.parametrize(
+        "seed,digests",
+        # Seed 2100 pairs in one attempt, seed 2101 starts over once.
+        [
+            (2100, (
+                "4285792df037bf0e6a013b2752eb75c60d10f0a79e46aad1886f18fe2c2af0cf",
+                "1ab93af7abad491c39909f5374bf7656ca9b02501b06f71aa0fc08d5694c5acd",
+                "ec712ebc5b6a0ea64ab3184a65ee37f38f482abda2a3363cc8d6a4c1f3e3f968",
+                "8a5807e22b86d20d4916ccedc60d027d8c042c3c56b074603127614a1a11a8de",
+            )),
+            (2101, (
+                "4285792df037bf0e6a013b2752eb75c60d10f0a79e46aad1886f18fe2c2af0cf",
+                "40958c5ab23a113f49c1b12d99a37f639ceacb10b88eab80e42a4c7ebb2cdf99",
+                "ec712ebc5b6a0ea64ab3184a65ee37f38f482abda2a3363cc8d6a4c1f3e3f968",
+                "ada82e0705994eebe270e8788c41deea1cf958192fd9a6823f381fb9e50c387b",
+            )),
+        ],
+    )
+    def test_100k_peer_overlay_is_pinned(self, seed, digests):
+        """The benchmark's overlay size, too large for the networkx oracle:
+        the CSR and the networkx adjacency order are pinned byte for
+        byte."""
+        overlay = random_regular_overlay(100_000, degree=8, seed=seed)
+        arrays = (overlay.indptr, overlay.indices, *overlay._adjacency_arcs())
+        assert all(array.dtype == np.int64 for array in arrays)
+        assert tuple(
+            hashlib.sha256(array.tobytes()).hexdigest() for array in arrays
+        ) == digests
+
+    @pytest.mark.parametrize(
+        "block,lengths,seeds",
+        [
+            pytest.param(block, AROUND_BLOCKS, 3, id=str(block))
+            for block in (4, 64, topology.SHUFFLE_BLOCK)
+        ]
+        # The stubs of a 100,000-peer overlay of degree 8.
+        + [pytest.param(topology.SHUFFLE_BLOCK, (800_000,), 1, id="800000")],
+    )
+    def test_block_shuffle_is_random_shuffle(
+        self, block, lengths, seeds, monkeypatch
+    ):
         monkeypatch.setattr(topology, "SHUFFLE_BLOCK", block)
-        # Around powers of two (where a block must stop) and the block size.
-        for length in (0, 1, 2, 5, 63, 64, 65, 127, 128, 129, 1000, 4095, 4096,
-                       4097, 8191, 8192, 8193, 20_000, 65_537):
-            for seed in range(3):
+        for length in lengths:
+            for seed in range(seeds):
                 ours, theirs = random.Random(seed), random.Random(seed)
-                items, expected = list(range(length)), list(range(length))
-                topology._shuffle(ours, items)
+                items = np.arange(length, dtype=np.int32)
+                expected = list(range(length))
+                shuffled = topology._shuffle(ours, items)
                 theirs.shuffle(expected)
-                assert items == expected, (length, seed)
+                assert shuffled.tolist() == expected, (length, seed)
                 assert ours.getstate() == theirs.getstate(), (length, seed)
+                assert items.tolist() == list(range(length))
 
 
 class TestOverlay:
@@ -241,6 +287,13 @@ class TestOverlay:
         graph.remove_edge(2, "b")
         graph.add_edge("b", 2)
         assert_overlay_is(Overlay.from_networkx(graph), graph)
+
+    def test_connectivity_of_an_empty_overlay_is_refused(self):
+        overlay = Overlay.from_networkx(nx.Graph())
+        with pytest.raises(ValueError, match="empty overlay"):
+            overlay.is_connected()
+        with pytest.raises(nx.NetworkXPointlessConcept):
+            nx.is_connected(nx.Graph())
 
     def test_families_return_overlays(self):
         assert isinstance(line_overlay(4), Overlay)

@@ -107,6 +107,19 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert "adhoc_variant" in proc.stdout
 
+    @pytest.mark.parametrize(
+        "name,reason",
+        [("missing.json", "No such file or directory"), (".", "Is a directory")],
+    )
+    def test_unreadable_spec_file_is_one_error_line(self, tmp_path, name, reason):
+        path = tmp_path / name
+        proc = _run("run", "--spec-file", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: cannot read spec file '{path}': {reason}\n"
+        )
+        assert proc.stdout == ""
+
     def test_unknown_scenario_fails(self):
         proc = _run("run", "does_not_exist")
         assert proc.returncode != 0
