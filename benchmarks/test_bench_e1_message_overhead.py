@@ -19,8 +19,9 @@ What is checked, and how tightly:
   ``docs/BENCHMARKS.md`` records the per-kind counts.
 """
 
+from statistics import fmean
+
 from repro.analysis.reporting import format_table
-from repro.analysis.stats import summarize
 from repro.network.conditions import NetworkConditions
 from repro.protocols import create_protocol
 
@@ -56,8 +57,8 @@ def test_e1_message_overhead(benchmark, overlay_1000):
     flood, diffusion, diffusion_payload = benchmark.pedantic(
         _measure, args=(overlay_1000,), iterations=1, rounds=1
     )
-    flood_mean = summarize(flood).mean
-    diffusion_mean = summarize(diffusion).mean
+    flood_mean = fmean(flood)
+    diffusion_mean = fmean(diffusion)
     # A lossless exclude-sender flood crosses every edge once in each
     # direction except the |V| - 1 edges of its delivery tree, which carry
     # the payload one way only: 2|E| - |V| + 1 messages, whatever the
@@ -76,7 +77,7 @@ def test_e1_message_overhead(benchmark, overlay_1000):
                 ["adaptive diffusion (total)", diffusion_mean, 12500,
                  ">= 0.75 x flood (no closed form)"],
                 ["adaptive diffusion (payload only)",
-                 summarize(diffusion_payload).mean, "-", "< total"],
+                 fmean(diffusion_payload), "-", "< total"],
             ],
             title="E1: messages to reach all 1,000 peers",
         )
@@ -84,5 +85,5 @@ def test_e1_message_overhead(benchmark, overlay_1000):
     assert flood == [float(closed_form)] * REPETITIONS
     # Adaptive diffusion needs additional control traffic on top of its
     # payload deliveries and is never cheaper than a spanning tree.
-    assert diffusion_mean > summarize(diffusion_payload).mean
+    assert diffusion_mean > fmean(diffusion_payload)
     assert diffusion_mean >= 0.75 * flood_mean

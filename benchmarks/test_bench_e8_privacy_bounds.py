@@ -9,12 +9,14 @@ Two claims are measured:
   and close to the 1/n goal of perfect obfuscation.
 """
 
+import math
+
 from repro.threat.collusion import group_collusion_posterior
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
 from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.privacy.anonymity import anonymity_set_size, is_k_anonymous
-from repro.privacy.entropy import normalized_entropy
+from repro.privacy.metrics import broadcast_privacy
 from repro.scenarios import ConditionsSpec, SeedPolicy, run_scenario_once, scenario
 
 ADVERSARY_FRACTION = 0.2
@@ -50,6 +52,10 @@ def test_e8_privacy_bounds(benchmark, overlay_200):
         _measure, args=(overlay_200,), iterations=1, rounds=1
     )
     n = overlay_200.number_of_nodes()
+    # Normalised entropy: bits over the log2 of the candidate count.
+    candidates = len(posterior)
+    entropy = broadcast_privacy(posterior, 0, candidates).entropy
+    normalised = entropy / math.log2(candidates)
     print()
     print(
         format_table(
@@ -57,7 +63,7 @@ def test_e8_privacy_bounds(benchmark, overlay_200):
             [
                 ["honest group members (ℓ)", honest],
                 ["collusion anonymity-set size", anonymity_set_size(posterior)],
-                ["collusion posterior entropy (normalised)", normalized_entropy(posterior)],
+                ["collusion posterior entropy (normalised)", normalised],
                 ["flood detection probability", flood.detection.detection_probability],
                 ["three-phase detection probability", three_phase.detection.detection_probability],
                 ["perfect obfuscation target (1/n)", 1.0 / n],
@@ -68,7 +74,7 @@ def test_e8_privacy_bounds(benchmark, overlay_200):
     # Phase-1 guarantee: the colluders cannot do better than 1/ℓ.
     assert anonymity_set_size(posterior) == honest
     assert is_k_anonymous(posterior, honest)
-    assert normalized_entropy(posterior) > 0.99
+    assert normalised > 0.99
     # Outside observers: the protocol is much harder to attack than flooding.
     assert (
         three_phase.detection.detection_probability

@@ -1,4 +1,4 @@
-"""Experiment harness helpers: repetitions, statistics and table rendering.
+"""Experiment harness helpers: repetitions, sweeps and table rendering.
 
 The benchmarks regenerate the paper's quantitative claims by sweeping a
 parameter (adversary fraction, group size, diffusion depth, ...), repeating
@@ -15,7 +15,6 @@ same derived seeds, same aggregation — out over worker processes.
 from repro.analysis.experiment import ExperimentResult, run_attack_experiment
 from repro.analysis.parallel import ParallelSweep, SweepWorkerDied, run_parallel
 from repro.analysis.reporting import format_table
-from repro.analysis.stats import Summary, confidence_interval, summarize
 from repro.analysis.sweep import aggregate_runs, derive_seed, sweep
 
 __all__ = [
@@ -25,9 +24,6 @@ __all__ = [
     "ParallelSweep",
     "SweepWorkerDied",
     "run_parallel",
-    "Summary",
-    "confidence_interval",
-    "summarize",
     "aggregate_runs",
     "derive_seed",
     "sweep",

@@ -24,7 +24,7 @@ from repro.network.node import Node
 from repro.network.topology import Overlay
 
 
-@dataclass
+@dataclass(frozen=True)
 class DandelionConfig:
     """Parameters of the Dandelion protocol.
 
@@ -45,6 +45,8 @@ class DandelionConfig:
             raise ValueError("fluff probability must be in (0, 1]")
         if self.max_stem_length < 1:
             raise ValueError("max stem length must be at least 1")
+        if self.payload_size_bytes <= 0:
+            raise ValueError("message sizes must be positive")
 
 
 def assign_stem_successors(

@@ -19,7 +19,7 @@ from repro.network.message import Message
 from repro.network.peers import PeerStateNode
 
 
-@dataclass
+@dataclass(frozen=True)
 class GossipConfig:
     """Parameters of the gossip protocol.
 
@@ -30,6 +30,12 @@ class GossipConfig:
 
     fanout: int = 4
     payload_size_bytes: int = 256
+
+    def __post_init__(self) -> None:
+        if self.fanout < 1:
+            raise ValueError("gossip fanout must be at least 1")
+        if self.payload_size_bytes <= 0:
+            raise ValueError("message sizes must be positive")
 
 
 class GossipNode(PeerStateNode):
@@ -44,8 +50,6 @@ class GossipNode(PeerStateNode):
     def __init__(self, node_id: Hashable, config: Optional[GossipConfig] = None) -> None:
         super().__init__(node_id)
         self.config = config or GossipConfig()
-        if self.config.fanout < 1:
-            raise ValueError("gossip fanout must be at least 1")
 
     def originate(self, payload_id: Hashable) -> None:
         """Introduce a payload and gossip it onwards."""

@@ -93,7 +93,3 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
         self.send_all(
             [peer for peer in self.neighbours if peer != exclude], message
         )
-
-    def has_flooded(self, payload_id: Hashable) -> bool:
-        """Whether this node already flooded the payload (Phase 3)."""
-        return payload_id in self._flooded

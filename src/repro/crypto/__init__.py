@@ -7,14 +7,13 @@ collisions, and hash commitments for the blame protocol.  This package
 implements all of them from scratch on top of :mod:`hashlib` and a
 deterministic pad generator so that every experiment is reproducible.
 
-Nothing in this package performs real network cryptography; the simulated
-channels only need to be *unpredictable to non-members*, which a seeded
-keystream provides while keeping experiments deterministic.
+Nothing in this package performs real network cryptography; the pads
+only need to be *unpredictable to non-members*, which a seeded generator
+provides while keeping experiments deterministic.
 """
 
 from repro.crypto.crc import CRC32, append_crc, crc32, split_crc, verify_crc
 from repro.crypto.commitments import Commitment, commit, verify_commitment
-from repro.crypto.channels import ChannelKeystore, PairwiseChannel
 from repro.crypto.hashing import (
     closest_identity,
     hash_bytes,
@@ -34,8 +33,6 @@ __all__ = [
     "Commitment",
     "commit",
     "verify_commitment",
-    "ChannelKeystore",
-    "PairwiseChannel",
     "closest_identity",
     "hash_bytes",
     "hash_distance",

@@ -50,7 +50,6 @@ class DCNetMember:
             raise ValueError("frame length must be positive")
         self.frame_length = frame_length
         self.peers: List[Hashable] = [m for m in self.group if m != member_id]
-        self._message: Optional[bytes] = None
         self._outgoing_shares: Optional[Dict[Hashable, bytes]] = None
         self._s_value: Optional[bytes] = None
         self._received_shares: Optional[Dict[Hashable, bytes]] = None
@@ -74,7 +73,6 @@ class DCNetMember:
                 f"message must be exactly {self.frame_length} bytes, "
                 f"got {len(frame)}"
             )
-        self._message = frame
         shares = split_into_shares(frame, len(self.peers), rng)
         self._outgoing_shares = dict(zip(self.peers, shares))
         return dict(self._outgoing_shares)
@@ -135,11 +133,6 @@ class DCNetMember:
     def sent_shares(self) -> Dict[Hashable, bytes]:
         """Shares this member sent out in step 2 (empty before step 1)."""
         return dict(self._outgoing_shares or {})
-
-    @property
-    def own_message(self) -> Optional[bytes]:
-        """The framed message this member contributed (``None`` before step 1)."""
-        return self._message
 
     def _validate_peer_map(
         self, mapping: Dict[Hashable, bytes], what: str

@@ -40,7 +40,7 @@ from repro.network.message import Message
 from repro.network.node import Node
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveDiffusionConfig:
     """Tunable parameters of adaptive diffusion.
 
@@ -61,6 +61,16 @@ class AdaptiveDiffusionConfig:
     assumed_degree: Optional[int] = None
     payload_size_bytes: int = 256
     control_size_bytes: int = 32
+
+    def __post_init__(self) -> None:
+        if self.max_rounds is not None and self.max_rounds < 1:
+            raise ValueError("the diffusion depth d must be at least 1")
+        if self.round_interval <= 0:
+            raise ValueError("round intervals must be positive")
+        if self.assumed_degree is not None and self.assumed_degree < 2:
+            raise ValueError("the assumed degree must be at least 2")
+        if self.payload_size_bytes <= 0 or self.control_size_bytes <= 0:
+            raise ValueError("message sizes must be positive")
 
 
 class AdaptiveDiffusionNode(Node):

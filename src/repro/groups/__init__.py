@@ -9,9 +9,6 @@ of ``k``.  This package implements
 * :mod:`repro.groups.overlap` — the probability-smoothing analysis for nodes
   that are members of several overlapping groups (the paper's ½-vs-⅓
   example) and the policy that restores uniformity,
-* :mod:`repro.groups.reiter` — a simplified manager-based secure group
-  membership protocol in the spirit of Reiter (1996), tolerating up to
-  ``⌊(n-1)/3⌋`` faulty members,
 * :mod:`repro.groups.directory` — assignment of an entire overlay's nodes
   into groups, as used by the end-to-end protocol and the experiments.
 """
@@ -19,7 +16,6 @@ of ``k``.  This package implements
 from repro.groups.directory import GroupDirectory
 from repro.groups.membership import Group, GroupManager
 from repro.groups.overlap import origin_probabilities, smooth_group_assignment
-from repro.groups.reiter import MembershipEvent, ReiterGroupMembership
 
 __all__ = [
     "GroupDirectory",
@@ -27,6 +23,4 @@ __all__ = [
     "GroupManager",
     "origin_probabilities",
     "smooth_group_assignment",
-    "MembershipEvent",
-    "ReiterGroupMembership",
 ]

@@ -48,7 +48,7 @@ from repro.network.message import Observation
 #: Rows per :class:`Observation` chunk of :meth:`ObservationStore.iter_observations`
 #: and per string of :meth:`ObservationStore.row_reprs`.
 _CHUNK = 4096
-#: Rows per array block of :meth:`ObservationStore.first_relay_times`.
+#: Rows per gather of :meth:`ObservationStore.first_relay_times`.
 _BLOCK = 1 << 16
 
 
@@ -418,9 +418,14 @@ class ObservationStore:
         its earliest such delivery.  Keys come in order of first appearance
         in the log — part of the contract, because the privacy metrics sum
         floats in posterior order.  Answered from the payload's segments
-        as arrays.
+        as arrays: their rows, concatenated in log order, are gathered
+        ``_BLOCK`` at a time, so many short segments cost one gather and
+        a long one never becomes one index array.
         """
         kinds = None if kinds is None else tuple(kinds)
+        ranges = self._ranges(payload_id, kinds)
+        if not ranges:
+            return {}
         wanted = set(receivers)
         nodes = self._nodes
         observed = np.fromiter((node in wanted for node in nodes), bool, len(nodes))
@@ -428,19 +433,28 @@ class ObservationStore:
         outside = ~observed & np.fromiter(
             (node is not None for node in nodes), bool, len(nodes)
         )
+        # Views, not copies: local, so the columns may grow again once this
+        # returns.
+        by_column = np.frombuffer(self._senders, dtype=np.intc)
+        to_column = np.frombuffer(self._receivers, dtype=np.intc)
+        bounds = np.array(ranges, dtype=np.int64)
+        # Where each range ends in the concatenation, and what turns a
+        # position there into a row of the log.
+        ends = np.cumsum(bounds[:, 1] - bounds[:, 0])
+        shift = bounds[:, 1] - ends
+        total = int(ends[-1])
         times = self._times
         first: Dict[int, float] = {}
-        for a, b in self._ranges(payload_id, kinds):
-            for lo in range(a, b, _BLOCK):
-                hi = min(lo + _BLOCK, b)
-                by = np.frombuffer(self._senders[lo:hi], dtype=np.intc)
-                to = np.frombuffer(self._receivers[lo:hi], dtype=np.intc)
-                hit = np.flatnonzero(observed[to] & outside[by])
-                for relay, time in zip(
-                    by[hit].tolist(), map(times.__getitem__, (hit + lo).tolist())
-                ):
-                    if time < first.get(relay, np.inf):
-                        first[relay] = time
+        for lo in range(0, total, _BLOCK):
+            position = np.arange(lo, min(lo + _BLOCK, total))
+            rows = position + shift[np.searchsorted(ends, position, side="right")]
+            by = by_column[rows]
+            hit = np.flatnonzero(observed[to_column[rows]] & outside[by])
+            for relay, time in zip(
+                by[hit].tolist(), map(times.__getitem__, rows[hit].tolist())
+            ):
+                if time < first.get(relay, np.inf):
+                    first[relay] = time
         return {nodes[relay]: time for relay, time in first.items()}
 
     def row_reprs(self) -> Iterator[str]:

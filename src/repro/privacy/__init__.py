@@ -7,8 +7,8 @@ makes measurable:
   below the honest members of the DC-net group —
   :mod:`repro.privacy.anonymity`.
 * **Obfuscation / entropy** (Phase 2): the probability of identifying the
-  true origin should approach ``1/n`` (perfect obfuscation) —
-  :mod:`repro.privacy.entropy`.
+  true origin should approach ``1/n`` (perfect obfuscation) — the Shannon
+  and min-entropy of :func:`repro.privacy.metrics.broadcast_privacy`.
 * **Detection statistics** (attacks): precision and recall of a
   deanonymisation adversary over many transactions —
   :mod:`repro.privacy.detection`.
@@ -29,13 +29,6 @@ experiment runs through (see ``docs/PRIVACY.md``):
 
 from repro.privacy.anonymity import anonymity_set_size, is_k_anonymous, k_anonymity_level
 from repro.privacy.detection import DetectionStats, evaluate_attack
-from repro.privacy.entropy import (
-    min_entropy,
-    normalized_entropy,
-    obfuscation_gap,
-    shannon_entropy,
-    top_probability,
-)
 from repro.privacy.intersection import IntersectionAttack, combine_posteriors
 from repro.privacy.metrics import (
     DEFAULT_TOP_K,
@@ -61,11 +54,6 @@ __all__ = [
     "k_anonymity_level",
     "DetectionStats",
     "evaluate_attack",
-    "min_entropy",
-    "normalized_entropy",
-    "obfuscation_gap",
-    "shannon_entropy",
-    "top_probability",
     "IntersectionAttack",
     "combine_posteriors",
     "DEFAULT_TOP_K",

@@ -96,6 +96,8 @@ class FloodProtocol(BroadcastProtocol):
     message_kinds = tuple(FloodNode.HANDLERS)
 
     def __init__(self, payload_size_bytes: int = 256) -> None:
+        if payload_size_bytes <= 0:
+            raise ValueError("message sizes must be positive")
         self.payload_size_bytes = payload_size_bytes
 
     def build(

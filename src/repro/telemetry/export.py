@@ -18,7 +18,7 @@ JSON that ``chrome://tracing`` (and Perfetto) load directly: one ``"X"``
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 __all__ = ["aggregate_telemetry", "chrome_trace", "write_json"]
 
@@ -113,10 +113,3 @@ def write_json(path: str, document: Dict[str, Any]) -> None:
     with open(path, "w") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def maybe_chrome_trace(telemetry: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """``chrome_trace`` that tolerates a missing document."""
-    if telemetry is None:
-        return None
-    return chrome_trace(telemetry)

@@ -256,12 +256,6 @@ class TelemetryRecorder(Recorder):
             "spans": [_copy(span) for span in self.spans],
         }
 
-    def to_chrome_trace(self) -> Dict[str, Any]:
-        """This recorder alone as a ``chrome://tracing`` document."""
-        from repro.telemetry.export import chrome_trace
-
-        return chrome_trace(self.to_dict())
-
 
 # -- ambient recorder ----------------------------------------------------
 

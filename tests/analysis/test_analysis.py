@@ -1,34 +1,12 @@
-"""Tests for the analysis harness (stats, tables, sweeps, experiments)."""
+"""Tests for the analysis harness (tables, sweeps, experiments)."""
 
 import pytest
 
 from repro.analysis.experiment import run_attack_experiment
 from repro.analysis.reporting import format_table
-from repro.analysis.stats import confidence_interval, summarize
 from repro.analysis.sweep import sweep
 from repro.network import ConstantLatency, NetworkConditions
 from repro.network.topology import random_regular_overlay
-
-
-class TestStats:
-    def test_summary_values(self):
-        summary = summarize([1.0, 2.0, 3.0, 4.0])
-        assert summary.count == 4
-        assert summary.mean == pytest.approx(2.5)
-        assert summary.minimum == 1.0
-        assert summary.maximum == 4.0
-        assert summary.std == pytest.approx(1.118, abs=1e-3)
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_confidence_interval_contains_mean(self):
-        low, high = confidence_interval([1.0, 2.0, 3.0])
-        assert low <= 2.0 <= high
-
-    def test_single_sample_interval_degenerate(self):
-        assert confidence_interval([5.0]) == (5.0, 5.0)
 
 
 class TestReporting:

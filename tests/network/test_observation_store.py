@@ -24,6 +24,7 @@ from repro.threat.first_spy import FirstSpyEstimator
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.message import Message, Observation
+from repro.network import observation_store
 from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
 from repro.network.simulator import Simulator
@@ -106,6 +107,27 @@ def write(store, log, writer="record"):
                 sum(obs.message.size_bytes for obs in run),
                 direct,
             )
+
+
+def interleaved_log(seed, segments=600):
+    """Segments of one to three rows that switch payload every time.
+
+    Six active nodes, so relays repeat; times drawn from three values out
+    of order, so there are ties and a relay's earliest delivery often
+    comes after its first.
+    """
+    rng = random.Random(seed)
+    log = []
+    for index in range(segments):
+        message = Message(
+            kind=rng.choice(KINDS[:2]), payload_id=PAYLOADS[index % 3], size_bytes=32
+        )
+        time = rng.choice((0.0, 0.5, 1.0))
+        direct = rng.random() < 0.2
+        for _ in range(rng.randint(1, 3)):
+            sender, receiver = rng.sample(NODES[:6], 2)
+            log.append(Observation(time, receiver, sender, message, direct))
+    return log
 
 
 def store_from(log, writer="record"):
@@ -437,6 +459,45 @@ class TestFirstRelayTimes:
                     log, set(observers), "tx-1", kinds
                 )
                 assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("block", [1, 7, 64, None])
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_many_short_interleaved_segments(self, writer, block, monkeypatch):
+        # Small blocks make the gather cut through segments everywhere.
+        if block is not None:
+            monkeypatch.setattr(observation_store, "_BLOCK", block)
+        log = interleaved_log(seed=7)
+        store = store_from(log, writer)
+        for observers in ([], [0], [1, 2], NODES[:5], NODES):
+            for payload_id in PAYLOADS[:4]:
+                for kinds in (None, ("flood",), ("missing",)):
+                    got = store.first_relay_times(observers, payload_id, kinds)
+                    want = naive_first_relay_times(
+                        log, set(observers), payload_id, kinds
+                    )
+                    assert list(got.items()) == list(want.items())
+
+    def test_a_segment_across_a_block_boundary(self):
+        # A few rows of tx-0 come first, so its 70,000-row batch straddles
+        # position _BLOCK of the payload's rows; the earlier-timed rows
+        # after it must still lower a relay's time without moving its key.
+        head = interleaved_log(seed=8, segments=12)
+        rng = np.random.default_rng(3)
+        to = rng.integers(0, len(NODES), 70_000)
+        by = (to + rng.integers(1, len(NODES), to.size)) % len(NODES)
+        message = Message(kind="flood", payload_id="tx-0", size_bytes=32)
+        batch = [
+            Observation(2.0, receiver, sender, message, False)
+            for receiver, sender in zip(to.tolist(), by.tolist())
+        ]
+        log = head + batch + interleaved_log(seed=9, segments=30)
+        before = naive_count(head, payload_id="tx-0")
+        assert 0 < before < observation_store._BLOCK < before + len(batch)
+        store = store_from(log, "record_batch")
+        for observers in ([0], [3, 4, 5, 9]):
+            got = store.first_relay_times(observers, "tx-0")
+            want = naive_first_relay_times(log, set(observers), "tx-0")
+            assert list(got.items()) == list(want.items())
 
     @pytest.mark.parametrize("writer", WRITERS)
     def test_builds_no_observation(self, writer):

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.privacy.intersection import IntersectionAttack, combine_posteriors
-from repro.privacy.entropy import shannon_entropy
+from repro.privacy.metrics import broadcast_privacy
+
+
+def entropy(posterior):
+    """Shannon entropy (bits) of a posterior, as the metrics engine reports it."""
+    return broadcast_privacy(posterior, next(iter(posterior)), len(posterior)).entropy
 
 
 class TestCombinePosteriors:
@@ -30,9 +35,7 @@ class TestCombinePosteriors:
     def test_entropy_drops_with_consistent_rounds(self):
         one_round = {"s": 0.4, "x": 0.3, "y": 0.3}
         rounds = [one_round, {"s": 0.4, "u": 0.3, "v": 0.3}]
-        assert shannon_entropy(combine_posteriors(rounds)) < shannon_entropy(
-            one_round
-        )
+        assert entropy(combine_posteriors(rounds)) < entropy(one_round)
 
     def test_floor_prevents_single_round_veto(self):
         # "s" is missing from one round; the floor keeps it alive, and its

@@ -6,12 +6,12 @@ import pytest
 
 from repro.privacy.anonymity import anonymity_set_size, is_k_anonymous, k_anonymity_level
 from repro.privacy.detection import DetectionStats, evaluate_attack
-from repro.privacy.entropy import (
-    normalized_entropy,
-    obfuscation_gap,
-    shannon_entropy,
-    top_probability,
-)
+from repro.privacy.metrics import broadcast_privacy
+
+
+def privacy_of(posterior):
+    """``broadcast_privacy`` of a posterior over its own candidates."""
+    return broadcast_privacy(posterior, next(iter(posterior)), len(posterior))
 
 
 class TestAnonymity:
@@ -47,43 +47,35 @@ class TestAnonymity:
 class TestEntropy:
     def test_uniform_entropy_is_log2_n(self):
         posterior = {node: 1 / 8 for node in range(8)}
-        assert shannon_entropy(posterior) == pytest.approx(3.0)
-        assert normalized_entropy(posterior) == pytest.approx(1.0)
+        assert privacy_of(posterior).entropy == pytest.approx(3.0)
+        assert privacy_of(posterior).entropy / math.log2(8) == pytest.approx(1.0)
 
     def test_certain_posterior_zero_entropy(self):
         posterior = {"a": 1.0, "b": 0.0}
-        assert shannon_entropy(posterior) == pytest.approx(0.0)
-        assert normalized_entropy(posterior) == pytest.approx(0.0)
+        assert privacy_of(posterior).entropy == pytest.approx(0.0)
 
     def test_unnormalised_input_handled(self):
-        posterior = {"a": 2.0, "b": 2.0}
-        assert shannon_entropy(posterior) == pytest.approx(1.0)
-        assert top_probability(posterior) == pytest.approx(0.5)
+        sample = privacy_of({"a": 2.0, "b": 2.0})
+        assert sample.entropy == pytest.approx(1.0)
+        assert sample.min_entropy == pytest.approx(1.0)
 
     def test_single_candidate_normalised_entropy(self):
-        assert normalized_entropy({"a": 1.0}) == 0.0
-
-    def test_obfuscation_gap_perfect(self):
-        posterior = {node: 1 / 100 for node in range(100)}
-        assert obfuscation_gap(posterior, population=100) == pytest.approx(0.0)
-
-    def test_obfuscation_gap_certain(self):
-        assert obfuscation_gap({"a": 1.0}, population=100) == pytest.approx(0.99)
+        sample = privacy_of({"a": 1.0})
+        assert sample.entropy == pytest.approx(0.0)
+        assert sample.min_entropy == pytest.approx(0.0)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            shannon_entropy({})
+            privacy_of({"a": -0.5, "b": 1.5})
         with pytest.raises(ValueError):
-            shannon_entropy({"a": -0.5, "b": 1.5})
+            privacy_of({"a": 0.0})
         with pytest.raises(ValueError):
-            shannon_entropy({"a": 0.0})
-        with pytest.raises(ValueError):
-            obfuscation_gap({"a": 1.0}, population=0)
+            broadcast_privacy({"a": 1.0}, "a", population=0)
 
     def test_entropy_monotone_in_uncertainty(self):
         concentrated = {"a": 0.9, "b": 0.05, "c": 0.05}
         spread = {"a": 0.4, "b": 0.3, "c": 0.3}
-        assert shannon_entropy(spread) > shannon_entropy(concentrated)
+        assert privacy_of(spread).entropy > privacy_of(concentrated).entropy
         assert math.isclose(sum(concentrated.values()), 1.0)
 
 

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.privacy.entropy import min_entropy, shannon_entropy
 from repro.privacy.intersection import combine_posteriors
 from repro.privacy.metrics import PrivacyAccumulator, broadcast_privacy
 from repro.privacy.posterior import argmax, canonical_order, normalize
@@ -40,6 +39,12 @@ NEAR_TIE_NORMALISED = {
 }
 
 
+def privacy_of(scores):
+    """``broadcast_privacy`` of a surface over its own candidates (the
+    entropies do not depend on the truth or on a larger population)."""
+    return broadcast_privacy(scores, next(iter(scores)), len(scores))
+
+
 def maximises(candidate, scores) -> bool:
     """Whether ``candidate`` holds the top score up to a relative 1e-12."""
     return scores[candidate] >= max(scores.values()) * (1.0 - 1e-12)
@@ -48,29 +53,36 @@ def maximises(candidate, scores) -> bool:
 class TestEntropyIdentities:
     @given(n=sizes)
     def test_uniform_posterior_has_log2_n_entropy(self, n):
-        posterior = {i: 1.0 / n for i in range(n)}
-        assert shannon_entropy(posterior) == pytest.approx(math.log2(n) if n > 1 else 0.0)
-        assert min_entropy(posterior) == pytest.approx(math.log2(n) if n > 1 else 0.0)
+        sample = privacy_of({i: 1.0 / n for i in range(n)})
+        assert sample.entropy == pytest.approx(math.log2(n))
+        assert sample.min_entropy == pytest.approx(math.log2(n))
 
     @given(n=sizes, weight=st.floats(min_value=1e-6, max_value=1e6))
     def test_point_mass_has_zero_entropy(self, n, weight):
         posterior = {0: weight}
         posterior.update({i: 0.0 for i in range(1, n)})
-        assert shannon_entropy(posterior) == pytest.approx(0.0)
-        assert min_entropy(posterior) == pytest.approx(0.0)
+        sample = privacy_of(posterior)
+        assert sample.entropy == pytest.approx(0.0)
+        assert sample.min_entropy == pytest.approx(0.0)
 
     @given(scores=posteriors)
     def test_min_entropy_never_exceeds_shannon(self, scores):
-        assert min_entropy(scores) <= shannon_entropy(scores) + 1e-9
+        sample = privacy_of(scores)
+        assert sample.min_entropy <= sample.entropy + 1e-9
 
     @given(scores=posteriors)
     @example(scores=NEAR_TIE_NORMALISED)
     def test_normalization_preserves_entropy_and_argmax(self, scores):
         normalised = normalize(scores)
         assert sum(normalised.values()) == pytest.approx(1.0)
-        assert shannon_entropy(normalised) == pytest.approx(
-            shannon_entropy(scores)
-        )
+        scaled = {node: 1e3 * weight for node, weight in scores.items()}
+        for surface in (normalised, scaled):
+            assert privacy_of(surface).entropy == pytest.approx(
+                privacy_of(scores).entropy
+            )
+            assert privacy_of(surface).min_entropy == pytest.approx(
+                privacy_of(scores).min_entropy
+            )
         assert maximises(argmax(normalised), scores)
 
 
@@ -148,7 +160,7 @@ class TestIntersectionProperties:
     def test_repeating_one_round_only_sharpens(self, scores):
         once = normalize(scores)
         twice = combine_posteriors([scores, scores])
-        assert shannon_entropy(twice) <= shannon_entropy(once) + 1e-9
+        assert privacy_of(twice).entropy <= privacy_of(once).entropy + 1e-9
         assert maximises(argmax(twice), once)
 
     @given(lists=st.lists(posteriors, min_size=1, max_size=5))

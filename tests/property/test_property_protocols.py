@@ -1,5 +1,6 @@
 """Property-based tests for protocol-level invariants."""
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from repro.diffusion.virtual_source import keep_probability
 from repro.groups.membership import GroupManager
 from repro.groups.overlap import origin_probabilities
 from repro.privacy.anonymity import anonymity_set_size
-from repro.privacy.entropy import normalized_entropy, shannon_entropy
+from repro.privacy.metrics import broadcast_privacy
 
 
 @settings(max_examples=30, deadline=None)
@@ -87,9 +88,8 @@ def test_group_manager_size_invariant(population, k, seed):
 )
 def test_entropy_bounds(weights):
     posterior = {index: weight for index, weight in enumerate(weights)}
-    entropy = shannon_entropy(posterior)
-    assert -1e-9 <= entropy
-    assert 0.0 <= normalized_entropy(posterior) <= 1.0 + 1e-9
+    entropy = broadcast_privacy(posterior, 0, len(weights)).entropy
+    assert -1e-9 <= entropy <= math.log2(len(weights)) + 1e-9
     assert 1 <= anonymity_set_size(posterior) <= len(weights)
 
 
