@@ -14,22 +14,26 @@ import networkx as nx
 
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
-from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.transitions import select_virtual_source
+from repro.network.conditions import NetworkConditions
+from repro.protocols import create_protocol
 
 BROADCASTS = 12
 
 
 def _measure(overlay_200):
-    protocol = ThreePhaseBroadcast(
-        overlay_200, ProtocolConfig(group_size=6, diffusion_depth=3), seed=77
+    protocol = create_protocol(
+        "three_phase", config=ProtocolConfig(group_size=6, diffusion_depth=3)
     )
+    directory = protocol.build(
+        overlay_200, NetworkConditions.ideal(), seed=77
+    ).state["system"].directory
     hash_distances = []
     neighbour_distances = []
     for index in range(BROADCASTS):
         source = (index * 13) % overlay_200.number_of_nodes()
         payload = f"ablation tx {index}".encode()
-        group = protocol.directory.members_of(source)
+        group = directory.members_of(source)
         selected = select_virtual_source(payload, group)
         hash_distances.append(
             float(nx.shortest_path_length(overlay_200.to_networkx(), source, selected))

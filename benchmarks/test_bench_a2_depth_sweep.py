@@ -8,8 +8,9 @@ network diameter to reach a large amount of nodes".
 
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
-from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.phases import Phase
+from repro.network.conditions import NetworkConditions
+from repro.protocols import create_protocol
 
 DEPTHS = [1, 2, 4, 6]
 
@@ -17,17 +18,18 @@ DEPTHS = [1, 2, 4, 6]
 def _measure(overlay_100):
     rows = []
     for depth in DEPTHS:
-        protocol = ThreePhaseBroadcast(
-            overlay_100,
-            ProtocolConfig(group_size=4, diffusion_depth=depth),
-            seed=100 + depth,
+        protocol = create_protocol(
+            "three_phase", config=ProtocolConfig(group_size=4, diffusion_depth=depth)
         )
-        result = protocol.broadcast(source=0, payload=f"depth {depth}".encode())
+        session = protocol.build(
+            overlay_100, NetworkConditions.ideal(), seed=100 + depth
+        )
+        result = protocol.broadcast(session, 0, f"depth {depth}".encode())
         rows.append(
             {
                 "depth": depth,
                 "completion": result.completion_time,
-                "total": result.messages_total,
+                "total": result.messages,
                 "diffusion": result.messages_by_phase[Phase.ADAPTIVE_DIFFUSION],
                 "flood": result.messages_by_phase[Phase.FLOOD],
                 "delivered": result.delivered_fraction,

@@ -8,8 +8,9 @@ title refers to.
 
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
-from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.phases import Phase
+from repro.network.conditions import NetworkConditions
+from repro.protocols import create_protocol
 
 GROUP_SIZES = [3, 5, 8]
 
@@ -17,18 +18,19 @@ GROUP_SIZES = [3, 5, 8]
 def _measure(overlay_100):
     rows = []
     for k in GROUP_SIZES:
-        protocol = ThreePhaseBroadcast(
-            overlay_100,
-            ProtocolConfig(group_size=k, diffusion_depth=3),
-            seed=200 + k,
+        protocol = create_protocol(
+            "three_phase", config=ProtocolConfig(group_size=k, diffusion_depth=3)
         )
-        result = protocol.broadcast(source=0, payload=f"group size {k}".encode())
+        session = protocol.build(
+            overlay_100, NetworkConditions.ideal(), seed=200 + k
+        )
+        result = protocol.broadcast(session, 0, f"group size {k}".encode())
         rows.append(
             {
                 "k": k,
                 "group": len(result.group),
                 "dc_messages": result.messages_by_phase[Phase.DC_NET],
-                "total": result.messages_total,
+                "total": result.messages,
                 "delivered": result.delivered_fraction,
             }
         )

@@ -9,7 +9,6 @@ each phase of the combined protocol is responsible for.
 
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
-from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.phases import Phase
 from repro.network.conditions import NetworkConditions
 from repro.protocols import create_protocol
@@ -26,10 +25,11 @@ def _measure(overlay_200):
             create_protocol, ("flood", "dandelion", "adaptive_diffusion")
         )
     )
-    protocol = ThreePhaseBroadcast(
-        overlay_200, ProtocolConfig(group_size=5, diffusion_depth=3), seed=1
+    protocol = create_protocol(
+        "three_phase", config=ProtocolConfig(group_size=5, diffusion_depth=3)
     )
-    combined = protocol.broadcast(source=0, payload=b"latency probe")
+    session = protocol.build(overlay_200, NetworkConditions.ideal(), seed=1)
+    combined = protocol.broadcast(session, 0, b"latency probe")
     return flood, dandelion, diffusion, combined
 
 
@@ -41,7 +41,7 @@ def test_e10_latency_tradeoff(benchmark, overlay_200):
         ["flood-and-prune", flood.completion_time, flood.messages],
         ["dandelion", dandelion.completion_time, dandelion.messages],
         ["adaptive diffusion", diffusion.completion_time, diffusion.messages],
-        ["three-phase protocol", combined.completion_time, combined.messages_total],
+        ["three-phase protocol", combined.completion_time, combined.messages],
     ]
     print()
     print(

@@ -10,44 +10,47 @@ by the hash rule.
 
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
-from repro.core.orchestrator import ThreePhaseBroadcast
 from repro.core.phases import Phase
 from repro.core.transitions import verify_virtual_source
+from repro.network.conditions import NetworkConditions
+from repro.protocols import create_protocol
 
 BROADCASTS = 5
 
 
 def _measure(overlay_200):
-    protocol = ThreePhaseBroadcast(
-        overlay_200, ProtocolConfig(group_size=5, diffusion_depth=3), seed=5
+    protocol = create_protocol(
+        "three_phase", config=ProtocolConfig(group_size=5, diffusion_depth=3)
     )
-    results = []
-    for index in range(BROADCASTS):
-        payload = f"benchmark tx {index}".encode()
-        results.append((payload, protocol.broadcast(source=index * 7, payload=payload)))
-    return results
+    session = protocol.build(overlay_200, NetworkConditions.ideal(), seed=5)
+    return [
+        protocol.broadcast(session, index * 7, f"benchmark tx {index}".encode())
+        for index in range(BROADCASTS)
+    ]
 
 
 def test_e7_three_phase_end_to_end(benchmark, overlay_200):
     results = benchmark.pedantic(_measure, args=(overlay_200,), iterations=1, rounds=1)
     rows = []
-    for payload, result in results:
+    for result in results:
         rows.append(
             [
-                str(result.payload_id),
+                result.payload_id.decode(),
                 result.delivered_fraction,
                 result.messages_by_phase[Phase.DC_NET],
                 result.messages_by_phase[Phase.ADAPTIVE_DIFFUSION],
                 result.messages_by_phase[Phase.FLOOD],
-                result.messages_total,
+                result.messages,
             ]
         )
         assert result.delivered_fraction == 1.0
         assert all(count > 0 for count in result.messages_by_phase.values())
         # Transitions add no messages: the per-phase counts partition the total.
-        assert result.messages_total == sum(result.messages_by_phase.values())
+        assert result.messages == sum(result.messages_by_phase.values())
         # The virtual source is a verifiable function of payload and group.
-        assert verify_virtual_source(payload, result.group, result.virtual_source)
+        assert verify_virtual_source(
+            result.payload_id, result.group, result.virtual_source
+        )
     print()
     print(
         format_table(

@@ -14,9 +14,10 @@ import math
 from repro.threat.collusion import group_collusion_posterior
 from repro.analysis.reporting import format_table
 from repro.core.config import ProtocolConfig
-from repro.core.orchestrator import ThreePhaseBroadcast
+from repro.network.conditions import NetworkConditions
 from repro.privacy.anonymity import anonymity_set_size, is_k_anonymous
 from repro.privacy.metrics import broadcast_privacy
+from repro.protocols import create_protocol
 from repro.scenarios import ConditionsSpec, SeedPolicy, run_scenario_once, scenario
 
 ADVERSARY_FRACTION = 0.2
@@ -28,10 +29,11 @@ BASE = scenario("e8_privacy_bounds")
 
 def _measure(overlay_200):
     # Part 1: collusion inside the group.
-    protocol = ThreePhaseBroadcast(
-        overlay_200, ProtocolConfig(group_size=6, diffusion_depth=3), seed=8
+    protocol = create_protocol(
+        "three_phase", config=ProtocolConfig(group_size=6, diffusion_depth=3)
     )
-    result = protocol.broadcast(source=0, payload=b"collusion probe")
+    session = protocol.build(overlay_200, NetworkConditions.ideal(), seed=8)
+    result = protocol.broadcast(session, 0, b"collusion probe")
     colluders = [m for m in result.group if m != 0][:2]
     posterior = group_collusion_posterior(result.group, colluders, true_sender=0)
     honest = len(result.group) - len(colluders)

@@ -41,7 +41,7 @@ SPEC = ScenarioSpec(
 def main() -> None:
     rng = random.Random(7)
     session = build_session(SPEC)
-    protocol = session.state["system"]
+    protocol = session.protocol
 
     # Wallets live at specific peers; the peer id is what the adversary would
     # like to link to the wallet address.
@@ -61,15 +61,15 @@ def main() -> None:
     print("=" * 60)
     for tx in transactions:
         source_peer = wallet_location[tx.sender]
-        result = protocol.broadcast(
-            source=source_peer, payload=tx.serialize(), payload_id=tx.tx_id
-        )
+        # The serialized transaction is the payload id: the DC-net sends
+        # it and the virtual-source hash rule reads it.
+        result = protocol.broadcast(session, source_peer, tx.serialize())
         mempool.add(tx)
         print(
             f"tx {tx.tx_id[:12]}…  fee={tx.fee}  "
             f"origin peer hidden among group {result.group} "
             f"(reached {result.delivered_fraction:.0%} of peers, "
-            f"{result.messages_total} messages)"
+            f"{result.messages} messages)"
         )
 
     # A miner (any peer that received the transactions) builds a block.

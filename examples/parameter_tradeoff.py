@@ -48,8 +48,8 @@ def main() -> None:
                 seeds=SeedPolicy(base_seed=1000 + 10 * k + d),
             )
             session = build_session(spec)
-            result = session.state["system"].broadcast(
-                source=0, payload=f"tradeoff probe k={k} d={d}".encode()
+            result = session.protocol.broadcast(
+                session, 0, f"tradeoff probe k={k} d={d}".encode()
             )
             rows.append(
                 [
@@ -58,7 +58,7 @@ def main() -> None:
                     result.messages_by_phase[Phase.DC_NET],
                     result.messages_by_phase[Phase.ADAPTIVE_DIFFUSION],
                     result.messages_by_phase[Phase.FLOOD],
-                    result.messages_total,
+                    result.messages,
                     result.completion_time,
                 ]
             )

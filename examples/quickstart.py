@@ -18,12 +18,11 @@ from repro.scenarios import build_session, scenario
 def main() -> None:
     spec = scenario("quickstart")
     session = build_session(spec)
-    # The compiled session exposes the paper's orchestrator; driving it
-    # directly (instead of through the attack harness) yields the full
-    # per-phase result.
-    protocol = session.state["system"]
-
-    result = protocol.broadcast(source=17, payload=b"alice pays bob 3 coins")
+    # Broadcasting through the session's protocol directly (instead of
+    # through the attack harness) yields the full per-phase result.
+    result = session.protocol.broadcast(
+        session, source=17, payload_id=b"alice pays bob 3 coins"
+    )
 
     print("Three-phase privacy-preserving broadcast")
     print("=" * 48)
@@ -42,7 +41,7 @@ def main() -> None:
             f"  {phase.value:<20} {result.messages_by_phase[phase]:>6} messages"
             f"   (starts at t={start:.2f})"
         )
-    print(f"  {'total':<20} {result.messages_total:>6} messages")
+    print(f"  {'total':<20} {result.messages:>6} messages")
 
 
 if __name__ == "__main__":

@@ -8,26 +8,28 @@ DC-network with announcements / collisions / blame, adaptive diffusion,
 Dandelion and flooding baselines, group management, adversary models and
 privacy metrics, plus a small blockchain substrate used by the examples.
 
-Quickstart::
+Quickstart — the paper's protocol runs through the same registry as every
+baseline (:mod:`repro.protocols`):
 
-    from repro.core import ProtocolConfig, ThreePhaseBroadcast
-    from repro.network.topology import random_regular_overlay
-
-    overlay = random_regular_overlay(200, degree=8, seed=1)
-    protocol = ThreePhaseBroadcast(overlay, ProtocolConfig(group_size=5), seed=2)
-    result = protocol.broadcast(source=0, payload=b"my transaction")
-    print(result.delivered_fraction, result.messages_by_phase)
+    >>> from repro import Phase, ProtocolConfig
+    >>> from repro.network import NetworkConditions
+    >>> from repro.network.topology import random_regular_overlay
+    >>> from repro.protocols import create_protocol
+    >>> overlay = random_regular_overlay(200, degree=8, seed=1)
+    >>> protocol = create_protocol("three_phase", config=ProtocolConfig(group_size=5))
+    >>> session = protocol.build(overlay, NetworkConditions.ideal(), seed=2)
+    >>> result = protocol.broadcast(session, source=0, payload_id=b"my transaction")
+    >>> result.delivered_fraction
+    1.0
+    >>> result.messages == sum(result.messages_by_phase.values())
+    True
+    >>> 0 in result.group and result.messages_by_phase[Phase.DC_NET] > 0
+    True
 """
 
 import logging
 
-from repro.core import (
-    BroadcastResult,
-    Phase,
-    ProtocolConfig,
-    ThreePhaseBroadcast,
-    ThreePhaseNode,
-)
+from repro.core import Phase, ProtocolConfig, ThreePhaseNode
 
 # Library convention: never emit log output unless the application
 # configures logging.  Modules log under ``repro.*`` child loggers
@@ -39,10 +41,8 @@ logging.getLogger(__name__).addHandler(logging.NullHandler())
 __version__ = "0.1.0"
 
 __all__ = [
-    "BroadcastResult",
     "Phase",
     "ProtocolConfig",
-    "ThreePhaseBroadcast",
     "ThreePhaseNode",
     "__version__",
 ]

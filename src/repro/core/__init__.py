@@ -14,21 +14,19 @@ A transaction is disseminated in three phases (Section IV-B):
    delivery to the entire network (:mod:`repro.broadcast.flood` semantics).
 
 :class:`~repro.core.protocol.ThreePhaseNode` implements the per-node
-behaviour; :class:`~repro.core.orchestrator.ThreePhaseBroadcast` wires the
-group directory, the simulator and the phases together and is the main entry
-point of the library.
+behaviour.  The registered ``three_phase`` adapter
+(:class:`~repro.protocols.adapters.ThreePhaseProtocol`) wires the group
+directory, the simulator and the phases together; it runs through
+``create_protocol``, ``build`` and ``broadcast`` like every baseline.
 """
 
 from repro.core.config import ProtocolConfig
-from repro.core.orchestrator import BroadcastResult, ThreePhaseBroadcast
 from repro.core.phases import Phase, PhaseTimeline
 from repro.core.protocol import ThreePhaseNode
 from repro.core.transitions import select_virtual_source, verify_virtual_source
 
 __all__ = [
     "ProtocolConfig",
-    "BroadcastResult",
-    "ThreePhaseBroadcast",
     "Phase",
     "PhaseTimeline",
     "ThreePhaseNode",

@@ -64,8 +64,3 @@ class ProtocolConfig:
             payload_size_bytes=self.payload_size_bytes,
             control_size_bytes=self.control_size_bytes,
         )
-
-    @property
-    def max_group_size(self) -> int:
-        """Largest group size before a split: ``2k - 1`` (Section IV-C)."""
-        return 2 * self.group_size - 1

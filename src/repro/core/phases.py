@@ -32,20 +32,3 @@ class PhaseTimeline:
     def start_of(self, phase: Phase) -> Optional[float]:
         """Start time of ``phase``, or ``None`` if it never started."""
         return self.starts.get(phase)
-
-    def duration_of(self, phase: Phase, end_time: float) -> Optional[float]:
-        """Duration of ``phase`` given the overall ``end_time`` of the run.
-
-        The duration of a phase is the gap to the next started phase (or to
-        ``end_time`` for the last phase).  Returns ``None`` when the phase
-        never started.
-        """
-        if phase not in self.starts:
-            return None
-        ordered = sorted(self.starts.items(), key=lambda item: item[1])
-        for index, (current, start) in enumerate(ordered):
-            if current is phase:
-                if index + 1 < len(ordered):
-                    return ordered[index + 1][1] - start
-                return end_time - start
-        return None  # pragma: no cover - unreachable

@@ -4,8 +4,8 @@
 pieces the combined protocol adds on top:
 
 * Phase-1 knowledge delivery: group members learn the payload through the
-  DC-net (driven by the orchestrator) and simply record it, so that later
-  diffusion or flood copies are recognised as duplicates.
+  DC-net (driven by the ``three_phase`` adapter) and simply record it, so
+  that later diffusion or flood copies are recognised as duplicates.
 * Phase-3 flooding: when the final spreading request (``ad_final``) arrives,
   the node switches to flood-and-prune and pushes the payload to all its
   neighbours; plain ``flood`` messages are handled with the usual
@@ -42,7 +42,7 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
         self._flooded: Set[Hashable] = set()
 
     # ------------------------------------------------------------------
-    # Phase 1: DC-net knowledge delivery (driven by the orchestrator)
+    # Phase 1: DC-net knowledge delivery (driven by the three_phase adapter)
     # ------------------------------------------------------------------
     def learn_from_group(self, payload_id: Hashable) -> None:
         """Record that the DC-net phase delivered the payload to this node."""

@@ -350,7 +350,6 @@ class ObservationStore:
         self,
         payload_id: Optional[Hashable],
         kinds: Optional[Tuple[str, ...]],
-        start: int = 0,
     ) -> List[Tuple[int, int]]:
         """Row ranges ``[a, b)`` of the matching segments, in log order."""
         starts = self._segment_starts
@@ -364,8 +363,7 @@ class ObservationStore:
         for n in numbers:
             if kinds is None or pairs[n][1] in kinds:
                 end = starts[n + 1] if n < last else self._count
-                if end > start:
-                    ranges.append((max(starts[n], start), end))
+                ranges.append((starts[n], end))
         return ranges
 
     def rows(
@@ -373,7 +371,6 @@ class ObservationStore:
         payload_id: Optional[Hashable] = None,
         kinds: Optional[Tuple[str, ...]] = None,
         receivers: Optional[Iterable[Hashable]] = None,
-        start: int = 0,
         include_direct: bool = True,
     ) -> List[int]:
         """Rows (log positions, ascending) matching every given filter.
@@ -382,7 +379,7 @@ class ObservationStore:
         else the matching kinds' — never more than the log.
         """
         rows = list(
-            chain.from_iterable(starmap(range, self._ranges(payload_id, kinds, start)))
+            chain.from_iterable(starmap(range, self._ranges(payload_id, kinds)))
         )
         if receivers is not None:
             wanted = set(map(self.find, receivers))

@@ -51,8 +51,10 @@ class ProtocolSession:
             registry-based runs reproduce the historical experiments.
         conditions: the network conditions the session runs under.
         seed: the seed the session was built from (``None`` for unseeded).
-        state: adapter-specific extras (e.g. ``"stem_successors"`` for
-            Dandelion, ``"system"`` for the three-phase orchestrator).
+        state: adapter-specific extras: ``"stem_successors"`` for
+            Dandelion; ``"system"`` for the three-phase protocol, a
+            :class:`~repro.protocols.adapters.ThreePhaseSystem` holding the
+            group ``directory``, its ``rng`` and the session's ``results``.
     """
 
     protocol: "BroadcastProtocol"

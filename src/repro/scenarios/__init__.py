@@ -2,12 +2,17 @@
 
 One layer describes every experiment of this repository as data — overlay
 topology, network conditions, protocol, adversary, workload, seeds and
-churn — and one runner executes it:
+churn — and one runner executes it.  Flooding on the 8-regular overlay of
+``stress_lossy_wan`` still reaches every peer although 15 % of all
+transmissions are lost:
 
     >>> from repro.scenarios import ScenarioRunner, scenario
-    >>> result = ScenarioRunner(processes=1).run(scenario("stress_lossy_wan"))
-    >>> 0.0 < result.aggregate["mean_reach"] < 1.0
-    True
+    >>> spec = scenario("stress_lossy_wan")
+    >>> spec.conditions.loss_probability
+    0.15
+    >>> result = ScenarioRunner(processes=1).run(spec)
+    >>> result.aggregate["mean_reach"]
+    1.0
 
 ``scripts/scenario.py`` is the CLI over this package (``list`` /
 ``describe`` / ``run``); ``docs/SCENARIOS.md`` catalogues the registered

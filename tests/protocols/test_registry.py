@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import Phase, ProtocolConfig
 from repro.network import NetworkConditions
 from repro.network.message import Message
 from repro.network.topology import random_regular_overlay
@@ -155,3 +156,43 @@ class TestAdapterInterface:
             session = protocol.build(overlay, conditions, seed=11)
             results.append(protocol.broadcast(session, 0, "tx"))
         assert results[0] == results[1]
+
+
+class TestThreePhaseSystem:
+    """``state["system"]``: what the repository benchmark (group count,
+    DC-net rounds and share messages per broadcast) and the Byzantine
+    DC-net model (the group directory) read from a three-phase session."""
+
+    @pytest.fixture
+    def session(self):
+        protocol = create_protocol(
+            "three_phase", config=ProtocolConfig(group_size=4)
+        )
+        return protocol.build(
+            random_regular_overlay(60, degree=6, seed=2),
+            NetworkConditions.ideal(), seed=3,
+        )
+
+    def test_directory_and_one_result_per_broadcast(self, session):
+        system = session.state["system"]
+        assert system.directory.groups
+        assert system.results == []
+        for count, (source, payload_id) in enumerate(
+            [(0, "tx-a"), (5, "tx-b")], start=1
+        ):
+            outcome = session.protocol.broadcast(session, source, payload_id)
+            assert len(system.results) == count
+            result = system.results[-1]
+            assert result is outcome
+            assert (result.source, result.payload_id) == (source, payload_id)
+            assert result.group == system.directory.members_of(source)
+            assert result.dc_rounds >= 1
+            assert result.messages_by_phase[Phase.DC_NET] > 0
+
+    def test_reused_payload_id_is_rejected(self, session):
+        # Metrics are keyed by payload id: a second broadcast under the same
+        # id would report both broadcasts' traffic as its own.
+        first = session.protocol.broadcast(session, 0, "tx")
+        with pytest.raises(ValueError, match="'tx'"):
+            session.protocol.broadcast(session, 5, "tx")
+        assert session.state["system"].results == [first]
