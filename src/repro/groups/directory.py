@@ -9,7 +9,7 @@ lookups the protocol and the experiments need.
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Hashable, List, Optional, Sequence
 
 from repro.groups.membership import Group, GroupManager
 
@@ -30,10 +30,6 @@ class GroupDirectory:
             )
         self.manager = GroupManager(min_size, rng or random.Random())
         self.manager.assign_population(list(nodes))
-        self._cache: Dict[Hashable, Group] = {}
-        for group in self.manager.groups:
-            for member in group.members:
-                self._cache[member] = group
 
     @property
     def groups(self) -> List[Group]:
@@ -46,9 +42,10 @@ class GroupDirectory:
         Raises:
             KeyError: if the node is not part of the directory.
         """
-        if node not in self._cache:
+        group = self.manager.group_of(node)
+        if group is None:
             raise KeyError(f"node {node!r} is not assigned to any group")
-        return self._cache[node]
+        return group
 
     def members_of(self, node: Hashable) -> List[Hashable]:
         """All members of ``node``'s group (including the node itself)."""

@@ -15,7 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-_group_counter = itertools.count()
+import numpy as np
+
+from repro.network.topology import _shuffle
 
 
 @dataclass
@@ -68,6 +70,8 @@ class GroupManager:
         self.min_size = min_size
         self.rng = rng or random.Random()
         self._groups: Dict[int, Group] = {}
+        # Group ids count from 0 per manager, in creation order.
+        self._group_ids = itertools.count()
         self._membership: Dict[Hashable, int] = {}
         # Min-heap of (size, group_id), one entry pushed per size change and
         # invalidated lazily: an entry is live iff the group still exists at
@@ -142,12 +146,84 @@ class GroupManager:
         """Partition a whole population into groups of size ``k .. 2k-1``.
 
         Nodes are shuffled (with the manager's RNG) before assignment so
-        group composition is not correlated with node identifiers.
+        group composition is not correlated with node identifiers.  The
+        result, and the RNG state after it, are those of shuffling the
+        unassigned nodes with ``rng.shuffle`` and calling :meth:`join` on
+        each in turn, but made in one pass:
+
+        * which group a join lands in draws nothing: it is the
+          ``(size, group_id)`` minimum, and ids follow creation order;
+        * the only draws are the shuffle of the nodes and, at each split,
+          the shuffle of the ``2k`` members in ``repr`` order.
+
+        Once every group holds ``2k - 1`` members the joins repeat with
+        period ``2k - 1``: the lowest-id group takes one and splits, then
+        it and the new group take the next ``2(k - 1)`` in turn, which
+        fills both again.  Members are kept as their rank in ``repr``
+        order, so a split sorts integers; node ids go back in once, at
+        the end.
+
+        Raises:
+            ValueError: if ``nodes`` lists an unassigned node twice.
         """
         pending = [node for node in nodes if node not in self._membership]
-        self.rng.shuffle(pending)
-        for node in pending:
-            self.join(node)
+        if len(set(pending)) != len(pending):
+            raise ValueError("the population lists a node more than once")
+        k = self.min_size
+        existing = self.groups
+        population = [m for group in existing for m in group.members] + pending
+        keys = [repr(node) for node in population]
+        by_rank = sorted(range(len(population)), key=keys.__getitem__)
+        ranks = np.empty(len(population), dtype=np.int64)
+        ranks[by_rank] = np.arange(len(population))
+
+        members: Dict[int, List[int]] = {}
+        start = 0
+        for group in existing:
+            members[group.group_id] = ranks[start:start + group.size].tolist()
+            start += group.size
+        arrivals = _shuffle(self.rng, ranks[start:]).tolist()
+        at = 0
+        if not members and arrivals:
+            members[next(self._group_ids)] = [arrivals[0]]
+            at = 1
+        # Join by join until every group is full.
+        heap = [(len(ranked), group_id) for group_id, ranked in members.items()]
+        heapq.heapify(heap)
+        while at < len(arrivals) and heap[0][0] < 2 * k - 1:
+            size, group_id = heap[0]
+            members[group_id].append(arrivals[at])
+            at += 1
+            heapq.heapreplace(heap, (size + 1, group_id))
+        # Then a period at a time (the last one possibly cut short).  New
+        # groups take higher ids, so the lowest-id group stays the same.
+        period = 2 * k - 1
+        lowest = heap[0][1] if heap else None
+        for first in range(at, len(arrivals), period):
+            turn = arrivals[first:first + period]
+            split = members[lowest] + turn[:1]
+            split.sort()
+            self.rng.shuffle(split)
+            members[lowest] = split[:k] + turn[1::2]
+            members[next(self._group_ids)] = split[k:] + turn[2::2]
+
+        nodes_by_rank = [population[index] for index in by_rank]
+        for group_id, ranked in members.items():
+            group = self._groups.get(group_id)
+            if group is None:
+                group = Group(group_id=group_id, members=[], min_size=k)
+                self._groups[group_id] = group
+            ranked.sort()
+            group.members = [nodes_by_rank[rank] for rank in ranked]
+        self._membership = {
+            node: group_id
+            for group_id, group in self._groups.items()
+            for node in group.members
+        }
+        self._by_size = [
+            (group.size, group_id) for group_id, group in self._groups.items()
+        ]
+        heapq.heapify(self._by_size)
         return self.groups
 
     # ------------------------------------------------------------------
@@ -155,14 +231,16 @@ class GroupManager:
     # ------------------------------------------------------------------
     def _create_group(self, members: List[Hashable]) -> Group:
         group = Group(
-            group_id=next(_group_counter), members=[], min_size=self.min_size
+            group_id=next(self._group_ids), members=[], min_size=self.min_size
         )
         self._groups[group.group_id] = group
         self._set_members(group, members)
         return group
 
     def _set_members(self, group: Group, members: List[Hashable]) -> None:
-        """Replace a group's member list; the one place group sizes change."""
+        """Replace a group's member list; where a join, leave, split or
+        merge changes a group's size (``assign_population`` writes its
+        groups once, at the end)."""
         group.members = sorted(members, key=repr)
         for member in group.members:
             self._membership[member] = group.group_id

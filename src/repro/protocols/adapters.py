@@ -57,6 +57,7 @@ from repro.protocols.base import (
     SessionBroadcast,
 )
 from repro.protocols.registry import register_protocol
+from repro.telemetry.recorder import NULL_RECORDER, current_recorder
 
 
 def _build_session(
@@ -344,9 +345,10 @@ class ThreePhaseProtocol(BroadcastProtocol):
         )
         simulator.populate(lambda node_id: ThreePhaseNode(node_id, self.config))
         rng = random.Random(seed)
-        directory = GroupDirectory(
-            sorted(graph.nodes, key=repr), self.config.group_size, rng
-        )
+        # What the directory's shuffle makes of the nodes depends on their
+        # order; ``graph.ids`` lists them in ``repr`` order.
+        with (current_recorder() or NULL_RECORDER).span("groups_assign"):
+            directory = GroupDirectory(graph.ids, self.config.group_size, rng)
         return ProtocolSession(
             protocol=self,
             graph=graph,

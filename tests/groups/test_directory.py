@@ -32,3 +32,21 @@ class TestGroupDirectory:
         directory = GroupDirectory(list(range(20)), min_size=3, rng=random.Random(3))
         for node in range(20):
             assert directory.members_of(node) == directory.group_of(node).members
+
+    def test_group_ids_do_not_depend_on_earlier_directories(self):
+        first = GroupDirectory(list(range(50)), 5, random.Random(1))
+        second = GroupDirectory(list(range(50)), 5, random.Random(1))
+        ids = [group.group_id for group in second.groups]
+        assert ids == [group.group_id for group in first.groups]
+        assert ids == list(range(len(ids)))
+
+    def test_lookups_follow_the_manager(self):
+        directory = GroupDirectory(list(range(30)), 3, random.Random(4))
+        directory.manager.leave(7)
+        assert directory.manager.group_of(7) is None
+        with pytest.raises(KeyError):
+            directory.group_of(7)
+        for node in range(30):
+            if node != 7:
+                assert directory.group_of(node) is directory.manager.group_of(node)
+                assert node in directory.members_of(node)

@@ -7,6 +7,33 @@ import pytest
 from repro.groups.membership import Group, GroupManager
 
 
+def join_one_by_one(manager, nodes):
+    """What ``assign_population`` is defined as: shuffle the unassigned
+    nodes with the manager's RNG, then ``join`` each in turn."""
+    pending = [node for node in nodes if node not in manager._membership]
+    manager.rng.shuffle(pending)
+    for node in pending:
+        manager.join(node)
+    return manager.groups
+
+
+def state(manager):
+    """Everything a later join, leave or draw can see."""
+    return (
+        [(group.group_id, group.members) for group in manager.groups],
+        manager.rng.getstate(),
+        {node: manager.group_of(node).group_id for node in manager.nodes()},
+    )
+
+
+def assigned_both_ways(k, seed, nodes):
+    ours = GroupManager(k, random.Random(seed))
+    oracle = GroupManager(k, random.Random(seed))
+    ours.assign_population(list(nodes))
+    join_one_by_one(oracle, list(nodes))
+    return ours, oracle
+
+
 class TestGroup:
     def test_size_and_limits(self):
         group = Group(group_id=1, members=["a", "b", "c"], min_size=3)
@@ -123,3 +150,64 @@ class TestGroupManager:
                 assert manager._smallest_group(exclude=group) is min(
                     others, key=lambda g: (g.size, g.group_id), default=None
                 )
+
+
+class TestAssignPopulationIsTheJoinLoop:
+    """The one-pass assignment leaves the groups, their ids and order, and
+    the RNG exactly where joining the shuffled nodes one by one does."""
+
+    def test_benchmark_size(self):
+        ours, oracle = assigned_both_ways(5, 0, range(10_000))
+        assert state(ours) == state(oracle)
+        assert len(ours.groups) == 1112
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    def test_around_the_first_split(self, k):
+        # Fewer nodes than k, then one short of the first split, the split
+        # and one past it.
+        for n in (k - 1, 2 * k - 1, 2 * k, 2 * k + 1):
+            for seed in range(3):
+                ours, oracle = assigned_both_ways(k, seed, range(n))
+                assert state(ours) == state(oracle), (n, seed)
+
+    def test_empty_population_draws_nothing(self):
+        manager = GroupManager(3, random.Random(4))
+        before = manager.rng.getstate()
+        assert manager.assign_population([]) == []
+        assert manager.rng.getstate() == before
+
+    def test_string_ids(self):
+        # ``repr`` order is not ``int`` order: "n10" sorts before "n2".
+        nodes = [f"n{i}" for i in range(157)]
+        ours, oracle = assigned_both_ways(4, 2, nodes)
+        assert state(ours) == state(oracle)
+
+    def test_manager_that_already_holds_groups(self):
+        ours, oracle = assigned_both_ways(3, 5, range(20))
+        ours.leave(4)
+        oracle.leave(4)
+        more = [f"late{i}" for i in range(23)] + [0, 1]
+        ours.assign_population(more)
+        join_one_by_one(oracle, more)
+        assert state(ours) == state(oracle)
+
+    def test_duplicate_id_rejected(self):
+        manager = GroupManager(3, random.Random(0))
+        with pytest.raises(ValueError):
+            manager.assign_population([1, 2, 3, 2])
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_later_joins_and_leaves_agree(self, k):
+        ours, oracle = assigned_both_ways(k, 6, range(211))
+        steps = random.Random(9)
+        present = list(range(211))
+        for step in range(60):
+            if steps.random() < 0.5:
+                node = present.pop(steps.randrange(len(present)))
+                assert ours.leave(node) == oracle.leave(node)
+            else:
+                present.append(f"j{step}")
+                ours.join(present[-1])
+                oracle.join(present[-1])
+            assert state(ours) == state(oracle), step
+            assert ours._smallest_group() == oracle._smallest_group()

@@ -71,7 +71,9 @@ def test_virtual_source_selection_is_a_member_and_verifiable(payload, members):
 )
 def test_group_manager_size_invariant(population, k, seed):
     """After assigning any population, group sizes are in [k, 2k-1] whenever
-    the population is at least k, and every node is in exactly one group."""
+    the population is at least k, and every node is in exactly one group;
+    the groups, their order and the RNG state are those joining the
+    shuffled nodes one by one leaves."""
     manager = GroupManager(k, random.Random(seed))
     manager.assign_population(list(range(population)))
     members = [m for group in manager.groups for m in group.members]
@@ -79,6 +81,15 @@ def test_group_manager_size_invariant(population, k, seed):
     if population >= k:
         for group in manager.groups:
             assert k <= group.size <= 2 * k - 1
+    oracle = GroupManager(k, random.Random(seed))
+    pending = list(range(population))
+    oracle.rng.shuffle(pending)
+    for node in pending:
+        oracle.join(node)
+    assert [(g.group_id, g.members) for g in manager.groups] == [
+        (g.group_id, g.members) for g in oracle.groups
+    ]
+    assert manager.rng.getstate() == oracle.rng.getstate()
 
 
 @settings(max_examples=30, deadline=None)

@@ -178,6 +178,28 @@ class TestSpans:
             aggregate_telemetry([recorder.to_dict()]), SCHEMA
         ) == []
 
+    def test_group_assignment_is_a_setup_span(self):
+        # The paper's protocol attributes its setup to group assignment;
+        # the results are those of an unrecorded run.
+        overlay = random_regular_overlay(60, degree=4, seed=3)
+        recorder = TelemetryRecorder()
+        on = run_attack_experiment(
+            overlay, "three_phase", 0.1, broadcasts=2, seed=4,
+            telemetry=recorder,
+        )
+        off = run_attack_experiment(
+            overlay, "three_phase", 0.1, broadcasts=2, seed=4
+        )
+        for field in ("detection", "messages_per_broadcast", "mean_reach"):
+            assert getattr(on, field) == getattr(off, field)
+        (setup,) = [s for s in recorder.spans if s["name"] == "protocol_setup"]
+        assert [child["name"] for child in setup["children"]] == [
+            "groups_assign"
+        ]
+        assert validate(
+            aggregate_telemetry([recorder.to_dict()]), SCHEMA
+        ) == []
+
 
 class TestFallbackSurface:
     def test_sharded_decline_records_reason(self):
