@@ -57,6 +57,7 @@ from repro.scenarios import (  # noqa: E402
     PrivacySpec,
     ScenarioRunner,
     ScenarioSpec,
+    SpecRefused,
     available_scenarios,
     scenario,
 )
@@ -180,7 +181,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runner = ScenarioRunner(
         processes=args.processes, telemetry=bool(args.telemetry)
     )
-    result = runner.run(spec, repetitions=args.repetitions)
+    # A generator or protocol may still refuse the spec's values once it
+    # is compiled, in whichever process runs a repetition.
+    try:
+        result = runner.run(spec, repetitions=args.repetitions)
+    except SpecRefused as error:
+        return _input_error(error)
 
     print(f"# scenario: {spec.name}  ({spec.description})")
     print(f"# protocol={spec.protocol} topology={spec.topology.family} "

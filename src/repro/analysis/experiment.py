@@ -123,7 +123,7 @@ def _pick_sources(
     rng: random.Random,
     sender_pool: Optional[int] = None,
 ) -> List[Hashable]:
-    nodes = sorted(graph.nodes, key=repr)
+    nodes = graph.ids
     if sender_pool is not None:
         # Mixed multi-sender workloads: every broadcast originates from a
         # small, fixed set of senders (wallet hosts, exchange gateways)

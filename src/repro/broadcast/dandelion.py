@@ -21,7 +21,7 @@ from typing import Dict, Hashable, Optional, Set
 
 from repro.network.message import Message
 from repro.network.node import Node
-from repro.network.topology import Overlay
+from repro.network.topology import Overlay, as_overlay
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,10 @@ def assign_stem_successors(
     uses; repeating the selection each epoch prevents long-lived topology
     leaks.
     """
+    overlay = as_overlay(graph)
     successors: Dict[Hashable, Hashable] = {}
-    for node in sorted(graph.nodes, key=repr):
-        neighbours = sorted(graph.neighbors(node), key=repr)
+    for node in overlay.ids:
+        neighbours = overlay.neighbors(node)
         if not neighbours:
             raise ValueError(f"node {node!r} has no neighbours")
         successors[node] = rng.choice(neighbours)

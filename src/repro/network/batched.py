@@ -54,14 +54,12 @@ land before any of its fan-out deliveries.
 
 from __future__ import annotations
 
-import logging
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.network.topology import Overlay, csr_row_positions
 
-logger = logging.getLogger(__name__)
 
 class DeliveryBlock:
     """One same-time run of kernel-generated deliveries, kept as arrays."""
@@ -132,7 +130,7 @@ class CohortKernel:
 
     def __init__(self, simulator) -> None:
         self.simulator = simulator
-        self._topology: Optional[Overlay] = None
+        self._topology: Overlay = simulator.graph
         self._generation = -1
         self._values: Dict[str, tuple] = {}
         self._online: Optional[np.ndarray] = None
@@ -143,33 +141,30 @@ class CohortKernel:
     # Topology / churn masks
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Rebuild the CSR view and churn masks after a cache invalidation."""
+        """Rebuild the churn masks after a node or link went down or up."""
         simulator = self.simulator
         generation = simulator._topology_generation
-        if self._generation == generation and self._topology is not None:
+        if self._generation == generation:
             return
-        topology = simulator.graph
-        logger.debug(
-            "cohort kernel refreshed CSR view: generation %d, %d nodes",
-            generation,
-            topology.n,
-        )
-        self._topology = topology
-        simulator.peers.reindex(topology.ids, topology.index)
+        topology = self._topology
         offline = simulator._offline
         severed = simulator._severed
         if offline or severed:
-            online = np.ones(topology.n, dtype=bool)
+            # ``fail_node`` and ``sever_link`` take only overlay nodes and
+            # edges, and the overlay never changes.
             index = topology.index
+            indptr, indices = topology.indptr, topology.indices
+            online = np.ones(topology.n, dtype=bool)
             for node_id in offline:
-                i = index.get(node_id)
-                if i is not None:
-                    online[i] = False
-            edge_ok = np.ones(len(topology.indices), dtype=bool)
+                online[index[node_id]] = False
+            # Both CSR directions of every severed link (but a self-loop).
+            edge_ok = np.ones(len(indices), dtype=bool)
             for link in severed:
-                endpoints = tuple(link)
-                if len(endpoints) == 2:
-                    self._mark_edge(topology, edge_ok, *endpoints)
+                if len(link) == 2:
+                    a, b = (index[node_id] for node_id in link)
+                    for i, j in ((a, b), (b, a)):
+                        row = indices[indptr[i]:indptr[i + 1]]
+                        edge_ok[indptr[i] + np.searchsorted(row, j)] = False
             self._online = online
             self._edge_ok = edge_ok
         else:
@@ -180,25 +175,6 @@ class CohortKernel:
     @property
     def index(self) -> Dict[Hashable, int]:
         return self._topology.index
-
-    @staticmethod
-    def _mark_edge(
-        topology: Overlay, edge_ok: np.ndarray, a: Hashable, b: Hashable
-    ) -> None:
-        """Mark both CSR directions of a severed link as unusable."""
-        index = topology.index
-        indptr = topology.indptr
-        indices = topology.indices
-        for source, target in ((a, b), (b, a)):
-            i = index.get(source)
-            j = index.get(target)
-            if i is None or j is None:
-                continue
-            lo = indptr[i]
-            hi = indptr[i + 1]
-            pos = lo + np.searchsorted(indices[lo:hi], j)
-            if pos < hi and indices[pos] == j:
-                edge_ok[pos] = False
 
     # ------------------------------------------------------------------
     # Per-protocol hooks

@@ -196,9 +196,7 @@ def random_churn_schedule(
         raise ValueError("rejoin_after must be positive when given")
     rng = rng if rng is not None else random.Random()
     protected = set(protected)
-    candidates = [
-        node for node in sorted(graph.nodes, key=repr) if node not in protected
-    ]
+    candidates = [node for node in graph.ids if node not in protected]
     count = min(
         int(round(leave_fraction * graph.number_of_nodes())), len(candidates)
     )

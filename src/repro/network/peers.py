@@ -22,7 +22,7 @@ and the session is freed by reference count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -36,14 +36,12 @@ class PeerColumns:
     """Which peer holds which payload, one column per payload.
 
     Args:
-        ids: the node ids in CSR index order.
-        index: their inverse, node id to CSR index.
+        index: the overlay's node id to CSR index.
     """
 
-    __slots__ = ("ids", "index", "_seen", "_bitmaps")
+    __slots__ = ("index", "_seen", "_bitmaps")
 
-    def __init__(self, ids: List[Hashable], index: Dict[Hashable, int]) -> None:
-        self.ids = ids
+    def __init__(self, index: Dict[Hashable, int]) -> None:
         self.index = index
         self._seen: Dict[Hashable, bytearray] = {}
         self._bitmaps: Dict[Hashable, np.ndarray] = {}
@@ -51,7 +49,7 @@ class PeerColumns:
     def _column(self, payload_id: Hashable) -> bytearray:
         column = self._seen.get(payload_id)
         if column is None:
-            column = self._seen[payload_id] = bytearray(len(self.ids))
+            column = self._seen[payload_id] = bytearray(len(self.index))
         return column
 
     def bitmap(self, payload_id: Hashable) -> np.ndarray:
@@ -84,28 +82,6 @@ class PeerColumns:
             return False
         column[i] = 1
         return True
-
-    def reindex(self, ids: List[Hashable], index: Dict[Hashable, int]) -> None:
-        """Number the peers by a kernel's CSR ``ids``/``index``.
-
-        The same numbering shares the kernel's objects; after a change of
-        the overlay's node set every column is rebuilt in the new order
-        (peers new to the overlay hold nothing).
-        """
-        if ids is self.ids:
-            return
-        old_ids, old_seen = self.ids, self._seen
-        self.ids = ids
-        self.index = index
-        if ids == old_ids:
-            return
-        self._seen = {}
-        self._bitmaps = {}
-        for payload_id, column in old_seen.items():
-            held = np.flatnonzero(np.frombuffer(column, dtype=bool)).tolist()
-            self.bitmap(payload_id)[
-                np.array([index[old_ids[i]] for i in held], dtype=np.int64)
-            ] = True
 
 
 class PeerStateNode(Node):

@@ -128,7 +128,7 @@ def shard_assignment(topology, shards: int) -> np.ndarray:
     """CSR-indexed shard owner of every node, kept on the overlay.
 
     Built from :func:`bfs_partition` and kept in the overlay's
-    ``partitions`` (dropped when the overlay grows), so the benchmark
+    ``partitions`` (an overlay never changes once built), so the benchmark
     repeat loop pays the partition walk once per overlay.
     """
     assignment = topology.partitions.get(shards)

@@ -82,7 +82,7 @@ from repro.network.message import Message, Observation
 from repro.network.metrics import MetricsCollector
 from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
-from repro.network.topology import Overlay
+from repro.network.topology import Overlay, as_overlay
 from repro.telemetry.recorder import Recorder, current_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - numpy-backed, imported on first use
@@ -141,9 +141,9 @@ class Simulator:
 
     Args:
         graph: the overlay topology (:class:`~repro.network.topology.Overlay`,
-            or a networkx graph, which is converted and kept as the source
-            :meth:`invalidate_topology_caches` reads again); node ids
-            become simulator node ids.
+            or a networkx graph, which is converted once); node ids become
+            simulator node ids.  The overlay is fixed for the simulator's
+            lifetime.
         latency: link latency model; defaults to one time unit per hop, or to
             the conditions' latency when ``conditions`` is given.
         seed: seed of the simulator's RNG (used by protocols for coin flips).
@@ -187,12 +187,7 @@ class Simulator:
                 f"(registered: {', '.join(sorted(ENGINES))})"
             )
         self._engine = engine
-        # A networkx graph handed in is read again on invalidation: the
-        # growth contract is "mutate the graph, then invalidate".
-        self._source = None if isinstance(graph, Overlay) else graph
-        self.graph = (
-            graph if self._source is None else Overlay.from_networkx(graph)
-        )
+        self.graph = as_overlay(graph)
         if latency is not None:
             self.latency = latency
         elif conditions is not None:
@@ -266,9 +261,9 @@ class Simulator:
         self._record = self.store.record
         self._push_item = self._queue.push_item
         self._push_entry = self._queue.push_entry
-        # Bumped by every topology-cache invalidation so cohort kernels
-        # know when to rebuild their CSR view and churn masks; the kernel
-        # itself (or its absence) is resolved lazily by ``_choose_path``.
+        # Bumped by every churn or link change so cohort kernels know when
+        # to rebuild their churn masks; the kernel itself (or its absence)
+        # is resolved lazily by ``_choose_path``.
         self._topology_generation = 0
         self._kernel = None
         self._kernel_resolved = False
@@ -413,7 +408,7 @@ class Simulator:
             from repro.network.peers import PeerColumns
 
             graph = self.graph
-            peers = self._peers = PeerColumns(graph.ids, graph.index)
+            peers = self._peers = PeerColumns(graph.index)
             # Number the log's nodes as the columns do, so kernels and the
             # delivery columns share indexes without a remap.
             self.store.adopt(graph.ids_array, graph.index)
@@ -493,34 +488,10 @@ class Simulator:
             self._adjacency[node_id] = adjacent
         return adjacent
 
-    def invalidate_topology_caches(self) -> None:
-        """Make a change to the overlay visible to this simulator.
-
-        The simulator caches each node's neighbour tuple (for fan-outs) and
-        adjacency set (for overlay-edge validation in :meth:`send`).  Code
-        that grows :attr:`graph` *after* construction — e.g.
-        :func:`~repro.threat.botnet.inject_supernodes` on an overlay
-        already owned by a simulator — must call this, or sends along new
-        edges will be rejected against the stale topology.  A simulator
-        built from a networkx graph converts that graph again here, so
-        mutating it and then calling this works too.  (All built-in
-        experiment flows build the overlay before the simulator.)
-
-        Also bumps the topology generation the cohort kernels track, so
-        every engine sees the change.
-        """
-        if self._source is not None:
-            self.graph = Overlay.from_networkx(self._source)
-        self._drop_topology_caches()
-        peers = self._peers
-        if peers is not None and len(peers.ids) != self.graph.number_of_nodes():
-            peers.reindex(self.graph.ids, self.graph.index)
-
     def _drop_topology_caches(self) -> None:
-        """Forget the neighbour tuples, adjacency sets and kernel masks
-        (churn changed who is reachable, not the overlay)."""
+        """Forget the neighbour tuples and kernel masks (churn changed who
+        is reachable, not the overlay)."""
         self._neighbour_cache.clear()
-        self._adjacency.clear()
         self._topology_generation += 1
 
     # ------------------------------------------------------------------

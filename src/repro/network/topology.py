@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain, islice
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -132,11 +132,9 @@ class Overlay:
     orientation and order — and :meth:`to_networkx` rebuilds the graph
     networkx would have built, adjacency order included.
 
-    A run only reads it.  It grows through :meth:`add_node`,
-    :meth:`add_nodes_from`, :meth:`add_edge` and :meth:`add_edges_from`,
-    which rebuild the CSR as new arrays (anyone holding the old ones keeps
-    a consistent snapshot); a simulator that already owns the overlay must
-    then be told (``Simulator.invalidate_topology_caches``).
+    An overlay is fixed once built: a run only reads it, and churn and
+    link failures are masks over its CSR.  An overlay with more nodes is a
+    new overlay (:func:`~repro.threat.botnet.inject_supernodes`).
 
     Args:
         nodes: the node ids in insertion order.
@@ -151,7 +149,7 @@ class Overlay:
             edges from a set of those pairs (a random-regular overlay,
             whose positions are its node ids).  The set's order is worked
             out only when something asks for it (:meth:`to_networkx`,
-            ``edges``, growing).
+            ``edges``).
     """
 
     __slots__ = (
@@ -173,7 +171,25 @@ class Overlay:
         self._tails = tails
         self._data = data if data is not None else {}
         self._from_set = from_set
-        self._build()
+        self.ids, self.ids_array, self.index = _numbering(nodes)
+        n = self.n = len(nodes)
+        self._rank = np.fromiter(
+            map(self.index.__getitem__, nodes), dtype=np.int64, count=n
+        )
+        heads = self._rank[heads]
+        tails = self._rank[tails]
+        # A self-loop is one arc but, as networkx counts, one edge too.
+        self.n_edges = (len(heads) + int(np.count_nonzero(heads == tails))) // 2
+        # Rows in index order, each sorted by index: one sort of the keys.
+        self.indices = np.sort(heads * n + tails) % max(n, 1)
+        counts = np.bincount(heads, minlength=n)
+        self.indptr = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
+        )
+        #: Shard count -> CSR-indexed owner of every node (``sharded``).
+        self.partitions: Dict[int, np.ndarray] = {}
+        self._grouped: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._networkx = None
 
     @classmethod
     def from_networkx(cls, graph) -> "Overlay":
@@ -191,29 +207,6 @@ class Overlay:
         heads = np.repeat(np.arange(len(nodes)), degrees)
         data = {node: dict(attrs) for node, attrs in graph.nodes(data=True) if attrs}
         return cls(nodes, heads, tails, data)
-
-    def _build(self) -> None:
-        """The CSR of the current arcs; drops everything derived from it."""
-        nodes = self._nodes
-        self.ids, self.ids_array, self.index = _numbering(nodes)
-        n = self.n = len(nodes)
-        self._rank = np.fromiter(
-            map(self.index.__getitem__, nodes), dtype=np.int64, count=n
-        )
-        heads = self._rank[self._heads]
-        tails = self._rank[self._tails]
-        # A self-loop is one arc but, as networkx counts, one edge too.
-        self.n_edges = (len(heads) + int(np.count_nonzero(heads == tails))) // 2
-        # Rows in index order, each sorted by index: one sort of the keys.
-        self.indices = np.sort(heads * n + tails) % max(n, 1)
-        counts = np.bincount(heads, minlength=n)
-        self.indptr = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
-        )
-        #: Shard count -> CSR-indexed owner of every node (``sharded``).
-        self.partitions: Dict[int, np.ndarray] = {}
-        self._grouped: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._networkx = None
 
     # ------------------------------------------------------------------
     # Reading, with networkx's names
@@ -288,7 +281,7 @@ class Overlay:
         Same nodes with their attributes, same adjacency order and one data
         dict per edge shared by both ends, as networkx builds it — so an
         algorithm whose result depends on adjacency order gives the same
-        answer on it.  Growing the overlay drops it.
+        answer on it.
         """
         if self._networkx is None:
             graph = nx.Graph()
@@ -327,60 +320,6 @@ class Overlay:
             order = np.argsort(heads, kind="stable")
             self._grouped = heads[order], tails[order]
         return self._grouped
-
-    # ------------------------------------------------------------------
-    # Growing
-    # ------------------------------------------------------------------
-    def add_node(self, node: Hashable, **attrs) -> None:
-        self.add_nodes_from((node,), **attrs)
-
-    def add_nodes_from(self, nodes: Iterable[Hashable], **attrs) -> None:
-        self._grow(nodes, (), attrs)
-
-    def add_edge(self, u: Hashable, v: Hashable) -> None:
-        self.add_edges_from(((u, v),))
-
-    def add_edges_from(self, edges: Iterable[Tuple[Hashable, Hashable]]) -> None:
-        """Add the edges, and any endpoint not in the overlay yet, in order;
-        an edge already there changes nothing (as in networkx)."""
-        self._grow((), edges, {})
-
-    def _grow(self, nodes, edges, attrs) -> None:
-        heads, tails = self._adjacency_arcs()
-        order = list(self._nodes)
-        position = {node: i for i, node in enumerate(order)}
-
-        def place(node: Hashable) -> int:
-            at = position.get(node)
-            if at is None:
-                if node is None:
-                    raise ValueError("None cannot be a node")
-                at = position[node] = len(order)
-                order.append(node)
-            return at
-
-        for node in nodes:
-            place(node)
-            if attrs:
-                self._data.setdefault(node, {}).update(attrs)
-                self._networkx = None
-        added = set()
-        arcs: List[int] = []
-        for u, v in edges:
-            i, j = place(u), place(v)
-            key = (min(i, j), max(i, j))
-            if key in added or self.has_edge(u, v):
-                continue
-            added.add(key)
-            arcs.extend((i, j) if i == j else (i, j, j, i))
-        if len(order) == self.n and not arcs:
-            return
-        extra = np.array(arcs, dtype=np.int64).reshape(-1, 2)
-        self._nodes = order
-        self._heads = np.concatenate((heads, extra[:, 0]))
-        self._tails = np.concatenate((tails, extra[:, 1]))
-        self._from_set = False
-        self._build()
 
 
 def as_overlay(graph) -> Overlay:

@@ -45,6 +45,7 @@ from repro.scenarios.spec import (
     PrivacySpec,
     ScenarioSpec,
     SeedPolicy,
+    SpecRefused,
     TopologySpec,
     WorkloadSpec,
 )
@@ -73,6 +74,7 @@ __all__ = [
     "PrivacySpec",
     "ScenarioSpec",
     "SeedPolicy",
+    "SpecRefused",
     "TopologySpec",
     "WorkloadSpec",
 ]

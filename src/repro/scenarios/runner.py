@@ -36,7 +36,7 @@ from repro.network.simulator import Simulator
 from repro.network.topology import Overlay
 from repro.protocols import BroadcastProtocol, protocol_class
 from repro.protocols.base import ProtocolSession
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec, SpecRefused
 from repro.telemetry.export import aggregate_telemetry
 from repro.telemetry.recorder import NULL_RECORDER, Recorder, TelemetryRecorder
 
@@ -82,7 +82,8 @@ FAULT_SEED_OFFSET = 0xFA07
 
 
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
-    """Resolve ``spec`` into overlay, conditions, protocol and hooks."""
+    """Resolve ``spec`` into overlay, conditions, protocol and hooks;
+    :class:`SpecRefused` when the generator or the protocol refuses it."""
     churn = spec.churn
     faults = spec.faults
     hook: Optional[Callable[[ProtocolSession], None]] = None
@@ -104,13 +105,21 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
                     session.simulator
                 )
 
-    return CompiledScenario(
-        spec=spec,
-        graph=spec.topology.build(),
-        conditions=spec.conditions.build(),
-        protocol=build_protocol(spec.protocol, dict(spec.protocol_options)),
-        session_hook=hook,
-    )
+    try:
+        graph = spec.topology.build()
+    except ValueError as error:
+        raise SpecRefused(
+            f"topology {spec.topology.family!r} refuses its parameters: {error}"
+        ) from error
+    conditions = spec.conditions.build()
+    protocol = build_protocol(spec.protocol, dict(spec.protocol_options))
+    if graph.number_of_nodes() < protocol.anonymity_floor():
+        raise SpecRefused(
+            f"protocol {spec.protocol!r} needs at least "
+            f"{protocol.anonymity_floor()} peers (its anonymity floor), "
+            f"the overlay has {graph.number_of_nodes()}"
+        )
+    return CompiledScenario(spec, graph, conditions, protocol, hook)
 
 
 def run_scenario_once(
@@ -420,6 +429,6 @@ class ScenarioRunner:
         """
         session = build_session(spec)
         with closing(session.simulator):
-            source = sorted(session.graph.nodes, key=repr)[0]
+            source = session.graph.ids[0]
             session.protocol.broadcast(session, source, f"digest-{spec.name}")
             return observation_log_digest(session.simulator)

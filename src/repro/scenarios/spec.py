@@ -18,10 +18,13 @@ enumerates and executes them.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Mapping, Optional, Tuple, get_args, get_type_hints,
+)
 
 from repro.network.churn import ChurnEvent, ChurnSchedule, random_churn_schedule
 from repro.network.conditions import NetworkConditions
@@ -62,6 +65,13 @@ TOPOLOGY_FAMILIES: Registry[Callable[..., Overlay]] = Registry(
     },
 )
 
+#: A generator's parameter types, resolved once per generator.
+_type_hints = functools.lru_cache(maxsize=None)(get_type_hints)
+
+
+class SpecRefused(ValueError):
+    """Spec values that pass loading but a generator or protocol refuses."""
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -94,6 +104,17 @@ class TopologySpec:
                 f"{', '.join(map(repr, unknown))} "
                 f"(accepted: {', '.join(accepted)})"
             )
+        # So would a value of the wrong type, from deep inside it.
+        hints = _type_hints(generator)
+        for name, value in self.params.items():
+            kinds = get_args(hints[name]) or (hints[name],)
+            if float in kinds:
+                kinds += (int,)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise TypeError(
+                    f"topology parameter {name!r} must be "
+                    f"{accepted[name].annotation}, not {value!r}"
+                )
 
     def build(self) -> Overlay:
         """Generate the overlay this spec describes."""

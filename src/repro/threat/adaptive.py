@@ -149,7 +149,7 @@ class AdaptiveMonitoringAdversary(AdversaryModel):
                 chosen.add(suspect)
             if not self.neighbourhood:
                 continue
-            for peer in sorted(graph.neighbors(suspect), key=repr):
+            for peer in graph.neighbors(suspect):
                 if len(chosen) >= self._budget:
                     break
                 if peer not in protected:

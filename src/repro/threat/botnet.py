@@ -8,9 +8,10 @@ supernodes, and records who relayed which transaction first.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Set
+from typing import Hashable, List, Optional, Set, Tuple
 
 from repro.network.simulator import Simulator
 from repro.network.topology import Overlay
@@ -68,7 +69,7 @@ def deploy_botnet(
     if not 0.0 <= fraction < 1.0:
         raise ValueError("the compromised fraction must be in [0, 1)")
     protected = protected or set()
-    candidates = [node for node in sorted(graph.nodes, key=repr) if node not in protected]
+    candidates = [node for node in graph.ids if node not in protected]
     count = int(round(fraction * graph.number_of_nodes()))
     count = min(count, len(candidates))
     observers = set(rng.sample(candidates, count)) if count else set()
@@ -81,27 +82,30 @@ def inject_supernodes(
     connections_per_node: int,
     rng: random.Random,
     prefix: str = "spy",
-) -> BotnetDeployment:
-    """Add ``count`` highly connected adversary nodes to the overlay.
+) -> Tuple[Overlay, BotnetDeployment]:
+    """``graph`` with ``count`` highly connected adversary nodes added, and
+    the botnet they form.
 
-    The graph is modified in place: each supernode connects to
-    ``connections_per_node`` uniformly chosen existing nodes, mirroring the
-    "few nodes with many interconnects" strategy the paper mentions.
+    Each supernode connects to ``connections_per_node`` uniformly chosen
+    existing nodes, mirroring the "few nodes with many interconnects"
+    strategy the paper mentions.  ``graph`` is left as it is: the result is
+    a new overlay, built before any simulator reads it.
     """
     if count < 1 or connections_per_node < 1:
         raise ValueError("count and connections_per_node must be positive")
-    existing = sorted(graph.nodes, key=repr)
+    existing = graph.ids
     if connections_per_node > len(existing):
         raise ValueError("more connections requested than existing nodes")
     supernodes = [f"{prefix}-{index}" for index in range(count)]
-    # One batch, so an overlay rebuilds its CSR once.
-    graph.add_nodes_from(supernodes, reachable=True, adversarial=True)
-    graph.add_edges_from(
+    # A deep copy keeps every node's adjacency order (``Graph.copy`` would
+    # not), and the overlay's cached graph stays untouched.
+    grown = copy.deepcopy(graph.to_networkx())
+    grown.add_nodes_from(supernodes, reachable=True, adversarial=True)
+    grown.add_edges_from(
         (node_id, peer)
         for node_id in supernodes
         for peer in rng.sample(existing, connections_per_node)
     )
-    fraction = count / graph.number_of_nodes()
-    return BotnetDeployment(
-        observers=set(supernodes), fraction=fraction, supernodes=supernodes
-    )
+    overlay = Overlay.from_networkx(grown)
+    fraction = count / overlay.number_of_nodes()
+    return overlay, BotnetDeployment(set(supernodes), fraction, supernodes)

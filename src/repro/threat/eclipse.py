@@ -63,7 +63,7 @@ class EclipseAdversary(AdversaryModel):
             raise ValueError(
                 f"eclipse victim {self.victim!r} is not in the overlay"
             )
-        peers: List[Hashable] = sorted(graph.neighbors(self.victim), key=repr)
+        peers: List[Hashable] = graph.neighbors(self.victim)
         count = max(1, round(self.link_fraction * len(peers))) if peers else 0
         targets = peers[:count]
         events: List[LinkEvent] = [

@@ -172,20 +172,3 @@ def test_nodes_built_after_close_still_answer():
     )
     with pytest.raises(RuntimeError, match="not attached"):
         sim.node(88).originate("tx-d")
-
-
-@pytest.mark.parametrize("engine", ["event", "batched"])
-def test_a_peer_added_to_the_overlay_gets_a_column_entry(engine):
-    # The documented way to grow an overlay a simulator already owns: add
-    # the vertex, invalidate the caches, register its behaviour.  The seen
-    # columns follow the new numbering and keep what every peer held.
-    sim = _run(FACTORIES["flood"], engine, None, "static", eager=False)
-    held = [n for n in sorted(sim.graph) if sim.node(n).has_seen("tx-a")]
-    sim.graph.add_edges_from(((-1, 0), (-1, 45)))
-    sim.invalidate_topology_caches()
-    sim.add_node(FloodNode(-1, payload_size_bytes=64))
-    assert [n for n in sorted(sim.graph) if sim.node(n).has_seen("tx-a")] == held
-    sim.node(-1).originate("tx-d")
-    sim.run_until_idle()
-    assert sim.node(-1).has_seen("tx-d") and sim.node(0).has_seen("tx-d")
-    assert sim.metrics.reach("tx-d") == sim.graph.number_of_nodes() - 3

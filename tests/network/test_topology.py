@@ -7,12 +7,8 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.threat.botnet import inject_supernodes
-from repro.broadcast.flood import FloodNode
 from repro.network import topology
 from repro.network.conditions import NetworkConditions
-from repro.network.latency import ConstantLatency
-from repro.network.simulator import Simulator
 from repro.network.topology import (
     Overlay,
     barabasi_albert_overlay,
@@ -298,31 +294,6 @@ class TestOverlay:
     def test_families_return_overlays(self):
         assert isinstance(line_overlay(4), Overlay)
         assert isinstance(small_world_overlay(30, neighbours=4, seed=0), Overlay)
-
-    def test_growing_is_what_networkx_does(self, overlay):
-        graph = overlay.to_networkx()
-        edges = [(0, "new"), ("new", 7), (0, 1), (5, 5), ("other", 3)]
-        for target in (overlay, graph):
-            target.add_node("new", kind="late")
-            target.add_edges_from(edges)
-            target.add_edge(5, 5)
-        assert_overlay_is(overlay, graph)
-        assert overlay.nodes["new"] == {"kind": "late"}
-
-    def test_mutated_and_invalidated_overlay_gets_a_new_csr(self, overlay):
-        seeded = overlay.indices
-        sim = Simulator(overlay, ConstantLatency(0.1), seed=0, engine="batched")
-        inject_supernodes(overlay, 2, 10, random.Random(0))
-        sim.invalidate_topology_caches()
-        sim.populate(FloodNode)
-        sim.node(0).originate("tx")
-        sim.run_until_idle()
-        assert sim.engine_effective == "batched"
-        assert overlay.indices is not seeded
-        assert overlay.n == 302
-        assert np.array_equal(overlay.indices, oracle_csr(overlay.to_networkx())[2])
-        edges = overlay.number_of_edges()
-        assert len(sim.store) == 2 * edges - overlay.number_of_nodes() + 1
 
     @pytest.mark.parametrize(
         "engine,shards", [("event", None), ("batched", None), ("sharded", 2)]

@@ -185,3 +185,46 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert "crystal_ball" in proc.stderr
         assert "first_spy" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "family,params,protocol,processes,message",
+        [
+            ("random_regular", {"num_nodes": "abc", "degree": 4}, "flood", "2",
+             "topology parameter 'num_nodes' must be int, not 'abc'"),
+            ("random_regular", {"num_nodes": 4, "degree": 4}, "flood", "2",
+             "topology 'random_regular' refuses its parameters: "
+             "need more nodes than the degree"),
+            ("random_regular", {"num_nodes": 4, "degree": 4}, "flood", "1",
+             "topology 'random_regular' refuses its parameters: "
+             "need more nodes than the degree"),
+            ("line", {"num_nodes": 1}, "flood", "2",
+             "topology 'line' refuses its parameters: need at least two nodes"),
+            ("random_regular", {"num_nodes": 4, "degree": 2}, "three_phase", "2",
+             "protocol 'three_phase' needs at least 5 peers "
+             "(its anonymity floor), the overlay has 4"),
+            ("complete", {"num_nodes": 3}, "three_phase", "2",
+             "protocol 'three_phase' needs at least 5 peers "
+             "(its anonymity floor), the overlay has 3"),
+        ],
+        ids=["type", "degree", "degree-serial", "line", "three_phase-small",
+             "three_phase-complete"],
+    )
+    def test_spec_values_a_generator_or_protocol_refuses_are_one_error_line(
+        self, tmp_path, family, params, protocol, processes, message
+    ):
+        # A wrong type is refused at load; a value only when a repetition
+        # compiles the spec, in a worker process with --processes 2.
+        spec = json.loads(
+            _run("describe", "e4_broadcast_deanonymization").stdout
+        )
+        spec["topology"] = {"family": family, "params": params}
+        spec["protocol"] = protocol
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        proc = _run(
+            "run", "--spec-file", str(spec_path),
+            "--repetitions", "2", "--processes", processes,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
+        assert proc.stdout == ""

@@ -144,6 +144,20 @@ class TestSpecValidation:
         for accepted in ("num_nodes", "neighbours", "shortcut_probability"):
             assert accepted in message
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"num_nodes": "abc"}, {"num_nodes": 60.0}, {"num_nodes": True},
+         {"num_nodes": 60, "seed": "1"}],
+    )
+    def test_wrongly_typed_topology_param_rejected_at_load(self, params):
+        with pytest.raises(TypeError, match="must be"):
+            TopologySpec("random_regular", params)
+
+    def test_topology_param_types_follow_the_generator(self):
+        TopologySpec("random_regular", {"num_nodes": 60, "seed": None})
+        TopologySpec("small_world", {"num_nodes": 60, "shortcut_probability": 0})
+        TopologySpec("erdos_renyi", {"num_nodes": 60, "avg_degree": 7.5})
+
     def test_unknown_protocol_rejected_at_load(self):
         # Used to load fine and fail only when the spec was compiled.
         data = json.loads(FULL_SPEC.to_json())

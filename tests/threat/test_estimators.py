@@ -3,6 +3,7 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.threat.botnet import deploy_botnet, inject_supernodes
@@ -14,7 +15,11 @@ from repro.broadcast.flood import FloodNode
 from repro.network.latency import PerEdgeLatency
 from repro.network.message import Message
 from repro.network.simulator import Simulator
-from repro.network.topology import random_regular_overlay, regular_tree_overlay
+from repro.network.topology import (
+    random_regular_overlay,
+    regular_tree_overlay,
+    small_world_overlay,
+)
 
 
 class TestBotnet:
@@ -48,13 +53,66 @@ class TestBotnet:
 
     def test_supernode_injection(self):
         graph = random_regular_overlay(50, degree=4, seed=0)
-        before = graph.number_of_nodes()
-        botnet = inject_supernodes(graph, count=3, connections_per_node=10,
-                                   rng=random.Random(2))
-        assert graph.number_of_nodes() == before + 3
-        assert len(botnet.supernodes) == 3
+        overlay, botnet = inject_supernodes(
+            graph, count=3, connections_per_node=10, rng=random.Random(2)
+        )
+        assert graph.number_of_nodes() == 50
+        assert overlay.number_of_nodes() == 53
+        assert botnet.supernodes == ["spy-0", "spy-1", "spy-2"]
+        assert botnet.observers == set(botnet.supernodes)
+        assert botnet.fraction == 3 / 53
         for spy in botnet.supernodes:
-            assert graph.degree(spy) == 10
+            assert overlay.degree(spy) == 10
+            assert overlay.nodes[spy] == {"reachable": True, "adversarial": True}
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: random_regular_overlay(300, degree=8, seed=seed),
+            lambda seed: small_world_overlay(120, neighbours=4, seed=seed),
+        ],
+        ids=["random_regular", "small_world"],
+    )
+    def test_supernodes_are_what_networkx_grows(self, build):
+        """The new overlay is the networkx graph grown in place with the
+        same adds, after the same draws; the input overlay is untouched."""
+        for seed in range(4):
+            graph = build(seed)
+            before = (
+                list(graph.ids), graph.indptr.copy(), graph.indices.copy(),
+                list(graph.edges),
+            )
+            ours, theirs = random.Random(seed), random.Random(seed)
+            overlay, _ = inject_supernodes(graph, 4, 12, ours, prefix="bot")
+
+            reference = build(seed).to_networkx()
+            existing = sorted(reference, key=repr)
+            spies = [f"bot-{index}" for index in range(4)]
+            reference.add_nodes_from(spies, reachable=True, adversarial=True)
+            reference.add_edges_from(
+                (spy, peer) for spy in spies for peer in theirs.sample(existing, 12)
+            )
+            assert ours.getstate() == theirs.getstate()
+            assert list(overlay) == list(reference)
+            rebuilt = overlay.to_networkx()
+            assert all(
+                list(rebuilt.adj[node]) == list(reference.adj[node])
+                for node in reference
+            )
+            assert overlay.edges == list(reference.edges)
+            assert dict(overlay.nodes(data=True)) == dict(reference.nodes(data=True))
+            ids = sorted(reference, key=repr)
+            index = {node: i for i, node in enumerate(ids)}
+            rows = [sorted(index[peer] for peer in reference.adj[node]) for node in ids]
+            assert overlay.ids == ids
+            assert overlay.indptr.tolist() == np.cumsum([0] + list(map(len, rows))).tolist()
+            assert overlay.indices.tolist() == [i for row in rows for i in row]
+
+            assert graph.ids == before[0]
+            assert np.array_equal(graph.indptr, before[1])
+            assert np.array_equal(graph.indices, before[2])
+            assert graph.edges == before[3]
+            assert graph.to_networkx().number_of_nodes() == graph.number_of_nodes()
 
     def test_supernode_invalid_parameters(self):
         graph = random_regular_overlay(20, degree=4, seed=0)
