@@ -11,17 +11,32 @@ pieces the combined protocol adds on top:
   neighbours; plain ``flood`` messages are handled with the usual
   first-reception-forwards rule.
 
+Per-node state.  Only the DC-net group members and the nodes adaptive
+diffusion reaches keep an :class:`~repro.diffusion.spreading.InfectionState`.
+Phase 3 keeps one bit per peer and payload, its entry in the simulator's
+:class:`~repro.network.peers.PeerColumns`: "has flooded the payload".  A
+node without an infection state holds the payload exactly when that bit is
+set, i.e. it got it through the flood; should adaptive diffusion reach such
+a node later, its infection state is rebuilt from the log's ``flood`` rows
+to it (first sender and time, every sender), as if it had been kept.
+
 :attr:`ThreePhaseNode.HANDLERS` is the adaptive-diffusion table between
 the Phase-1 and Phase-3 kinds: the protocol's wire kinds, in phase order.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set
+from typing import TYPE_CHECKING, Hashable, Optional
 
 from repro.core.config import ProtocolConfig
 from repro.diffusion.adaptive import AdaptiveDiffusionNode
+from repro.diffusion.spreading import InfectionState
 from repro.network.message import Message
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.network.observation_store import ObservationStore
+    from repro.network.peers import PeerColumns
+    from repro.network.simulator import Simulator
 
 
 class ThreePhaseNode(AdaptiveDiffusionNode):
@@ -39,7 +54,15 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
     ) -> None:
         self.protocol_config = config or ProtocolConfig()
         super().__init__(node_id, self.protocol_config.diffusion_config)
-        self._flooded: Set[Hashable] = set()
+        self._peers: Optional["PeerColumns"] = None
+        self._log: Optional["ObservationStore"] = None
+
+    def attach(self, simulator: "Simulator") -> None:
+        # Kept after ``detach``, so a closed session's nodes still answer
+        # :meth:`infection_state`.
+        super().attach(simulator)
+        self._peers = simulator.peers
+        self._log = simulator.store
 
     # ------------------------------------------------------------------
     # Phase 1: DC-net knowledge delivery (driven by the three_phase adapter)
@@ -55,7 +78,8 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
     # ------------------------------------------------------------------
     def on_diffusion_finished(self, payload_id: Hashable) -> None:
         """Switch to flood-and-prune when the final spreading request arrives."""
-        self._start_flood(payload_id, exclude=None)
+        if self._peers.first_sight(payload_id, self.node_id):
+            self._flood(payload_id, exclude=None)
 
     # ------------------------------------------------------------------
     # Message handling for the kinds adaptive diffusion does not know
@@ -67,9 +91,16 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
 
     def _handle_flood(self, sender: Hashable, message: Message) -> None:
         payload_id = message.payload_id
-        if self._state(payload_id).note_received(sender, self.now):
+        state = self._infections.get(payload_id)
+        if state is None:
+            # Reached by the flood alone: its bit is all it keeps.
+            if self._peers.first_sight(payload_id, self.node_id):
+                self.mark_delivered(payload_id)
+                self._flood(payload_id, exclude=sender)
+        elif state.note_received(sender, self.now):
             self.mark_delivered(payload_id)
-            self._start_flood(payload_id, exclude=sender)
+            if self._peers.first_sight(payload_id, self.node_id):
+                self._flood(payload_id, exclude=sender)
         # Nodes that already obtained the payload in an earlier phase (every
         # node that flooded did) do not re-flood on reception: the nodes
         # that must switch to flooding are reached by the final spreading
@@ -81,10 +112,7 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
         FLOOD_KIND: _handle_flood,
     }
 
-    def _start_flood(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
-        if payload_id in self._flooded:
-            return
-        self._flooded.add(payload_id)
+    def _flood(self, payload_id: Hashable, exclude: Optional[Hashable]) -> None:
         message = Message(
             kind=self.FLOOD_KIND,
             payload_id=payload_id,
@@ -92,4 +120,37 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
         )
         self.send_all(
             [peer for peer in self.neighbours if peer != exclude], message
+        )
+
+    # ------------------------------------------------------------------
+    # Infection state: kept by diffusion, rebuilt for flood-only holders
+    # ------------------------------------------------------------------
+    def _state(self, payload_id: Hashable) -> InfectionState:
+        state = self._infections.get(payload_id)
+        if state is None:
+            state = self._flood_state(payload_id) or InfectionState(payload_id)
+            self._infections[payload_id] = state
+        return state
+
+    def infection_state(self, payload_id: Hashable) -> Optional[InfectionState]:
+        """This node's infection bookkeeping for ``payload_id`` (or ``None``);
+        for a node that holds the payload only through the flood, a copy
+        rebuilt from the log (a scan of the payload's ``flood`` rows)."""
+        state = self._infections.get(payload_id)
+        return state if state is not None else self._flood_state(payload_id)
+
+    def _flood_state(self, payload_id: Hashable) -> Optional[InfectionState]:
+        """The state :meth:`_handle_flood` would have kept for a node with
+        no infection state: ``None`` unless the flood reached it."""
+        peers = self._peers
+        if peers is None or not peers.has_seen(payload_id, self.node_id):
+            return None
+        log = self._log
+        rows = log.rows(payload_id, (self.FLOOD_KIND,), (self.node_id,))
+        senders = log.column("sender", rows)
+        return InfectionState(
+            payload_id,
+            parent=senders[0],
+            received_from=set(senders),
+            delivered_at=log.column("time", rows[:1])[0],
         )

@@ -11,7 +11,9 @@ ids).  Every writer and reader uses the same column:
   its own entry on the event path;
 * a cohort kernel reads and writes the column as a numpy array;
 * the sharded engine seeds its workers from the holders and writes the
-  merged first receptions back.
+  merged first receptions back;
+* a three-phase node (:class:`~repro.core.protocol.ThreePhaseNode`) sets
+  its entry when it starts flooding, Phase 3's one bit per peer.
 
 Because no node object carries that state, a flood or gossip population
 needs no node objects at all until something touches one

@@ -24,12 +24,12 @@ nodes but dominant at 5,000:
   per forward, not one per neighbour, in exactly the order per-receiver
   entries would have;
 * the conditions' ``loss_probability``/``jitter``, the latency model's
-  ``delay`` method and the per-node adjacency sets are cached on the
-  simulator at construction, so the per-event inner loop does no repeated
-  attribute chasing;
-* :meth:`neighbours_of` returns one cached, immutable tuple per node —
-  callers iterate it millions of times during a flood fan-out and must not
-  mutate it.
+  ``delay`` method are cached on the simulator at construction, so the
+  per-event inner loop does no repeated attribute chasing;
+* each node's overlay row is one cached tuple, built on first use: it is
+  the send-time edge check and, while no node is offline and no link
+  severed, what :meth:`neighbours_of` returns — callers iterate it millions
+  of times during a flood fan-out and must not mutate it.
 
 None of this changes observable behaviour: event ordering is still (time,
 insertion order), the loss/jitter stream still comes from the dedicated link
@@ -218,8 +218,10 @@ class Simulator:
         self._peers: Optional["PeerColumns"] = None
         self._now = 0.0
         self._started = False
+        # Overlay rows (fixed, like the overlay), and the rows minus what
+        # churn and link failures currently exclude.
+        self._rows: Dict[Hashable, Tuple[Hashable, ...]] = {}
         self._neighbour_cache: Dict[Hashable, Tuple[Hashable, ...]] = {}
-        self._adjacency: Dict[Hashable, FrozenSet[Hashable]] = {}
         # One ``(receiver,)`` per receiver, shared by every one-receiver
         # entry to it, so in-flight deliveries hold no tuple of their own.
         self._singles: Dict[Hashable, Tuple[Hashable]] = {}
@@ -402,7 +404,8 @@ class Simulator:
     @property
     def peers(self) -> "PeerColumns":
         """Which peer holds which payload: the seen columns of the flood and
-        gossip nodes (:mod:`repro.network.peers`), created on first use."""
+        gossip nodes and of the three-phase nodes' Phase 3
+        (:mod:`repro.network.peers`), created on first use."""
         peers = self._peers
         if peers is None:
             from repro.network.peers import PeerColumns
@@ -461,32 +464,33 @@ class Simulator:
 
         Returns a cached immutable tuple — the same object on every call —
         so flood/gossip fan-outs iterate it without a per-call list copy.
-        Callers must treat it as read-only.  Nodes currently offline
-        (:meth:`fail_node`) are excluded; churn events invalidate the cache.
+        Callers must treat it as read-only.  While no node is offline and
+        no link severed it is the node's overlay row itself; otherwise
+        offline nodes (:meth:`fail_node`) and severed links are excluded,
+        and churn events invalidate that filtered copy.
         """
+        row = self._rows.get(node_id)
+        if row is None:
+            row = self._row(node_id)
+        offline = self._offline
+        severed = self._severed
+        if not offline and not severed:
+            return row
         cached = self._neighbour_cache.get(node_id)
         if cached is None:
-            offline = self._offline
-            severed = self._severed
-            cached = tuple(
+            cached = self._neighbour_cache[node_id] = tuple(
                 peer
-                for peer in self.graph.neighbors(node_id)
+                for peer in row
                 if peer not in offline
                 and (not severed or frozenset((node_id, peer)) not in severed)
             )
-            self._neighbour_cache[node_id] = cached
         return cached
 
-    def _adjacent_to(self, node_id: Hashable) -> FrozenSet[Hashable]:
-        """Cached neighbour set of ``node_id`` (empty for non-graph nodes)."""
-        adjacent = self._adjacency.get(node_id)
-        if adjacent is None:
-            if node_id in self.graph:
-                adjacent = frozenset(self.graph.neighbors(node_id))
-            else:
-                adjacent = frozenset()
-            self._adjacency[node_id] = adjacent
-        return adjacent
+    def _row(self, node_id: Hashable) -> Tuple[Hashable, ...]:
+        """``node_id``'s overlay row as a cached tuple (``KeyError`` for a
+        node not in the overlay)."""
+        row = self._rows[node_id] = tuple(self.graph.neighbors(node_id))
+        return row
 
     def _drop_topology_caches(self) -> None:
         """Forget the neighbour tuples and kernel masks (churn changed who
@@ -507,7 +511,7 @@ class Simulator:
         :meth:`neighbours_of` tuple.  Its graph vertex, protocol state and
         pending timers survive, so :meth:`restore_node` is cheap.
 
-        The fast-path neighbour/adjacency caches are invalidated — typically
+        The filtered :meth:`neighbours_of` tuples are invalidated — typically
         called from a :class:`~repro.network.churn.ChurnSchedule` event
         mid-run, after which fan-outs must see the shrunken topology.
 
@@ -640,9 +644,12 @@ class Simulator:
             self._raise_closed("send")
         nodes = self._nodes
         if not direct:
-            adjacent = self._adjacency.get(sender)
-            if adjacent is None:
-                adjacent = self._adjacent_to(sender)
+            # The edge check scans the sender's row, the tuple
+            # ``neighbours_of`` hands out: slower than a set lookup by tens
+            # of nanoseconds at overlay degrees, and no set per sender.
+            row = self._rows.get(sender)
+            if row is None:
+                row = self._row(sender) if sender in self.graph else ()
         offline = self._offline
         severed = self._severed
         loss = 0.0 if direct else self._loss_probability
@@ -656,7 +663,7 @@ class Simulator:
             for receiver in receivers:
                 if receiver not in nodes and not self._covers(receiver):
                     raise ValueError(f"receiver {receiver!r} is not registered")
-                if not direct and receiver not in adjacent:
+                if not direct and receiver not in row:
                     raise ValueError(
                         f"no overlay edge between {sender!r} and {receiver!r}"
                     )

@@ -22,7 +22,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import chain, islice
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -87,10 +88,18 @@ def bfs_levels(
     return levels
 
 
+#: The attributes of a node that has none.
+_NO_ATTRIBUTES: Mapping[str, Any] = MappingProxyType({})
+
+
 class NodeView:
     """``overlay.nodes``: the node ids in insertion order, as networkx's
     node view reads — iterable, sized, ``in``, ``nodes[n]`` for the
-    attribute dict and ``nodes(data=True)`` for ``(node, dict)`` pairs."""
+    attributes and ``nodes(data=True)`` for ``(node, attributes)`` pairs.
+
+    The attributes are read-only mappings: an overlay is fixed once built,
+    and its :meth:`Overlay.to_networkx` graph must keep agreeing with it.
+    """
 
     __slots__ = ("_overlay",)
 
@@ -106,16 +115,19 @@ class NodeView:
     def __contains__(self, node: Hashable) -> bool:
         return node in self._overlay
 
-    def __getitem__(self, node: Hashable) -> dict:
+    def __getitem__(self, node: Hashable) -> Mapping[str, Any]:
         if node not in self._overlay:
             raise KeyError(node)
-        return self._overlay._data.setdefault(node, {})
+        return self._attributes(node)
 
     def __call__(self, data: bool = False):
         if not data:
             return self
-        attributes = self._overlay._data
-        return [(node, attributes.get(node, {})) for node in self]
+        return [(node, self._attributes(node)) for node in self]
+
+    def _attributes(self, node: Hashable) -> Mapping[str, Any]:
+        attributes = self._overlay._data.get(node)
+        return _NO_ATTRIBUTES if attributes is None else MappingProxyType(attributes)
 
 
 class Overlay:
@@ -561,7 +573,7 @@ def random_regular_overlay(
         )
         if candidate.is_connected():
             return candidate
-    raise RuntimeError("failed to sample a connected random regular graph")
+    raise ValueError("failed to sample a connected random regular graph")
 
 
 def erdos_renyi_overlay(
@@ -578,7 +590,7 @@ def erdos_renyi_overlay(
         )
         if candidate.number_of_nodes() and nx.is_connected(candidate):
             return Overlay.from_networkx(candidate)
-    raise RuntimeError(
+    raise ValueError(
         "failed to sample a connected Erdos-Renyi graph; increase avg_degree"
     )
 
@@ -589,6 +601,8 @@ def barabasi_albert_overlay(
     """A scale-free Barabási–Albert overlay (hub-heavy degree distribution)."""
     if num_nodes <= attachments:
         raise ValueError("need more nodes than attachments per step")
+    if attachments < 1:
+        raise ValueError("need at least one attachment per step")
     graph = nx.barabasi_albert_graph(num_nodes, attachments, seed=seed)
     return _require_connected(graph, "barabasi_albert_overlay")
 
@@ -599,11 +613,33 @@ def watts_strogatz_overlay(
     rewire_probability: float = 0.1,
     seed: Optional[int] = None,
 ) -> Overlay:
-    """A small-world Watts–Strogatz overlay."""
-    graph = nx.connected_watts_strogatz_graph(
-        num_nodes, neighbours, rewire_probability, seed=seed
+    """A small-world Watts–Strogatz overlay.
+
+    networkx's ``connected_watts_strogatz_graph``, draw for draw: rewired
+    ring lattices are drawn from one stream until one is connected.
+    """
+    if num_nodes < 1:
+        raise ValueError("need at least one node")
+    _require_ring_lattice(num_nodes, neighbours)
+    rng = _seeded(seed)
+    for _ in range(100):
+        graph = nx.watts_strogatz_graph(
+            num_nodes, neighbours, rewire_probability, seed=rng
+        )
+        if nx.is_connected(graph):
+            return Overlay.from_networkx(graph)
+    raise ValueError(
+        "failed to sample a connected Watts-Strogatz graph; increase neighbours"
     )
-    return _require_connected(graph, "watts_strogatz_overlay")
+
+
+def _require_ring_lattice(num_nodes: int, neighbours: int) -> None:
+    """networkx's precondition for a ring lattice of ``neighbours`` per
+    node, as a ``ValueError``."""
+    if neighbours > num_nodes:
+        raise ValueError(
+            f"neighbours ({neighbours}) must not exceed num_nodes ({num_nodes})"
+        )
 
 
 def small_world_overlay(
@@ -623,6 +659,7 @@ def small_world_overlay(
         raise ValueError("need at least three nodes for a ring lattice")
     if not 0.0 <= shortcut_probability <= 1.0:
         raise ValueError("shortcut probability must be in [0, 1]")
+    _require_ring_lattice(num_nodes, neighbours)
     graph = nx.newman_watts_strogatz_graph(
         num_nodes, neighbours, shortcut_probability, seed=seed
     )
@@ -645,6 +682,8 @@ def scale_free_overlay(
     """
     if num_nodes <= attachments:
         raise ValueError("need more nodes than attachments per step")
+    if attachments < 1:
+        raise ValueError("need at least one attachment per step")
     if not 0.0 <= triangle_probability <= 1.0:
         raise ValueError("triangle probability must be in [0, 1]")
     rng = _seeded(seed)
@@ -655,7 +694,7 @@ def scale_free_overlay(
         )
         if nx.is_connected(candidate):
             return Overlay.from_networkx(candidate)
-    raise RuntimeError("failed to sample a connected scale-free graph")
+    raise ValueError("failed to sample a connected scale-free graph")
 
 
 def line_overlay(num_nodes: int) -> Overlay:

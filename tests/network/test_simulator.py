@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.broadcast.flood import FloodNode
 from repro.network.latency import ConstantLatency
 from repro.network.message import Message
 from repro.network.node import Node
@@ -120,6 +121,52 @@ class TestDelivery:
         sim.run_until_idle()
         flags = {obs.message.kind: obs.direct for obs in sim.observations}
         assert flags == {"a": False, "b": True}
+
+
+@pytest.mark.parametrize("engine", ["event", "batched"])
+class TestOverlayRowEdgeCheck:
+    """The send-time edge check reads the sender's overlay row, the tuple
+    ``neighbours_of`` returns while nothing is offline or severed."""
+
+    @staticmethod
+    def _sim(engine):
+        sim = Simulator(
+            nx.cycle_graph(6), latency=ConstantLatency(1.0), seed=0, engine=engine
+        )
+        sim.populate(FloodNode)
+        return sim
+
+    def test_non_neighbour_send_raises(self, engine):
+        sim = self._sim(engine)
+        with pytest.raises(ValueError, match="no overlay edge between 0 and 3"):
+            sim.send(0, 3, Message(kind="flood", payload_id="tx"))
+        # The receivers before the rejected one are sent.
+        with pytest.raises(ValueError, match="no overlay edge between 0 and 2"):
+            sim.send_all(0, (1, 2, 5), Message(kind="flood", payload_id="tx"))
+        sim.run_until_idle()
+        assert sim.engine_effective == engine
+        assert sim.store.column("sender", sim.store.rows("tx"))[:1] == [0]
+        assert sim.metrics.reach("tx") == 6
+
+    def test_offline_neighbour_is_a_churn_drop(self, engine):
+        sim = self._sim(engine)
+        row = sim.neighbours_of(0)
+        assert row == (1, 5)
+        sim.fail_node(1)
+        assert sim.neighbours_of(0) == (5,)
+        # Still adjacent, so no ValueError: dropped at send time.
+        sim.send(0, 1, Message(kind="flood", payload_id="tx"))
+        assert sim.churn_dropped == 1
+        # In flight when the receiver goes down: dropped on delivery.
+        sim.node(3).originate("tx")
+        sim.schedule(0.5, lambda: sim.fail_node(4))
+        sim.run_until_idle()
+        assert sim.engine_effective == engine
+        assert sim.churn_dropped == 2
+        assert sim.metrics.reach("tx") == 2
+        sim.restore_node(1)
+        sim.restore_node(4)
+        assert sim.neighbours_of(0) is row
 
 
 class TestScheduling:

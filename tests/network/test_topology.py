@@ -291,6 +291,57 @@ class TestOverlay:
         with pytest.raises(nx.NetworkXPointlessConcept):
             nx.is_connected(nx.Graph())
 
+    @pytest.mark.parametrize(
+        "overlay,attributes",
+        [
+            (bitcoin_like_overlay(20, 5, outgoing=3, seed=1), {"reachable": True}),
+            (line_overlay(3), {}),
+        ],
+        ids=["with-attributes", "without"],
+    )
+    def test_node_attributes_are_read_only(self, overlay, attributes):
+        graph = overlay.to_networkx()
+        with pytest.raises(TypeError):
+            overlay.nodes[0]["tier"] = 1
+        with pytest.raises(TypeError):
+            overlay.nodes(data=True)[0][1]["tier"] = 1
+        # A read adds nothing, and both views still agree.
+        assert overlay.nodes[0] == graph.nodes[0] == attributes
+        assert (0 in overlay._data) == bool(attributes)
+        assert dict(overlay.nodes(data=True)) == dict(graph.nodes(data=True))
+
+    def test_watts_strogatz_draws_as_networkx(self):
+        # The second needs three attempts: retries draw from one stream.
+        for args in ((50, 4, 0.3, 7), (40, 2, 1.0, 1)):
+            *params, seed = args
+            assert_overlay_is(
+                watts_strogatz_overlay(*params, seed=seed),
+                nx.connected_watts_strogatz_graph(*params, seed=seed),
+            )
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: erdos_renyi_overlay(60, avg_degree=0.5, seed=0),
+             "failed to sample a connected Erdos-Renyi graph"),
+            (lambda: watts_strogatz_overlay(10, neighbours=12, seed=0),
+             r"neighbours \(12\) must not exceed num_nodes \(10\)"),
+            (lambda: watts_strogatz_overlay(20, neighbours=1, seed=0),
+             "failed to sample a connected Watts-Strogatz graph"),
+            (lambda: small_world_overlay(10, neighbours=12, seed=0),
+             r"neighbours \(12\) must not exceed num_nodes \(10\)"),
+            (lambda: barabasi_albert_overlay(10, attachments=0, seed=0),
+             "at least one attachment"),
+            (lambda: scale_free_overlay(10, attachments=0, seed=0),
+             "at least one attachment"),
+        ],
+        ids=["erdos_renyi", "watts_strogatz-k>n", "watts_strogatz-never",
+             "small_world-k>n", "barabasi_albert", "scale_free"],
+    )
+    def test_generators_refuse_with_value_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_families_return_overlays(self):
         assert isinstance(line_overlay(4), Overlay)
         assert isinstance(small_world_overlay(30, neighbours=4, seed=0), Overlay)

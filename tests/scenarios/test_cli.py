@@ -205,9 +205,19 @@ class TestCli:
             ("complete", {"num_nodes": 3}, "three_phase", "2",
              "protocol 'three_phase' needs at least 5 peers "
              "(its anonymity floor), the overlay has 3"),
+            ("erdos_renyi", {"num_nodes": 60, "avg_degree": 0.5}, "flood", "2",
+             "topology 'erdos_renyi' refuses its parameters: failed to sample "
+             "a connected Erdos-Renyi graph; increase avg_degree"),
+            ("watts_strogatz", {"num_nodes": 10, "neighbours": 12}, "flood", "1",
+             "topology 'watts_strogatz' refuses its parameters: "
+             "neighbours (12) must not exceed num_nodes (10)"),
+            ("small_world", {"num_nodes": 10, "neighbours": 12}, "flood", "2",
+             "topology 'small_world' refuses its parameters: "
+             "neighbours (12) must not exceed num_nodes (10)"),
         ],
         ids=["type", "degree", "degree-serial", "line", "three_phase-small",
-             "three_phase-complete"],
+             "three_phase-complete", "erdos_renyi-sparse", "watts_strogatz-k>n",
+             "small_world-k>n"],
     )
     def test_spec_values_a_generator_or_protocol_refuses_are_one_error_line(
         self, tmp_path, family, params, protocol, processes, message
