@@ -135,7 +135,12 @@ class ThreePhaseNode(AdaptiveDiffusionNode):
     def infection_state(self, payload_id: Hashable) -> Optional[InfectionState]:
         """This node's infection bookkeeping for ``payload_id`` (or ``None``);
         for a node that holds the payload only through the flood, a copy
-        rebuilt from the log (a scan of the payload's ``flood`` rows)."""
+        rebuilt from the log.
+
+        The rebuild costs one array pass over the payload's ``flood`` rows
+        per call, so a loop over many peers should read those rows once
+        (``simulator.store.rows``/``column``) instead of asking each peer.
+        """
         state = self._infections.get(payload_id)
         return state if state is not None else self._flood_state(payload_id)
 

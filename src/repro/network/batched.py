@@ -282,10 +282,8 @@ class CohortKernel:
                 messages = messages[keep]
                 sizes = sizes[keep]
 
-        topology = self._topology
         simulator.store.record_batch(
             time,
-            topology.ids_array,
             recv_idx,
             send_idx,
             messages,
@@ -304,9 +302,7 @@ class CohortKernel:
         fresh = np.sort(first_pos[mask])
         receivers = recv_idx[fresh]
         seen[receivers] = True
-        simulator.metrics.record_delivery_batch(
-            payload_id, time, topology.ids_array, receivers
-        )
+        simulator.metrics.record_delivery_batch(payload_id, time, receivers)
         self._fan_out(time, receivers, send_idx[fresh], payload_id)
         return total
 

@@ -11,8 +11,8 @@ Message traffic is written by the simulator straight into an
 collector, so every traffic query (``message_count``, ``first_observations``)
 is answered from a counter or a column query instead of scanning the global
 send log.  Payload deliveries (the "node X now knows the payload" events) are
-one column per payload: the first-delivery time of every node, keyed through
-the store's intern table (``NaN`` while a node does not hold the payload),
+one column per payload: the first-delivery time of every node in the
+overlay's numbering (``NaN`` while a node does not hold the payload),
 plus a reach counter and the latest first delivery.  ``reach`` and
 ``completion_time`` are O(1), ``delivery_time`` one lookup, and
 ``delivered_nodes`` a scan of one column.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
-from itertools import repeat
 from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -37,14 +36,14 @@ class MetricsCollector:
     """Aggregates message traffic and payload delivery statistics.
 
     Args:
-        store: the observation store traffic queries read.  The simulator
-            passes its own store so that metrics queries and adversary views
-            share one set of indexes; a fresh private store is created when
-            the collector is used standalone.
+        store: the observation store traffic queries read, and whose node
+            table numbers the delivery columns.  The simulator passes its
+            own store so that metrics queries and adversary views share one
+            set of indexes.
     """
 
-    def __init__(self, store: Optional[ObservationStore] = None) -> None:
-        self.store = store if store is not None else ObservationStore()
+    def __init__(self, store: ObservationStore) -> None:
+        self.store = store
         self._times: Dict[Hashable, array] = {}
         self._reach: Dict[Hashable, int] = {}
         self._completion: Dict[Hashable, float] = {}
@@ -55,15 +54,14 @@ class MetricsCollector:
         return _DeliveryView(self)
 
     def _column(self, payload_id: Hashable) -> array:
-        """The payload's time column, one row per interned node (``NaN``
-        for the rows added here)."""
+        """The payload's time column, one row per node of the store's table
+        (``NaN`` where the node does not hold the payload)."""
         column = self._times.get(payload_id)
         if column is None:
-            column = self._times[payload_id] = array("d")
+            column = self._times[payload_id] = array("d", [_NAN]) * len(
+                self.store.ids
+            )
             self._reach[payload_id] = 0
-        missing = self.store.node_count() - len(column)
-        if missing > 0:
-            column.extend(repeat(_NAN, missing))
         return column
 
     def _delivered(self, payload_id: Hashable, time: float, count: int) -> None:
@@ -78,9 +76,10 @@ class MetricsCollector:
         """Record that ``node`` obtained the payload content at ``time``.
 
         Only the first delivery per (node, payload) pair is kept; duplicates
-        caused by redundant links do not change the delivery time.
+        caused by redundant links do not change the delivery time.  A node
+        outside the store's table raises ``KeyError`` naming it.
         """
-        index = self.store.intern(node)
+        index = self.store.index[node]
         column = self._column(payload_id)
         if column[index] == column[index]:  # not NaN: delivered before
             return
@@ -88,21 +87,19 @@ class MetricsCollector:
         self._delivered(payload_id, time, 1)
 
     def record_delivery_batch(
-        self, payload_id: Hashable, time: float, ids, indexes: np.ndarray
+        self, payload_id: Hashable, time: float, indexes: np.ndarray
     ) -> None:
         """Record first deliveries of one payload at one time for many nodes.
 
         The cohort kernels' counterpart of :meth:`record_delivery`: one call
-        per cohort, nodes given as distinct integer ``indexes`` into a
-        kernel's ``ids`` array.  Nodes that already obtained the payload
-        are skipped, exactly like the per-node path.
+        per cohort, nodes given as distinct integer ``indexes`` into the
+        store's node table.  Nodes that already obtained the payload are
+        skipped, exactly like the per-node path.
         """
         if not len(indexes):
             return
-        remap = self.store.intern_map(ids)
-        rows = indexes if remap is None else remap[indexes]
         times = np.frombuffer(self._column(payload_id), dtype=np.float64)
-        fresh = rows[np.isnan(times[rows])]
+        fresh = indexes[np.isnan(times[indexes])]
         if len(fresh):
             times[fresh] = time
             self._delivered(payload_id, time, len(fresh))
@@ -138,9 +135,7 @@ class MetricsCollector:
             return []
         times = np.frombuffer(column, dtype=np.float64)
         held = np.flatnonzero(~np.isnan(times))
-        entries = sorted(
-            zip(times[held].tolist(), self.store.node_ids(held.tolist()))
-        )
+        entries = sorted(zip(times[held].tolist(), self.store.ids[held].tolist()))
         return [node for _, node in entries]
 
     def reach(self, payload_id: Hashable) -> int:
@@ -152,8 +147,8 @@ class MetricsCollector:
     ) -> Optional[float]:
         """When ``node`` first obtained the payload, or ``None``."""
         column = self._times.get(payload_id)
-        index = self.store.find(node)
-        if column is None or index is None or index >= len(column):
+        index = self.store.index.get(node)
+        if column is None or index is None:
             return None
         time = column[index]
         return None if time != time else time
@@ -200,7 +195,7 @@ class _DeliveryView(Mapping):
         metrics = self._metrics
         for payload_id, column in metrics._times.items():
             held = np.flatnonzero(~np.isnan(np.frombuffer(column)))
-            for node in metrics.store.node_ids(held.tolist()):
+            for node in metrics.store.ids[held].tolist():
                 yield node, payload_id
 
     def __len__(self) -> int:

@@ -15,9 +15,9 @@ kernel's index arrays (in-process or sharded).  The columns are
 * ``time`` and ``message`` (Python lists, so every row keeps the exact
   objects it was written with);
 * ``receiver`` and ``sender`` as C ``int`` indexes (the kernels' index
-  width) into one store-owned intern table of node ids — it adopts a
-  kernel's ``ids`` array on first sight, and grows by dict for per-event
-  rows;
+  width) into the node table the store is built with — the overlay's own
+  numbering (``Overlay.ids_array`` and its inverse ``Overlay.index``), so
+  a kernel's index arrays are stored as they are;
 * ``direct`` (one byte per row); and
 * a run-length list of ``(payload, kind)`` *segments*, plus the segment
   numbers of each payload, so a payload/kind filter costs that payload's
@@ -52,18 +52,43 @@ _CHUNK = 4096
 _BLOCK = 1 << 16
 
 
+def _row_blocks(ranges: List[Tuple[int, int]]) -> Iterator[np.ndarray]:
+    """The rows of ``ranges``, concatenated in log order, as index arrays
+    of at most ``_BLOCK``: many short ranges cost one array, and a long one
+    never becomes one."""
+    if not ranges:
+        return
+    bounds = np.array(ranges, dtype=np.int64)
+    # Where each range ends in the concatenation, and what turns a
+    # position there into a row of the log.
+    ends = np.cumsum(bounds[:, 1] - bounds[:, 0])
+    shift = bounds[:, 1] - ends
+    total = int(ends[-1])
+    for lo in range(0, total, _BLOCK):
+        position = np.arange(lo, min(lo + _BLOCK, total))
+        yield position + shift[np.searchsorted(ends, position, side="right")]
+
+
 class ObservationStore:
     """Append-only, columnar log of message deliveries.
 
+    Args:
+        ids: the node table, an object array of node ids; row columns hold
+            positions in it.  A node outside it cannot be recorded.
+        index: its inverse (node id -> position); built from ``ids`` when
+            not given.
+
     Example:
+        >>> import numpy as np
         >>> from repro.network.message import Message
-        >>> store = ObservationStore()
-        >>> store.record(0.5, 1, 0, Message(kind="flood", payload_id="tx"))
+        >>> ids = np.array(["a", "b"], dtype=object)
+        >>> store = ObservationStore(ids)
+        >>> store.record(0.5, "b", "a", Message(kind="flood", payload_id="tx"))
         0
         >>> store.count(kind="flood", payload_id="tx")
         1
         >>> store.of_payload("tx")[0].receiver
-        1
+        'b'
     """
 
     # The store is written once per simulated delivery — the single hottest
@@ -76,11 +101,8 @@ class ObservationStore:
         "_senders",
         "_messages",
         "_direct",
-        "_nodes",
-        "_node_index",
-        "_adopted",
-        "_adopted_index",
-        "_ids_map",
+        "ids",
+        "index",
         "_segment_starts",
         "_segment_pairs",
         "_payload_segments",
@@ -93,24 +115,17 @@ class ObservationStore:
         "telemetry",
     )
 
-    def __init__(self) -> None:
+    def __init__(
+        self, ids: np.ndarray, index: Optional[Dict[Hashable, int]] = None
+    ) -> None:
+        #: The node table and its inverse; shared, never written.
+        self.ids = ids
+        self.index = index if index is not None else dict(zip(ids, range(len(ids))))
         self._times: list = []
         self._receivers = array("i")
         self._senders = array("i")
         self._messages: list = []
         self._direct = bytearray()
-        # The intern table: node id per index.  Its inverse is the adopted
-        # kernel's index (rows ``[0, _adopted)``; shared with the kernel,
-        # never written, built from ``_nodes`` only if none was handed
-        # over) plus ``_node_index``, which caches every node interned one
-        # at a time.
-        self._nodes: list = []
-        self._node_index: Dict[Hashable, int] = {}
-        self._adopted = 0
-        self._adopted_index: Optional[Dict[Hashable, int]] = None
-        # The last kernel ``ids`` array seen, and its index map into the
-        # intern table (``None`` when the table adopted that array).
-        self._ids_map: tuple = (None, None)
         # Segment ``n`` covers rows ``[starts[n], starts[n + 1])``.
         self._segment_starts: List[int] = []
         self._segment_pairs: List[Tuple[Hashable, str]] = []
@@ -131,20 +146,19 @@ class ObservationStore:
         self,
         time: float,
         receiver: Hashable,
-        sender: Optional[Hashable],
+        sender: Hashable,
         message,
         direct: bool = False,
     ) -> int:
-        """Append one delivery; returns its row (global sequence number)."""
+        """Append one delivery; returns its row (global sequence number).
+
+        A node outside the node table raises ``KeyError`` naming it.
+        """
+        index = self.index
+        to = index[receiver]
+        by = index[sender]
         position = self._count
         self._count = position + 1
-        index = self._node_index
-        to = index.get(receiver)
-        if to is None:
-            to = self._intern(receiver)
-        by = index.get(sender)
-        if by is None:
-            by = self._intern(sender)
         self._times.append(time)
         self._receivers.append(to)
         self._senders.append(by)
@@ -166,7 +180,6 @@ class ObservationStore:
     def record_batch(
         self,
         time: float,
-        ids,
         receivers,
         senders,
         messages,
@@ -179,11 +192,10 @@ class ObservationStore:
 
         The cohort kernel's write path.  ``receivers``/``senders``/
         ``messages`` are parallel sequences in delivery order, the first
-        two as integer index arrays into ``ids``, the object array of node
-        identifiers a kernel addresses nodes by; ``bytes_total`` is the
-        summed message size.  The index arrays land in the same columns
-        ``record`` fills, remapped only when ``ids`` is not the intern
-        table itself.
+        two as integer index arrays into the node table (the overlay's
+        numbering, which the kernels address nodes by); ``bytes_total`` is
+        the summed message size.  The index arrays land unchanged in the
+        columns ``record`` fills.
 
         Returns the row of the first appended delivery.
         """
@@ -199,10 +211,6 @@ class ObservationStore:
         kinds[kind] = kinds.get(kind, 0) + size
         receivers = np.ascontiguousarray(receivers, dtype=np.intc)
         senders = np.ascontiguousarray(senders, dtype=np.intc)
-        remap = self.intern_map(ids)
-        if remap is not None:
-            receivers = remap[receivers]
-            senders = remap[senders]
         self._receivers.frombytes(memoryview(receivers).cast("B"))
         self._senders.frombytes(memoryview(senders).cast("B"))
         self._times.extend(repeat(time, size))
@@ -211,79 +219,6 @@ class ObservationStore:
         if kind != self._last_kind or payload_id != self._last_payload:
             self._open_segment(start, payload_id, kind)
         return start
-
-    def adopt(self, ids, index: Optional[Dict[Hashable, int]] = None) -> None:
-        """Seed an empty intern table with a kernel's ``ids``, so the
-        kernel's indexes are stored unchanged.  ``index``, their inverse, is
-        shared and never written (without it one is built when first
-        needed).  A table that already holds nodes is left as it is."""
-        if not self._nodes:
-            self._nodes = list(ids)
-            self._adopted = len(self._nodes)
-            self._adopted_index = index
-            self._ids_map = (ids, None)
-
-    def intern_map(self, ids) -> Optional[np.ndarray]:
-        """Index map from a kernel's ``ids`` into the intern table, or
-        ``None`` when its indexes already are intern-table indexes.
-
-        The map of the last ``ids`` seen is kept, so a kernel pays for it
-        once per ``ids`` array, not once per batch.
-        """
-        seen, remap = self._ids_map
-        if ids is not seen:
-            remap = self._map_ids(ids)
-            self._ids_map = (ids, remap)
-        return remap
-
-    def intern(self, node: Hashable) -> int:
-        """The node's index in the intern table, appending it if new."""
-        index = self._node_index.get(node)
-        if index is None:
-            index = self._intern(node)
-        return index
-
-    def find(self, node: Hashable) -> Optional[int]:
-        """The node's index in the intern table, or ``None``."""
-        index = self._node_index.get(node)
-        if index is None and self._adopted:
-            adopted = self._adopted_index
-            if adopted is None:
-                adopted = self._adopted_index = dict(
-                    zip(self._nodes, range(self._adopted))
-                )
-            index = adopted.get(node)
-        return index
-
-    def node_count(self) -> int:
-        """Size of the intern table."""
-        return len(self._nodes)
-
-    def node_ids(self, indexes: Iterable[int]) -> list:
-        """The node ids at the given intern-table indexes."""
-        nodes = self._nodes
-        return [nodes[index] for index in indexes]
-
-    def _intern(self, node: Hashable) -> int:
-        index = self.find(node)
-        if index is None:
-            index = len(self._nodes)
-            self._nodes.append(node)
-        self._node_index[node] = index
-        return index
-
-    def _map_ids(self, ids) -> Optional[np.ndarray]:
-        """Index map from a kernel's ``ids`` into the intern table.
-
-        ``None`` when the table adopts ``ids`` outright (nothing was
-        interned yet), so the kernel's indexes are stored unchanged.
-        """
-        if not self._nodes:
-            self.adopt(ids)
-            return None
-        if self._nodes[:len(ids)] == list(ids):
-            return None  # the table starts with these ids already
-        return np.fromiter(map(self.intern, ids), np.intc, len(ids))
 
     def _open_segment(self, start: int, payload_id: Hashable, kind: str) -> None:
         self._last_payload = payload_id
@@ -376,25 +311,38 @@ class ObservationStore:
         """Rows (log positions, ascending) matching every given filter.
 
         Costs the matching payload's traffic when ``payload_id`` is given,
-        else the matching kinds' — never more than the log.
+        else the matching kinds' — never more than the log.  The receiver
+        and direct filters run over those rows as arrays, the receivers
+        as a mask over the node table (nodes outside it received nothing).
         """
-        rows = list(
-            chain.from_iterable(starmap(range, self._ranges(payload_id, kinds)))
-        )
-        if receivers is not None:
-            wanted = set(map(self.find, receivers))
-            column = self._receivers
-            rows = [row for row in rows if column[row] in wanted]
-        if not include_direct:
-            direct = self._direct
-            rows = [row for row in rows if not direct[row]]
-        return rows
+        ranges = self._ranges(payload_id, kinds)
+        if receivers is None and include_direct:
+            return list(chain.from_iterable(starmap(range, ranges)))
+        wanted = None if receivers is None else self._mask(receivers)
+        to_column = np.frombuffer(self._receivers, dtype=np.intc)
+        direct = np.frombuffer(self._direct, dtype=np.uint8)
+        kept: List[int] = []
+        for rows in _row_blocks(ranges):
+            if wanted is not None:
+                rows = rows[wanted[to_column[rows]]]
+            if not include_direct:
+                rows = rows[direct[rows] == 0]
+            kept += rows.tolist()
+        return kept
+
+    def _mask(self, nodes: Iterable[Hashable]) -> np.ndarray:
+        """Boolean mask over the node table, true at each of ``nodes`` the
+        table holds."""
+        index = self.index
+        mask = np.zeros(len(self.ids), dtype=bool)
+        mask[[index[node] for node in nodes if node in index]] = True
+        return mask
 
     def column(self, name: str, rows: Iterable[int]) -> list:
         """One column's values at ``rows``: ``"time"``, ``"receiver"``,
         ``"sender"``, ``"message"`` or ``"direct"``."""
         if name in ("receiver", "sender"):
-            nodes = self._nodes
+            nodes = self.ids
             values = self._receivers if name == "receiver" else self._senders
             return [nodes[values[row]] for row in rows]
         if name == "direct":
@@ -420,38 +368,22 @@ class ObservationStore:
         a long one never becomes one index array.
         """
         kinds = None if kinds is None else tuple(kinds)
-        ranges = self._ranges(payload_id, kinds)
-        if not ranges:
-            return {}
-        wanted = set(receivers)
-        nodes = self._nodes
-        observed = np.fromiter((node in wanted for node in nodes), bool, len(nodes))
-        # Senders that count as outside relays.
-        outside = ~observed & np.fromiter(
-            (node is not None for node in nodes), bool, len(nodes)
-        )
+        observed = self._mask(receivers)
         # Views, not copies: local, so the columns may grow again once this
         # returns.
         by_column = np.frombuffer(self._senders, dtype=np.intc)
         to_column = np.frombuffer(self._receivers, dtype=np.intc)
-        bounds = np.array(ranges, dtype=np.int64)
-        # Where each range ends in the concatenation, and what turns a
-        # position there into a row of the log.
-        ends = np.cumsum(bounds[:, 1] - bounds[:, 0])
-        shift = bounds[:, 1] - ends
-        total = int(ends[-1])
         times = self._times
         first: Dict[int, float] = {}
-        for lo in range(0, total, _BLOCK):
-            position = np.arange(lo, min(lo + _BLOCK, total))
-            rows = position + shift[np.searchsorted(ends, position, side="right")]
+        for rows in _row_blocks(self._ranges(payload_id, kinds)):
             by = by_column[rows]
-            hit = np.flatnonzero(observed[to_column[rows]] & outside[by])
+            hit = np.flatnonzero(observed[to_column[rows]] & ~observed[by])
             for relay, time in zip(
                 by[hit].tolist(), map(times.__getitem__, rows[hit].tolist())
             ):
                 if time < first.get(relay, np.inf):
                     first[relay] = time
+        nodes = self.ids
         return {nodes[relay]: time for relay, time in first.items()}
 
     def row_reprs(self) -> Iterator[str]:
@@ -462,7 +394,7 @@ class ObservationStore:
         A cohort's rows share one time and one message object, so the
         ``repr`` of each is reused while the object is.
         """
-        node = list(map(repr, self._nodes))
+        node = list(map(repr, self.ids))
         flag = (", False)", ", True)")
         starts = self._segment_starts + [self._count]
         times, to, by = self._times, self._receivers, self._senders
@@ -489,7 +421,7 @@ class ObservationStore:
     # ------------------------------------------------------------------
     def view(self, rows: Iterable[int]) -> List[Observation]:
         """The given rows as :class:`Observation` objects."""
-        nodes, times = self._nodes, self._times
+        nodes, times = self.ids, self._times
         to, by = self._receivers, self._senders
         messages, direct = self._messages, self._direct
         viewed = [

@@ -358,9 +358,7 @@ def _run_windows(simulator, kernel, entries, shards, state, max_events) -> float
         for shard, (_records, _inbox, worker_counters) in enumerate(results):
             telemetry.record_shard(shard, worker_counters)
 
-    _adopt_results(
-        simulator, kernel, topology, payload_list, results
-    )
+    _merge_results(simulator, kernel, payload_list, results)
     if stopped_early:
         _requeue_unfinished(
             simulator, kernel, topology, payload_list, node_sizes,
@@ -379,7 +377,7 @@ def _recv(conn):
     return message
 
 
-def _adopt_results(simulator, kernel, topology, payload_list, results):
+def _merge_results(simulator, kernel, payload_list, results):
     """Replay the workers' per-window records into the store, the delivery
     columns and the seen columns.
 
@@ -398,7 +396,6 @@ def _adopt_results(simulator, kernel, topology, payload_list, results):
     records.sort(key=lambda record: record[0])
     records.reverse()
     drained = (records.pop() for _ in range(len(records)))
-    ids_array = topology.ids_array
     store = simulator.store
     metrics = simulator.metrics
     peers = simulator.peers
@@ -429,14 +426,14 @@ def _adopt_results(simulator, kernel, topology, payload_list, results):
             payload_id = payload_list[pidx]
             run_sizes = sizes if shared else sizes[start:end]
             store.record_batch(
-                time, ids_array, receivers[start:end], senders[start:end],
+                time, receivers[start:end], senders[start:end],
                 _messages(kind, payload_id, run_sizes, end - start),
                 payload_id, kind,
                 sizes * (end - start) if shared else int(run_sizes.sum()),
             )
         for _, pidx, _, _, _, _, fresh in window:
             payload_id = payload_list[pidx]
-            metrics.record_delivery_batch(payload_id, time, ids_array, fresh)
+            metrics.record_delivery_batch(payload_id, time, fresh)
             peers.bitmap(payload_id)[fresh] = True
 
 

@@ -209,7 +209,7 @@ class Simulator:
         self._link_rng = random.Random(
             None if seed is None else seed + 0x5EED
         )
-        self.store = ObservationStore()
+        self.store = ObservationStore(self.graph.ids_array, self.graph.index)
         self.metrics = MetricsCollector(store=self.store)
         self._queue = EventQueue()
         # Node objects built so far; ``_population`` covers the rest.
@@ -410,11 +410,7 @@ class Simulator:
         if peers is None:
             from repro.network.peers import PeerColumns
 
-            graph = self.graph
-            peers = self._peers = PeerColumns(graph.index)
-            # Number the log's nodes as the columns do, so kernels and the
-            # delivery columns share indexes without a remap.
-            self.store.adopt(graph.ids_array, graph.index)
+            peers = self._peers = PeerColumns(self.graph.index)
         return peers
 
     def _register(self, node: Node) -> Node:
@@ -623,9 +619,11 @@ class Simulator:
     ) -> None:
         """Send one ``message`` from ``sender`` to each of ``receivers``.
 
-        Overlay sends (``direct=False``) require an edge between the two
-        nodes; direct sends model out-of-band pairwise channels such as the
-        DC-net group traffic and are allowed between any pair.
+        The sender must be an overlay node (else ``ValueError``, before
+        anything is sent).  Overlay sends (``direct=False``) require an edge
+        between the two nodes; direct sends model out-of-band pairwise
+        channels such as the DC-net group traffic and are allowed between
+        any pair.
 
         Overlay sends are subject to the simulator's
         :class:`~repro.network.conditions.NetworkConditions`: with probability
@@ -643,13 +641,15 @@ class Simulator:
         if self._closed:
             self._raise_closed("send")
         nodes = self._nodes
+        if sender not in self.graph.index:
+            raise ValueError(f"sender {sender!r} is not part of the overlay")
         if not direct:
             # The edge check scans the sender's row, the tuple
             # ``neighbours_of`` hands out: slower than a set lookup by tens
             # of nanoseconds at overlay degrees, and no set per sender.
             row = self._rows.get(sender)
             if row is None:
-                row = self._row(sender) if sender in self.graph else ()
+                row = self._row(sender)
         offline = self._offline
         severed = self._severed
         loss = 0.0 if direct else self._loss_probability
@@ -998,17 +998,21 @@ class Simulator:
 
         ``max_events`` is a safety valve against non-quiescing simulations,
         not a soft cap: if it trips with work still pending, a
-        ``RuntimeError`` naming the engine is raised instead of silently
-        returning a half-finished run.
+        ``RuntimeError`` naming the engine the run took (and why it fell
+        back, if it did) is raised instead of silently returning a
+        half-finished run.
         """
         end = self.run(max_events=max_events)
         pending = self.pending_events
         if pending:
+            fallback = self._fallback_reason
             raise RuntimeError(
                 f"run_until_idle stopped at max_events={max_events} with "
                 f"{pending} event(s) still pending on the "
-                f"{self._engine!r} engine; the simulation is not quiescing "
-                f"(raise max_events or drive it with run(until=...))"
+                f"{self._engine_effective!r} engine"
+                + ("" if fallback is None else f" (fallback: {fallback})")
+                + "; the simulation is not quiescing "
+                "(raise max_events or drive it with run(until=...))"
             )
         return end
 

@@ -37,8 +37,8 @@ def _numbering(nodes) -> Tuple[List[Hashable], np.ndarray, Dict[Hashable, int]]:
     inverse index."""
     ids = sorted(nodes, key=repr)
     # dtype=object so fancy-indexing yields the original Python node ids
-    # (an int dtype would leak numpy scalars into the store's intern
-    # table and change every repr-based digest).
+    # (an int dtype would leak numpy scalars into the observation store's
+    # node table and change every repr-based digest).
     ids_array = np.empty(len(ids), dtype=object)
     ids_array[:] = ids
     return ids, ids_array, {node_id: i for i, node_id in enumerate(ids)}

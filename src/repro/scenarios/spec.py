@@ -389,11 +389,15 @@ class ScenarioSpec:
             each run takes the highest path its conditions allow (see
             :class:`~repro.network.simulator.Simulator`).  All paths are
             seed-for-seed identical in every observable, so the choice
-            affects wall-clock time only — per-repetition metrics are
-            engine-independent.
+            affects wall-clock time only — per-repetition metrics and the
+            observation log are engine-independent.  A non-default value is
+            part of :meth:`to_dict`, so it does change
+            :attr:`~repro.scenarios.runner.ScenarioResult.digest`, which
+            hashes the spec.
         shards: worker-process count for ``engine="sharded"`` (``None`` =
-            the engine's default).  Behaviour is shard-count independent,
-            so the field — like ``engine`` — never changes a run digest.
+            the engine's default).  Behaviour is shard-count independent;
+            like ``engine``, a value that is set enters :meth:`to_dict` and
+            the result digest, never the runs or the observation log.
         description: one line for catalogues and the CLI.
         tags: free-form labels (``"paper"``, ``"stress"``, ...).
     """

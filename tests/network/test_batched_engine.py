@@ -33,7 +33,7 @@ from repro.network.latency import (
     PerEdgeLatency,
     UniformLatency,
 )
-from repro.network.simulator import ENGINES, NO_COHORTS, Simulator
+from repro.network.simulator import ENGINES, NO_COHORTS, NO_KERNEL, Simulator
 from repro.network.topology import random_regular_overlay
 from repro.protocols import create_protocol
 
@@ -187,6 +187,26 @@ class TestPendingEventsAndLimits:
         sim.node(0).originate("tx")
         with pytest.raises(RuntimeError, match=r"'event' engine"):
             sim.run_until_idle(max_events=5)
+
+    def test_run_until_idle_error_names_the_path_a_fallback_took(self):
+        # A timer that re-arms itself forever and no cohort kernel: the run
+        # was capped at batched but took the event loop, and says why.
+        overlay = random_regular_overlay(20, degree=4, seed=2)
+        sim = Simulator(
+            overlay, latency=ConstantLatency(1.0), seed=0, engine="batched"
+        )
+
+        def tick():
+            sim.schedule(1.0, tick)
+
+        sim.schedule(1.0, tick)
+        with pytest.raises(RuntimeError) as excinfo:
+            sim.run_until_idle(max_events=5)
+        message = str(excinfo.value)
+        assert sim.engine_effective == "event"
+        assert sim.fallback_reason == NO_KERNEL
+        assert "'event' engine" in message and NO_KERNEL in message
+        assert "'batched'" not in message
 
     def test_until_clock_semantics_match_event_engine(self):
         for engine in ENGINES:

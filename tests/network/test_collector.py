@@ -10,6 +10,7 @@ import gc
 import multiprocessing
 
 import networkx as nx
+import numpy as np
 import pytest
 
 import repro.network.sharded as sharded_mod
@@ -21,6 +22,9 @@ from repro.network.node import Node
 from repro.network.observation_store import ObservationStore
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
+
+#: The node table of the stores built here.
+IDS = np.array(["a", "b", "c"], dtype=object)
 
 
 def _collector_state():
@@ -195,13 +199,9 @@ class TestSimulatorRun:
 class TestStoreSync:
     @staticmethod
     def _store_with_pending_batch():
-        import numpy as np
-
-        ids = np.empty(3, dtype=object)
-        ids[:] = ["a", "b", "c"]
-        store = ObservationStore()
+        store = ObservationStore(IDS)
         store.record_batch(
-            1.0, ids, np.array([1, 2]), np.array([0, 0]),
+            1.0, np.array([1, 2]), np.array([0, 0]),
             [Message(kind="flood", payload_id="tx")] * 2, "tx", "flood", 512,
         )
         return store
@@ -213,7 +213,7 @@ class TestStoreSync:
         assert _collector_state() == before
 
     def test_indexing_recorded_entries_restores_state(self, collector):
-        store = ObservationStore()
+        store = ObservationStore(IDS)
         store.record(0.5, "b", "a", Message(kind="flood", payload_id="tx"))
         before = _collector_state()
         assert len(store.for_receivers(["b"])) == 1

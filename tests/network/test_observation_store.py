@@ -36,8 +36,9 @@ from repro.telemetry import TelemetryRecorder
 KINDS = ("flood", "ad_payload", "ad_token", "dc_share")
 PAYLOADS = ("tx-0", "tx-1", "tx-2", "tx-3", "tx-4")
 NODES = list(range(12))
-#: The id table ``record_batch`` resolves receiver/sender indexes against
-#: (node ``i`` sits at index ``i``, so an id doubles as its own index).
+#: The node table the stores of this module are built with; both writers'
+#: receiver/sender indexes point into it (node ``i`` sits at index ``i``, so
+#: an id doubles as its own index).
 NODE_IDS = np.empty(len(NODES), dtype=object)
 NODE_IDS[:] = NODES
 
@@ -98,7 +99,6 @@ def write(store, log, writer="record"):
         else:
             store.record_batch(
                 time,
-                NODE_IDS,
                 [obs.receiver for obs in run],
                 [obs.sender for obs in run],
                 [obs.message for obs in run],
@@ -131,7 +131,7 @@ def interleaved_log(seed, segments=600):
 
 
 def store_from(log, writer="record"):
-    store = ObservationStore()
+    store = ObservationStore(NODE_IDS)
     write(store, log, writer)
     return store
 
@@ -185,7 +185,7 @@ def naive_first_relay_times(log, observers, payload_id, kinds=None):
     first_seen = {}
     for obs in naive_for_receivers(log, observers, payload_id, kinds):
         sender = obs.sender
-        if sender is None or sender in observers:
+        if sender in observers:
             continue
         if sender not in first_seen or obs.time < first_seen[sender]:
             first_seen[sender] = obs.time
@@ -269,6 +269,17 @@ class TestCountEquivalence:
         }
 
 
+def test_recording_a_node_outside_the_table_is_refused():
+    store = ObservationStore(NODE_IDS)
+    message = Message(kind="flood", payload_id="tx")
+    for receiver, sender in (("ghost", 0), (0, "ghost")):
+        with pytest.raises(KeyError, match="ghost"):
+            store.record(0.5, receiver, sender, message)
+    # Nothing of a refused row was written.
+    assert len(store) == 0 and store.count(payload_id="tx") == 0
+    assert store.record(0.5, 1, 0, message) == 0
+
+
 class TestQueryEquivalence:
     def test_log_preserved_in_order(self, traffic):
         log, store = traffic
@@ -276,7 +287,7 @@ class TestQueryEquivalence:
         assert list(store) == log
 
     def test_iter_observations_is_lazy_and_live(self):
-        store = ObservationStore()
+        store = ObservationStore(NODE_IDS)
         log = []
         for index in range(4):
             obs = Observation(
@@ -335,12 +346,10 @@ class TestQueryEquivalence:
 # ----------------------------------------------------------------------
 # The Hypothesis oracle: both writers interleaved, every reader checked
 # ----------------------------------------------------------------------
-#: Two kernel id tables over overlapping nodes (mixed ``int``/``str``
-#: ids): a batch addresses nodes by position in whichever it names.
-ID_TABLES = [np.empty(5, dtype=object), np.empty(4, dtype=object)]
-ID_TABLES[0][:] = [0, "a", 1, "b", 2]
-ID_TABLES[1][:] = ["b", 3, 0, "c"]
-EVENT_NODES = [0, "a", 1, "b", 2, 3, "c", "d"]
+#: The node table (mixed ``int``/``str`` ids): per-event writes name
+#: nodes, a batch addresses them by position.
+EVENT_NODES = np.empty(8, dtype=object)
+EVENT_NODES[:] = [0, "a", 1, "b", 2, 3, "c", "d"]
 
 _writes = st.lists(
     st.tuples(
@@ -348,9 +357,9 @@ _writes = st.lists(
         st.sampled_from(PAYLOADS[:2]),  # few payloads: ids get reused
         st.sampled_from(KINDS[:2]),
         st.booleans(),  # direct?
-        st.sampled_from([None, 0, 0, 1]),  # per-event, or a batch's table
+        st.booleans(),  # a batch, or per-event writes?
         st.lists(
-            st.tuples(st.integers(0, 7), st.one_of(st.integers(0, 7), st.none())),
+            st.tuples(st.integers(0, 7), st.integers(0, 7)),
             min_size=1, max_size=8,
         ),
     ),
@@ -362,29 +371,25 @@ def write_random(store, writes):
     """Apply Hypothesis-drawn writes; returns the log as objects."""
     log = []
     time = 0.0
-    for step, payload_id, kind, direct, table, pairs in writes:
+    for step, payload_id, kind, direct, batch, pairs in writes:
         time += step
         message = Message(kind=kind, payload_id=payload_id, size_bytes=32)
-        if table is None:
+        if not batch:
             for to, by in pairs:
                 obs = Observation(
-                    time, EVENT_NODES[to],
-                    None if by is None else EVENT_NODES[by], message, direct,
+                    time, EVENT_NODES[to], EVENT_NODES[by], message, direct
                 )
                 record(store, obs)
                 log.append(obs)
             continue
-        ids = ID_TABLES[table]
-        # A batch has no ``None`` sender: fall back to the receiver's slot.
-        to = [a % len(ids) for a, _ in pairs]
-        by = [a if b is None else b % len(ids) for a, (_, b) in zip(to, pairs)]
+        to, by = zip(*pairs)
         store.record_batch(
-            time, ids, np.array(to), np.array(by), [message] * len(to),
+            time, np.array(to), np.array(by), [message] * len(to),
             payload_id, kind, message.size_bytes * len(to), direct,
         )
         log.extend(
-            Observation(time, ids[a], ids[b], message, direct)
-            for a, b in zip(to, by)
+            Observation(time, EVENT_NODES[a], EVENT_NODES[b], message, direct)
+            for a, b in pairs
         )
     return log
 
@@ -393,13 +398,13 @@ class TestOracle:
     @settings(max_examples=150, deadline=None)
     @given(
         writes=_writes,
-        observers=st.sets(st.sampled_from(EVENT_NODES + ["ghost"])),
+        observers=st.sets(st.sampled_from(list(EVENT_NODES) + ["ghost"])),
         kinds=st.one_of(st.none(), st.sets(st.sampled_from(KINDS[:3]))),
     )
     def test_every_reader_matches_a_scan_of_the_log(
         self, writes, observers, kinds
     ):
-        store = ObservationStore()
+        store = ObservationStore(EVENT_NODES)
         expected = write_random(store, writes)
         log = list(store.iter_observations())
         assert log == expected

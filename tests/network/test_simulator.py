@@ -109,6 +109,20 @@ class TestDelivery:
         sim.run_until_idle()
         assert len(sim.node(3).received) == 1
 
+    def test_send_from_outside_the_overlay_rejected(self):
+        # The log numbers nodes as the overlay does: a sender it does not
+        # hold is refused before any receiver is queued, direct or not.
+        sim = build_sim(nx.path_graph(4))
+        for sender, direct in ((42, True), (None, True), (42, False)):
+            with pytest.raises(ValueError, match=f"sender {sender!r} is not"):
+                sim.send_all(
+                    sender, (1, 2), Message(kind="dc", payload_id="tx"),
+                    direct=direct,
+                )
+        assert sim.pending_events == 0
+        sim.run_until_idle()
+        assert len(sim.store) == 0
+
     def test_unknown_receiver_rejected(self):
         sim = build_sim()
         with pytest.raises(ValueError):

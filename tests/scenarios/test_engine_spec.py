@@ -75,6 +75,19 @@ class TestSpecField:
             spec.derive(engine="sharded", shards=2)
         )
 
+    def test_engine_changes_the_result_digest_not_the_runs(self):
+        # The result digest hashes the spec, which keeps a non-default
+        # engine; the runs and the observation log do not depend on it.
+        runner = ScenarioRunner(processes=1)
+        spec = scenario("e4_broadcast_deanonymization")
+        batched = spec.derive(engine="batched")
+        event_result, batched_result = runner.run(spec), runner.run(batched)
+        assert batched_result.runs == event_result.runs
+        assert runner.observation_digest(batched) == (
+            runner.observation_digest(spec)
+        )
+        assert batched_result.digest != event_result.digest
+
     def test_digest_is_shard_count_independent(self):
         runner = ScenarioRunner(processes=1)
         spec = scenario("e4_broadcast_deanonymization").derive(
