@@ -9,8 +9,7 @@ everyone.  Anonymity comes from the stem: the node starting the fluff phase
 is many unbiased hops away from the true originator.
 
 The stem successors are re-randomised periodically ("epochs") to limit
-topology-learning attacks; :meth:`DandelionNode.new_epoch` and
-:func:`assign_stem_successors` implement that re-randomisation.
+topology-learning attacks; :func:`assign_stem_successors` draws them.
 """
 
 from __future__ import annotations
@@ -87,18 +86,6 @@ class DandelionNode(Node):
         self._seen: Set[Hashable] = set()
         #: payload_id -> node at which the fluff phase started (local view).
         self.fluff_started: Dict[Hashable, Hashable] = {}
-
-    # ------------------------------------------------------------------
-    # Epoch management
-    # ------------------------------------------------------------------
-    def new_epoch(self, successor: Hashable) -> None:
-        """Install a freshly drawn stem successor for the new epoch."""
-        if successor not in self.neighbours:
-            raise ValueError(
-                f"stem successor {successor!r} is not a neighbour of "
-                f"{self.node_id!r}"
-            )
-        self.stem_successor = successor
 
     # ------------------------------------------------------------------
     # Protocol

@@ -24,10 +24,8 @@ from repro.network.conditions import NetworkConditions
 from repro.network.events import Event, EventQueue
 from repro.network.latency import (
     ConstantLatency,
-    ExponentialLatency,
     LatencyModel,
     PerEdgeLatency,
-    UniformLatency,
 )
 from repro.network.message import Message, Observation
 from repro.network.metrics import MetricsCollector
@@ -36,16 +34,12 @@ from repro.network.observation_store import ObservationStore
 from repro.network.simulator import Simulator
 from repro.network.topology import (
     Overlay,
-    barabasi_albert_overlay,
-    bitcoin_like_overlay,
     complete_overlay,
-    erdos_renyi_overlay,
     line_overlay,
     random_regular_overlay,
     regular_tree_overlay,
     scale_free_overlay,
     small_world_overlay,
-    watts_strogatz_overlay,
 )
 
 __all__ = [
@@ -57,10 +51,8 @@ __all__ = [
     "Event",
     "EventQueue",
     "ConstantLatency",
-    "ExponentialLatency",
     "LatencyModel",
     "PerEdgeLatency",
-    "UniformLatency",
     "Message",
     "Observation",
     "MetricsCollector",
@@ -68,14 +60,10 @@ __all__ = [
     "ObservationStore",
     "Simulator",
     "Overlay",
-    "barabasi_albert_overlay",
-    "bitcoin_like_overlay",
     "complete_overlay",
-    "erdos_renyi_overlay",
     "line_overlay",
     "random_regular_overlay",
     "regular_tree_overlay",
     "scale_free_overlay",
     "small_world_overlay",
-    "watts_strogatz_overlay",
 ]

@@ -209,39 +209,3 @@ def random_churn_schedule(
         )
     return ChurnSchedule(tuple(events))
 
-
-def random_link_schedule(
-    graph: Overlay,
-    sever_fraction: float,
-    sever_time: float,
-    restore_after: Optional[float] = None,
-    rng: Optional[random.Random] = None,
-) -> ChurnSchedule:
-    """Sample a schedule where a fraction of overlay links goes down.
-
-    The link-level counterpart of :func:`random_churn_schedule`: a random
-    ``sever_fraction`` of the overlay's edges is severed at ``sever_time``
-    and (optionally) restored ``restore_after`` time units later.  Used by
-    the engine-equivalence property tests to exercise mid-broadcast
-    topology changes reproducibly.
-
-    Raises:
-        ValueError: for an out-of-range fraction or negative times.
-    """
-    if not 0.0 <= sever_fraction <= 1.0:
-        raise ValueError("sever_fraction must be in [0, 1]")
-    if sever_time < 0:
-        raise ValueError("sever_time must be non-negative")
-    if restore_after is not None and restore_after <= 0:
-        raise ValueError("restore_after must be positive when given")
-    rng = rng if rng is not None else random.Random()
-    edges = sorted(graph.edges, key=repr)
-    count = int(round(sever_fraction * len(edges)))
-    severed = rng.sample(edges, count) if count else []
-    events = [LinkEvent(sever_time, a, b, SEVER) for a, b in severed]
-    if restore_after is not None:
-        events.extend(
-            LinkEvent(sever_time + restore_after, a, b, RESTORE)
-            for a, b in severed
-        )
-    return ChurnSchedule(tuple(events))

@@ -52,40 +52,6 @@ class ConstantLatency(LatencyModel):
         return self._delay
 
 
-class UniformLatency(LatencyModel):
-    """Delays drawn uniformly from ``[low, high]`` per message."""
-
-    def __init__(self, rng: random.Random, low: float, high: float) -> None:
-        if low <= 0 or high < low:
-            raise ValueError("need 0 < low <= high")
-        self._rng = rng
-        self._low = low
-        self._high = high
-
-    def delay(self, sender: Hashable, receiver: Hashable) -> float:
-        return self._rng.uniform(self._low, self._high)
-
-
-class ExponentialLatency(LatencyModel):
-    """Exponentially distributed delays with a minimum floor.
-
-    A decent stand-in for internet-scale propagation delays where most links
-    are fast and a few are slow.
-    """
-
-    def __init__(
-        self, rng: random.Random, mean: float, minimum: float = 0.01
-    ) -> None:
-        if mean <= 0 or minimum <= 0:
-            raise ValueError("mean and minimum must be positive")
-        self._rng = rng
-        self._mean = mean
-        self._minimum = minimum
-
-    def delay(self, sender: Hashable, receiver: Hashable) -> float:
-        return self._minimum + self._rng.expovariate(1.0 / self._mean)
-
-
 class PerEdgeLatency(LatencyModel):
     """Fixed but per-edge delays, assigned once and reused symmetrically.
 

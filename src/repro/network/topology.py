@@ -145,8 +145,7 @@ class Overlay:
     networkx would have built, adjacency order included.
 
     An overlay is fixed once built: a run only reads it, and churn and
-    link failures are masks over its CSR.  An overlay with more nodes is a
-    new overlay (:func:`~repro.threat.botnet.inject_supernodes`).
+    link failures are masks over its CSR.
 
     Args:
         nodes: the node ids in insertion order.
@@ -576,63 +575,6 @@ def random_regular_overlay(
     raise ValueError("failed to sample a connected random regular graph")
 
 
-def erdos_renyi_overlay(
-    num_nodes: int, avg_degree: float = 8.0, seed: Optional[int] = None
-) -> Overlay:
-    """A connected Erdős–Rényi graph with the requested average degree."""
-    if num_nodes < 2:
-        raise ValueError("need at least two nodes")
-    probability = min(1.0, avg_degree / max(1, num_nodes - 1))
-    rng = _seeded(seed)
-    for _ in range(100):
-        candidate = nx.gnp_random_graph(
-            num_nodes, probability, seed=rng.randrange(2**31)
-        )
-        if candidate.number_of_nodes() and nx.is_connected(candidate):
-            return Overlay.from_networkx(candidate)
-    raise ValueError(
-        "failed to sample a connected Erdos-Renyi graph; increase avg_degree"
-    )
-
-
-def barabasi_albert_overlay(
-    num_nodes: int, attachments: int = 4, seed: Optional[int] = None
-) -> Overlay:
-    """A scale-free Barabási–Albert overlay (hub-heavy degree distribution)."""
-    if num_nodes <= attachments:
-        raise ValueError("need more nodes than attachments per step")
-    if attachments < 1:
-        raise ValueError("need at least one attachment per step")
-    graph = nx.barabasi_albert_graph(num_nodes, attachments, seed=seed)
-    return _require_connected(graph, "barabasi_albert_overlay")
-
-
-def watts_strogatz_overlay(
-    num_nodes: int,
-    neighbours: int = 8,
-    rewire_probability: float = 0.1,
-    seed: Optional[int] = None,
-) -> Overlay:
-    """A small-world Watts–Strogatz overlay.
-
-    networkx's ``connected_watts_strogatz_graph``, draw for draw: rewired
-    ring lattices are drawn from one stream until one is connected.
-    """
-    if num_nodes < 1:
-        raise ValueError("need at least one node")
-    _require_ring_lattice(num_nodes, neighbours)
-    rng = _seeded(seed)
-    for _ in range(100):
-        graph = nx.watts_strogatz_graph(
-            num_nodes, neighbours, rewire_probability, seed=rng
-        )
-        if nx.is_connected(graph):
-            return Overlay.from_networkx(graph)
-    raise ValueError(
-        "failed to sample a connected Watts-Strogatz graph; increase neighbours"
-    )
-
-
 def _require_ring_lattice(num_nodes: int, neighbours: int) -> None:
     """networkx's precondition for a ring lattice of ``neighbours`` per
     node, as a ``ValueError``."""
@@ -723,34 +665,3 @@ def complete_overlay(num_nodes: int) -> Overlay:
         raise ValueError("need at least two nodes")
     return Overlay.from_networkx(nx.complete_graph(num_nodes))
 
-
-def bitcoin_like_overlay(
-    num_reachable: int,
-    num_unreachable: int,
-    outgoing: int = 8,
-    seed: Optional[int] = None,
-) -> Overlay:
-    """A two-tier overlay of reachable and unreachable nodes.
-
-    Reachable nodes accept incoming connections and form a random-regular
-    core; unreachable nodes (the majority of real Bitcoin clients, and the
-    target of the deanonymisation attack in the paper's reference [15]) only
-    open ``outgoing`` connections towards reachable nodes.  Node attribute
-    ``reachable`` marks the tier.
-    """
-    if num_reachable <= outgoing:
-        raise ValueError("need more reachable nodes than outgoing connections")
-    rng = _seeded(seed)
-    core = random_regular_overlay(
-        num_reachable, degree=outgoing, seed=rng.randrange(2**31)
-    )
-    graph = nx.Graph()
-    graph.add_nodes_from(core.nodes, reachable=True)
-    graph.add_edges_from(core.edges)
-    reachable_nodes = list(core.nodes)
-    for index in range(num_unreachable):
-        node = num_reachable + index
-        graph.add_node(node, reachable=False)
-        for peer in rng.sample(reachable_nodes, outgoing):
-            graph.add_edge(node, peer)
-    return _require_connected(graph, "bitcoin_like_overlay")

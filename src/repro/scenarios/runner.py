@@ -83,7 +83,8 @@ FAULT_SEED_OFFSET = 0xFA07
 
 def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
     """Resolve ``spec`` into overlay, conditions, protocol and hooks;
-    :class:`SpecRefused` when the generator or the protocol refuses it."""
+    :class:`SpecRefused` when the generator or the protocol refuses it, or
+    when the sender pool is larger than the overlay."""
     churn = spec.churn
     faults = spec.faults
     hook: Optional[Callable[[ProtocolSession], None]] = None
@@ -118,6 +119,12 @@ def compile_scenario(spec: ScenarioSpec) -> CompiledScenario:
             f"protocol {spec.protocol!r} needs at least "
             f"{protocol.anonymity_floor()} peers (its anonymity floor), "
             f"the overlay has {graph.number_of_nodes()}"
+        )
+    sender_pool = spec.workload.sender_pool
+    if sender_pool is not None and sender_pool > graph.number_of_nodes():
+        raise SpecRefused(
+            f"workload sender_pool {sender_pool} exceeds the overlay's "
+            f"{graph.number_of_nodes()} peers"
         )
     return CompiledScenario(spec, graph, conditions, protocol, hook)
 

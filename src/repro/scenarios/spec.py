@@ -31,16 +31,12 @@ from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.topology import (
     Overlay,
-    barabasi_albert_overlay,
-    bitcoin_like_overlay,
     complete_overlay,
-    erdos_renyi_overlay,
     line_overlay,
     random_regular_overlay,
     regular_tree_overlay,
     scale_free_overlay,
     small_world_overlay,
-    watts_strogatz_overlay,
 )
 from repro.privacy.metrics import DEFAULT_TOP_K, PrivacyConfig
 from repro.registry import Registry
@@ -53,15 +49,11 @@ TOPOLOGY_FAMILIES: Registry[Callable[..., Overlay]] = Registry(
     "topology family",
     {
         "random_regular": random_regular_overlay,
-        "erdos_renyi": erdos_renyi_overlay,
-        "barabasi_albert": barabasi_albert_overlay,
-        "watts_strogatz": watts_strogatz_overlay,
         "small_world": small_world_overlay,
         "scale_free": scale_free_overlay,
         "line": line_overlay,
         "regular_tree": regular_tree_overlay,
         "complete": complete_overlay,
-        "bitcoin_like": bitcoin_like_overlay,
     },
 )
 

@@ -8,9 +8,9 @@ Biryukov et al. the paper cites).  Section V argues the anonymity guarantees
 against adversaries that *adapt* and group members that *disrupt* as well.
 Both sides live here:
 
-* **observers** — :mod:`repro.threat.botnet` chooses or injects the observer
-  nodes; :class:`~repro.threat.observer.AdversaryView` answers what they saw
-  as column queries on the simulator's observation store;
+* **observers** — :mod:`repro.threat.botnet` chooses the observer nodes;
+  :class:`~repro.threat.observer.AdversaryView` answers what they saw as
+  column queries on the simulator's observation store;
 * **source estimators** (registry :data:`ESTIMATORS`) — each implements the
   posterior protocol of :mod:`repro.privacy.posterior`, a
   ``rank(payload_id) -> {node: score}`` surface with ``guess(payload_id)``
@@ -50,7 +50,7 @@ from repro.threat.base import (
     FaultModel,
     StaticBotnetAdversary,
 )
-from repro.threat.botnet import BotnetDeployment, deploy_botnet, inject_supernodes
+from repro.threat.botnet import BotnetDeployment, deploy_botnet
 from repro.threat.byzantine import ByzantineDCNetAdversary
 from repro.threat.collusion import DcNetCollusionEstimator, group_collusion_posterior
 from repro.threat.eclipse import EclipseAdversary
@@ -62,7 +62,6 @@ from repro.threat.rumor_centrality import (
     infected_snapshot,
     rumor_centrality,
     rumor_source_estimate,
-    rumor_source_from_metrics,
 )
 
 __all__ = [
@@ -80,7 +79,6 @@ __all__ = [
     "AdversaryView",
     "BotnetDeployment",
     "deploy_botnet",
-    "inject_supernodes",
     "FirstSpyEstimator",
     "RumorCentralityEstimator",
     "DcNetCollusionEstimator",
@@ -88,5 +86,4 @@ __all__ = [
     "infected_snapshot",
     "rumor_centrality",
     "rumor_source_estimate",
-    "rumor_source_from_metrics",
 ]

@@ -92,6 +92,27 @@ def rumor_centrality(
     return log_value
 
 
+def _score_candidates(
+    graph: Union[Overlay, nx.Graph], infected: Iterable[Hashable]
+) -> List[Tuple[float, Hashable]]:
+    """``(log_centrality, candidate)`` for every infected node, by ``repr``."""
+    infected_list = sorted(set(infected), key=repr)
+    return [
+        (rumor_centrality(graph, infected_list, candidate), candidate)
+        for candidate in infected_list
+    ]
+
+
+def _best(scored: List[Tuple[float, Hashable]]) -> Optional[Hashable]:
+    """The candidate with maximal score (ties: smallest repr), or ``None``
+    when there is none."""
+    if not scored:
+        return None
+    best_score = max(score for score, _ in scored)
+    winners = [candidate for score, candidate in scored if score == best_score]
+    return sorted(winners, key=repr)[0]
+
+
 def rumor_source_estimate(
     graph: Union[Overlay, nx.Graph], infected: Iterable[Hashable]
 ) -> Optional[Hashable]:
@@ -99,49 +120,20 @@ def rumor_source_estimate(
 
     Returns ``None`` when the infected set is empty.
     """
-    infected_list = sorted(set(infected), key=repr)
-    if not infected_list:
-        return None
-    scored = [
-        (rumor_centrality(graph, infected_list, candidate), candidate)
-        for candidate in infected_list
-    ]
-    best_score = max(score for score, _ in scored)
-    winners = [candidate for score, candidate in scored if score == best_score]
-    return sorted(winners, key=repr)[0]
+    return _best(_score_candidates(graph, infected))
 
 
 def infected_snapshot(
-    metrics: "MetricsCollector",
-    payload_id: Hashable,
-    at_time: Optional[float] = None,
+    metrics: "MetricsCollector", payload_id: Hashable
 ) -> List[Hashable]:
-    """The nodes holding the payload at ``at_time`` (default: end of run).
+    """The nodes holding the payload at the end of the run.
 
     This is the input a snapshot adversary feeds to
     :func:`rumor_source_estimate`.  It is served from the metrics collector's
     per-payload delivery-time column, so taking a snapshot costs one pass
     over that column rather than a scan over the whole send log.
     """
-    if at_time is None:
-        return metrics.delivered_nodes(payload_id)
-    return [
-        node
-        for node in metrics.delivered_nodes(payload_id)
-        if metrics.delivery_time(node, payload_id) <= at_time
-    ]
-
-
-def rumor_source_from_metrics(
-    graph: Union[Overlay, nx.Graph],
-    metrics: "MetricsCollector",
-    payload_id: Hashable,
-    at_time: Optional[float] = None,
-) -> Optional[Hashable]:
-    """Run the snapshot estimator directly against a finished simulation."""
-    return rumor_source_estimate(
-        graph, infected_snapshot(metrics, payload_id, at_time)
-    )
+    return metrics.delivered_nodes(payload_id)
 
 
 @ESTIMATORS.register
@@ -177,31 +169,19 @@ class RumorCentralityEstimator:
     def _scores(self, payload_id: Hashable) -> List[Tuple[float, Hashable]]:
         """Cached ``(log_centrality, candidate)`` pairs for one payload."""
         if payload_id not in self._scored:
-            infected = sorted(
-                set(
-                    infected_snapshot(self.simulator.metrics, payload_id)
-                ),
-                key=repr,
+            self._scored[payload_id] = _score_candidates(
+                self.simulator.graph,
+                infected_snapshot(self.simulator.metrics, payload_id),
             )
-            graph = self.simulator.graph
-            self._scored[payload_id] = [
-                (rumor_centrality(graph, infected, candidate), candidate)
-                for candidate in infected
-            ]
         return self._scored[payload_id]
 
     def guess(self, payload_id: Hashable) -> Optional[Hashable]:
         """The snapshot adversary's single best guess for the originator.
 
-        Identical to :func:`rumor_source_estimate` on the end-of-run
-        snapshot (maximal centrality, ties broken by smallest ``repr``).
+        :func:`rumor_source_estimate` on the end-of-run snapshot (maximal
+        centrality, ties broken by smallest ``repr``).
         """
-        scored = self._scores(payload_id)
-        if not scored:
-            return None
-        best_score = max(score for score, _ in scored)
-        winners = [candidate for score, candidate in scored if score == best_score]
-        return sorted(winners, key=repr)[0]
+        return _best(self._scores(payload_id))
 
     def rank(self, payload_id: Hashable) -> Dict[Hashable, float]:
         """Relative likelihood per infected candidate.

@@ -107,17 +107,6 @@ class TestDandelionRun:
 
 
 class TestDandelionNode:
-    def test_new_epoch_validates_neighbour(self):
-        graph = nx.path_graph(4)
-        sim = Simulator(graph, seed=0)
-        successors = assign_stem_successors(graph, random.Random(0))
-        sim.populate(lambda n: DandelionNode(n, stem_successor=successors[n]))
-        node = sim.node(1)
-        node.new_epoch(2)
-        assert node.stem_successor == 2
-        with pytest.raises(ValueError):
-            node.new_epoch(3)
-
     def test_missing_successor_raises_at_use(self):
         graph = nx.path_graph(3)
         sim = Simulator(graph, seed=0)

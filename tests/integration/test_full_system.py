@@ -16,7 +16,7 @@ from repro.analysis.experiment import run_attack_experiment
 from repro.blockchain import Blockchain, Mempool, Miner, Transaction, Wallet
 from repro.core import Phase, ProtocolConfig
 from repro.network import ConstantLatency, NetworkConditions
-from repro.network.topology import bitcoin_like_overlay, random_regular_overlay
+from repro.network.topology import random_regular_overlay, scale_free_overlay
 from repro.protocols import create_protocol
 
 
@@ -58,14 +58,14 @@ class TestWalletToBlockFlow:
         assert chain.contains_transaction(tx.tx_id)
         assert miner.earned_fees == 2
 
-    def test_broadcast_on_bitcoin_like_overlay_with_unreachable_nodes(self):
-        overlay = bitcoin_like_overlay(60, 30, outgoing=6, seed=2)
+    def test_broadcast_from_a_leaf_of_a_hub_heavy_overlay(self):
+        overlay = scale_free_overlay(90, attachments=2, seed=2)
         session = three_phase_session(overlay, 4, 3, seed=3)
-        # Broadcast from an unreachable node (the hardest case for privacy
-        # according to the paper's reference [15]).
-        unreachable_source = 75
-        assert not overlay.nodes[unreachable_source]["reachable"]
-        result = broadcast(session, unreachable_source, b"tx from unreachable")
+        # Broadcast from a peer with the fewest links, the way an
+        # unreachable client only reaches the network through a few hubs.
+        leaf = min(overlay.ids, key=overlay.degree)
+        assert overlay.degree(leaf) == 2
+        result = broadcast(session, leaf, b"tx from a leaf")
         assert result.delivered_fraction == 1.0
 
 

@@ -29,9 +29,7 @@ from repro.network.conditions import NetworkConditions
 from repro.network.message import Message
 from repro.network.latency import (
     ConstantLatency,
-    ExponentialLatency,
     PerEdgeLatency,
-    UniformLatency,
 )
 from repro.network.simulator import ENGINES, NO_COHORTS, NO_KERNEL, Simulator
 from repro.network.topology import random_regular_overlay
@@ -286,20 +284,20 @@ class TestHandOverAtOneTimestamp:
 
 
 #: Conditions under which no two deliveries share a timestamp: jitter on a
-#: constant delay, and every latency model that draws its delays.
+#: constant delay, per-edge delays that draw, and both together.
 VARYING_DELAYS = {
     "jitter": lambda: NetworkConditions(
         latency=ConstantLatency(1.0), jitter=0.05
     ),
-    "uniform": lambda: NetworkConditions(
-        latency=lambda rng: UniformLatency(rng, 0.1, 0.4)
-    ),
-    "exponential": lambda: NetworkConditions(
-        latency=lambda rng: ExponentialLatency(rng, 0.2)
-    ),
     "per_edge": lambda: NetworkConditions(
         latency=lambda rng: PerEdgeLatency(rng, 0.05, 0.3),
         loss_probability=0.05,
+    ),
+    "per_edge_no_loss": lambda: NetworkConditions(
+        latency=lambda rng: PerEdgeLatency(rng, 0.1, 0.4)
+    ),
+    "per_edge_jitter": lambda: NetworkConditions(
+        latency=lambda rng: PerEdgeLatency(rng, 0.05, 0.3), jitter=0.02
     ),
 }
 

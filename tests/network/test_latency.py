@@ -6,9 +6,7 @@ import pytest
 
 from repro.network.latency import (
     ConstantLatency,
-    ExponentialLatency,
     PerEdgeLatency,
-    UniformLatency,
 )
 
 
@@ -21,30 +19,6 @@ class TestConstantLatency:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             ConstantLatency(0.0)
-
-
-class TestUniformLatency:
-    def test_within_bounds(self):
-        model = UniformLatency(random.Random(0), 0.1, 0.3)
-        for _ in range(100):
-            assert 0.1 <= model.delay(1, 2) <= 0.3
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            UniformLatency(random.Random(0), 0.5, 0.1)
-        with pytest.raises(ValueError):
-            UniformLatency(random.Random(0), 0.0, 0.1)
-
-
-class TestExponentialLatency:
-    def test_positive_and_above_floor(self):
-        model = ExponentialLatency(random.Random(0), mean=0.2, minimum=0.05)
-        for _ in range(100):
-            assert model.delay(1, 2) >= 0.05
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            ExponentialLatency(random.Random(0), mean=0.0)
 
 
 class TestPerEdgeLatency:

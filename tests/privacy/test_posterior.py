@@ -107,12 +107,15 @@ class TestRumorCentralitySurface:
         assert estimator.guess("tx-1") == argmax(scores)
 
     def test_guess_matches_module_level_estimate(self, flood_attack):
-        from repro.threat.rumor_centrality import rumor_source_from_metrics
+        from repro.threat.rumor_centrality import (
+            infected_snapshot,
+            rumor_source_estimate,
+        )
 
         session, _ = flood_attack
         estimator = RumorCentralityEstimator(session.simulator)
-        assert estimator.guess("tx-1") == rumor_source_from_metrics(
-            session.graph, session.simulator.metrics, "tx-1"
+        assert estimator.guess("tx-1") == rumor_source_estimate(
+            session.graph, infected_snapshot(session.simulator.metrics, "tx-1")
         )
 
     def test_prime_suspect_scores_one(self, flood_attack):

@@ -32,14 +32,12 @@ from hypothesis import strategies as st
 
 from repro.broadcast.flood import FloodNode
 from repro.broadcast.gossip import GossipConfig, GossipNode
-from repro.network.churn import (
-    random_churn_schedule,
-    random_link_schedule,
-)
+from repro.network.churn import random_churn_schedule
 from repro.network.conditions import NetworkConditions
 from repro.network.latency import ConstantLatency
 from repro.network.simulator import Simulator
 from repro.network.topology import random_regular_overlay
+from repro.threat.faults import FlakyLinksFault
 
 
 def observation_digest(sim: Simulator) -> str:
@@ -102,13 +100,14 @@ def run_one(
             protected=(0,),
         ).apply(sim)
     if link_seed is not None:
-        random_link_schedule(
-            overlay,
-            sever_fraction=0.25,
-            sever_time=0.3,
-            restore_after=0.6,
-            rng=random.Random(link_seed),
-        ).apply(sim)
+        # A quarter of the links down at 0.3, back at 0.9.
+        FlakyLinksFault(
+            links=round(0.25 * overlay.number_of_edges()),
+            bursts=1,
+            start=0.3,
+            period=0.6,
+            down_time=0.6,
+        ).schedule(overlay, random.Random(link_seed)).apply(sim)
     sim.node(0).originate("tx")
     sim.run_until_idle()
     return {

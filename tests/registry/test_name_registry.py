@@ -20,6 +20,25 @@ TABLES = {
 }
 
 
+#: Registered names no preset uses, each with what still needs it.  Every
+#: other adversary model, estimator, fault model and topology family must
+#: be used by a registered preset: a name no run enters gets a preset or
+#: leaves its registry.
+UNUSED_BY_PRESETS = {
+    ("topology family", "line"):
+        "Dandelion's idealised stem; kept for the tree and networkx work "
+        "(ROADMAP items 10 and 14)",
+    ("topology family", "regular_tree"):
+        "where adaptive diffusion's analysis is exact (ROADMAP items 10 "
+        "and 14)",
+    ("estimator", "rumor_centrality"):
+        "the snapshot_rumor benchmark workload and the E12 claim benchmark",
+    ("estimator", "dc_collusion"):
+        "Phase 1's in-group leak, for the log auditor, Phase 1 on the wire "
+        "and the privacy identity (ROADMAP items 7, 11 and 13)",
+}
+
+
 class Widget:
     name = "widget"
 
@@ -114,3 +133,19 @@ def test_entries_are_keyed_by_their_own_name(kind):
 
 def test_there_is_one_attacker_package():
     assert importlib.util.find_spec("repro.adversary") is None
+
+
+@pytest.mark.parametrize(
+    "kind", ["adversary model", "estimator", "fault model", "topology family"]
+)
+def test_every_name_is_used_by_a_preset_or_says_why_not(kind):
+    used = set()
+    for spec in SCENARIOS.values():
+        used.update({
+            "adversary model": [spec.adversary.model],
+            "estimator": [spec.adversary.estimator],
+            "fault model": [fault.model for fault in spec.faults],
+            "topology family": [spec.topology.family],
+        }[kind])
+    allowed = {name for table, name in UNUSED_BY_PRESETS if table == kind}
+    assert set(TABLES[kind]) - used == allowed

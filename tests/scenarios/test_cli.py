@@ -187,40 +187,47 @@ class TestCli:
         assert "first_spy" in proc.stderr
 
     @pytest.mark.parametrize(
-        "family,params,protocol,processes,message",
+        "family,params,protocol,sender_pool,processes,message",
         [
-            ("random_regular", {"num_nodes": "abc", "degree": 4}, "flood", "2",
-             "topology parameter 'num_nodes' must be int, not 'abc'"),
-            ("random_regular", {"num_nodes": 4, "degree": 4}, "flood", "2",
+            ("random_regular", {"num_nodes": "abc", "degree": 4}, "flood",
+             None, "2", "topology parameter 'num_nodes' must be int, not 'abc'"),
+            ("random_regular", {"num_nodes": 4, "degree": 4}, "flood", None, "2",
              "topology 'random_regular' refuses its parameters: "
              "need more nodes than the degree"),
-            ("random_regular", {"num_nodes": 4, "degree": 4}, "flood", "1",
+            ("random_regular", {"num_nodes": 4, "degree": 4}, "flood", None, "1",
              "topology 'random_regular' refuses its parameters: "
              "need more nodes than the degree"),
-            ("line", {"num_nodes": 1}, "flood", "2",
+            ("line", {"num_nodes": 1}, "flood", None, "2",
              "topology 'line' refuses its parameters: need at least two nodes"),
-            ("random_regular", {"num_nodes": 4, "degree": 2}, "three_phase", "2",
+            ("random_regular", {"num_nodes": 4, "degree": 2}, "three_phase",
+             None, "2",
              "protocol 'three_phase' needs at least 5 peers "
              "(its anonymity floor), the overlay has 4"),
-            ("complete", {"num_nodes": 3}, "three_phase", "2",
+            ("complete", {"num_nodes": 3}, "three_phase", None, "2",
              "protocol 'three_phase' needs at least 5 peers "
              "(its anonymity floor), the overlay has 3"),
-            ("erdos_renyi", {"num_nodes": 60, "avg_degree": 0.5}, "flood", "2",
-             "topology 'erdos_renyi' refuses its parameters: failed to sample "
-             "a connected Erdos-Renyi graph; increase avg_degree"),
-            ("watts_strogatz", {"num_nodes": 10, "neighbours": 12}, "flood", "1",
-             "topology 'watts_strogatz' refuses its parameters: "
+            ("scale_free", {"num_nodes": 60, "attachments": 0}, "flood", None,
+             "2", "topology 'scale_free' refuses its parameters: "
+             "need at least one attachment per step"),
+            ("small_world", {"num_nodes": 10, "neighbours": 12}, "flood", None,
+             "1", "topology 'small_world' refuses its parameters: "
              "neighbours (12) must not exceed num_nodes (10)"),
-            ("small_world", {"num_nodes": 10, "neighbours": 12}, "flood", "2",
-             "topology 'small_world' refuses its parameters: "
+            ("small_world", {"num_nodes": 10, "neighbours": 12}, "flood", None,
+             "2", "topology 'small_world' refuses its parameters: "
              "neighbours (12) must not exceed num_nodes (10)"),
+            ("random_regular", {"num_nodes": 20, "degree": 4}, "flood", 50, "2",
+             "workload sender_pool 50 exceeds the overlay's 20 peers"),
+            ("random_regular", {"num_nodes": 20, "degree": 4}, "flood", 50, "1",
+             "workload sender_pool 50 exceeds the overlay's 20 peers"),
         ],
         ids=["type", "degree", "degree-serial", "line", "three_phase-small",
-             "three_phase-complete", "erdos_renyi-sparse", "watts_strogatz-k>n",
-             "small_world-k>n"],
+             "three_phase-complete", "scale_free-no-attachments",
+             "small_world-k>n-serial", "small_world-k>n", "sender_pool",
+             "sender_pool-serial"],
     )
     def test_spec_values_a_generator_or_protocol_refuses_are_one_error_line(
-        self, tmp_path, family, params, protocol, processes, message
+        self, tmp_path, family, params, protocol, sender_pool, processes,
+        message,
     ):
         # A wrong type is refused at load; a value only when a repetition
         # compiles the spec, in a worker process with --processes 2.
@@ -229,6 +236,7 @@ class TestCli:
         )
         spec["topology"] = {"family": family, "params": params}
         spec["protocol"] = protocol
+        spec["workload"]["sender_pool"] = sender_pool
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         proc = _run(

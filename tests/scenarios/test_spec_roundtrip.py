@@ -156,7 +156,7 @@ class TestSpecValidation:
     def test_topology_param_types_follow_the_generator(self):
         TopologySpec("random_regular", {"num_nodes": 60, "seed": None})
         TopologySpec("small_world", {"num_nodes": 60, "shortcut_probability": 0})
-        TopologySpec("erdos_renyi", {"num_nodes": 60, "avg_degree": 7.5})
+        TopologySpec("scale_free", {"num_nodes": 60, "triangle_probability": 0.5})
 
     def test_unknown_protocol_rejected_at_load(self):
         # Used to load fine and fail only when the spec was compiled.

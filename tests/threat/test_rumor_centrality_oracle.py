@@ -7,19 +7,22 @@ floats (which feed the privacy digest) depend on that order.  These are
 the exact ``(log_centrality, candidate)`` lists it returns today, for one
 connected and one disconnected snapshot on a random-regular and on an
 Erdős–Rényi overlay; a rewrite that walks the CSR instead must reproduce
-them with ``==``, not approximately.
+them with ``==``, not approximately.  The Erdős–Rényi overlay is networkx's
+``gnp_random_graph`` at a seed whose draw is connected.
 """
 
 import networkx as nx
 import pytest
 
 from repro.network.simulator import Simulator
-from repro.network.topology import erdos_renyi_overlay, random_regular_overlay
+from repro.network.topology import Overlay, random_regular_overlay
 from repro.threat.rumor_centrality import RumorCentralityEstimator
 
 OVERLAYS = {
     "random_regular": lambda: random_regular_overlay(80, degree=4, seed=7),
-    "erdos_renyi": lambda: erdos_renyi_overlay(80, avg_degree=3.0, seed=7),
+    "erdos_renyi": lambda: Overlay.from_networkx(
+        nx.gnp_random_graph(80, 3.0 / 79, seed=369140570)
+    ),
 }
 
 # (overlay, snapshot kind, infected nodes, expected scores).  Connected
