@@ -30,6 +30,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             DandelionConfig(max_stem_length=0)
 
+    def test_invalid_payload_size_rejected(self):
+        with pytest.raises(ValueError):
+            DandelionConfig(payload_size_bytes=0)
+
 
 class TestStemSuccessors:
     def test_every_node_gets_a_neighbour(self):
@@ -38,6 +42,12 @@ class TestStemSuccessors:
         assert set(successors) == set(graph.nodes)
         for node, successor in successors.items():
             assert graph.has_edge(node, successor)
+
+    def test_isolated_node_rejected(self):
+        graph = nx.path_graph(3)
+        graph.add_node("alone")
+        with pytest.raises(ValueError, match="'alone' has no neighbours"):
+            assign_stem_successors(graph, random.Random(0))
 
     def test_isolated_node_rejected(self):
         graph = nx.Graph()

@@ -19,7 +19,7 @@ from repro.network.topology import (
     small_world_overlay,
 )
 from repro.protocols import create_protocol
-from repro.scenarios import TopologySpec
+from repro.scenarios import TOPOLOGY_FAMILIES, TopologySpec
 from repro.scenarios.runner import observation_log_digest
 
 
@@ -79,6 +79,17 @@ def assert_overlay_is(overlay, graph):
         assert overlay.has_edge(u, v) and overlay.has_edge(v, u)
     assert not overlay.has_edge(next(iter(graph)), "absent")
     assert overlay.is_connected() == nx.is_connected(graph)
+
+
+#: Small parameters for every registered topology family.
+FAMILY_PARAMS = {
+    "random_regular": {"num_nodes": 30, "degree": 4, "seed": 0},
+    "small_world": {"num_nodes": 30, "neighbours": 4, "seed": 0},
+    "scale_free": {"num_nodes": 30, "attachments": 2, "seed": 0},
+    "line": {"num_nodes": 6},
+    "regular_tree": {"branching": 2, "depth": 3},
+    "complete": {"num_nodes": 5},
+}
 
 
 def _reachable_path(num_nodes):
@@ -319,14 +330,46 @@ class TestOverlay:
              r"neighbours \(12\) must not exceed num_nodes \(10\)"),
             (lambda: small_world_overlay(20, neighbours=1, seed=0),
              "small_world_overlay: generated graph is not connected"),
+            (lambda: small_world_overlay(2, seed=0),
+             "at least three nodes"),
+            (lambda: small_world_overlay(50, shortcut_probability=1.5, seed=0),
+             r"shortcut probability must be in \[0, 1\]"),
             (lambda: scale_free_overlay(10, attachments=0, seed=0),
              "at least one attachment"),
+            (lambda: scale_free_overlay(4, attachments=4, seed=0),
+             "more nodes than attachments"),
+            (lambda: scale_free_overlay(50, triangle_probability=-0.1, seed=0),
+             r"triangle probability must be in \[0, 1\]"),
+            (lambda: random_regular_overlay(4, degree=8, seed=0),
+             "more nodes than the degree"),
+            (lambda: random_regular_overlay(9, degree=3, seed=0),
+             "must be even"),
+            (lambda: line_overlay(1), "at least two nodes"),
+            (lambda: complete_overlay(1), "at least two nodes"),
+            (lambda: regular_tree_overlay(branching=1, depth=3),
+             "branching factor must be at least 2"),
+            (lambda: regular_tree_overlay(branching=3, depth=0),
+             "depth must be at least 1"),
         ],
-        ids=["small_world-k>n", "small_world-never", "scale_free"],
+        ids=["small_world-k>n", "small_world-never", "small_world-n<3",
+             "small_world-probability", "scale_free",
+             "scale_free-n<=attachments", "scale_free-probability",
+             "random_regular-n<=degree", "random_regular-odd", "line",
+             "complete", "regular_tree-branching", "regular_tree-depth"],
     )
     def test_generators_refuse_with_value_error(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("family", sorted(TOPOLOGY_FAMILIES))
+    def test_every_family_builds_a_connected_overlay(self, family):
+        params = FAMILY_PARAMS[family]
+        overlay = TopologySpec(family, params).build()
+        assert isinstance(overlay, Overlay)
+        assert overlay.is_connected()
+        graph = overlay.to_networkx()
+        assert nx.is_connected(graph)
+        assert_overlay_is(overlay, graph)
 
     def test_families_return_overlays(self):
         assert isinstance(line_overlay(4), Overlay)
@@ -398,6 +441,19 @@ class TestSmallWorld:
         assert set(lattice.edges) <= {tuple(sorted(e)) for e in graph.edges} | set(graph.edges)
         assert graph.number_of_edges() >= lattice.number_of_edges()
 
+    def test_draws_as_networkx(self):
+        for num_nodes, neighbours, probability, seed in (
+            (50, 4, 0.3, 7), (40, 2, 1.0, 1), (120, 8, 0.1, 0),
+        ):
+            assert_overlay_is(
+                small_world_overlay(
+                    num_nodes, neighbours, probability, seed=seed
+                ),
+                nx.newman_watts_strogatz_graph(
+                    num_nodes, neighbours, probability, seed=seed
+                ),
+            )
+
     def test_seed_reproducibility(self):
         a = small_world_overlay(80, seed=7)
         b = small_world_overlay(80, seed=7)
@@ -422,6 +478,22 @@ class TestScaleFree:
         graph = scale_free_overlay(300, attachments=4, seed=2)
         degrees = sorted(degree for _, degree in graph.degree())
         assert degrees[-1] >= 4 * degrees[len(degrees) // 2]
+
+    def test_draws_as_networkx(self):
+        # The generator seeds networkx's Holme-Kim graph from a stream of
+        # the given seed, one draw per attempt.
+        for num_nodes, attachments, probability, seed in (
+            (100, 4, 0.3, 9), (60, 1, 0.0, 3), (80, 3, 1.0, 5),
+        ):
+            draw = random.Random(seed).randrange(2**31)
+            assert_overlay_is(
+                scale_free_overlay(
+                    num_nodes, attachments, probability, seed=seed
+                ),
+                nx.powerlaw_cluster_graph(
+                    num_nodes, attachments, probability, seed=draw
+                ),
+            )
 
     def test_seed_reproducibility(self):
         a = scale_free_overlay(100, seed=9)

@@ -39,6 +39,24 @@ class TestBotnet:
         graph = random_regular_overlay(50, degree=4, seed=0)
         with pytest.raises(ValueError):
             deploy_botnet(graph, 1.0, random.Random(1))
+        with pytest.raises(ValueError):
+            deploy_botnet(graph, -0.1, random.Random(1))
+
+    def test_count_capped_by_unprotected_nodes(self):
+        graph = random_regular_overlay(10, degree=4, seed=0)
+        protected = set(range(5))
+        botnet = deploy_botnet(graph, 0.9, random.Random(1), protected=protected)
+        assert botnet.observers == set(range(5, 10))
+        assert botnet.fraction == 0.9
+
+    def test_view_reads_the_observers_deliveries(self):
+        graph, sim = _flood_simulation(num_nodes=40)
+        botnet = deploy_botnet(graph, 0.2, random.Random(4), protected={0})
+        view = botnet.view(sim)
+        assert isinstance(view, AdversaryView)
+        assert view.observers == botnet.observers
+        assert view.observations
+        assert {obs.receiver for obs in view.observations} == botnet.observers
 
     def test_is_compromised(self):
         graph = random_regular_overlay(50, degree=4, seed=0)
